@@ -13,9 +13,8 @@ import time
 
 import numpy as np
 
-from longmem.cli import desk_schedule
 from longmem.evornn import TrainConfig, build_model, task_lag_recall, train_toy
-from longmem.schedule import cost_multiply_adds
+from longmem.schedule import cost_multiply_adds, desk_schedule
 
 
 def run(kind, args):

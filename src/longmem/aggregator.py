@@ -13,7 +13,6 @@ floating-point fixed point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
@@ -122,19 +121,14 @@ def run_dataset(
     schedule: LearningRateSchedule,
     batch_size: int,
     progress: Optional[TextIO] = None,
-    workers: int = 1,
 ) -> AggregateResult:
     """Consume a sequence stream in batches of `batch_size` and aggregate.
 
-    Per-sequence estimates within a batch may be computed concurrently but
-    are merged in index order, so results are independent of `workers`.
     Sequences that fail to estimate (e.g. degenerate) are skipped and
     counted; a final partial batch is processed at its actual size.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be positive, got {batch_size}")
-    if workers < 1:
-        raise DomainError(f"workers must be positive, got {workers}")
 
     def estimate_one(seq: SymbolSequence) -> Optional[tuple[np.ndarray, np.ndarray]]:
         try:
@@ -150,32 +144,24 @@ def run_dataset(
     n_skipped = 0
     power_sum: Optional[np.ndarray] = None
     pad_length = config.pad_length
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for batch in _batched(sequences, batch_size):
-            if pool is not None:
-                results = list(pool.map(estimate_one, batch))
-            else:
-                results = [estimate_one(seq) for seq in batch]
-            estimates = [r[0] for r in results if r is not None]
-            n_skipped += sum(1 for r in results if r is None)
-            if not estimates:
-                continue
-            n_estimated += len(estimates)
-            for _, power in (r for r in results if r is not None):
-                power_sum = power.copy() if power_sum is None else power_sum + power
-            if state is None:
-                state = ema_init(estimates[0].size)
-            batch_index = state.step
-            state = ema_update(state, np.stack(estimates), schedule)
-            if progress is not None:
-                progress.write(
-                    f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
-                    f"dbar_mean={float(state.d_hat.mean()):.6g}\n"
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for batch in _batched(sequences, batch_size):
+        results = [estimate_one(seq) for seq in batch]
+        estimates = [r[0] for r in results if r is not None]
+        n_skipped += sum(1 for r in results if r is None)
+        if not estimates:
+            continue
+        n_estimated += len(estimates)
+        for _, power in (r for r in results if r is not None):
+            power_sum = power.copy() if power_sum is None else power_sum + power
+        if state is None:
+            state = ema_init(estimates[0].size)
+        batch_index = state.step
+        state = ema_update(state, np.stack(estimates), schedule)
+        if progress is not None:
+            progress.write(
+                f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
+                f"dbar_mean={float(state.d_hat.mean()):.6g}\n"
+            )
     if state is None:
         raise EmptyInputError("no sequence could be estimated")
     mean_pg = Periodogram(length=pad_length, power=power_sum / n_estimated)

@@ -7,8 +7,7 @@ cost table), `train-toy` (toy training with metrics CSV).
 Every command that writes files also writes a run manifest beside its
 primary output (resolved configuration, input digests, seed, version), and
 all files are written atomically (temp + rename). Exit codes: 0 success,
-1 runtime failure, 2 argument error. LONGMEM_THREADS sets the worker count
-for per-sequence estimation.
+1 runtime failure, 2 argument error.
 """
 
 from __future__ import annotations
@@ -38,12 +37,12 @@ from .embeddings import (
 )
 from .errors import LongmemError, TrainingDivergedError
 from .estimator import (
-    Abscissa,
     EstimatorConfig,
     FullBand,
     LowFrequency,
     REPORT_SCHEMA_VERSION,
     estimate_from_periodogram,
+    estimate_report,
 )
 from .evornn import build_model, save_checkpoint, task_lag_recall, train_toy
 from .evornn.train import TrainConfig
@@ -51,8 +50,8 @@ from .schedule import (
     CellSchedule,
     PRESETS,
     build_preset,
-    constant_schedule,
     cost_multiply_adds,
+    desk_schedule,
     schedule_from_json,
     validate_schedule,
 )
@@ -125,10 +124,9 @@ def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str
 def cmd_estimate(args, parser) -> int:
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
     cutoff = _parse_cutoff(args.cutoff, pad_length, parser)
-    config = EstimatorConfig(pad_length=pad_length, cutoff=cutoff, abscissa=Abscissa.INDEX)
+    config = EstimatorConfig(pad_length=pad_length, cutoff=cutoff)
     policy = OovPolicy(args.oov)
     schedule = LearningRateSchedule(alpha0=args.alpha0, tau=args.tau)
-    workers = int(os.environ.get("LONGMEM_THREADS", "1"))
     try:
         with open(args.embeddings, encoding="utf-8") as stream:
             table = load_table(stream)
@@ -148,7 +146,6 @@ def cmd_estimate(args, parser) -> int:
             schedule,
             batch_size=args.batch_size,
             progress=sys.stderr if args.progress else None,
-            workers=max(workers, 1),
         )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -158,19 +155,12 @@ def cmd_estimate(args, parser) -> int:
         return 1
     mean_pg = result.mean_periodogram
     avg_estimate = estimate_from_periodogram(mean_pg, config)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "dim": int(result.state.d_hat.size),
-        "cutoff": avg_estimate.cutoff_used,
-        "abscissa": config.abscissa.value,
-        "d": [float(v) for v in result.state.d_hat],
-        "intercept": [float(v) for v in avg_estimate.intercept],
-        "stderr": [float(v) for v in avg_estimate.slope_stderr],
-        "pvalue": [float(v) for v in avg_estimate.pvalue],
-        "n_estimated": result.n_estimated,
-        "n_skipped": result.n_skipped,
-        "batches": result.state.step,
-    }
+    report = estimate_report(avg_estimate)
+    # d is the EMA of per-sequence fits; the other fields fit the mean periodogram
+    report["d"] = [float(v) for v in result.state.d_hat]
+    report["n_estimated"] = result.n_estimated
+    report["n_skipped"] = result.n_skipped
+    report["batches"] = result.state.step
     _atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.dump_spectrum:
         buffer = io.StringIO()
@@ -281,12 +271,8 @@ def _load_schedule_arg(args, parser) -> CellSchedule:
 def cmd_schedule_cost(args, parser) -> int:
     try:
         schedule = _load_schedule_arg(args, parser)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         total = cost_multiply_adds(schedule)
-    except LongmemError as exc:
+    except (OSError, LongmemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print("segment length hidden cost")
@@ -301,42 +287,6 @@ def cmd_schedule_cost(args, parser) -> int:
     return 0
 
 
-#: Desk-scale schedule shapes mirroring the published preset families.
-def desk_schedule(kind: str, seq_len: int, max_hidden: int) -> CellSchedule:
-    if kind == "constant":
-        return constant_schedule(seq_len, max_hidden)
-    if kind == "powerlaw":
-        # from the end: two length-4 segments, then doubling lengths,
-        # hidden sizes halving from max_hidden (floor 2)
-        segments_end_first = []
-        remaining = seq_len
-        hidden = max_hidden
-        length = 4
-        while remaining > 0:
-            if hidden <= 2 or length >= remaining:
-                segments_end_first.append((remaining, max(hidden, 2)))
-                break
-            segments_end_first.append((length, hidden))
-            remaining -= length
-            if len(segments_end_first) >= 2:
-                length *= 2
-            hidden = max(hidden // 2, 2)
-        return CellSchedule(list(reversed(segments_end_first)))
-    if kind == "extrexp":
-        # from the end: length-8 segments with hidden sizes dividing by 4,
-        # the earliest segment absorbing the rest at hidden size 2
-        segments_end_first = []
-        remaining = seq_len
-        hidden = max_hidden
-        while remaining > 8 and hidden > 2:
-            segments_end_first.append((8, hidden))
-            remaining -= 8
-            hidden = max(hidden // 4, 2)
-        segments_end_first.append((remaining, max(hidden, 2)))
-        return CellSchedule(list(reversed(segments_end_first)))
-    raise LongmemError(f"unknown schedule kind {kind!r}")
-
-
 def cmd_train_toy(args, parser) -> int:
     if args.schedule in ("constant", "powerlaw", "extrexp"):
         schedule = desk_schedule(args.schedule, args.seq_len, args.max_hidden)
@@ -346,6 +296,9 @@ def cmd_train_toy(args, parser) -> int:
                 schedule = schedule_from_json(stream.read())
         except OSError as exc:
             parser.error(f"--schedule must be a named kind or a readable file: {exc}")
+        except LongmemError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     negatives = args.negatives if args.negatives else args.vocab - 1
     try:
         config = TrainConfig(

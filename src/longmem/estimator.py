@@ -13,7 +13,6 @@ from covariance blocks, and the mutual-information decay-slope diagnostic
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -26,6 +25,9 @@ from .errors import DegenerateInputError, DomainError, ZeroPowerError
 from .spectral import Periodogram, periodogram
 
 REPORT_SCHEMA_VERSION = 1
+
+#: The regression abscissa is log k for the bin index k; reports name it.
+REPORT_ABSCISSA = "index"
 
 #: Fits with more points than this use the normal approximation to the t-tail.
 _NORMAL_APPROX_N = 200
@@ -47,21 +49,10 @@ class LowFrequency:
 Cutoff = Union[FullBand, LowFrequency]
 
 
-class Abscissa(enum.Enum):
-    """Regression abscissa: raw index log k, or angular log(2*pi*k/L).
-
-    The choice shifts only the intercept; slopes and inference are identical.
-    """
-
-    INDEX = "index"
-    ANGULAR = "angular"
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     pad_length: int
     cutoff: Cutoff = FullBand()
-    abscissa: Abscissa = Abscissa.INDEX
 
 
 def sqrt_cutoff(pad_length: int) -> LowFrequency:
@@ -151,7 +142,6 @@ def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEs
     """Fit each dimension over the selected bins; returns d = -slope/2."""
     m = _select_bins(pg, config.cutoff)
     ks = np.arange(1, m + 1, dtype=np.float64)
-    xs = ks if config.abscissa is Abscissa.INDEX else 2.0 * np.pi * ks / pg.length
     p = pg.dim
     d = np.empty(p)
     intercept = np.empty(p)
@@ -162,7 +152,7 @@ def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEs
         zero = np.flatnonzero(power <= 0.0)
         if zero.size:
             raise ZeroPowerError(dim=j, bin_index=int(zero[0]) + 1)
-        fit = ols_loglog(xs, power)
+        fit = ols_loglog(ks, power)
         d[j] = -fit.slope / 2.0
         intercept[j] = fit.intercept
         stderr[j] = fit.slope_stderr
@@ -187,13 +177,13 @@ def hurst_from_d(d: float) -> float:
     return d + 0.5
 
 
-def estimate_report(est: LrdEstimate, config: EstimatorConfig) -> dict:
-    """Plain-JSON view of an estimate, including the configuration used."""
+def estimate_report(est: LrdEstimate) -> dict:
+    """Plain-JSON view of an estimate, including the cutoff and abscissa used."""
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dim": int(est.d.size),
         "cutoff": est.cutoff_used,
-        "abscissa": config.abscissa.value,
+        "abscissa": REPORT_ABSCISSA,
         "d": [float(v) for v in est.d],
         "intercept": [float(v) for v in est.intercept],
         "stderr": [float(v) for v in est.slope_stderr],

@@ -3,11 +3,10 @@
 Public surface of the recurrent-model subpackage.
 """
 
-from .cell import GruCellParams, gru_step, init_cell
+from .cell import GruCellParams, init_cell
 from .layer import (
     EvoRnnLayer,
     ProjectionSet,
-    evo_forward,
     identity_like,
     init_layer,
 )
@@ -17,8 +16,6 @@ from .model import (
     forward_with_caches,
     load_checkpoint,
     save_checkpoint,
-    score_log_prob,
-    stacked_forward,
 )
 from .tasks import lag_distribution, task_lag_recall
 from .train import (
@@ -35,11 +32,9 @@ from .train import (
 
 __all__ = [
     "GruCellParams",
-    "gru_step",
     "init_cell",
     "EvoRnnLayer",
     "ProjectionSet",
-    "evo_forward",
     "identity_like",
     "init_layer",
     "ModelParams",
@@ -47,8 +42,6 @@ __all__ = [
     "forward_with_caches",
     "load_checkpoint",
     "save_checkpoint",
-    "score_log_prob",
-    "stacked_forward",
     "lag_distribution",
     "task_lag_recall",
     "ModelGrads",

@@ -145,21 +145,3 @@ def gru_backward_batch(
     dh += du[:, m:]
     return dx, dh
 
-
-def gru_step(
-    cell: GruCellParams, x: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-vector GRU step; returns (output, new_state), output = new_state."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.shape != (cell.input_dim,):
-        raise DimensionMismatchError(
-            f"input must have shape ({cell.input_dim},), got {x.shape}"
-        )
-    if h.shape != (cell.hidden_dim,):
-        raise DimensionMismatchError(
-            f"state must have shape ({cell.hidden_dim},), got {h.shape}"
-        )
-    h_new, _ = gru_forward_batch(cell, x[None, :], h[None, :])
-    out = h_new[0]
-    return out, out

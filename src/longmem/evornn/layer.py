@@ -252,14 +252,3 @@ def evo_backward_batch(
     grads.init_state += dh.sum(axis=0)
     return grad_inputs
 
-
-def evo_forward(
-    layer: EvoRnnLayer, inputs: Sequence[np.ndarray], length: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Single-sequence unroll: returns (per-step outputs, final state).
-
-    Output t has the active segment's hidden size.
-    """
-    batched = [np.asarray(x, dtype=np.float64)[None, :] for x in inputs]
-    result = evo_forward_batch(layer, batched, length)
-    return [out[0] for out in result.outputs], result.final_state[0]

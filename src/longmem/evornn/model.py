@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..embeddings import SymbolSequence
 from ..errors import CheckpointError, DimensionMismatchError, DomainError, ScheduleError
 from ..schedule import CellSchedule
 from .cell import GruCellParams, init_cell
@@ -181,18 +180,6 @@ def forward_with_caches(model: ModelParams, ids: np.ndarray) -> ModelForward:
     )
 
 
-def stacked_forward(model: ModelParams, seq: SymbolSequence) -> np.ndarray:
-    """Decoded vectors y_L..y_{L+H} for one sequence of integer ids.
-
-    The sequence must supply the L-step prefix plus the H teacher-forced
-    inputs, i.e. at least L+H = len(seq) steps are consumed.
-    """
-    ids = np.asarray(seq.ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise DomainError("stacked_forward requires integer symbol ids")
-    return forward_with_caches(model, ids[None, :]).decoded[0]
-
-
 def _logsumexp(logits: np.ndarray) -> np.ndarray:
     peak = logits.max(axis=-1, keepdims=True)
     return peak[..., 0] + np.log(np.exp(logits - peak).sum(axis=-1))
@@ -203,13 +190,12 @@ def score_batch(
     labels: np.ndarray,
     output_table: np.ndarray,
     negatives: Optional[np.ndarray] = None,
-    with_grads: bool = False,
-):
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Total log-softmax score over a (B, J) batch of labeled positions.
 
-    Returns the scalar score, or (score, grad_y, grad_output_table) of the
-    NEGATIVE score when `with_grads` is set. `negatives` is (B, J, N) with
-    ids excluding the paired label; None means full-vocabulary softmax.
+    Returns (score, grad_y, grad_output_table), the gradients being those of
+    the NEGATIVE score. `negatives` is (B, J, N) with ids excluding the
+    paired label; None means full-vocabulary softmax.
     """
     vocab = output_table.shape[0]
     labels = np.asarray(labels)
@@ -221,8 +207,6 @@ def score_batch(
         lse = _logsumexp(logits)
         picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
         score = float(picked.sum() - lse.sum())
-        if not with_grads:
-            return score
         softmax = np.exp(logits - lse[..., None])
         dlogits = softmax
         np.put_along_axis(
@@ -241,8 +225,6 @@ def score_batch(
     logits = np.einsum("bjd,bjkd->bjk", y, cand_vectors)
     lse = _logsumexp(logits)
     score = float(logits[..., 0].sum() - lse.sum())
-    if not with_grads:
-        return score
     dlogits = np.exp(logits - lse[..., None])
     dlogits[..., 0] -= 1.0
     grad_y = np.einsum("bjk,bjkd->bjd", dlogits, cand_vectors)
@@ -250,29 +232,6 @@ def score_batch(
     contributions = dlogits[..., None] * y[..., None, :]
     np.add.at(grad_table, candidates.reshape(-1), contributions.reshape(-1, y.shape[-1]))
     return score, grad_y, grad_table
-
-
-def score_log_prob(
-    y_vectors: np.ndarray,
-    label_ids,
-    output_table: np.ndarray,
-    negatives: Optional[np.ndarray] = None,
-) -> float:
-    """Sum over positions j of <y_j, e_{s_j}> - log sum_k exp <y_j, e_k>.
-
-    The normalization runs over the full vocabulary, or over the label plus
-    its sampled negatives when `negatives` (J, N) is given.
-    """
-    y = np.asarray(y_vectors, dtype=np.float64)
-    if y.ndim != 2:
-        raise DimensionMismatchError(f"y_vectors must be (J, d), got {y.shape}")
-    labels = np.asarray(label_ids)
-    if labels.shape != (y.shape[0],):
-        raise DimensionMismatchError(
-            f"need one label per decoded vector: {labels.shape} vs {y.shape[0]}"
-        )
-    neg = None if negatives is None else np.asarray(negatives)[None, ...]
-    return score_batch(y[None, ...], labels[None, ...], output_table, neg)
 
 
 def _tensor_to_json(array: np.ndarray) -> dict:
@@ -345,6 +304,13 @@ def load_checkpoint(path: str) -> ModelParams:
         raise CheckpointError(
             f"unsupported checkpoint version {payload.get('version')!r}"
         )
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint is missing field {exc.args[0]!r}") from None
+
+
+def _model_from_payload(payload: dict) -> ModelParams:
     layers = []
     for entry in payload["layers"]:
         cells = [

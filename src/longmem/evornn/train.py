@@ -147,7 +147,7 @@ def gradients_from_forward(
     negatives: Optional[np.ndarray],
 ) -> tuple[float, ModelGrads]:
     score, grad_y, grad_out_table = score_batch(
-        forward.decoded, labels, model.output_table, negatives, with_grads=True
+        forward.decoded, labels, model.output_table, negatives
     )
     grads = zero_grads(model)
     grads.output_table += grad_out_table

@@ -88,6 +88,46 @@ def constant_schedule(length: int, hidden: int) -> CellSchedule:
     return CellSchedule([(length, hidden)])
 
 
+def desk_schedule(kind: str, seq_len: int, max_hidden: int) -> CellSchedule:
+    """Desk-scale schedule shapes mirroring the published preset families.
+
+    `kind` is "constant", "powerlaw" or "extrexp"; the schedule covers
+    `seq_len` positions with hidden sizes up to `max_hidden`.
+    """
+    if kind == "constant":
+        return constant_schedule(seq_len, max_hidden)
+    if kind == "powerlaw":
+        # from the end: two length-4 segments, then doubling lengths,
+        # hidden sizes halving from max_hidden (floor 2)
+        segments_end_first = []
+        remaining = seq_len
+        hidden = max_hidden
+        length = 4
+        while remaining > 0:
+            if hidden <= 2 or length >= remaining:
+                segments_end_first.append((remaining, max(hidden, 2)))
+                break
+            segments_end_first.append((length, hidden))
+            remaining -= length
+            if len(segments_end_first) >= 2:
+                length *= 2
+            hidden = max(hidden // 2, 2)
+        return CellSchedule(list(reversed(segments_end_first)))
+    if kind == "extrexp":
+        # from the end: length-8 segments with hidden sizes dividing by 4,
+        # the earliest segment absorbing the rest at hidden size 2
+        segments_end_first = []
+        remaining = seq_len
+        hidden = max_hidden
+        while remaining > 8 and hidden > 2:
+            segments_end_first.append((8, hidden))
+            remaining -= 8
+            hidden = max(hidden // 4, 2)
+        segments_end_first.append((remaining, max(hidden, 2)))
+        return CellSchedule(list(reversed(segments_end_first)))
+    raise ScheduleError(f"unknown schedule kind {kind!r}")
+
+
 def lookup_cell(t: int, length: int, schedule: CellSchedule) -> tuple[int, int]:
     """Resolve position t in a length-L sequence to (segment index, hidden).
 
@@ -149,15 +189,22 @@ def validate_schedule(schedule: CellSchedule, length: int) -> ScheduleDiagnostic
 
 
 def schedule_from_json(text: str) -> CellSchedule:
-    """Parse a schedule from a JSON array of [length, hidden] pairs."""
+    """Parse a schedule from a JSON array of [length, hidden] integer pairs."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScheduleError(f"invalid schedule JSON: {exc}") from None
-    if not isinstance(data, list) or not all(
-        isinstance(seg, list) and len(seg) == 2 for seg in data
-    ):
+    if not isinstance(data, list):
         raise ScheduleError("schedule JSON must be an array of [length, hidden] pairs")
+    for seg in data:
+        if not (
+            isinstance(seg, list)
+            and len(seg) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in seg)
+        ):
+            raise ScheduleError(
+                f"schedule entries must be [length, hidden] integer pairs, got {seg!r}"
+            )
     return CellSchedule(data)
 
 

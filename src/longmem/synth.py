@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal, special
-from scipy.linalg import toeplitz
 
 from .embeddings import EmbeddedSeries, EmbeddingTable, SymbolSequence
 from .errors import DomainError
 from .estimator import hurst_from_d
-
-#: Largest T for which the dense Cholesky fallback is attempted.
-_CHOLESKY_MAX_T = 1024
 
 #: Relative tolerance for clipping tiny negative circulant eigenvalues.
 _EIGENVALUE_RTOL = 1e-8
@@ -76,19 +72,13 @@ def fgn_autocov(hurst: float, h) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _fgn_cholesky(spec: FgnSpec, rng: np.random.Generator) -> np.ndarray:
-    cov = toeplitz(fgn_autocov(spec.hurst, np.arange(spec.length)))
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(spec.length)
-
-
 def generate_fgn(spec: FgnSpec) -> np.ndarray:
     """Exact FGN sample path via circulant embedding of size 2T.
 
     The circulant eigenvalues of the FGN autocovariance are provably
-    non-negative; if numerical noise produces materially negative values,
-    a dense Cholesky factorization is used for T <= 1024 and otherwise an
-    error asks for a larger embedding.
+    non-negative (Dietrich & Newsam 1997), so tiny negative values from
+    rounding are clipped to zero; a materially negative one raises
+    DomainError.
     """
     t = spec.length
     rng = np.random.default_rng(spec.seed)
@@ -96,12 +86,7 @@ def generate_fgn(spec: FgnSpec) -> np.ndarray:
     circulant_row = np.concatenate([gamma, gamma[-2:0:-1]])
     eigenvalues = np.fft.fft(circulant_row).real
     if eigenvalues.min() < -_EIGENVALUE_RTOL * eigenvalues.max():
-        if t <= _CHOLESKY_MAX_T:
-            return _fgn_cholesky(spec, rng)
-        raise DomainError(
-            "circulant embedding produced a negative eigenvalue and the series is "
-            "too long for the dense fallback; enlarge the embedding"
-        )
+        raise DomainError("circulant embedding produced a negative eigenvalue")
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     m = 2 * t
     a = rng.standard_normal(t)

@@ -15,7 +15,6 @@ from conftest import (
     perturbed_reference_model,
 )
 from longmem.aggregator import EmaState, LearningRateSchedule, ema_init, ema_update
-from longmem.cli import desk_schedule
 from longmem.embeddings import EmbeddedSeries
 from longmem.estimator import (
     EstimatorConfig,
@@ -31,6 +30,7 @@ from longmem.schedule import (
     build_preset,
     constant_schedule,
     cost_multiply_adds,
+    desk_schedule,
     lookup_cell,
 )
 from longmem.spectral import average_periodograms, dft_naive, periodogram, rfft

@@ -151,21 +151,6 @@ def test_run_dataset_progress_line_format():
     assert lines[0].startswith("batch=0 alpha=1 ")
 
 
-def test_run_dataset_worker_count_does_not_change_result():
-    seqs, table = _quantized_fgn_dataset(16, length=256)
-    config = EstimatorConfig(pad_length=256)
-    kwargs = dict(
-        table=table, config=config, policy=OovPolicy.ZERO,
-        schedule=LearningRateSchedule(), batch_size=5,
-    )
-    serial = run_dataset(seqs, **kwargs)
-    threaded = run_dataset(seqs, workers=4, **kwargs)
-    assert np.array_equal(serial.state.d_hat, threaded.state.d_hat)
-    assert np.array_equal(
-        serial.mean_periodogram.power, threaded.mean_periodogram.power
-    )
-
-
 def test_run_dataset_matches_manual_ema_composition():
     seqs, table = _quantized_fgn_dataset(6, length=256)
     config = EstimatorConfig(pad_length=256)
@@ -187,8 +172,3 @@ def test_run_dataset_validates_sizes():
     config = EstimatorConfig(pad_length=256)
     with pytest.raises(DomainError):
         run_dataset(seqs, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=0)
-    with pytest.raises(DomainError):
-        run_dataset(
-            seqs, table, config, OovPolicy.ZERO, LearningRateSchedule(),
-            batch_size=1, workers=0,
-        )

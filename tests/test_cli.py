@@ -59,6 +59,27 @@ def test_schedule_cost_seq_len_mismatch(tmp_path, capsys):
     assert "expected 6" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[[2.7, 4]]", "[[true, 4]]", '[["a", 4]]', "[[null, 4]]", "[[4"],
+    ids=["float", "bool", "string", "null", "truncated"],
+)
+def test_bad_schedule_file_is_clean_runtime_error(tmp_path, capsys, text):
+    path = tmp_path / "sched.json"
+    path.write_text(text)
+    code, out, err = run_cli(["schedule-cost", "--file", str(path)], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    argv = [
+        "train-toy", "--schedule", str(path), "--vocab", "8", "--seq-len", "16",
+        "--steps", "1", "--metrics-out", str(tmp_path / "m.csv"),
+    ]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_synth_prints_theoretical_d(tmp_path, capsys):
     out_path = tmp_path / "x.csv"
     code, out, _ = run_cli(

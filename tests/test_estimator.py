@@ -12,7 +12,6 @@ from scipy import stats
 from longmem.embeddings import EmbeddedSeries, OovPolicy, SymbolSequence
 from longmem.errors import DegenerateInputError, DomainError, ZeroPowerError
 from longmem.estimator import (
-    Abscissa,
     EstimatorConfig,
     FullBand,
     LowFrequency,
@@ -126,22 +125,6 @@ def test_estimate_zero_power_names_dim_and_bin():
     assert exc.value.bin_index == 1
 
 
-def test_abscissa_choice_shifts_intercept_only():
-    pg = _power_law_periodogram(length=128, d=0.25)
-    by_index = estimate_from_periodogram(
-        pg, EstimatorConfig(128, abscissa=Abscissa.INDEX)
-    )
-    by_angular = estimate_from_periodogram(
-        pg, EstimatorConfig(128, abscissa=Abscissa.ANGULAR)
-    )
-    assert np.allclose(by_index.d, by_angular.d, atol=1e-12)
-    assert np.allclose(by_index.slope_stderr, by_angular.slope_stderr, atol=1e-12)
-    assert np.allclose(by_index.pvalue, by_angular.pvalue, atol=1e-12)
-    # log x shifts by log(2*pi/L), so the intercept moves by -slope times that
-    shift = 2.0 * by_index.d[0] * math.log(2.0 * math.pi / 128)
-    assert np.isclose(by_angular.intercept[0], by_index.intercept[0] + shift, atol=1e-9)
-
-
 def test_scaling_series_shifts_intercept_only():
     base = _power_law_periodogram(length=64, d=0.3, scale=1.0)
     scaled = _power_law_periodogram(length=64, d=0.3, scale=9.0)
@@ -167,7 +150,7 @@ def test_estimate_sequence_full_pipeline():
 def test_estimate_report_fields():
     pg = _power_law_periodogram(length=64, d=0.1)
     config = EstimatorConfig(64)
-    report = estimate_report(estimate_from_periodogram(pg, config), config)
+    report = estimate_report(estimate_from_periodogram(pg, config))
     assert report["schema_version"] == 1
     assert report["dim"] == 1
     assert report["cutoff"] == 32

@@ -1,11 +1,12 @@
 """GRU cell, evolving layer unroll, scoring, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.embeddings import SymbolSequence
 from longmem.errors import (
     CheckpointError,
     DimensionMismatchError,
@@ -13,15 +14,11 @@ from longmem.errors import (
 )
 from longmem.evornn import (
     build_model,
-    evo_forward,
-    gru_step,
     identity_like,
     init_cell,
     init_layer,
     load_checkpoint,
     save_checkpoint,
-    score_log_prob,
-    stacked_forward,
 )
 from longmem.evornn.cell import gru_forward_batch
 from longmem.evornn.layer import evo_forward_batch, segment_of_step
@@ -33,26 +30,24 @@ def test_gru_step_zero_parameters_hold_state():
     cell = init_cell(3, 5, np.random.default_rng(0))
     for tensor in cell.tensors():
         tensor[:] = 0.0
-    out, state = gru_step(cell, np.ones(3), np.zeros(5))
+    out, _ = gru_forward_batch(cell, np.ones((1, 3)), np.zeros((1, 5)))
     # z = 1/2, candidate = 0, so the state stays at zero
-    assert np.array_equal(out, np.zeros(5))
-    assert np.array_equal(state, np.zeros(5))
+    assert np.array_equal(out, np.zeros((1, 5)))
 
 
 def test_gru_step_output_is_new_state():
     cell = init_cell(2, 4, np.random.default_rng(1))
-    out, state = gru_step(cell, np.array([0.3, -0.7]), np.full(4, 0.1))
-    assert out is state
-    assert out.shape == (4,)
+    out, _ = gru_forward_batch(cell, np.array([[0.3, -0.7]]), np.full((1, 4), 0.1))
+    assert out.shape == (1, 4)
     assert np.all(np.abs(out) < 1.0)  # convex mix of h and tanh candidate
 
 
 def test_gru_step_rejects_dim_mismatch():
     cell = init_cell(2, 4, np.random.default_rng(2))
     with pytest.raises(DimensionMismatchError):
-        gru_step(cell, np.zeros(3), np.zeros(4))
+        gru_forward_batch(cell, np.zeros((1, 3)), np.zeros((1, 4)))
     with pytest.raises(DimensionMismatchError):
-        gru_step(cell, np.zeros(2), np.zeros(5))
+        gru_forward_batch(cell, np.zeros((1, 2)), np.zeros((1, 5)))
 
 
 def test_gru_batch_matches_single_steps():
@@ -64,8 +59,8 @@ def test_gru_batch_matches_single_steps():
     hs = rng.standard_normal((5, 4))
     batched, _ = gru_forward_batch(cell, xs, hs)
     for i in range(5):
-        single, _ = gru_step(cell, xs[i], hs[i])
-        assert np.allclose(batched[i], single, atol=1e-14)
+        single, _ = gru_forward_batch(cell, xs[i : i + 1], hs[i : i + 1])
+        assert np.allclose(batched[i], single[0], atol=1e-14)
 
 
 def test_identity_like_shapes():
@@ -79,46 +74,46 @@ def test_identity_like_shapes():
 def test_constant_schedule_equals_plain_unroll():
     rng = np.random.default_rng(4)
     layer = init_layer(constant_schedule(6, 4), 3, rng)
-    inputs = [rng.standard_normal(3) for _ in range(6)]
-    outputs, final_state = evo_forward(layer, inputs, 6)
+    inputs = [rng.standard_normal((1, 3)) for _ in range(6)]
+    result = evo_forward_batch(layer, inputs, 6)
 
-    state = layer.init_state.copy()
+    state = layer.init_state[None, :]
     for t in range(6):
-        expected, state = gru_step(layer.cells[0], inputs[t], state)
-        assert np.array_equal(outputs[t], expected)
-    assert np.array_equal(final_state, state)
+        state, _ = gru_forward_batch(layer.cells[0], inputs[t], state)
+        assert np.array_equal(result.outputs[t], state)
+    assert np.array_equal(result.final_state, state)
 
 
 def test_appendix_dims_along_sequence():
     schedule = CellSchedule(((6, 2), (8, 4), (4, 8), (2, 16)))
     rng = np.random.default_rng(5)
     layer = init_layer(schedule, 3, rng)
-    inputs = [rng.standard_normal(3) for _ in range(20)]
-    outputs, final_state = evo_forward(layer, inputs, 20)
-    dims = [out.shape[0] for out in outputs]
+    inputs = [rng.standard_normal((1, 3)) for _ in range(20)]
+    result = evo_forward_batch(layer, inputs, 20)
+    dims = [out.shape[1] for out in result.outputs]
     assert dims == [2] * 6 + [4] * 8 + [8] * 4 + [16] * 2
-    assert final_state.shape == (16,)
+    assert result.final_state.shape == (1, 16)
 
 
 def test_equal_adjacent_sizes_have_identity_boundary():
     schedule = CellSchedule(((2, 4), (3, 4)))
     layer = init_layer(schedule, 2, np.random.default_rng(6))
     assert layer.projections.matrices == [None]
-    outputs, _ = evo_forward(layer, [np.zeros(2)] * 5, 5)
-    assert all(out.shape == (4,) for out in outputs)
+    result = evo_forward_batch(layer, [np.zeros((1, 2))] * 5, 5)
+    assert all(out.shape == (1, 4) for out in result.outputs)
 
 
 def test_short_sequence_starts_in_later_segment():
     schedule = CellSchedule(((2, 2), (2, 4)))
     rng = np.random.default_rng(7)
     layer = init_layer(schedule, 3, rng)
-    inputs = [rng.standard_normal(3) for _ in range(2)]
-    outputs, _ = evo_forward(layer, inputs, 2)
+    inputs = [rng.standard_normal((1, 3)) for _ in range(2)]
+    outputs = evo_forward_batch(layer, inputs, 2).outputs
     # both steps are within distance 2 of the end, so only the large cell runs,
     # and the initial state passes through the boundary projection first
-    assert [o.shape[0] for o in outputs] == [4, 4]
-    projected = layer.projections.matrices[0] @ layer.init_state
-    expected, _ = gru_step(layer.cells[1], inputs[0], projected)
+    assert [o.shape[1] for o in outputs] == [4, 4]
+    projected = (layer.projections.matrices[0] @ layer.init_state)[None, :]
+    expected, _ = gru_forward_batch(layer.cells[1], inputs[0], projected)
     assert np.allclose(outputs[0], expected, atol=1e-14)
 
 
@@ -141,14 +136,14 @@ def test_stacked_forward_shapes():
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
         decoder_dim=5, horizon=0, seed=0,
     )
-    y = stacked_forward(model, SymbolSequence([1, 2, 3, 4, 5]))
+    y = forward_with_caches(model, np.array([[1, 2, 3, 4, 5]])).decoded[0]
     assert y.shape == (1, 5)
 
     unfolding = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
         decoder_dim=5, horizon=3, seed=0,
     )
-    y3 = stacked_forward(unfolding, SymbolSequence([1, 2, 3, 4, 5, 1, 0, 2]))
+    y3 = forward_with_caches(unfolding, np.array([[1, 2, 3, 4, 5, 1, 0, 2]])).decoded[0]
     assert y3.shape == (4, 5)
 
 
@@ -169,25 +164,25 @@ def test_two_layer_model_stacks_hidden_sizes():
     assert len(model.layers) == 2
     # second layer consumes the first layer's per-segment output widths
     assert [c.input_dim for c in model.layers[1].cells] == [2, 4]
-    y = stacked_forward(model, SymbolSequence([1, 2, 3, 4, 5]))
+    y = forward_with_caches(model, np.array([[1, 2, 3, 4, 5]])).decoded[0]
     assert y.shape == (1, 5)
 
 
 def test_score_log_prob_uniform_when_outputs_zero():
     y = np.zeros((2, 3))
     table = np.random.default_rng(9).standard_normal((6, 3)) * 0.0
-    lp = score_log_prob(y, np.array([1, 4]), table)
+    lp, _, _ = score_batch(y[None], np.array([[1, 4]]), table)
     assert np.isclose(lp, -2.0 * np.log(6.0), atol=1e-12)
 
 
 def test_score_log_prob_single_symbol_vocab_is_zero():
-    lp = score_log_prob(np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)))
+    lp, _, _ = score_batch(np.zeros((1, 1, 2)), np.array([[0]]), np.zeros((1, 2)))
     assert lp == 0.0
 
 
 def test_score_log_prob_rejects_bad_labels():
     with pytest.raises(DomainError):
-        score_log_prob(np.zeros((1, 2)), np.array([3]), np.zeros((2, 2)))
+        score_batch(np.zeros((1, 1, 2)), np.array([[3]]), np.zeros((2, 2)))
 
 
 def test_sampled_score_with_all_negatives_equals_full():
@@ -195,12 +190,12 @@ def test_sampled_score_with_all_negatives_equals_full():
     y = rng.standard_normal((2, 3, 4))  # B=2, J=3 positions
     table = rng.standard_normal((9, 4))
     labels = np.array([[1, 2, 3], [4, 5, 6]])
-    full, _, _ = score_batch(y, labels, table, None, with_grads=True)
+    full, _, _ = score_batch(y, labels, table, None)
     negatives = np.empty((2, 3, 8), dtype=np.int64)
     for b in range(2):
         for j in range(3):
             negatives[b, j] = [k for k in range(9) if k != labels[b, j]]
-    sampled, _, _ = score_batch(y, labels, table, negatives, with_grads=True)
+    sampled, _, _ = score_batch(y, labels, table, negatives)
     assert np.isclose(sampled, full, atol=1e-12)
 
 
@@ -213,8 +208,8 @@ def test_full_vocab_softmax_normalizes():
     log_probs = logits - logits.max(axis=1, keepdims=True) - log_norm[:, None]
     sums = np.exp(log_probs).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-10)
-    # cross-check one position against score_log_prob
-    lp = score_log_prob(y[:1], np.array([5]), table)
+    # cross-check one position against score_batch
+    lp, _, _ = score_batch(y[None, :1], np.array([[5]]), table)
     assert np.isclose(lp, log_probs[0, 5], atol=1e-10)
 
 
@@ -241,8 +236,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             if ma is not None:
                 assert np.array_equal(ma, mb)
     # forward passes agree exactly
-    seq = SymbolSequence([1, 2, 3, 4, 5, 6, 7])
-    assert np.array_equal(stacked_forward(loaded, seq), stacked_forward(model, seq))
+    ids = np.array([[1, 2, 3, 4, 5, 6, 7]])
+    assert np.array_equal(
+        forward_with_caches(loaded, ids).decoded, forward_with_caches(model, ids).decoded
+    )
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):
@@ -252,6 +249,28 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         load_checkpoint(str(path))
     path.write_text("{truncated")
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [("layers",), ("horizon",), ("layers", 0, "cells", 1, "input_dim")],
+    ids=["layers", "horizon", "input_dim"],
+)
+def test_checkpoint_missing_field_is_checkpoint_error(tmp_path, keys):
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
+        decoder_dim=5, horizon=1, seed=0,
+    )
+    path = tmp_path / "model.json"
+    save_checkpoint(model, str(path))
+    payload = json.loads(path.read_text())
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=keys[-1]):
         load_checkpoint(str(path))
 
 
@@ -265,8 +284,8 @@ def test_output_dims_follow_active_segment(segments, seed):
     rng = np.random.default_rng(seed)
     layer = init_layer(schedule, 2, rng)
     length = schedule.total_length
-    inputs = [rng.standard_normal(2) for _ in range(length)]
-    outputs, _ = evo_forward(layer, inputs, length)
+    inputs = [rng.standard_normal((1, 2)) for _ in range(length)]
+    outputs = evo_forward_batch(layer, inputs, length).outputs
     for t, out in enumerate(outputs):
         seg = segment_of_step(t, length, schedule)
-        assert out.shape == (schedule.segments[seg][1],)
+        assert out.shape == (1, schedule.segments[seg][1])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.cli import desk_schedule
 from longmem.errors import CostOverflowError, DomainError, ScheduleError
 from longmem.schedule import (
     PRESETS,
@@ -13,6 +12,7 @@ from longmem.schedule import (
     build_preset,
     constant_schedule,
     cost_multiply_adds,
+    desk_schedule,
     lookup_cell,
     schedule_from_json,
     schedule_to_json,
@@ -161,6 +161,10 @@ def test_schedule_json_rejects_garbage():
         schedule_from_json("[[1]]")
     with pytest.raises(ScheduleError):
         schedule_from_json("{}")
+    # entries must be JSON integers: no truncated floats, booleans or strings
+    for text in ("[[2.7, 4]]", "[[4, 2.0]]", "[[true, 4]]", '[["a", 4]]', "[[null, 4]]"):
+        with pytest.raises(ScheduleError):
+            schedule_from_json(text)
 
 
 def test_desk_powerlaw_reproduces_published_shape():

@@ -11,6 +11,7 @@ from longmem.errors import DomainError
 from longmem.estimator import EstimatorConfig, LowFrequency, estimate_from_periodogram
 from longmem.spectral import average_periodograms, periodogram
 from longmem.synth import (
+    _EIGENVALUE_RTOL,
     FarimaSpec,
     FgnSpec,
     farima_ma_coeffs,
@@ -48,6 +49,16 @@ def test_fgn_autocov_domain():
         fgn_autocov(1.0, 1)
     with pytest.raises(DomainError):
         fgn_autocov(0.0, 1)
+
+
+def test_fgn_circulant_embedding_is_nonnegative():
+    # generate_fgn raises DomainError below this floor; the embedding is
+    # non-negative in exact arithmetic (Dietrich & Newsam 1997)
+    for hurst in (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        for t in (2, 3, 5, 17, 1000, 1024, 4096, 65536):
+            gamma = fgn_autocov(hurst, np.arange(t + 1))
+            eigenvalues = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+            assert eigenvalues.min() >= -_EIGENVALUE_RTOL * eigenvalues.max(), (hurst, t)
 
 
 def test_generate_fgn_deterministic():
