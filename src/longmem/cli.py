@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Iterable, Optional
 
 import numpy as np
@@ -35,7 +34,7 @@ from .embeddings import (
     iter_corpus_tokens,
     load_table,
 )
-from .errors import LongmemError, TrainingDivergedError
+from .errors import LongmemError
 from .estimator import (
     EstimatorConfig,
     FullBand,
@@ -46,6 +45,7 @@ from .estimator import (
 )
 from .evornn import build_model, save_checkpoint, task_lag_recall, train_toy
 from .evornn.train import TrainConfig
+from .fileio import atomic_write_text
 from .schedule import (
     CellSchedule,
     PRESETS,
@@ -70,19 +70,6 @@ from .synth import (
 SCHEMA_VERSION = REPORT_SCHEMA_VERSION
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as stream:
@@ -100,7 +87,7 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: Iterable[
         "seed": seed,
         "version": __version__,
     }
-    _atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
@@ -127,32 +114,25 @@ def cmd_estimate(args, parser) -> int:
     config = EstimatorConfig(pad_length=pad_length, cutoff=cutoff)
     policy = OovPolicy(args.oov)
     schedule = LearningRateSchedule(alpha0=args.alpha0, tau=args.tau)
-    try:
-        with open(args.embeddings, encoding="utf-8") as stream:
-            table = load_table(stream)
-        with open(args.corpus, encoding="utf-8") as stream:
-            chunks = chunk_corpus(iter_corpus_tokens(stream), args.chunk_len or pad_length)
-        if args.shuffle:
-            rng = np.random.default_rng(args.seed)
-            chunks = [
-                SymbolSequence([seq.ids[i] for i in rng.permutation(len(seq.ids))])
-                for seq in chunks
-            ]
-        result = run_dataset(
-            chunks,
-            table,
-            config,
-            policy,
-            schedule,
-            batch_size=args.batch_size,
-            progress=sys.stderr if args.progress else None,
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LongmemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.embeddings, encoding="utf-8") as stream:
+        table = load_table(stream)
+    with open(args.corpus, encoding="utf-8") as stream:
+        chunks = chunk_corpus(iter_corpus_tokens(stream), args.chunk_len or pad_length)
+    if args.shuffle:
+        rng = np.random.default_rng(args.seed)
+        chunks = [
+            SymbolSequence([seq.ids[i] for i in rng.permutation(len(seq.ids))])
+            for seq in chunks
+        ]
+    result = run_dataset(
+        chunks,
+        table,
+        config,
+        policy,
+        schedule,
+        batch_size=args.batch_size,
+        progress=sys.stderr if args.progress else None,
+    )
     mean_pg = result.mean_periodogram
     avg_estimate = estimate_from_periodogram(mean_pg, config)
     report = estimate_report(avg_estimate)
@@ -161,11 +141,11 @@ def cmd_estimate(args, parser) -> int:
     report["n_estimated"] = result.n_estimated
     report["n_skipped"] = result.n_skipped
     report["batches"] = result.state.step
-    _atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
+    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.dump_spectrum:
         buffer = io.StringIO()
         write_periodogram_csv(mean_pg, buffer)
-        _atomic_write_text(args.dump_spectrum, buffer.getvalue())
+        atomic_write_text(args.dump_spectrum, buffer.getvalue())
     _write_manifest(
         args.out,
         "estimate",
@@ -197,47 +177,43 @@ def cmd_synth(args, parser) -> int:
         d_true = theoretical_d(args.model, hurst=args.hurst, d=args.d)
     except LongmemError as exc:
         parser.error(str(exc))
-    try:
-        series_list = []
-        for index in range(args.count):
-            seed = args.seed + index
-            if args.model == "fgn":
-                series = generate_fgn(FgnSpec(hurst=d_true + 0.5, length=args.length, seed=seed))
-            elif args.model == "farima":
-                series = generate_farima(
-                    FarimaSpec(
-                        d=d_true,
-                        length=args.length,
-                        seed=seed,
-                        ma_truncation=args.ma_truncation,
-                    )
+    series_list = []
+    for index in range(args.count):
+        seed = args.seed + index
+        if args.model == "fgn":
+            series = generate_fgn(FgnSpec(hurst=d_true + 0.5, length=args.length, seed=seed))
+        elif args.model == "farima":
+            series = generate_farima(
+                FarimaSpec(
+                    d=d_true,
+                    length=args.length,
+                    seed=seed,
+                    ma_truncation=args.ma_truncation,
                 )
-            else:
-                series = generate_white(args.length, seed)
-            series_list.append(series)
-        if args.vocab:
-            table = normal_bucket_table(args.vocab)
-            lines = []
-            for series in series_list:
-                seq = quantize_to_symbols(series, args.vocab, table)
-                lines.append(" ".join(str(i) for i in seq.ids))
-            _atomic_write_text(args.out, "\n".join(lines) + "\n")
-            if args.emb_out:
-                rows = [
-                    f"{token} " + " ".join(repr(float(v)) for v in table.vectors[idx])
-                    for token, idx in sorted(table.token_ids.items(), key=lambda kv: kv[1])
-                ]
-                _atomic_write_text(args.emb_out, "\n".join(rows) + "\n")
+            )
         else:
-            header = ",".join(f"series{i}" for i in range(args.count))
-            rows = [header]
-            matrix = np.stack(series_list, axis=1)
-            for row in matrix:
-                rows.append(",".join(repr(float(v)) for v in row))
-            _atomic_write_text(args.out, "\n".join(rows) + "\n")
-    except LongmemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            series = generate_white(args.length, seed)
+        series_list.append(series)
+    if args.vocab:
+        table = normal_bucket_table(args.vocab)
+        lines = []
+        for series in series_list:
+            seq = quantize_to_symbols(series, args.vocab, table)
+            lines.append(" ".join(str(i) for i in seq.ids))
+        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        if args.emb_out:
+            rows = [
+                f"{token} " + " ".join(repr(float(v)) for v in table.vectors[idx])
+                for token, idx in sorted(table.token_ids.items(), key=lambda kv: kv[1])
+            ]
+            atomic_write_text(args.emb_out, "\n".join(rows) + "\n")
+    else:
+        header = ",".join(f"series{i}" for i in range(args.count))
+        rows = [header]
+        matrix = np.stack(series_list, axis=1)
+        for row in matrix:
+            rows.append(",".join(repr(float(v)) for v in row))
+        atomic_write_text(args.out, "\n".join(rows) + "\n")
     print(f"d = {d_true:g}")
     _write_manifest(
         args.out,
@@ -269,12 +245,8 @@ def _load_schedule_arg(args, parser) -> CellSchedule:
 
 
 def cmd_schedule_cost(args, parser) -> int:
-    try:
-        schedule = _load_schedule_arg(args, parser)
-        total = cost_multiply_adds(schedule)
-    except (OSError, LongmemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    schedule = _load_schedule_arg(args, parser)
+    total = cost_multiply_adds(schedule)
     print("segment length hidden cost")
     for index, (length, hidden) in enumerate(schedule.segments):
         print(f"{index} {length} {hidden} {length * hidden * hidden}")
@@ -293,45 +265,36 @@ def cmd_train_toy(args, parser) -> int:
     else:
         try:
             with open(args.schedule, encoding="utf-8") as stream:
-                schedule = schedule_from_json(stream.read())
+                text = stream.read()
         except OSError as exc:
             parser.error(f"--schedule must be a named kind or a readable file: {exc}")
-        except LongmemError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        schedule = schedule_from_json(text)
     negatives = args.negatives if args.negatives else args.vocab - 1
-    try:
-        config = TrainConfig(
-            learning_rate=args.lr,
-            clip_norm=args.clip,
-            negatives=negatives,
-            steps=args.steps,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-        model = build_model(
-            vocab_size=args.vocab,
-            emb_dim=args.emb_dim,
-            schedule=schedule,
-            decoder_dim=args.emb_dim,
-            horizon=args.horizon,
-            num_layers=args.layers,
-            seed=args.seed,
-        )
-        task = task_lag_recall(
-            vocab_size=args.vocab,
-            seq_len=args.seq_len,
-            tail_exponent=args.tail_exponent,
-            seed=args.seed + 1,
-            horizon=args.horizon,
-        )
-        result = train_toy(model, task, config)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LongmemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = TrainConfig(
+        learning_rate=args.lr,
+        clip_norm=args.clip,
+        negatives=negatives,
+        steps=args.steps,
+        batch_size=args.batch_size,
+        seed=args.seed,
+    )
+    model = build_model(
+        vocab_size=args.vocab,
+        emb_dim=args.emb_dim,
+        schedule=schedule,
+        decoder_dim=args.emb_dim,
+        horizon=args.horizon,
+        num_layers=args.layers,
+        seed=args.seed,
+    )
+    task = task_lag_recall(
+        vocab_size=args.vocab,
+        seq_len=args.seq_len,
+        tail_exponent=args.tail_exponent,
+        seed=args.seed + 1,
+        horizon=args.horizon,
+    )
+    result = train_toy(model, task, config)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["step", "loss", "multiply_adds", "wall_ms"])
@@ -339,7 +302,7 @@ def cmd_train_toy(args, parser) -> int:
         writer.writerow(
             [metrics.step, repr(float(metrics.loss)), metrics.multiply_adds, f"{metrics.wall_ms:.3f}"]
         )
-    _atomic_write_text(args.metrics_out, buffer.getvalue())
+    atomic_write_text(args.metrics_out, buffer.getvalue())
     if args.checkpoint_out:
         save_checkpoint(model, args.checkpoint_out)
     total_multiplies = sum(m.multiply_adds for m in result.history)
@@ -443,7 +406,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "schedule-cost": cmd_schedule_cost,
         "train-toy": cmd_train_toy,
     }
-    return commands[args.command](args, parser)
+    try:
+        return commands[args.command](args, parser)
+    except (OSError, LongmemError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -218,15 +218,3 @@ def iter_corpus_tokens(stream: Union[TextIO, Iterable[str]]) -> Iterator[str]:
     """Yield whitespace-separated tokens from a line-oriented text stream."""
     for line in stream:
         yield from line.split()
-
-
-def concat_features(series_list: Sequence[EmbeddedSeries]) -> EmbeddedSeries:
-    """Concatenate series column-wise; all inputs must share the same length."""
-    if not series_list:
-        raise EmptyInputError("no series to concatenate")
-    if len(series_list) == 1:
-        return series_list[0]
-    lengths = {s.length for s in series_list}
-    if len(lengths) > 1:
-        raise DimensionMismatchError(f"series lengths differ: {sorted(lengths)}")
-    return EmbeddedSeries(values=np.concatenate([s.values for s in series_list], axis=1))

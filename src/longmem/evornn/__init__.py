@@ -4,12 +4,7 @@ Public surface of the recurrent-model subpackage.
 """
 
 from .cell import GruCellParams, init_cell
-from .layer import (
-    EvoRnnLayer,
-    ProjectionSet,
-    identity_like,
-    init_layer,
-)
+from .layer import EvoRnnLayer, identity_like, init_layer
 from .model import (
     ModelParams,
     build_model,
@@ -19,7 +14,6 @@ from .model import (
 )
 from .tasks import lag_distribution, task_lag_recall
 from .train import (
-    ModelGrads,
     StepMetrics,
     TrainConfig,
     TrainResult,
@@ -34,7 +28,6 @@ __all__ = [
     "GruCellParams",
     "init_cell",
     "EvoRnnLayer",
-    "ProjectionSet",
     "identity_like",
     "init_layer",
     "ModelParams",
@@ -44,7 +37,6 @@ __all__ = [
     "save_checkpoint",
     "lag_distribution",
     "task_lag_recall",
-    "ModelGrads",
     "StepMetrics",
     "TrainConfig",
     "TrainResult",

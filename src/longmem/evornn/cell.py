@@ -14,6 +14,10 @@ import numpy as np
 from ..errors import DimensionMismatchError, DomainError
 
 
+#: Field names of a cell's tensors, in the order of `tensors()` and of gradient lists.
+TENSOR_NAMES = ("w_update", "b_update", "w_reset", "b_reset", "w_candidate", "b_candidate")
+
+
 @dataclass
 class GruCellParams:
     """Gate matrices of shape (m+n, n) and bias vectors of shape (n,)."""
@@ -49,14 +53,7 @@ class GruCellParams:
             setattr(self, name, b)
 
     def tensors(self) -> list[np.ndarray]:
-        return [
-            self.w_update,
-            self.b_update,
-            self.w_reset,
-            self.b_reset,
-            self.w_candidate,
-            self.b_candidate,
-        ]
+        return [getattr(self, name) for name in TENSOR_NAMES]
 
 
 def init_cell(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> GruCellParams:

@@ -16,25 +16,20 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, DomainError, ScheduleError
 from ..schedule import CellSchedule, lookup_cell
-from .cell import GruCellParams, gru_backward_batch, gru_forward_batch, init_cell, zero_cell_grads
-
-
-@dataclass
-class ProjectionSet:
-    """One matrix per segment boundary where the hidden size changes.
-
-    Entry b reconciles segment b to segment b+1: shape (n_{b+1}, n_b).
-    None marks an identity boundary (equal sizes).
-    """
-
-    matrices: list[Optional[np.ndarray]]
+from .cell import GruCellParams, gru_backward_batch, gru_forward_batch, init_cell
 
 
 @dataclass
 class EvoRnnLayer:
+    """One GRU cell per schedule segment and one projection slot per boundary.
+
+    `projections[b]` reconciles segment b to segment b+1: shape
+    (n_{b+1}, n_b), or None for an identity boundary (equal sizes).
+    """
+
     schedule: CellSchedule
     cells: list[GruCellParams]
-    projections: ProjectionSet
+    projections: list[Optional[np.ndarray]]
     init_state: np.ndarray
 
     def __post_init__(self):
@@ -49,12 +44,12 @@ class EvoRnnLayer:
                 raise DimensionMismatchError(
                     f"cell hidden dim {cell.hidden_dim} does not match segment size {hidden}"
                 )
-        if len(self.projections.matrices) != len(segments) - 1:
+        if len(self.projections) != len(segments) - 1:
             raise ScheduleError(
                 f"need one projection slot per boundary: "
-                f"{len(self.projections.matrices)} for {len(segments) - 1} boundaries"
+                f"{len(self.projections)} for {len(segments) - 1} boundaries"
             )
-        for b, matrix in enumerate(self.projections.matrices):
+        for b, matrix in enumerate(self.projections):
             n_old, n_new = segments[b][1], segments[b + 1][1]
             if n_old == n_new:
                 if matrix is not None:
@@ -72,7 +67,7 @@ class EvoRnnLayer:
                         f"boundary {b} projection must have shape ({n_new}, {n_old}), "
                         f"got {matrix.shape}"
                     )
-                self.projections.matrices[b] = matrix
+                self.projections[b] = matrix
         init = np.asarray(self.init_state, dtype=np.float64)
         if init.shape != (segments[0][1],):
             raise DimensionMismatchError(
@@ -113,22 +108,60 @@ def init_layer(
                 f"need one input dim per segment: {len(dims)} for {len(segments)}"
             )
     cells = [init_cell(m, n, rng) for m, (_, n) in zip(dims, segments)]
-    matrices: list[Optional[np.ndarray]] = []
+    projections: list[Optional[np.ndarray]] = []
     for b in range(len(segments) - 1):
         n_old, n_new = segments[b][1], segments[b + 1][1]
-        matrices.append(None if n_old == n_new else identity_like(n_new, n_old))
+        projections.append(None if n_old == n_new else identity_like(n_new, n_old))
     return EvoRnnLayer(
         schedule=schedule,
         cells=cells,
-        projections=ProjectionSet(matrices),
+        projections=projections,
         init_state=np.zeros(segments[0][1]),
     )
 
 
 def segment_of_step(t: int, length: int, schedule: CellSchedule) -> int:
     """Segment active at step t; steps at or beyond `length` stay in the
-    last segment (distance to the end clamps at zero during unfolding)."""
+    last segment (distance to the end clamps at zero during unfolding).
+
+    The per-step oracle for `segment_runs`."""
     return lookup_cell(min(t, length - 1), length, schedule)[0]
+
+
+def segment_runs(
+    length: int, total_steps: int, schedule: CellSchedule
+) -> list[tuple[int, int, int]]:
+    """(segment, start, stop) for each run of consecutive steps in
+    [0, total_steps) that share a segment, earliest first.
+
+    Segments are laid out back from step `length`; the earliest one is
+    open-ended and steps at or beyond `length` unfold in the last one.
+    Segments that no step reaches have no run.
+    """
+    segments = schedule.segments
+    runs = []
+    stop, edge = total_steps, length
+    for segment in range(len(segments) - 1, -1, -1):
+        edge = max(edge - segments[segment][0], 0) if segment else 0
+        if edge < stop:
+            runs.append((segment, edge, stop))
+        stop = edge
+    runs.reverse()
+    return runs
+
+
+@dataclass
+class SegmentRun:
+    """Consecutive steps of one segment's cell.
+
+    `crossings` holds (boundary, state before it) for each boundary the
+    carried state crossed on entry; the first run's crossings chain the
+    initial state to the starting segment. `caches` holds one GRU cache per step.
+    """
+
+    segment: int
+    crossings: list[tuple[int, np.ndarray]]
+    caches: list[tuple]
 
 
 @dataclass
@@ -136,28 +169,21 @@ class LayerForward:
     """Everything the backward pass needs from one layer's unroll."""
 
     outputs: list[np.ndarray]
-    final_state: np.ndarray
-    step_caches: list[tuple]
-    initial_projections: list[tuple[int, np.ndarray]]
+    runs: list[SegmentRun]
     multiply_adds: int
 
 
-def _project(layer: EvoRnnLayer, boundary: int, h: np.ndarray) -> np.ndarray:
-    matrix = layer.projections.matrices[boundary]
-    return h if matrix is None else h @ matrix.T
-
-
 def evo_forward_batch(layer: EvoRnnLayer, inputs: list[np.ndarray], length: int) -> LayerForward:
-    """Unroll the layer over a batch.
+    """Unroll the layer over a batch, one segment run at a time.
 
     `inputs[t]` is the (B, m_t) input at step t; steps past `length - 1`
     are unfold steps handled by the last segment. The carried state crosses
-    each boundary through its projection. When the sequence is shorter than
-    the schedule's span, the initial state is first chained through the
-    boundaries leading to the starting segment.
+    each boundary through its projection; when the sequence is shorter than
+    the schedule's span, the initial state crosses every boundary before
+    the starting segment.
     """
-    if not inputs:
-        raise DomainError("need at least one input step")
+    if not inputs or length < 1:
+        raise DomainError(f"need at least one input step and length >= 1, got length {length}")
     total_steps = len(inputs)
     if total_steps < length:
         raise DimensionMismatchError(
@@ -165,90 +191,54 @@ def evo_forward_batch(layer: EvoRnnLayer, inputs: list[np.ndarray], length: int)
         )
     batch = inputs[0].shape[0]
     h = np.broadcast_to(layer.init_state, (batch, layer.init_state.size)).copy()
-    start_segment = segment_of_step(0, length, layer.schedule)
-    initial_projections: list[tuple[int, np.ndarray]] = []
-    for boundary in range(start_segment):
-        initial_projections.append((boundary, h))
-        h = _project(layer, boundary, h)
     outputs: list[np.ndarray] = []
-    step_caches: list[tuple] = []
+    runs: list[SegmentRun] = []
     multiply_adds = 0
-    previous_segment = start_segment
-    for t in range(total_steps):
-        segment = segment_of_step(t, length, layer.schedule)
-        crossed: list[tuple[int, np.ndarray]] = []
+    previous_segment = 0
+    for segment, start, stop in segment_runs(length, total_steps, layer.schedule):
+        crossings = []
         for boundary in range(previous_segment, segment):
-            crossed.append((boundary, h))
-            h = _project(layer, boundary, h)
+            crossings.append((boundary, h))
+            matrix = layer.projections[boundary]
+            if matrix is not None:
+                h = h @ matrix.T
         cell = layer.cells[segment]
-        h, cache = gru_forward_batch(cell, inputs[t], h)
-        outputs.append(h)
-        step_caches.append((segment, crossed, cache))
-        multiply_adds += 3 * cell.hidden_dim * cell.hidden_dim
+        caches = []
+        for t in range(start, stop):
+            h, cache = gru_forward_batch(cell, inputs[t], h)
+            outputs.append(h)
+            caches.append(cache)
+        runs.append(SegmentRun(segment, crossings, caches))
+        multiply_adds += 3 * cell.hidden_dim * cell.hidden_dim * (stop - start)
         previous_segment = segment
-    return LayerForward(
-        outputs=outputs,
-        final_state=h,
-        step_caches=step_caches,
-        initial_projections=initial_projections,
-        multiply_adds=multiply_adds,
-    )
-
-
-@dataclass
-class LayerGrads:
-    cells: list[list[np.ndarray]]
-    projections: list[Optional[np.ndarray]]
-    init_state: np.ndarray
-
-
-def zero_layer_grads(layer: EvoRnnLayer) -> LayerGrads:
-    return LayerGrads(
-        cells=[zero_cell_grads(cell) for cell in layer.cells],
-        projections=[
-            None if m is None else np.zeros_like(m) for m in layer.projections.matrices
-        ],
-        init_state=np.zeros_like(layer.init_state),
-    )
-
-
-def _project_backward(
-    layer: EvoRnnLayer,
-    grads: LayerGrads,
-    boundary: int,
-    h_before: np.ndarray,
-    grad_after: np.ndarray,
-) -> np.ndarray:
-    matrix = layer.projections.matrices[boundary]
-    if matrix is None:
-        return grad_after
-    grads.projections[boundary] += grad_after.T @ h_before
-    return grad_after @ matrix
+    return LayerForward(outputs=outputs, runs=runs, multiply_adds=multiply_adds)
 
 
 def evo_backward_batch(
     layer: EvoRnnLayer,
     forward: LayerForward,
     grad_outputs: list[Optional[np.ndarray]],
-    grads: LayerGrads,
+    grads: EvoRnnLayer,
 ) -> list[np.ndarray]:
-    """Reverse the unroll; accumulates parameter grads, returns per-step
-    input gradients. `grad_outputs[t]` may be None when no loss term touches
-    the step's output."""
-    total_steps = len(forward.step_caches)
-    grad_inputs: list[np.ndarray] = [None] * total_steps  # type: ignore[list-item]
-    dh = np.zeros_like(forward.final_state)
-    for t in range(total_steps - 1, -1, -1):
-        g = grad_outputs[t]
-        if g is not None:
-            dh = dh + g
-        segment, crossed, cache = forward.step_caches[t]
-        dx, dh = gru_backward_batch(layer.cells[segment], cache, dh, grads.cells[segment])
-        grad_inputs[t] = dx
-        for boundary, h_before in reversed(crossed):
-            dh = _project_backward(layer, grads, boundary, h_before, dh)
-    for boundary, h_before in reversed(forward.initial_projections):
-        dh = _project_backward(layer, grads, boundary, h_before, dh)
+    """Reverse the unroll run by run; accumulates parameter grads into
+    `grads` (a zeroed twin of `layer`) and returns per-step input gradients.
+    `grad_outputs[t]` may be None when no loss term touches the step's output."""
+    t = len(forward.outputs)
+    grad_inputs: list[np.ndarray] = [None] * t  # type: ignore[list-item]
+    dh = np.zeros_like(forward.outputs[-1])
+    for run in reversed(forward.runs):
+        cell = layer.cells[run.segment]
+        cell_grads = grads.cells[run.segment].tensors()
+        for cache in reversed(run.caches):
+            t -= 1
+            g = grad_outputs[t]
+            if g is not None:
+                dh = dh + g
+            grad_inputs[t], dh = gru_backward_batch(cell, cache, dh, cell_grads)
+        for boundary, h_before in reversed(run.crossings):
+            matrix = layer.projections[boundary]
+            if matrix is not None:
+                grads.projections[boundary] += dh.T @ h_before
+                dh = dh @ matrix
     grads.init_state += dh.sum(axis=0)
     return grad_inputs
-

@@ -14,21 +14,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..errors import CheckpointError, DimensionMismatchError, DomainError, ScheduleError
+from ..fileio import atomic_write_text
 from ..schedule import CellSchedule
-from .cell import GruCellParams, init_cell
-from .layer import (
-    EvoRnnLayer,
-    LayerForward,
-    ProjectionSet,
-    evo_forward_batch,
-    identity_like,
-    init_layer,
-)
+from .cell import TENSOR_NAMES, GruCellParams
+from .layer import EvoRnnLayer, LayerForward, evo_forward_batch, init_layer
 
 CHECKPOINT_FORMAT = "evornn-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -87,6 +81,21 @@ class ModelParams:
     @property
     def decoder_dim(self) -> int:
         return self.decoder_b.size
+
+    def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
+        """Every trainable tensor with a stable name, in a fixed order."""
+        yield "input_table", self.input_table
+        for i, layer in enumerate(self.layers):
+            for s, cell in enumerate(layer.cells):
+                for name, tensor in zip(TENSOR_NAMES, cell.tensors()):
+                    yield f"layer{i}.cell{s}.{name}", tensor
+            for b, matrix in enumerate(layer.projections):
+                if matrix is not None:
+                    yield f"layer{i}.projection{b}", matrix
+            yield f"layer{i}.init_state", layer.init_state
+        yield "decoder_w", self.decoder_w
+        yield "decoder_b", self.decoder_b
+        yield "output_table", self.output_table
 
 
 def build_model(
@@ -280,25 +289,23 @@ def save_checkpoint(model: ModelParams, path: str) -> None:
                     for cell in layer.cells
                 ],
                 "projections": [
-                    None if m is None else _tensor_to_json(m)
-                    for m in layer.projections.matrices
+                    None if m is None else _tensor_to_json(m) for m in layer.projections
                 ],
                 "init_state": _tensor_to_json(layer.init_state),
             }
             for layer in model.layers
         ],
     }
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream)
+    atomic_write_text(path, json.dumps(payload))
 
 
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, encoding="utf-8") as stream:
         try:
             payload = json.load(stream)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"invalid checkpoint JSON: {exc}") from None
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not an {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -308,6 +315,8 @@ def load_checkpoint(path: str) -> ModelParams:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise CheckpointError(f"checkpoint has a malformed field: {exc}") from None
 
 
 def _model_from_payload(payload: dict) -> ModelParams:
@@ -326,14 +335,13 @@ def _model_from_payload(payload: dict) -> ModelParams:
             )
             for c in entry["cells"]
         ]
-        projections = ProjectionSet(
-            [None if m is None else _tensor_from_json(m) for m in entry["projections"]]
-        )
         layers.append(
             EvoRnnLayer(
                 schedule=CellSchedule(entry["schedule"]),
                 cells=cells,
-                projections=projections,
+                projections=[
+                    None if m is None else _tensor_from_json(m) for m in entry["projections"]
+                ],
                 init_state=_tensor_from_json(entry["init_state"]),
             )
         )

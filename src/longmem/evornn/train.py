@@ -16,7 +16,8 @@ import numpy as np
 
 from ..embeddings import SymbolSequence
 from ..errors import DomainError, TrainingDivergedError
-from .layer import LayerGrads, evo_backward_batch, zero_layer_grads
+from .cell import GruCellParams, zero_cell_grads
+from .layer import EvoRnnLayer, evo_backward_batch
 from .model import ModelForward, ModelParams, forward_with_caches, score_batch
 
 
@@ -40,42 +41,36 @@ class TrainConfig:
             raise DomainError("steps must be >= 0 and batch size >= 1")
 
 
-@dataclass
-class ModelGrads:
-    """Gradient arrays mirroring ModelParams."""
-
-    input_table: np.ndarray
-    layers: list[LayerGrads]
-    decoder_w: np.ndarray
-    decoder_b: np.ndarray
-    output_table: np.ndarray
-
-
-def zero_grads(model: ModelParams) -> ModelGrads:
-    return ModelGrads(
+def zero_grads(model: ModelParams) -> ModelParams:
+    """A zeroed twin of `model`: gradients share the parameters' structure."""
+    return ModelParams(
         input_table=np.zeros_like(model.input_table),
-        layers=[zero_layer_grads(layer) for layer in model.layers],
+        layers=[
+            EvoRnnLayer(
+                schedule=layer.schedule,
+                cells=[
+                    GruCellParams(cell.input_dim, cell.hidden_dim, *zero_cell_grads(cell))
+                    for cell in layer.cells
+                ],
+                projections=[None if m is None else np.zeros_like(m) for m in layer.projections],
+                init_state=np.zeros_like(layer.init_state),
+            )
+            for layer in model.layers
+        ],
         decoder_w=np.zeros_like(model.decoder_w),
         decoder_b=np.zeros_like(model.decoder_b),
         output_table=np.zeros_like(model.output_table),
+        horizon=model.horizon,
     )
 
 
-def parameter_pairs(model: ModelParams, grads: ModelGrads):
-    """Yield (name, parameter, gradient) triples in a fixed order."""
-    yield "input_table", model.input_table, grads.input_table
-    for i, (layer, lg) in enumerate(zip(model.layers, grads.layers)):
-        for s, (cell, cg) in enumerate(zip(layer.cells, lg.cells)):
-            names = ("w_update", "b_update", "w_reset", "b_reset", "w_candidate", "b_candidate")
-            for name, tensor, grad in zip(names, cell.tensors(), cg):
-                yield f"layer{i}.cell{s}.{name}", tensor, grad
-        for b, matrix in enumerate(layer.projections.matrices):
-            if matrix is not None:
-                yield f"layer{i}.projection{b}", matrix, lg.projections[b]
-        yield f"layer{i}.init_state", layer.init_state, lg.init_state
-    yield "decoder_w", model.decoder_w, grads.decoder_w
-    yield "decoder_b", model.decoder_b, grads.decoder_b
-    yield "output_table", model.output_table, grads.output_table
+def parameter_pairs(
+    model: ModelParams, grads: ModelParams
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Yield (name, parameter, gradient) triples in `named_tensors` order."""
+    walks = zip(model.named_tensors(), grads.named_tensors(), strict=True)
+    for (name, param), (_, grad) in walks:
+        yield name, param, grad
 
 
 def batch_arrays(batch: Sequence[tuple[SymbolSequence, Sequence[int]]], horizon: int):
@@ -124,20 +119,37 @@ def compute_gradients(
     config: TrainConfig,
     negatives: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[float, ModelGrads]:
+) -> tuple[float, ModelParams]:
     """Summed negative score over the batch and its exact gradients.
 
     When `config.negatives` < V-1 and no negatives are supplied, a sample
     is drawn from `rng` (or a fresh generator seeded by the config).
     """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    neg_score, grads, _ = _batch_gradients(model, batch, config, rng, negatives)
+    return neg_score, grads
+
+
+def _batch_gradients(
+    model: ModelParams,
+    batch: Sequence[tuple[SymbolSequence, Sequence[int]]],
+    config: TrainConfig,
+    rng: np.random.Generator,
+    negatives: Optional[np.ndarray] = None,
+) -> tuple[float, ModelParams, int]:
+    """Negative score, gradients and the forward's instrumented multiply-adds.
+
+    Only the count leaves this frame, so the forward caches are freed
+    before the caller's next step.
+    """
     ids, labels = batch_arrays(batch, model.horizon)
     vocab = model.output_table.shape[0]
     if negatives is None and config.negatives < vocab - 1:
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
         negatives = sample_negatives(rng, labels, vocab, config.negatives)
     forward = forward_with_caches(model, ids)
-    return gradients_from_forward(model, forward, labels, negatives)
+    neg_score, grads = gradients_from_forward(model, forward, labels, negatives)
+    return neg_score, grads, forward.multiply_adds
 
 
 def gradients_from_forward(
@@ -145,7 +157,7 @@ def gradients_from_forward(
     forward: ModelForward,
     labels: np.ndarray,
     negatives: Optional[np.ndarray],
-) -> tuple[float, ModelGrads]:
+) -> tuple[float, ModelParams]:
     score, grad_y, grad_out_table = score_batch(
         forward.decoded, labels, model.output_table, negatives
     )
@@ -173,7 +185,7 @@ def gradients_from_forward(
     return -score, grads
 
 
-def clip_global_norm(grads: ModelGrads, model: ModelParams, clip_norm: float) -> float:
+def clip_global_norm(grads: ModelParams, model: ModelParams, clip_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most clip_norm."""
     total = 0.0
     for _, _, grad in parameter_pairs(model, grads):
@@ -186,7 +198,7 @@ def clip_global_norm(grads: ModelGrads, model: ModelParams, clip_norm: float) ->
     return norm
 
 
-def sgd_step(model: ModelParams, grads: ModelGrads, learning_rate: float) -> None:
+def sgd_step(model: ModelParams, grads: ModelParams, learning_rate: float) -> None:
     for _, param, grad in parameter_pairs(model, grads):
         param -= learning_rate * grad
 
@@ -207,10 +219,6 @@ class TrainResult:
     def final_loss(self) -> float:
         return self.history[-1].loss if self.history else float("nan")
 
-    def moving_average(self, window: int = 100) -> float:
-        tail = [m.loss for m in self.history[-window:]]
-        return float(np.mean(tail)) if tail else float("nan")
-
 
 def train_toy(
     model: ModelParams,
@@ -228,20 +236,12 @@ def train_toy(
     """
     rng = np.random.default_rng(config.seed)
     stream: Iterator = iter(task)
-    vocab = model.output_table.shape[0]
+    positions = config.batch_size * (model.horizon + 1)
     result = TrainResult()
     for step in range(config.steps):
         batch = [next(stream) for _ in range(config.batch_size)]
         started = time.perf_counter()
-        ids, labels = batch_arrays(batch, model.horizon)
-        negatives = (
-            sample_negatives(rng, labels, vocab, config.negatives)
-            if config.negatives < vocab - 1
-            else None
-        )
-        forward = forward_with_caches(model, ids)
-        neg_score, grads = gradients_from_forward(model, forward, labels, negatives)
-        positions = config.batch_size * (model.horizon + 1)
+        neg_score, grads, multiply_adds = _batch_gradients(model, batch, config, rng)
         loss = neg_score / positions
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
@@ -254,7 +254,7 @@ def train_toy(
             StepMetrics(
                 step=step,
                 loss=loss,
-                multiply_adds=forward.multiply_adds,
+                multiply_adds=multiply_adds,
                 wall_ms=elapsed_ms,
             )
         )

@@ -1,0 +1,23 @@
+"""Atomic text output: every file the toolkit writes appears whole or not at all."""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`.
+
+    On any failure the temp file is removed and `path` is left untouched.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

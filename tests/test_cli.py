@@ -253,6 +253,25 @@ def test_no_stray_temp_files(tmp_path, capsys):
     assert set(os.listdir(tmp_path)) == expected
 
 
+@pytest.mark.parametrize("command", ["estimate", "synth", "train-toy"])
+def test_output_into_missing_directory_is_clean_runtime_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing" / "out")
+    if command == "estimate":
+        corpus, table = _make_corpus(tmp_path, capsys, count="2")
+        argv = ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+                "--pad-length", "512", "--out", missing]
+    elif command == "synth":
+        argv = ["synth", "--model", "white", "--length", "32", "--out", missing]
+    else:
+        argv = ["train-toy", "--schedule", "constant", "--vocab", "8", "--seq-len", "4",
+                "--max-hidden", "4", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
+                "--metrics-out", str(tmp_path / "m.csv"), "--checkpoint-out", missing]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_train_toy_writes_metrics_and_checkpoint(tmp_path, capsys):
     metrics = tmp_path / "metrics.csv"
     checkpoint = tmp_path / "model.json"

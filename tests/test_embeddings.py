@@ -14,7 +14,6 @@ from longmem.embeddings import (
     OovPolicy,
     SymbolSequence,
     chunk_corpus,
-    concat_features,
     iter_corpus_tokens,
     load_table,
     lookup_sequence,
@@ -162,24 +161,6 @@ def test_chunk_corpus_concatenation_is_prefix(tokens, chunk_len):
 def test_iter_corpus_tokens():
     stream = io.StringIO("a b c\n\nd  e\n")
     assert list(iter_corpus_tokens(stream)) == ["a", "b", "c", "d", "e"]
-
-
-def test_concat_features():
-    a = EmbeddedSeries(np.ones((3, 2)))
-    b = EmbeddedSeries(np.zeros((3, 1)))
-    merged = concat_features([a, b])
-    assert merged.dim == 3
-    assert np.array_equal(merged.values[:, :2], a.values)
-
-
-def test_concat_features_single_passthrough():
-    a = EmbeddedSeries(np.ones((3, 2)))
-    assert concat_features([a]) is a
-
-
-def test_concat_features_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        concat_features([EmbeddedSeries(np.ones((3, 1))), EmbeddedSeries(np.ones((4, 1)))])
 
 
 @settings(max_examples=50)

@@ -1,6 +1,7 @@
 """GRU cell, evolving layer unroll, scoring, and checkpoints."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from longmem.evornn import (
     save_checkpoint,
 )
 from longmem.evornn.cell import gru_forward_batch
-from longmem.evornn.layer import evo_forward_batch, segment_of_step
+from longmem.evornn.layer import evo_forward_batch, segment_of_step, segment_runs
 from longmem.evornn.model import forward_with_caches, score_batch
 from longmem.schedule import CellSchedule, constant_schedule
 
@@ -81,7 +82,7 @@ def test_constant_schedule_equals_plain_unroll():
     for t in range(6):
         state, _ = gru_forward_batch(layer.cells[0], inputs[t], state)
         assert np.array_equal(result.outputs[t], state)
-    assert np.array_equal(result.final_state, state)
+    assert np.array_equal(result.outputs[-1], state)
 
 
 def test_appendix_dims_along_sequence():
@@ -92,13 +93,13 @@ def test_appendix_dims_along_sequence():
     result = evo_forward_batch(layer, inputs, 20)
     dims = [out.shape[1] for out in result.outputs]
     assert dims == [2] * 6 + [4] * 8 + [8] * 4 + [16] * 2
-    assert result.final_state.shape == (1, 16)
+    assert result.outputs[-1].shape == (1, 16)
 
 
 def test_equal_adjacent_sizes_have_identity_boundary():
     schedule = CellSchedule(((2, 4), (3, 4)))
     layer = init_layer(schedule, 2, np.random.default_rng(6))
-    assert layer.projections.matrices == [None]
+    assert layer.projections == [None]
     result = evo_forward_batch(layer, [np.zeros((1, 2))] * 5, 5)
     assert all(out.shape == (1, 4) for out in result.outputs)
 
@@ -112,7 +113,7 @@ def test_short_sequence_starts_in_later_segment():
     # both steps are within distance 2 of the end, so only the large cell runs,
     # and the initial state passes through the boundary projection first
     assert [o.shape[1] for o in outputs] == [4, 4]
-    projected = (layer.projections.matrices[0] @ layer.init_state)[None, :]
+    projected = (layer.projections[0] @ layer.init_state)[None, :]
     expected, _ = gru_forward_batch(layer.cells[1], inputs[0], projected)
     assert np.allclose(outputs[0], expected, atol=1e-14)
 
@@ -124,11 +125,49 @@ def test_multiply_add_counter_is_three_n_squared_per_step():
     result = evo_forward_batch(layer, inputs, 4)
     assert result.multiply_adds == 3 * (2 * 4 + 2 * 16)
 
+    # three segments; a length-3 sequence starts in the middle one, and two
+    # steps unfold past its end in the last one
+    rng = np.random.default_rng(9)
+    layer = init_layer(CellSchedule(((2, 2), (2, 3), (2, 4))), 3, rng)
+    layer.init_state += rng.normal(size=2)
+    layer.projections[0] += rng.normal(scale=0.3, size=(3, 2))
+    layer.projections[1] += rng.normal(scale=0.3, size=(4, 3))
+    inputs = [rng.standard_normal((2, 3)) for _ in range(5)]
+    result = evo_forward_batch(layer, inputs, 3)
+    state = np.tile(layer.init_state, (2, 1)) @ layer.projections[0].T
+    state, _ = gru_forward_batch(layer.cells[1], inputs[0], state)
+    expected = [state]
+    state = state @ layer.projections[1].T
+    for t in range(1, 5):
+        state, _ = gru_forward_batch(layer.cells[2], inputs[t], state)
+        expected.append(state)
+    assert len(result.outputs) == 5
+    for got, want in zip(result.outputs, expected):
+        assert np.array_equal(got, want)
+    assert result.multiply_adds == 3 * (1 * 9 + 4 * 16)
+
 
 def test_segment_of_step_clamps_beyond_length():
     schedule = CellSchedule(((2, 2), (2, 4)))
     assert segment_of_step(3, 4, schedule) == 1
     assert segment_of_step(9, 4, schedule) == 1  # unfolded past the end
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4),
+    st.integers(1, 12),
+    st.integers(0, 3),
+)
+def test_segment_runs_match_per_step_lookup(segments, length, unfold):
+    schedule = CellSchedule(tuple(segments))
+    runs = segment_runs(length, length + unfold, schedule)
+    steps = [(segment, t) for segment, start, stop in runs for t in range(start, stop)]
+    assert [t for _, t in steps] == list(range(length + unfold))
+    assert [segment for segment, _ in steps] == [
+        segment_of_step(t, length, schedule) for t in range(length + unfold)
+    ]
+    assert all(start < stop for _, start, stop in runs)
 
 
 def test_stacked_forward_shapes():
@@ -231,7 +270,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         for ca, cb in zip(la.cells, lb.cells):
             for ta, tb in zip(ca.tensors(), cb.tensors()):
                 assert np.array_equal(ta, tb)
-        for ma, mb in zip(la.projections.matrices, lb.projections.matrices):
+        for ma, mb in zip(la.projections, lb.projections):
             assert (ma is None) == (mb is None)
             if ma is not None:
                 assert np.array_equal(ma, mb)
@@ -272,6 +311,46 @@ def test_checkpoint_missing_field_is_checkpoint_error(tmp_path, keys):
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match=keys[-1]):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: [payload],
+        lambda payload: payload.update(layers=5),
+        lambda payload: payload.update(horizon="x"),
+        lambda payload: payload["layers"][0].update(schedule="x"),
+        lambda payload: payload["input_table"].update(shape="ab"),
+    ],
+    ids=["array", "layers", "horizon", "schedule", "shape"],
+)
+def test_checkpoint_wrong_type_is_checkpoint_error(tmp_path, edit):
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
+        decoder_dim=5, horizon=1, seed=0,
+    )
+    path = tmp_path / "model.json"
+    save_checkpoint(model, str(path))
+    payload = json.loads(path.read_text())
+    edited = edit(payload)
+    path.write_text(json.dumps(payload if edited is None else edited))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
+        decoder_dim=5, horizon=0, seed=0,
+    )
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, str(tmp_path / "model.json"))
+    assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=25)

@@ -78,6 +78,23 @@ def test_unused_vocabulary_rows_get_zero_gradient():
     assert np.any(sampled.output_table[3] != 0.0)  # the label row
 
 
+def test_zero_grads_pair_every_tensor_with_a_zero_twin():
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4), (2, 4))),
+        decoder_dim=3, horizon=1, num_layers=2, seed=7,
+    )
+    pairs = list(parameter_pairs(model, zero_grads(model)))
+    names = [name for name, _, _ in pairs]
+    assert len(set(names)) == len(names)
+    # 2 layers x (3 cells x 6 tensors + 1 projection + init state), tables, decoder
+    assert len(pairs) == 2 * (3 * 6 + 1 + 1) + 4
+    assert "layer1.projection0" in names and "layer1.projection1" not in names
+    for name, param, grad in pairs:
+        assert grad is not param, name
+        assert grad.shape == param.shape, name
+        assert not grad.any(), name
+
+
 def test_clip_global_norm_contract():
     model = perturbed_reference_model()
     grads = zero_grads(model)

@@ -79,7 +79,6 @@ def test_train_result_empty_history():
 
     empty = TrainResult()
     assert math.isnan(empty.final_loss)
-    assert math.isnan(empty.moving_average())
 
 
 def test_train_config_validation():
