@@ -13,7 +13,7 @@ import numpy as np
 
 from longmem.embeddings import EmbeddedSeries
 from longmem.estimator import EstimatorConfig, estimate_from_periodogram, sqrt_cutoff
-from longmem.spectral import average_periodograms, periodogram
+from longmem.spectral import Periodogram, periodograms
 from longmem.synth import (
     FarimaSpec,
     FgnSpec,
@@ -24,8 +24,8 @@ from longmem.synth import (
 
 
 def averaged_estimate(series_list, config):
-    pgs = [periodogram(EmbeddedSeries(x[:, None])) for x in series_list]
-    return estimate_from_periodogram(average_periodograms(pgs), config)
+    power = periodograms(np.stack(series_list)[:, :, None]).mean(axis=0)
+    return estimate_from_periodogram(Periodogram(length=config.pad_length, power=power), config)
 
 
 def main() -> int:

@@ -14,20 +14,21 @@ floating-point fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingTable,
-    OovPolicy,
-    SymbolSequence,
-    lookup_sequence,
-    pad_to_length,
+from .embeddings import EmbeddingTable, OovPolicy, embed_ids
+from .errors import DimensionMismatchError, DomainError, EmptyInputError
+from .estimator import (
+    EstimatorConfig,
+    LrdEstimate,
+    estimate_from_periodogram,
+    estimate_report,
+    fit_periodograms,
+    fitted_bins,
 )
-from .errors import DimensionMismatchError, DomainError, EmptyInputError, LongmemError
-from .estimator import EstimatorConfig, estimate_from_periodogram
-from .spectral import Periodogram, periodogram
+from .spectral import Periodogram, periodograms
 
 
 @dataclass(frozen=True)
@@ -94,27 +95,17 @@ def ema_update(state: EmaState, batch: np.ndarray, schedule: LearningRateSchedul
 
 @dataclass(frozen=True)
 class AggregateResult:
-    """Final EMA state plus bookkeeping from a dataset run."""
+    """Final EMA state, bookkeeping and the mean-periodogram fit of a dataset run."""
 
     state: EmaState
     n_estimated: int
     n_skipped: int
-    mean_periodogram: Optional[Periodogram]
-
-
-def _batched(iterable: Iterable, size: int):
-    batch = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    mean_periodogram: Periodogram
+    pooled: LrdEstimate
 
 
 def run_dataset(
-    sequences: Iterable[SymbolSequence],
+    ids: np.ndarray,
     table: EmbeddingTable,
     config: EstimatorConfig,
     policy: OovPolicy,
@@ -122,41 +113,36 @@ def run_dataset(
     batch_size: int,
     progress: Optional[TextIO] = None,
 ) -> AggregateResult:
-    """Consume a sequence stream in batches of `batch_size` and aggregate.
+    """Estimate an N x n matrix of table row ids (OOV_ID for OOV symbols)
+    `batch_size` rows at a time, and aggregate.
 
-    Sequences that fail to estimate (e.g. degenerate) are skipped and
-    counted; a final partial batch is processed at its actual size.
+    Rows with zero power in a fitted bin, which includes all-OOV rows under
+    the skip policy, are skipped and counted. A bad configuration raises.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be positive, got {batch_size}")
-
-    def estimate_one(seq: SymbolSequence) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        try:
-            series = pad_to_length(lookup_sequence(table, seq, policy), config.pad_length)
-            pg = periodogram(series)
-            est = estimate_from_periodogram(pg, config)
-            return est.d, pg.power
-        except LongmemError:
-            return None
-
+    ids = np.asarray(ids)
+    m = fitted_bins(config.pad_length // 2, config.cutoff)
     state: Optional[EmaState] = None
     n_estimated = 0
-    n_skipped = 0
     power_sum: Optional[np.ndarray] = None
-    pad_length = config.pad_length
-    for batch in _batched(sequences, batch_size):
-        results = [estimate_one(seq) for seq in batch]
-        estimates = [r[0] for r in results if r is not None]
-        n_skipped += sum(1 for r in results if r is None)
-        if not estimates:
+    for start in range(0, ids.shape[0], batch_size):
+        block, _ = embed_ids(table, ids[start : start + batch_size], policy, config.pad_length)
+        power = periodograms(block)
+        del block  # the largest array of a batch; free it before the fit
+        power = power[np.all(power[:, :m] > 0.0, axis=(1, 2))]
+        if power.shape[0] == 0:
             continue
-        n_estimated += len(estimates)
-        for _, power in (r for r in results if r is not None):
-            power_sum = power.copy() if power_sum is None else power_sum + power
+        estimates = fit_periodograms(power, config.cutoff).d
+        n_estimated += power.shape[0]
+        if power_sum is not None:
+            # fold the running sum in first, so rows are added in stream order
+            power[0] += power_sum
+        power_sum = power.sum(axis=0)
         if state is None:
-            state = ema_init(estimates[0].size)
+            state = ema_init(table.dim)
         batch_index = state.step
-        state = ema_update(state, np.stack(estimates), schedule)
+        state = ema_update(state, estimates, schedule)
         if progress is not None:
             progress.write(
                 f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
@@ -164,7 +150,21 @@ def run_dataset(
             )
     if state is None:
         raise EmptyInputError("no sequence could be estimated")
-    mean_pg = Periodogram(length=pad_length, power=power_sum / n_estimated)
-    return AggregateResult(
-        state=state, n_estimated=n_estimated, n_skipped=n_skipped, mean_periodogram=mean_pg
-    )
+    mean_pg = Periodogram(length=config.pad_length, power=power_sum / n_estimated)
+    pooled = estimate_from_periodogram(mean_pg, config)
+    return AggregateResult(state, n_estimated, ids.shape[0] - n_estimated, mean_pg, pooled)
+
+
+def dataset_report(result: AggregateResult) -> dict:
+    """Plain-JSON report of a dataset run.
+
+    `d` is the EMA of per-sequence fits. `d_pooled`, `intercept`, `stderr`
+    and `pvalue` come from one fit to the mean periodogram.
+    """
+    report = estimate_report(result.pooled)
+    report["d"] = [float(v) for v in result.state.d_hat]
+    report["d_pooled"] = [float(v) for v in result.pooled.d]
+    report["n_estimated"] = result.n_estimated
+    report["n_skipped"] = result.n_skipped
+    report["batches"] = result.state.step
+    return report

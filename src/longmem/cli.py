@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from typing import Iterable, Optional
@@ -25,23 +24,15 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import __version__
-from .aggregator import LearningRateSchedule, run_dataset
-from .embeddings import (
-    EmbeddedSeries,
-    OovPolicy,
-    SymbolSequence,
-    chunk_corpus,
-    iter_corpus_tokens,
-    load_table,
-)
+from .aggregator import LearningRateSchedule, dataset_report, run_dataset
+from .embeddings import OovPolicy, load_table, read_corpus_ids, shuffle_rows
 from .errors import LongmemError
 from .estimator import (
     EstimatorConfig,
     FullBand,
     LowFrequency,
     REPORT_SCHEMA_VERSION,
-    estimate_from_periodogram,
-    estimate_report,
+    sqrt_cutoff,
 )
 from .evornn import build_model, save_checkpoint, task_lag_recall, train_toy
 from .evornn.train import TrainConfig
@@ -94,7 +85,7 @@ def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
     if raw == "full":
         return FullBand()
     if raw == "sqrt":
-        return LowFrequency(math.isqrt(pad_length))
+        return sqrt_cutoff(pad_length)
     try:
         m = int(raw)
     except ValueError:
@@ -110,41 +101,26 @@ def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str
 
 def cmd_estimate(args, parser) -> int:
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
-    cutoff = _parse_cutoff(args.cutoff, pad_length, parser)
-    config = EstimatorConfig(pad_length=pad_length, cutoff=cutoff)
-    policy = OovPolicy(args.oov)
-    schedule = LearningRateSchedule(alpha0=args.alpha0, tau=args.tau)
+    config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
     with open(args.embeddings, encoding="utf-8") as stream:
         table = load_table(stream)
     with open(args.corpus, encoding="utf-8") as stream:
-        chunks = chunk_corpus(iter_corpus_tokens(stream), args.chunk_len or pad_length)
+        ids = read_corpus_ids(stream, table, args.chunk_len or pad_length)
     if args.shuffle:
-        rng = np.random.default_rng(args.seed)
-        chunks = [
-            SymbolSequence([seq.ids[i] for i in rng.permutation(len(seq.ids))])
-            for seq in chunks
-        ]
+        ids = shuffle_rows(ids, args.seed)
     result = run_dataset(
-        chunks,
+        ids,
         table,
         config,
-        policy,
-        schedule,
+        OovPolicy(args.oov),
+        LearningRateSchedule(alpha0=args.alpha0, tau=args.tau),
         batch_size=args.batch_size,
         progress=sys.stderr if args.progress else None,
     )
-    mean_pg = result.mean_periodogram
-    avg_estimate = estimate_from_periodogram(mean_pg, config)
-    report = estimate_report(avg_estimate)
-    # d is the EMA of per-sequence fits; the other fields fit the mean periodogram
-    report["d"] = [float(v) for v in result.state.d_hat]
-    report["n_estimated"] = result.n_estimated
-    report["n_skipped"] = result.n_skipped
-    report["batches"] = result.state.step
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
+    atomic_write_text(args.out, json.dumps(dataset_report(result), indent=2) + "\n")
     if args.dump_spectrum:
         buffer = io.StringIO()
-        write_periodogram_csv(mean_pg, buffer)
+        write_periodogram_csv(result.mean_periodogram, buffer)
         atomic_write_text(args.dump_spectrum, buffer.getvalue())
     _write_manifest(
         args.out,
@@ -408,7 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return commands[args.command](args, parser)
-    except (OSError, LongmemError) as exc:
+    except (OSError, LongmemError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Symbol embeddings: table loading, sequence lookup, padding, chunking.
 
 Maps discrete symbol sequences to real-valued multivariate series. Tables
-are read from GloVe-style text files (`token v1 ... vp` per line). Out-of-
+are read from GloVe-style text files (`token v1 ... vp` per line); a corpus
+is read as a matrix of table row ids and embedded by blocks of rows. Out-of-
 vocabulary symbols are handled by one of three policies: drop the position,
 substitute the zero vector, or substitute the table's mean vector.
 """
@@ -149,38 +150,53 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
     return EmbeddingTable(vectors=np.stack(rows), token_ids=token_ids)
 
 
-def _resolve_id(table: EmbeddingTable, token: Token) -> int:
-    """Map a raw token to a row index, or OOV_ID if absent."""
-    if isinstance(token, str):
-        return table.token_ids.get(token, OOV_ID)
-    token = int(token)
-    if token == OOV_ID:
-        return OOV_ID
-    if not 0 <= token < table.vocab_size:
-        raise DomainError(
-            f"symbol id {token} outside [0, {table.vocab_size}) and not the OOV marker"
+def row_ids(table: EmbeddingTable, tokens: Iterable[Token]) -> np.ndarray:
+    """Map tokens to table rows: strings through `token_ids` (OOV_ID when
+    absent), integers as they are; `embed_ids` checks the range."""
+    get = table.token_ids.get
+    return np.fromiter(
+        (get(t, OOV_ID) if isinstance(t, str) else int(t) for t in tokens), dtype=np.intp
+    )
+
+
+def embed_ids(
+    table: EmbeddingTable, ids: np.ndarray, policy: OovPolicy, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embed and front zero-pad a B x n block of row ids to B x length x p,
+    applying the OOV policy; also returns each row's embedded symbol count.
+    Under `skip` the kept symbols of a row are right-aligned, in order."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2:
+        raise DimensionMismatchError(f"ids must be a B x n matrix, got shape {ids.shape}")
+    if ids.shape[1] > length:
+        raise LengthExceededError(
+            f"sequence length {ids.shape[1]} exceeds pad length {length}; chunk first"
         )
-    return token
+    bad = (ids < OOV_ID) | (ids >= table.vocab_size)
+    if bad.any():
+        raise DomainError(
+            f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
+        )
+    substitute = table.mean_vector if policy is OovPolicy.MEAN else np.zeros(table.dim)
+    # row V is the padding; OOV_ID (-1) gathers the last row, the substitute
+    rows = np.vstack([table.vectors, np.zeros(table.dim), substitute])
+    keep = ids != OOV_ID if policy is OovPolicy.SKIP else np.ones(ids.shape, dtype=bool)
+    kept = keep.sum(axis=1)
+    columns = length - kept[:, None] + np.cumsum(keep, axis=1) - 1
+    padded = np.full((ids.shape[0], length), table.vocab_size, dtype=np.intp)
+    padded[np.nonzero(keep)[0], columns[keep]] = ids[keep]
+    return rows[padded], kept
 
 
 def lookup_sequence(
     table: EmbeddingTable, seq: SymbolSequence, policy: OovPolicy
 ) -> EmbeddedSeries:
     """Embed a symbol sequence, applying the OOV policy; order preserved."""
-    rows: list[np.ndarray] = []
-    for token in seq.ids:
-        idx = _resolve_id(table, token)
-        if idx != OOV_ID:
-            rows.append(table.vectors[idx])
-        elif policy is OovPolicy.SKIP:
-            continue
-        elif policy is OovPolicy.ZERO:
-            rows.append(np.zeros(table.dim))
-        else:
-            rows.append(table.mean_vector)
-    if not rows:
+    ids = row_ids(table, seq.ids)
+    block, kept = embed_ids(table, ids[None], policy, ids.size)
+    if kept[0] == 0:
         raise EmptyInputError("all symbols were OOV under the skip policy")
-    return EmbeddedSeries(values=np.stack(rows))
+    return EmbeddedSeries(values=block[0, ids.size - kept[0] :])
 
 
 def pad_to_length(series: EmbeddedSeries, length: int) -> EmbeddedSeries:
@@ -204,17 +220,34 @@ def chunk_corpus(tokens: Iterable[Token], chunk_len: int) -> list[SymbolSequence
     """
     if chunk_len < 1:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
-    chunks: list[SymbolSequence] = []
-    buffer: list[Token] = []
-    for token in tokens:
-        buffer.append(token)
-        if len(buffer) == chunk_len:
-            chunks.append(SymbolSequence(buffer))
-            buffer = []
-    return chunks
+    tokens = list(tokens)
+    ends = range(chunk_len, len(tokens) + 1, chunk_len)
+    return [SymbolSequence(tokens[end - chunk_len : end]) for end in ends]
 
 
 def iter_corpus_tokens(stream: Union[TextIO, Iterable[str]]) -> Iterator[str]:
     """Yield whitespace-separated tokens from a line-oriented text stream."""
     for line in stream:
         yield from line.split()
+
+
+def read_corpus_ids(
+    stream: Union[TextIO, Iterable[str]], table: EmbeddingTable, chunk_len: int
+) -> np.ndarray:
+    """Read a token stream as an N x chunk_len matrix of table row ids, one
+    row per consecutive chunk; a final partial chunk is dropped."""
+    if chunk_len < 1:
+        raise DomainError(f"chunk length must be positive, got {chunk_len}")
+    ids = row_ids(table, iter_corpus_tokens(stream))
+    rows = ids.size // chunk_len
+    return ids[: rows * chunk_len].reshape(rows, chunk_len)
+
+
+def shuffle_rows(ids: np.ndarray, seed: int) -> np.ndarray:
+    """Permute the symbols within each row, one `permutation` draw per row in
+    order from `default_rng(seed)`: the shuffled negative control."""
+    rng = np.random.default_rng(seed)
+    shuffled = np.array(ids, copy=True)
+    for row in shuffled:
+        row[:] = row[rng.permutation(row.size)]
+    return shuffled

@@ -3,7 +3,8 @@
 For a series whose spectral density behaves like lambda^(-2d) near zero
 frequency, the log periodogram is affine in log frequency with slope -2d.
 Each embedding dimension is fitted independently by ordinary least squares,
-and the returned coefficient is -slope/2. Estimates are reported as-is:
+and the returned coefficient is -slope/2, for a block of periodograms at
+once (`fit_periodograms`). Estimates are reported as-is:
 values outside (0, 1/2) indicate estimation failure and are not clamped.
 
 Also provides the Hurst conversion H = d + 1/2, Gaussian mutual information
@@ -20,9 +21,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy import special
 
-from .embeddings import EmbeddingTable, OovPolicy, SymbolSequence, lookup_sequence, pad_to_length
 from .errors import DegenerateInputError, DomainError, ZeroPowerError
-from .spectral import Periodogram, periodogram
+from .spectral import Periodogram
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -62,7 +62,8 @@ def sqrt_cutoff(pad_length: int) -> LowFrequency:
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit of log y = a + b log x with slope inference."""
+    """Least-squares fit of log y = a + b log x with slope inference (one
+    entry per row in each field from `ols_loglog_rows`)."""
 
     intercept: float
     slope: float
@@ -73,7 +74,8 @@ class OlsFit:
 
 @dataclass(frozen=True)
 class LrdEstimate:
-    """Per-dimension memory coefficients with OLS inference."""
+    """Per-dimension memory coefficients with OLS inference; each array has
+    shape (p,), or (B, p) for a block of B periodograms."""
 
     d: np.ndarray
     intercept: np.ndarray
@@ -128,48 +130,73 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
     return OlsFit(intercept, slope, stderr, pvalue, n)
 
 
-def _select_bins(pg: Periodogram, cutoff: Cutoff) -> int:
-    half = pg.length // 2
-    if isinstance(cutoff, FullBand):
-        return half
-    m = cutoff.m
-    if not 2 <= m <= half:
-        raise DomainError(f"low-frequency cutoff must lie in [2, {half}], got {m}")
+def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
+    """`ols_loglog` of each row of the K x n matrix `ys` on the shared `xs`,
+    reduced in `ols_loglog`'s expression order, so rows do not interact."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
+        raise DomainError(f"need n xs and a K x n ys, got {x.shape} vs {y.shape}")
+    n = x.size
+    if n < 2:
+        raise DomainError(f"need at least 2 points, got {n}")
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise DomainError("all xs and ys must be strictly positive for log-log regression")
+    lx = np.log(x)
+    ly = np.log(y)
+    lx_mean = lx.mean()
+    ly_mean = ly.mean(axis=1)
+    xc = lx - lx_mean
+    sxx = float((xc**2).sum())
+    if sxx == 0.0:
+        raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
+    slope = (xc * (ly - ly_mean[:, None])).sum(axis=1) / sxx
+    intercept = ly_mean - slope * lx_mean
+    if n == 2:
+        nan = np.full(slope.shape, np.nan)
+        return OlsFit(intercept, slope, nan, nan, n)
+    residuals = ly - intercept[:, None] - slope[:, None] * lx
+    # one dot product per row, as ols_loglog's `residuals @ residuals`
+    rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+    stderr = np.sqrt(rss / (n - 2) / sxx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = np.abs(slope / stderr)
+    if n - 2 > _NORMAL_APPROX_N:
+        tail = special.erfc(t_stat / math.sqrt(2.0))
+    else:
+        tail = 2.0 * special.stdtr(n - 2, -t_stat)
+    pvalue = np.where(np.isfinite(t_stat), tail, 0.0)
+    pvalue = np.where(stderr == 0.0, np.where(slope == 0.0, 1.0, 0.0), pvalue)
+    return OlsFit(intercept, slope, stderr, pvalue, n)
+
+
+def fitted_bins(n_bins: int, cutoff: Cutoff) -> int:
+    """How many of the `n_bins` = L/2 periodogram bins the cutoff fits."""
+    m = n_bins if isinstance(cutoff, FullBand) else cutoff.m
+    if not 2 <= m <= n_bins:
+        raise DomainError(f"the cutoff must select 2 to {n_bins} bins, got {m}")
     return m
+
+
+def fit_periodograms(power: np.ndarray, cutoff: Cutoff) -> LrdEstimate:
+    """Fit every dimension of a (..., L/2, p) block of periodograms, whose
+    fitted bins must have positive power; the arrays have shape (..., p)."""
+    m = fitted_bins(power.shape[-2], cutoff)
+    shape = power.shape[:-2] + power.shape[-1:]
+    # one contiguous row per fit: numpy then sums each row pairwise, as in ols_loglog
+    rows = np.ascontiguousarray(np.swapaxes(power[..., :m, :], -1, -2)).reshape(-1, m)
+    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), rows)
+    fields = (-fit.slope / 2.0, fit.intercept, fit.slope_stderr, fit.pvalue)
+    return LrdEstimate(*(a.reshape(shape) for a in fields), cutoff_used=m)
 
 
 def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEstimate:
     """Fit each dimension over the selected bins; returns d = -slope/2."""
-    m = _select_bins(pg, config.cutoff)
-    ks = np.arange(1, m + 1, dtype=np.float64)
-    p = pg.dim
-    d = np.empty(p)
-    intercept = np.empty(p)
-    stderr = np.empty(p)
-    pvalue = np.empty(p)
-    for j in range(p):
-        power = pg.power[:m, j]
-        zero = np.flatnonzero(power <= 0.0)
-        if zero.size:
-            raise ZeroPowerError(dim=j, bin_index=int(zero[0]) + 1)
-        fit = ols_loglog(ks, power)
-        d[j] = -fit.slope / 2.0
-        intercept[j] = fit.intercept
-        stderr[j] = fit.slope_stderr
-        pvalue[j] = fit.pvalue
-    return LrdEstimate(d=d, intercept=intercept, slope_stderr=stderr, pvalue=pvalue, cutoff_used=m)
-
-
-def estimate_sequence(
-    seq: SymbolSequence,
-    table: EmbeddingTable,
-    config: EstimatorConfig,
-    policy: OovPolicy = OovPolicy.ZERO,
-) -> LrdEstimate:
-    """Embed, zero-pad to the configured length, and fit the periodogram."""
-    series = lookup_sequence(table, seq, policy)
-    padded = pad_to_length(series, config.pad_length)
-    return estimate_from_periodogram(periodogram(padded), config)
+    m = fitted_bins(pg.power.shape[0], config.cutoff)
+    zero = np.argwhere(pg.power[:m].T <= 0.0)
+    if zero.size:
+        raise ZeroPowerError(dim=int(zero[0, 0]), bin_index=int(zero[0, 1]) + 1)
+    return fit_periodograms(pg.power, config.cutoff)
 
 
 def hurst_from_d(d: float) -> float:

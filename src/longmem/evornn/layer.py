@@ -76,9 +76,6 @@ class EvoRnnLayer:
             )
         self.init_state = init
 
-    def input_dim(self, segment: int) -> int:
-        return self.cells[segment].input_dim
-
 
 def identity_like(n_new: int, n_old: int) -> np.ndarray:
     """Projection that copies overlapping coordinates and zeros the rest."""

@@ -1,4 +1,4 @@
-"""Real-input DFT, per-dimension periodograms, and periodogram averaging.
+"""Real-input DFT periodograms, batched over blocks of series.
 
 The forward transform is unnormalized (no 1/L factor): log-log slope
 estimates are invariant to multiplicative scaling, so normalization would
@@ -9,29 +9,12 @@ lengths; `dft_naive` is the O(L^2) oracle used to verify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .embeddings import EmbeddedSeries
-from .errors import DimensionMismatchError, DomainError, EmptyInputError, SpectralLengthError
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """DFT bins k = 0..floor(L/2) of a length-L real signal."""
-
-    length: int
-    bins: np.ndarray
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.shape != (self.length // 2 + 1,):
-            raise DimensionMismatchError(
-                f"expected {self.length // 2 + 1} bins for length {self.length}, "
-                f"got {bins.shape}"
-            )
-        object.__setattr__(self, "bins", bins)
+from .errors import DimensionMismatchError, DomainError, SpectralLengthError
 
 
 @dataclass(frozen=True)
@@ -65,12 +48,9 @@ class Periodogram:
         return np.arange(1, self.length // 2 + 1)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def dft_naive(signal: np.ndarray) -> ComplexSpectrum:
-    """O(L^2) reference DFT: bin k = sum_t x_t exp(-2*pi*i*k*t/L)."""
+def dft_naive(signal: np.ndarray) -> np.ndarray:
+    """O(L^2) reference DFT bins k = 0..floor(L/2):
+    bin k = sum_t x_t exp(-2*pi*i*k*t/L)."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("signal must be a non-empty 1-d real vector")
@@ -78,45 +58,27 @@ def dft_naive(signal: np.ndarray) -> ComplexSpectrum:
     ks = np.arange(length // 2 + 1)
     ts = np.arange(length)
     kernel = np.exp(-2j * np.pi * np.outer(ks, ts) / length)
-    return ComplexSpectrum(length=length, bins=kernel @ x)
+    return kernel @ x
 
 
-def rfft(signal: np.ndarray) -> ComplexSpectrum:
-    """Fast real-input DFT; the length must be a power of two."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DomainError("signal must be a non-empty 1-d real vector")
-    if not _is_power_of_two(x.size):
+def periodograms(block: np.ndarray) -> np.ndarray:
+    """Power at k = 1..L/2 (DC removed) of every column of a (..., L, p)
+    block of series, by one real FFT along the time axis; (..., L/2, p)."""
+    values = np.asarray(block, dtype=np.float64)
+    if values.ndim < 2:
+        raise DimensionMismatchError(f"block must be (..., L, p), got shape {values.shape}")
+    length = values.shape[-2]
+    if length < 1 or length & (length - 1):
         raise SpectralLengthError(
-            f"length {x.size} is not a power of two; pad the input first"
+            f"series length {length} is not a power of two; pad the series first"
         )
-    return ComplexSpectrum(length=x.size, bins=np.fft.rfft(x))
+    spectrum = np.fft.rfft(values, axis=-2)
+    return np.abs(spectrum[..., 1:, :]) ** 2
 
 
 def periodogram(series: EmbeddedSeries) -> Periodogram:
     """Per-dimension squared magnitudes at k = 1..L/2 (DC removed)."""
-    length = series.length
-    if not _is_power_of_two(length):
-        raise SpectralLengthError(
-            f"series length {length} is not a power of two; pad the series first"
-        )
-    spectrum = np.fft.rfft(series.values, axis=0)
-    return Periodogram(length=length, power=np.abs(spectrum[1:]) ** 2)
-
-
-def average_periodograms(pgs: Sequence[Periodogram]) -> Periodogram:
-    """Element-wise arithmetic mean of periodograms sharing L and p."""
-    if not pgs:
-        raise EmptyInputError("no periodograms to average")
-    first = pgs[0]
-    for pg in pgs[1:]:
-        if pg.length != first.length or pg.power.shape != first.power.shape:
-            raise DimensionMismatchError(
-                f"periodogram shapes differ: {first.power.shape} (L={first.length}) "
-                f"vs {pg.power.shape} (L={pg.length})"
-            )
-    mean = np.mean([pg.power for pg in pgs], axis=0)
-    return Periodogram(length=first.length, power=mean)
+    return Periodogram(length=series.length, power=periodograms(series.values))
 
 
 def write_periodogram_csv(pg: Periodogram, stream: TextIO) -> None:

@@ -33,7 +33,7 @@ from longmem.schedule import (
     desk_schedule,
     lookup_cell,
 )
-from longmem.spectral import average_periodograms, dft_naive, periodogram, rfft
+from longmem.spectral import Periodogram, dft_naive, periodogram, periodograms
 from longmem.synth import FgnSpec, fgn_autocov, generate_fgn, shuffle_series
 
 T = 2048
@@ -41,8 +41,9 @@ M45 = LowFrequency(45)
 
 
 def _averaged_estimate(series_list, config):
-    pgs = [periodogram(EmbeddedSeries(s if s.ndim == 2 else s[:, None])) for s in series_list]
-    return estimate_from_periodogram(average_periodograms(pgs), config)
+    block = np.stack([s if s.ndim == 2 else s[:, None] for s in series_list])
+    mean_pg = Periodogram(length=block.shape[1], power=periodograms(block).mean(axis=0))
+    return estimate_from_periodogram(mean_pg, config)
 
 
 def test_criterion_01_cost_table_exact():
@@ -96,12 +97,8 @@ def test_criterion_04_shuffle_control():
     shuffled = [shuffle_series(e, seed=99000 + s) for s, e in enumerate(embedded)]
 
     avg_config = EstimatorConfig(pad_length=T, cutoff=M45)
-    d_plain = estimate_from_periodogram(
-        average_periodograms([periodogram(e) for e in embedded]), avg_config
-    ).d[0]
-    d_shuffled = estimate_from_periodogram(
-        average_periodograms([periodogram(e) for e in shuffled]), avg_config
-    ).d[0]
+    d_plain = _averaged_estimate([e.values for e in embedded], avg_config).d[0]
+    d_shuffled = _averaged_estimate([e.values for e in shuffled], avg_config).d[0]
     assert d_plain >= 0.3, f"unshuffled d_hat = {d_plain:.4f}"
     assert abs(d_shuffled) <= 0.05, f"shuffled d_hat = {d_shuffled:.4f}"
 
@@ -131,30 +128,28 @@ def test_criterion_05_mi_decay_slope():
 
 
 def test_criterion_06_spectral_correctness():
+    # the pipeline's own spectrum: periodogram power at k = 1..L/2
     rng = np.random.default_rng(7)
     worst = 0.0
     length = 2
     while length <= 256:
         x = rng.standard_normal(length)
-        fast = rfft(x).bins
-        naive = dft_naive(x).bins
-        scale = float(np.max(np.abs(naive)))
+        fast = periodograms(x[:, None])[:, 0]
+        naive = np.abs(dft_naive(x)[1:]) ** 2
+        scale = float(np.max(naive))
         worst = max(worst, float(np.max(np.abs(fast - naive))) / scale)
         length *= 2
-    assert worst < 1e-10, f"worst rfft-vs-naive rel err = {worst:.3e}"
+    assert worst < 1e-10, f"worst pipeline-vs-naive rel err = {worst:.3e}"
 
     x = rng.standard_normal(1024)
-    bins = rfft(x).bins
-    spectral = (
-        np.abs(bins[0]) ** 2
-        + 2.0 * np.sum(np.abs(bins[1:-1]) ** 2)
-        + np.abs(bins[-1]) ** 2
-    ) / x.size
+    power = periodograms(x[:, None])[:, 0]
+    # the DC bin the pipeline drops has power (sum x)^2
+    spectral = (x.sum() ** 2 + 2.0 * np.sum(power[:-1]) + power[-1]) / x.size
     direct = float(np.sum(x**2))
     parseval_rel = abs(spectral - direct) / direct
     assert parseval_rel < 1e-9, f"Parseval rel err = {parseval_rel:.3e}"
     print(
-        f"PASS criterion 6: rfft matches naive DFT (worst rel {worst:.2e}), "
+        f"PASS criterion 6: pipeline spectrum matches naive DFT (worst rel {worst:.2e}), "
         f"Parseval rel err {parseval_rel:.2e}"
     )
 

@@ -11,17 +11,25 @@ from hypothesis.extra.numpy import arrays
 
 from longmem.aggregator import (
     LearningRateSchedule,
+    dataset_report,
     ema_init,
     ema_update,
     run_dataset,
 )
-from longmem.embeddings import OovPolicy, SymbolSequence
+from longmem.embeddings import OOV_ID, OovPolicy, SymbolSequence, lookup_sequence, pad_to_length
 from longmem.errors import (
     DimensionMismatchError,
     DomainError,
     EmptyInputError,
+    LengthExceededError,
 )
-from longmem.estimator import EstimatorConfig, LowFrequency
+from longmem.estimator import (
+    EstimatorConfig,
+    LowFrequency,
+    estimate_from_periodogram,
+    estimate_report,
+)
+from longmem.spectral import periodogram
 from longmem.synth import FgnSpec, generate_fgn, normal_bucket_table, quantize_to_symbols
 
 
@@ -90,12 +98,13 @@ def test_update_is_convex_combination(batch, d0, step, alpha0, tau):
 
 
 def _quantized_fgn_dataset(n, d=0.3, length=2048, vocab=64, seed0=82000):
+    """An n x length matrix of table row ids, one quantized FGN path per row."""
     table = normal_bucket_table(vocab)
-    seqs = []
+    rows = []
     for s in range(n):
         x = generate_fgn(FgnSpec(hurst=d + 0.5, length=length, seed=seed0 + s))
-        seqs.append(quantize_to_symbols(x, vocab, table=table))
-    return seqs, table
+        rows.append(quantize_to_symbols(x, vocab, table=table).ids)
+    return np.array(rows), table
 
 
 def test_run_dataset_recovers_memory_coefficient():
@@ -115,8 +124,8 @@ def test_run_dataset_skips_degenerate_sequences():
     seqs, table = _quantized_fgn_dataset(6, length=256)
     # an OOV-only sequence under the zero policy embeds to the all-zero
     # series, whose periodogram is degenerate and must be skipped
-    broken = SymbolSequence(["missing"] * 256)
-    stream = seqs[:3] + [broken] + seqs[3:]
+    broken = np.full((1, 256), OOV_ID)
+    stream = np.concatenate([seqs[:3], broken, seqs[3:]])
     config = EstimatorConfig(pad_length=256, cutoff=LowFrequency(16))
     result = run_dataset(
         stream, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=4
@@ -127,7 +136,7 @@ def test_run_dataset_skips_degenerate_sequences():
 
 def test_run_dataset_empty_yield_raises():
     table = normal_bucket_table(8)
-    broken = [SymbolSequence(["missing"] * 64)] * 3
+    broken = np.full((3, 64), OOV_ID)
     config = EstimatorConfig(pad_length=64)
     with pytest.raises(EmptyInputError):
         run_dataset(
@@ -158,13 +167,19 @@ def test_run_dataset_matches_manual_ema_composition():
     result = run_dataset(
         seqs, table, config, OovPolicy.ZERO, schedule, batch_size=3
     )
-    from longmem.estimator import estimate_sequence
+
+    def estimate_one(row):
+        series = lookup_sequence(table, SymbolSequence(row), OovPolicy.ZERO)
+        return estimate_from_periodogram(periodogram(pad_to_length(series, 256)), config)
 
     state = ema_init(table.dim)
     for batch in (seqs[:3], seqs[3:]):
-        ests = np.stack([estimate_sequence(s, table, config).d for s in batch])
+        ests = np.stack([estimate_one(row).d for row in batch])
         state = ema_update(state, ests, schedule)
     assert np.array_equal(result.state.d_hat, state.d_hat)
+    # the mean periodogram adds the sequences' periodograms in stream order
+    pgs = [periodogram(lookup_sequence(table, SymbolSequence(row), OovPolicy.ZERO)) for row in seqs]
+    assert np.array_equal(result.mean_periodogram.power, sum(pg.power for pg in pgs) / 6)
 
 
 def test_run_dataset_validates_sizes():
@@ -172,3 +187,41 @@ def test_run_dataset_validates_sizes():
     config = EstimatorConfig(pad_length=256)
     with pytest.raises(DomainError):
         run_dataset(seqs, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=0)
+
+
+def test_run_dataset_skips_all_oov_rows_under_skip_policy():
+    seqs, table = _quantized_fgn_dataset(4, length=256)
+    seqs[1] = OOV_ID
+    seqs[2, ::4] = OOV_ID  # compacted to 192 rows, front-padded to 256
+    config = EstimatorConfig(pad_length=256)
+    result = run_dataset(seqs, table, config, OovPolicy.SKIP, LearningRateSchedule(), batch_size=4)
+    assert (result.n_estimated, result.n_skipped) == (3, 1)
+
+
+def test_run_dataset_config_errors_raise_once():
+    seqs, table = _quantized_fgn_dataset(2, length=256)
+    schedule = LearningRateSchedule()
+    with pytest.raises(DomainError):
+        run_dataset(seqs, table, EstimatorConfig(256, LowFrequency(129)), OovPolicy.ZERO, schedule, 1)
+    with pytest.raises(LengthExceededError):
+        run_dataset(seqs, table, EstimatorConfig(128), OovPolicy.SKIP, schedule, 1)
+
+
+def test_dataset_report_keys_name_their_sources():
+    seqs, table = _quantized_fgn_dataset(6, length=256)
+    seqs[5] = OOV_ID
+    config = EstimatorConfig(pad_length=256, cutoff=LowFrequency(16))
+    result = run_dataset(seqs, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=4)
+    report = dataset_report(result)
+    # d is the EMA of per-sequence fits
+    assert report["d"] == result.state.d_hat.tolist()
+    # d_pooled, intercept, stderr and pvalue are one fit to the mean periodogram
+    pooled = estimate_from_periodogram(result.mean_periodogram, config)
+    assert report["d_pooled"] == pooled.d.tolist()
+    assert report["d_pooled"] != report["d"]
+    for key, field in (("intercept", "intercept"), ("stderr", "slope_stderr"), ("pvalue", "pvalue")):
+        assert report[key] == getattr(pooled, field).tolist(), key
+    assert (report["n_estimated"], report["n_skipped"], report["batches"]) == (5, 1, 2)
+    assert {k: report[k] for k in ("schema_version", "dim", "cutoff", "abscissa")} == {
+        k: estimate_report(pooled)[k] for k in ("schema_version", "dim", "cutoff", "abscissa")
+    }

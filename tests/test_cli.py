@@ -272,6 +272,33 @@ def test_output_into_missing_directory_is_clean_runtime_error(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command", ["estimate-corpus", "estimate-embeddings", "schedule-cost", "train-toy"]
+)
+def test_non_utf8_input_is_clean_runtime_error(tmp_path, capsys, command):
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_bytes(b"\xff\xfe1 2 3\n")
+    metrics = tmp_path / "m.csv"
+    if command.startswith("estimate"):
+        corpus, table = _make_corpus(tmp_path, capsys, count="2")
+        if command == "estimate-corpus":
+            corpus = garbled
+        else:
+            table = garbled
+        argv = ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+                "--pad-length", "512", "--out", str(tmp_path / "r.json")]
+    elif command == "schedule-cost":
+        argv = ["schedule-cost", "--file", str(garbled)]
+    else:
+        argv = ["train-toy", "--schedule", str(garbled), "--vocab", "8", "--seq-len", "16",
+                "--steps", "1", "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists() and not metrics.exists()
+
+
 def test_train_toy_writes_metrics_and_checkpoint(tmp_path, capsys):
     metrics = tmp_path / "metrics.csv"
     checkpoint = tmp_path / "model.json"

@@ -14,10 +14,13 @@ from longmem.embeddings import (
     OovPolicy,
     SymbolSequence,
     chunk_corpus,
+    embed_ids,
     iter_corpus_tokens,
     load_table,
     lookup_sequence,
     pad_to_length,
+    read_corpus_ids,
+    shuffle_rows,
 )
 from longmem.errors import (
     DimensionMismatchError,
@@ -173,3 +176,75 @@ def test_lookup_preserves_order_under_zero_policy(tokens):
     out = lookup_sequence(table, SymbolSequence(tokens), OovPolicy.ZERO)
     expected = [table.vectors[table.token_ids[t]][0] for t in tokens]
     assert out.values[:, 0].tolist() == expected
+
+
+SMALL_TABLE = EmbeddingTable(
+    vectors=np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25], [2.0, 1.0]]),
+    token_ids={"a": 0, "b": 1, "c": 2, "d": 3},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(OOV_ID, 3), min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    st.integers(0, 5),
+    st.sampled_from(list(OovPolicy)),
+)
+def test_embed_ids_matches_lookup_and_pad(rows, extra, policy):
+    rows.append([OOV_ID] * len(rows[0]))  # always one all-OOV row
+    ids = np.array(rows)
+    length = ids.shape[1] + extra
+    block, kept = embed_ids(SMALL_TABLE, ids, policy, length)
+    assert block.shape == (len(rows), length, 2)
+    for b, row in enumerate(rows):
+        try:
+            series = lookup_sequence(SMALL_TABLE, SymbolSequence(row), policy)
+        except EmptyInputError:
+            assert policy is OovPolicy.SKIP and kept[b] == 0
+            assert np.array_equal(block[b], np.zeros((length, 2)))
+            continue
+        assert kept[b] == series.length
+        assert np.array_equal(block[b], pad_to_length(series, length).values)
+        # the same rows, one symbol at a time
+        substitute = SMALL_TABLE.mean_vector if policy is OovPolicy.MEAN else np.zeros(2)
+        expected = [
+            SMALL_TABLE.vectors[i] if i != OOV_ID else substitute
+            for i in row
+            if i != OOV_ID or policy is not OovPolicy.SKIP
+        ]
+        assert np.array_equal(series.values, np.array(expected))
+
+
+def test_embed_ids_rejects_long_rows_and_unknown_ids():
+    with pytest.raises(LengthExceededError):
+        embed_ids(SMALL_TABLE, np.zeros((2, 5), dtype=int), OovPolicy.ZERO, 4)
+    for bad in (OOV_ID - 1, SMALL_TABLE.vocab_size):
+        with pytest.raises(DomainError):
+            embed_ids(SMALL_TABLE, np.array([[0, bad]]), OovPolicy.ZERO, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6), min_size=0, max_size=8
+    ),
+    st.integers(1, 7),
+)
+def test_read_corpus_ids_matches_chunked_lookup(lines, chunk_len):
+    # chunks run across line breaks; a partial tail is dropped
+    text = "\n".join(" ".join(line) for line in lines) + "\n"
+    ids = read_corpus_ids(io.StringIO(text), SMALL_TABLE, chunk_len)
+    chunks = chunk_corpus(iter_corpus_tokens(io.StringIO(text)), chunk_len)
+    expected = [[SMALL_TABLE.token_ids.get(t, OOV_ID) for t in c.ids] for c in chunks]
+    assert ids.shape == (len(chunks), chunk_len)
+    assert ids.tolist() == expected
+
+
+def test_shuffle_rows_draws_one_permutation_per_row():
+    ids = np.arange(12).reshape(3, 4)
+    rng = np.random.default_rng(3)
+    expected = [[row[i] for i in rng.permutation(4)] for row in ids.tolist()]
+    assert shuffle_rows(ids, 3).tolist() == expected
+    assert ids.tolist() == np.arange(12).reshape(3, 4).tolist()  # input untouched

@@ -9,22 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from longmem.embeddings import EmbeddedSeries, OovPolicy, SymbolSequence
+from longmem.embeddings import (
+    EmbeddedSeries,
+    OovPolicy,
+    SymbolSequence,
+    lookup_sequence,
+    pad_to_length,
+)
 from longmem.errors import DegenerateInputError, DomainError, ZeroPowerError
 from longmem.estimator import (
+    _NORMAL_APPROX_N,
     EstimatorConfig,
     FullBand,
     LowFrequency,
     estimate_from_periodogram,
     estimate_report,
-    estimate_sequence,
+    fit_periodograms,
     gaussian_mutual_info,
     hurst_from_d,
     mi_decay_slope,
     ols_loglog,
+    ols_loglog_rows,
     sqrt_cutoff,
 )
-from longmem.spectral import periodogram
+from longmem.spectral import periodogram, periodograms
 from longmem.synth import fgn_autocov, normal_bucket_table
 
 
@@ -78,6 +86,39 @@ def test_ols_loglog_matches_linregress(seed, n):
     assert np.isclose(fit.intercept, ref.intercept, rtol=1e-10)
     assert np.isclose(fit.slope_stderr, ref.stderr, rtol=1e-8)
     assert np.isclose(fit.pvalue, ref.pvalue, rtol=1e-6, atol=1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4, 17, _NORMAL_APPROX_N + 1, _NORMAL_APPROX_N + 2, _NORMAL_APPROX_N + 3, 300]),
+    st.integers(1, 6),
+)
+def test_ols_loglog_rows_match_scalar_fit(seed, n, rows):
+    # n = 202 is the last t-tail fit (200 dof) and n = 203 the first normal one
+    rng = np.random.default_rng(seed)
+    xs = np.exp(rng.normal(size=n))
+    ys = np.exp(rng.normal(size=(rows, n)))
+    ys[0] = 3.0 * xs**-0.4  # an exact power law: zero residuals
+    batch = ols_loglog_rows(xs, ys)
+    for i in range(rows):
+        fit = ols_loglog(xs, ys[i])
+        for name in ("slope", "intercept", "slope_stderr", "pvalue"):
+            got, want = getattr(batch, name)[i], getattr(fit, name)
+            if math.isnan(want):
+                assert n == 2 and math.isnan(got)
+            else:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, i, got, want)
+        assert batch.n_points == fit.n_points
+
+
+def test_ols_loglog_rows_rejects_bad_input():
+    with pytest.raises(DomainError):
+        ols_loglog_rows([1.0, 2.0], np.array([[1.0, -1.0]]))
+    with pytest.raises(DomainError):
+        ols_loglog_rows([1.0, 2.0, 3.0], np.ones((2, 2)))
+    with pytest.raises(DegenerateInputError):
+        ols_loglog_rows([3.0, 3.0, 3.0], np.ones((1, 3)))
 
 
 def _power_law_periodogram(length=64, d=0.3, scale=1.0):
@@ -137,14 +178,26 @@ def test_scaling_series_shifts_intercept_only():
     )
 
 
-def test_estimate_sequence_full_pipeline():
+def test_lookup_pad_periodogram_fit_pipeline():
     table = normal_bucket_table(4)
     rng = np.random.default_rng(3)
     seq = SymbolSequence([int(i) for i in rng.integers(0, 4, size=100)])
     config = EstimatorConfig(pad_length=128)
-    est = estimate_sequence(seq, table, config, OovPolicy.ZERO)
+    series = pad_to_length(lookup_sequence(table, seq, OovPolicy.ZERO), config.pad_length)
+    est = estimate_from_periodogram(periodogram(series), config)
     assert est.d.shape == (1,)
     assert np.isfinite(est.d[0])
+
+
+def test_fit_periodograms_rows_equal_single_fits():
+    block = np.random.default_rng(5).standard_normal((4, 64, 3))
+    config = EstimatorConfig(64, cutoff=LowFrequency(8))
+    batch = fit_periodograms(periodograms(block), config.cutoff)
+    assert batch.d.shape == (4, 3) and batch.cutoff_used == 8
+    for b in range(4):
+        single = estimate_from_periodogram(periodogram(EmbeddedSeries(block[b])), config)
+        for name in ("d", "intercept", "slope_stderr", "pvalue"):
+            assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), name
 
 
 def test_estimate_report_fields():

@@ -1,4 +1,4 @@
-"""DFT reference kernel, fast transform, and periodogram construction."""
+"""DFT reference kernel, batched periodograms, and their one-series view."""
 
 import io
 
@@ -9,47 +9,41 @@ from hypothesis import strategies as st
 
 from longmem.embeddings import EmbeddedSeries
 from longmem.errors import DimensionMismatchError, SpectralLengthError
-from longmem.spectral import (
-    average_periodograms,
-    dft_naive,
-    periodogram,
-    rfft,
-    write_periodogram_csv,
-)
+from longmem.spectral import dft_naive, periodogram, periodograms, write_periodogram_csv
 
 
 def test_dft_naive_constant():
     spec = dft_naive(np.array([1.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(spec.bins, [4.0, 0.0, 0.0])
+    assert np.allclose(spec, [4.0, 0.0, 0.0])
 
 
 def test_dft_naive_impulse():
     spec = dft_naive(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(spec.bins, [1.0, 1.0, 1.0])
+    assert np.allclose(spec, [1.0, 1.0, 1.0])
 
 
 def test_dft_naive_pure_sine():
     spec = dft_naive(np.array([0.0, 1.0, 0.0, -1.0]))
-    assert np.allclose(spec.bins, [0.0, -2.0j, 0.0])
+    assert np.allclose(spec, [0.0, -2.0j, 0.0])
 
 
 def test_rfft_matches_naive_small():
     rng = np.random.default_rng(0)
     for length in (2, 4, 8, 16, 32):
         x = rng.standard_normal(length)
-        assert np.allclose(rfft(x).bins, dft_naive(x).bins, atol=1e-12)
+        naive = np.abs(dft_naive(x)[1:]) ** 2
+        assert np.allclose(periodograms(x[:, None])[:, 0], naive, rtol=1e-12, atol=1e-12)
 
 
 def test_rfft_rejects_non_power_of_two():
     for length in (3, 6, 12, 100):
         with pytest.raises(SpectralLengthError):
-            rfft(np.zeros(length))
+            periodograms(np.zeros((length, 1)))
 
 
 def test_rfft_bin_count():
-    spec = rfft(np.zeros(16))
-    assert spec.length == 16
-    assert spec.bins.shape == (9,)  # DC through Nyquist
+    power = periodograms(np.zeros((3, 16, 2)))
+    assert power.shape == (3, 8, 2)  # k = 1..L/2: DC dropped, Nyquist kept
 
 
 def test_periodogram_drops_dc_keeps_nyquist():
@@ -72,7 +66,7 @@ def test_periodogram_matches_naive_dft():
     values = rng.standard_normal((64, 3))
     pg = periodogram(EmbeddedSeries(values))
     for j in range(3):
-        naive = np.abs(dft_naive(values[:, j]).bins[1:]) ** 2
+        naive = np.abs(dft_naive(values[:, j])[1:]) ** 2
         assert np.allclose(pg.power[:, j], naive, rtol=1e-10)
 
 
@@ -89,32 +83,27 @@ def test_periodogram_white_noise_mean_power_near_length():
     assert np.mean(np.abs(mean_power - length) / length < 0.4) > 0.99
 
 
-def test_average_periodograms_identity_and_mean():
-    a = periodogram(EmbeddedSeries(np.eye(4)[:, :2]))
-    avg1 = average_periodograms([a])
-    assert np.array_equal(avg1.power, a.power)
-    doubled = periodogram(EmbeddedSeries(2.0 * np.eye(4)[:, :2]))
-    avg2 = average_periodograms([a, doubled])
-    assert np.allclose(avg2.power, (a.power + doubled.power) / 2.0)
+def test_periodograms_block_rows_equal_single_series():
+    block = np.random.default_rng(4).standard_normal((5, 32, 3))
+    power = periodograms(block)
+    for b in range(5):
+        assert np.array_equal(power[b], periodogram(EmbeddedSeries(block[b])).power)
+    # the mean over the leading axis adds the rows in order
+    assert np.array_equal(power.mean(axis=0), sum(power) / 5)
 
 
-def test_average_periodograms_shape_mismatch():
-    a = periodogram(EmbeddedSeries(np.ones((4, 1))))
-    b = periodogram(EmbeddedSeries(np.ones((8, 1))))
+def test_periodograms_rejects_a_single_column():
     with pytest.raises(DimensionMismatchError):
-        average_periodograms([a, b])
+        periodograms(np.ones(8))
 
 
 @settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1))
 def test_parseval_identity(seed):
     x = np.random.default_rng(seed).standard_normal(256)
-    bins = rfft(x).bins
-    spectral = (
-        np.abs(bins[0]) ** 2
-        + 2.0 * np.sum(np.abs(bins[1:-1]) ** 2)
-        + np.abs(bins[-1]) ** 2
-    ) / x.size
+    power = periodograms(x[:, None])[:, 0]
+    # the pipeline drops the DC bin, whose power is (sum x)^2
+    spectral = (x.sum() ** 2 + 2.0 * np.sum(power[:-1]) + power[-1]) / x.size
     assert np.isclose(spectral, np.sum(x**2), rtol=1e-9)
 
 
@@ -123,8 +112,8 @@ def test_parseval_identity(seed):
 def test_dft_linearity_and_conjugate_symmetry(seed):
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal(16), rng.standard_normal(16)
-    fx, fy = dft_naive(x).bins, dft_naive(y).bins
-    fxy = dft_naive(x + 2.0 * y).bins
+    fx, fy = dft_naive(x), dft_naive(y)
+    fxy = dft_naive(x + 2.0 * y)
     assert np.allclose(fxy, fx + 2.0 * fy, atol=1e-10)
     # real input: interior bins of the full DFT come in conjugate pairs,
     # so DC and Nyquist bins of the half spectrum are real

@@ -9,7 +9,7 @@ from scipy import special
 from longmem.embeddings import EmbeddedSeries
 from longmem.errors import DomainError
 from longmem.estimator import EstimatorConfig, LowFrequency, estimate_from_periodogram
-from longmem.spectral import average_periodograms, periodogram
+from longmem.spectral import Periodogram, periodograms
 from longmem.synth import (
     _EIGENVALUE_RTOL,
     FarimaSpec,
@@ -148,11 +148,12 @@ def test_generate_farima_zero_d_is_white():
 
 def test_generate_farima_recovers_d():
     config = EstimatorConfig(pad_length=2048, cutoff=LowFrequency(45))
-    pgs = []
+    series = []
     for s in range(200):
         x = generate_farima(FarimaSpec(d=0.4, length=2048, seed=70000 + s, ma_truncation=4096))
-        pgs.append(periodogram(EmbeddedSeries(x[:, None])))
-    est = estimate_from_periodogram(average_periodograms(pgs), config)
+        series.append(x[:, None])
+    mean_pg = Periodogram(length=2048, power=periodograms(np.stack(series)).mean(axis=0))
+    est = estimate_from_periodogram(mean_pg, config)
     assert 0.32 <= est.d[0] <= 0.48
 
 
@@ -218,15 +219,15 @@ def test_quantize_validates_table():
 def test_quantized_fgn_preserves_memory_coefficient():
     table = normal_bucket_table(64)
     config = EstimatorConfig(pad_length=2048, cutoff=LowFrequency(45))
-    pgs = []
+    from longmem.embeddings import OovPolicy, lookup_sequence
+
+    series = []
     for s in range(200):
         x = generate_fgn(FgnSpec(hurst=0.8, length=2048, seed=81000 + s))
         seq = quantize_to_symbols(x, 64, table=table)
-        from longmem.embeddings import OovPolicy, lookup_sequence, pad_to_length
-
-        emb = lookup_sequence(table, seq, OovPolicy.ZERO)
-        pgs.append(periodogram(pad_to_length(emb, 2048)))
-    est = estimate_from_periodogram(average_periodograms(pgs), config)
+        series.append(lookup_sequence(table, seq, OovPolicy.ZERO).values)
+    mean_pg = Periodogram(length=2048, power=periodograms(np.stack(series)).mean(axis=0))
+    est = estimate_from_periodogram(mean_pg, config)
     assert abs(est.d[0] - 0.3) <= 0.08
 
 
