@@ -74,7 +74,7 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: Iterable[
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
-        "inputs": {os.path.basename(path): _sha256(path) for path in inputs},
+        "inputs": {path: _sha256(path) for path in inputs},
         "seed": seed,
         "version": __version__,
     }

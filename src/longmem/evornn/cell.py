@@ -35,22 +35,16 @@ class GruCellParams:
         m, n = self.input_dim, self.hidden_dim
         if m < 1 or n < 1:
             raise DomainError(f"cell dims must be positive, got m={m}, n={n}")
-        for name in ("w_update", "w_reset", "w_candidate"):
-            w = np.asarray(getattr(self, name), dtype=np.float64)
-            if w.shape != (m + n, n):
+        for name in TENSOR_NAMES:
+            tensor = np.asarray(getattr(self, name), dtype=np.float64)
+            shape = (m + n, n) if name.startswith("w_") else (n,)
+            if tensor.shape != shape:
                 raise DimensionMismatchError(
-                    f"{name} must have shape ({m + n}, {n}), got {w.shape}"
+                    f"{name} must have shape {shape}, got {tensor.shape}"
                 )
-            if not np.all(np.isfinite(w)):
+            if not np.all(np.isfinite(tensor)):
                 raise DomainError(f"{name} has non-finite entries")
-            setattr(self, name, w)
-        for name in ("b_update", "b_reset", "b_candidate"):
-            b = np.asarray(getattr(self, name), dtype=np.float64)
-            if b.shape != (n,):
-                raise DimensionMismatchError(f"{name} must have shape ({n},), got {b.shape}")
-            if not np.all(np.isfinite(b)):
-                raise DomainError(f"{name} has non-finite entries")
-            setattr(self, name, b)
+            setattr(self, name, tensor)
 
     def tensors(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in TENSOR_NAMES]
@@ -77,13 +71,8 @@ def zero_cell_grads(cell: GruCellParams) -> list[np.ndarray]:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate on the negative half-line only: exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # sigma(x) = (1 + tanh(x/2)) / 2: tanh is bounded by 1, so no step can overflow
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def gru_forward_batch(

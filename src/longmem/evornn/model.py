@@ -166,7 +166,7 @@ def forward_with_caches(model: ModelParams, ids: np.ndarray) -> ModelForward:
         raise DimensionMismatchError(
             f"sequence of {total_steps} steps too short for horizon {horizon}"
         )
-    inputs = [model.input_table[ids[:, t]] for t in range(total_steps)]
+    inputs = list(model.input_table[ids.T])
     layer_forwards: list[LayerForward] = []
     multiply_adds = 0
     for layer in model.layers:
@@ -279,12 +279,10 @@ def save_checkpoint(model: ModelParams, path: str) -> None:
                     {
                         "input_dim": cell.input_dim,
                         "hidden_dim": cell.hidden_dim,
-                        "w_update": _tensor_to_json(cell.w_update),
-                        "b_update": _tensor_to_json(cell.b_update),
-                        "w_reset": _tensor_to_json(cell.w_reset),
-                        "b_reset": _tensor_to_json(cell.b_reset),
-                        "w_candidate": _tensor_to_json(cell.w_candidate),
-                        "b_candidate": _tensor_to_json(cell.b_candidate),
+                        **{
+                            name: _tensor_to_json(tensor)
+                            for name, tensor in zip(TENSOR_NAMES, cell.tensors())
+                        },
                     }
                     for cell in layer.cells
                 ],
@@ -324,14 +322,9 @@ def _model_from_payload(payload: dict) -> ModelParams:
     for entry in payload["layers"]:
         cells = [
             GruCellParams(
-                input_dim=int(c["input_dim"]),
-                hidden_dim=int(c["hidden_dim"]),
-                w_update=_tensor_from_json(c["w_update"]),
-                b_update=_tensor_from_json(c["b_update"]),
-                w_reset=_tensor_from_json(c["w_reset"]),
-                b_reset=_tensor_from_json(c["b_reset"]),
-                w_candidate=_tensor_from_json(c["w_candidate"]),
-                b_candidate=_tensor_from_json(c["b_candidate"]),
+                int(c["input_dim"]),
+                int(c["hidden_dim"]),
+                *(_tensor_from_json(c[name]) for name in TENSOR_NAMES),
             )
             for c in entry["cells"]
         ]

@@ -9,11 +9,10 @@ as the exponent grows the distribution collapses onto lag 1.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from ..embeddings import SymbolSequence
 from ..errors import DomainError
 
 
@@ -39,8 +38,8 @@ def task_lag_recall(
     tail_exponent: float = 2.0,
     seed: int = 0,
     horizon: int = 0,
-) -> Iterator[tuple[SymbolSequence, Sequence[int]]]:
-    """Endless stream of (sequence, labels) pairs, deterministic per seed.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless stream of (ids, labels) int arrays, deterministic per seed.
 
     Labels always appear in the input: label j is sequence position
     L - tau_j with tau_j in [1, L-1].
@@ -55,5 +54,4 @@ def task_lag_recall(
     while True:
         ids = rng.integers(0, vocab_size, size=seq_len)
         lags = rng.choice(taus, size=horizon + 1, p=probabilities)
-        labels = [int(ids[seq_len - tau]) for tau in lags]
-        yield SymbolSequence(ids=[int(i) for i in ids]), labels
+        yield ids, ids[seq_len - lags]

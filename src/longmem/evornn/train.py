@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..embeddings import SymbolSequence
 from ..errors import DomainError, TrainingDivergedError
 from .cell import GruCellParams, zero_cell_grads
 from .layer import EvoRnnLayer, evo_backward_batch
@@ -73,28 +72,24 @@ def parameter_pairs(
         yield name, param, grad
 
 
-def batch_arrays(batch: Sequence[tuple[SymbolSequence, Sequence[int]]], horizon: int):
-    """Stack a batch of (sequence, labels) pairs into id and label matrices.
+def batch_arrays(batch: Sequence[tuple[Sequence[int], Sequence[int]]], horizon: int):
+    """Stack a batch of (ids, labels) pairs into id and label matrices.
 
-    The model input for each example is its sequence followed by all labels
+    The model input for each example is its ids followed by all labels
     but the last (teacher forcing); every labels entry must have H+1 ids.
     """
     if not batch:
         raise DomainError("batch must be non-empty")
-    ids_rows = []
-    label_rows = []
-    for seq, labels in batch:
-        labels = list(labels)
+    for _, labels in batch:
         if len(labels) != horizon + 1:
             raise DomainError(
                 f"expected {horizon + 1} labels per example, got {len(labels)}"
             )
-        ids_rows.append(list(seq.ids) + labels[:-1] if horizon else list(seq.ids))
-        label_rows.append(labels)
-    lengths = {len(r) for r in ids_rows}
-    if len(lengths) > 1:
+    if len({len(row) for row, _ in batch}) > 1:
         raise DomainError("all sequences in a batch must share one length")
-    return np.asarray(ids_rows, dtype=np.int64), np.asarray(label_rows, dtype=np.int64)
+    ids = np.array([row for row, _ in batch], dtype=np.int64)
+    labels = np.array([row for _, row in batch], dtype=np.int64)
+    return np.concatenate([ids, labels[:, :-1]], axis=1), labels
 
 
 def sample_negatives(
@@ -115,7 +110,7 @@ def sample_negatives(
 
 def compute_gradients(
     model: ModelParams,
-    batch: Sequence[tuple[SymbolSequence, Sequence[int]]],
+    batch: Sequence[tuple[Sequence[int], Sequence[int]]],
     config: TrainConfig,
     negatives: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
@@ -133,7 +128,7 @@ def compute_gradients(
 
 def _batch_gradients(
     model: ModelParams,
-    batch: Sequence[tuple[SymbolSequence, Sequence[int]]],
+    batch: Sequence[tuple[Sequence[int], Sequence[int]]],
     config: TrainConfig,
     rng: np.random.Generator,
     negatives: Optional[np.ndarray] = None,
@@ -222,7 +217,7 @@ class TrainResult:
 
 def train_toy(
     model: ModelParams,
-    task: Iterable[tuple[SymbolSequence, Sequence[int]]],
+    task: Iterable[tuple[Sequence[int], Sequence[int]]],
     config: TrainConfig,
 ) -> TrainResult:
     """Clipped-SGD training on a task stream; deterministic given seeds.

@@ -2,14 +2,13 @@
 
 import numpy as np
 
-from longmem.embeddings import SymbolSequence
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.train import TrainConfig
 from longmem.schedule import CellSchedule
 
 REFERENCE_BATCH = [
-    (SymbolSequence([1, 2, 3, 4, 5]), [3]),
-    (SymbolSequence([7, 0, 1, 6, 2]), [0]),
+    ([1, 2, 3, 4, 5], [3]),
+    ([7, 0, 1, 6, 2], [0]),
 ]
 
 

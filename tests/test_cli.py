@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, manifests."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -176,9 +177,30 @@ def test_estimate_end_to_end_recovers_d(tmp_path, capsys):
     assert abs(report["d"][0] - 0.3) <= 0.1
     assert report["pvalue"][0] < 0.01
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-    assert set(manifest["inputs"]) == {"corpus.txt", "table.txt"}
+    assert set(manifest["inputs"]) == {str(corpus), str(table)}
     for digest in manifest["inputs"].values():
         assert len(digest) == 64  # sha256 hex
+
+
+def test_manifest_keeps_a_digest_per_input_path(tmp_path, capsys):
+    corpus, table = _make_corpus(tmp_path, capsys, count="4")
+    corpus_copy = tmp_path / "a" / "x.txt"
+    table_copy = tmp_path / "b" / "x.txt"
+    for source, copy in ((corpus, corpus_copy), (table, table_copy)):
+        copy.parent.mkdir()
+        copy.write_bytes(source.read_bytes())
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["estimate", "--corpus", str(corpus_copy), "--embeddings", str(table_copy),
+         "--pad-length", "512", "--out", str(report_path)],
+        capsys,
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(corpus_copy): hashlib.sha256(corpus.read_bytes()).hexdigest(),
+        str(table_copy): hashlib.sha256(table.read_bytes()).hexdigest(),
+    }
 
 
 def test_estimate_shuffle_control_destroys_memory(tmp_path, capsys):

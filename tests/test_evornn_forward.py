@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from longmem.evornn import (
     load_checkpoint,
     save_checkpoint,
 )
-from longmem.evornn.cell import gru_forward_batch
+from longmem.evornn.cell import TENSOR_NAMES, _sigmoid, gru_forward_batch
 from longmem.evornn.layer import evo_forward_batch, segment_of_step, segment_runs
 from longmem.evornn.model import forward_with_caches, score_batch
 from longmem.schedule import CellSchedule, constant_schedule
@@ -62,6 +63,45 @@ def test_gru_batch_matches_single_steps():
     for i in range(5):
         single, _ = gru_forward_batch(cell, xs[i : i + 1], hs[i : i + 1])
         assert np.allclose(batched[i], single[0], atol=1e-14)
+
+
+@pytest.mark.parametrize("name", TENSOR_NAMES)
+def test_cell_rejects_a_wrongly_shaped_tensor(name):
+    cell = init_cell(2, 3, np.random.default_rng(4))
+    with pytest.raises(DimensionMismatchError, match=name):
+        replace(cell, **{name: getattr(cell, name)[:-1]})
+
+
+@pytest.mark.parametrize("name", TENSOR_NAMES)
+def test_cell_rejects_a_nan_entry(name):
+    cell = init_cell(2, 3, np.random.default_rng(4))
+    tensor = getattr(cell, name).copy()
+    tensor.flat[0] = np.nan
+    with pytest.raises(DomainError, match=name):
+        replace(cell, **{name: tensor})
+
+
+def test_sigmoid_matches_the_logistic_function():
+    x = np.linspace(-40.0, 40.0, 200001)
+    # absolute bound: the gates mix states convexly, and relative error of
+    # the tanh form grows in the negative tail where the gate is ~0
+    assert np.max(np.abs(_sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 2.3e-16
+
+
+def test_sigmoid_saturates_without_floating_point_errors():
+    with np.errstate(all="raise"):
+        out = _sigmoid(np.array([-1e3, 1e3]))
+    assert out.tolist() == [0.0, 1.0]
+
+
+def test_gru_step_with_huge_weights_stays_finite():
+    rng = np.random.default_rng(5)
+    cell = init_cell(3, 4, rng)
+    for tensor in cell.tensors():
+        tensor += rng.normal(size=tensor.shape)
+        tensor *= 1e3
+    out, _ = gru_forward_batch(cell, rng.standard_normal((6, 3)), rng.standard_normal((6, 4)))
+    assert np.all(np.isfinite(out))
 
 
 def test_identity_like_shapes():
@@ -293,8 +333,13 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
 
 @pytest.mark.parametrize(
     "keys",
-    [("layers",), ("horizon",), ("layers", 0, "cells", 1, "input_dim")],
-    ids=["layers", "horizon", "input_dim"],
+    [
+        ("layers",),
+        ("horizon",),
+        ("layers", 0, "cells", 1, "input_dim"),
+        ("layers", 0, "cells", 0, "b_reset"),
+    ],
+    ids=["layers", "horizon", "input_dim", "b_reset"],
 )
 def test_checkpoint_missing_field_is_checkpoint_error(tmp_path, keys):
     model = build_model(

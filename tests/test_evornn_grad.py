@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_BATCH, finite_difference_worst_rel, perturbed_reference_model
-from longmem.embeddings import SymbolSequence
 from longmem.evornn import build_model, compute_gradients, init_cell, parameter_pairs
 from longmem.evornn.cell import gru_backward_batch, gru_forward_batch, zero_cell_grads
 from longmem.evornn.train import TrainConfig, clip_global_norm, zero_grads
@@ -126,8 +125,8 @@ def test_gradients_with_teacher_forced_horizon():
         for cell in layer.cells:
             cell.b_update += rng.normal(scale=0.1, size=cell.b_update.shape)
     batch = [
-        (SymbolSequence([1, 2, 3, 4, 5, 6, 0]), [6, 0, 3]),
-        (SymbolSequence([7, 0, 1, 6, 2, 2, 5]), [2, 5, 1]),
+        ([1, 2, 3, 4, 5, 6, 0], [6, 0, 3]),
+        ([7, 0, 1, 6, 2, 2, 5], [2, 5, 1]),
     ]
     worst = finite_difference_worst_rel(model, batch, TrainConfig(negatives=7), **NOISY)
     assert worst < 1e-4, f"worst rel = {worst:.3e}"
@@ -160,8 +159,8 @@ def test_gradients_through_initial_projection_chain():
     # length-3 inputs start inside the middle segment, so the initial state
     # crosses one boundary projection before the first cell application
     batch = [
-        (SymbolSequence([1, 2, 3]), [3]),
-        (SymbolSequence([7, 0, 1]), [0]),
+        ([1, 2, 3], [3]),
+        ([7, 0, 1], [0]),
     ]
     worst = finite_difference_worst_rel(model, batch, TrainConfig(negatives=7), **NOISY)
     assert worst < 1e-4, f"worst rel = {worst:.3e}"

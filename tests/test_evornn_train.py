@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.embeddings import SymbolSequence
 from longmem.errors import DomainError, TrainingDivergedError
 from longmem.evornn import (
     TrainConfig,
@@ -33,7 +32,7 @@ def tiny_model(horizon=0, seed=0):
 
 
 def constant_task():
-    item = (SymbolSequence([1, 2, 3, 4, 5]), [3])
+    item = ([1, 2, 3, 4, 5], [3])
     return itertools.repeat(item)
 
 
@@ -96,14 +95,14 @@ def test_train_config_validation():
 
 
 def test_batch_arrays_without_horizon():
-    batch = [(SymbolSequence([1, 2, 3]), [7]), (SymbolSequence([4, 5, 6]), [0])]
+    batch = [([1, 2, 3], [7]), ([4, 5, 6], [0])]
     ids, labels = batch_arrays(batch, horizon=0)
     assert ids.shape == (2, 3)
     assert np.array_equal(labels, [[7], [0]])
 
 
 def test_batch_arrays_appends_teacher_forced_labels():
-    batch = [(SymbolSequence([1, 2, 3]), [7, 4, 2])]
+    batch = [([1, 2, 3], [7, 4, 2])]
     ids, labels = batch_arrays(batch, horizon=2)
     # the observed prefix is extended with all labels but the last
     assert ids.shape == (1, 5)
@@ -112,13 +111,15 @@ def test_batch_arrays_appends_teacher_forced_labels():
 
 
 def test_batch_arrays_validates_label_count():
-    batch = [(SymbolSequence([1, 2, 3]), [7])]
-    with pytest.raises(DomainError):
-        batch_arrays(batch, horizon=2)
+    short = [([1, 2, 3], [7])]
+    ragged = [([1, 2, 3], [7, 4, 2]), ([4, 5, 6], [0, 1])]
+    for batch in (short, ragged):
+        with pytest.raises(DomainError):
+            batch_arrays(batch, horizon=2)
 
 
 def test_batch_arrays_validates_equal_lengths():
-    batch = [(SymbolSequence([1, 2]), [0]), (SymbolSequence([1, 2, 3]), [0])]
+    batch = [([1, 2], [0]), ([1, 2, 3], [0])]
     with pytest.raises(DomainError):
         batch_arrays(batch, horizon=0)
 
@@ -169,27 +170,27 @@ def test_task_lag_recall_labels_come_from_sequence():
     for seq, labels in itertools.islice(stream, 50):
         assert len(seq) == 12
         assert len(labels) == 1
-        assert labels[0] in seq.ids
-        assert all(0 <= i < 16 for i in seq.ids)
+        assert labels[0] in seq
+        assert all(0 <= i < 16 for i in seq)
 
 
 def test_task_lag_recall_horizon_yields_more_labels():
     stream = task_lag_recall(vocab_size=8, seq_len=6, seed=0, horizon=2)
     seq, labels = next(stream)
     assert len(labels) == 3
-    assert all(l in seq.ids for l in labels)
+    assert all(l in seq for l in labels)
 
 
 def test_task_lag_recall_deterministic():
     a = list(itertools.islice(task_lag_recall(8, 6, seed=4), 5))
     b = list(itertools.islice(task_lag_recall(8, 6, seed=4), 5))
-    assert [(s.ids, tuple(l)) for s, l in a] == [(s.ids, tuple(l)) for s, l in b]
+    assert [(tuple(s), tuple(l)) for s, l in a] == [(tuple(s), tuple(l)) for s, l in b]
 
 
 def test_task_lag_recall_infinite_exponent_recalls_last_symbol():
     stream = task_lag_recall(vocab_size=8, seq_len=6, tail_exponent=float("inf"), seed=2)
     for seq, labels in itertools.islice(stream, 30):
-        assert labels[0] == seq.ids[-1]
+        assert labels[0] == seq[-1]
 
 
 def test_task_lag_recall_lag_frequencies_follow_power_law():
@@ -198,7 +199,7 @@ def test_task_lag_recall_lag_frequencies_follow_power_law():
     counts = {1: 0, 2: 0, 3: 0}
     n = 3000
     for seq, labels in itertools.islice(stream, n):
-        matches = [tau for tau in (1, 2, 3) if seq.ids[4 - tau] == labels[0]]
+        matches = [tau for tau in (1, 2, 3) if seq[4 - tau] == labels[0]]
         if len(matches) == 1:  # skip draws where the label is ambiguous
             counts[matches[0]] += 1
     total = sum(counts.values())
