@@ -273,10 +273,17 @@ def cmd_train_toy(args, parser) -> int:
     result = train_toy(model, task, config)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(["step", "loss", "multiply_adds", "wall_ms"])
+    writer.writerow(["step", "loss", "multiply_adds", "wall_ms", "grad_norm", "clipped"])
     for metrics in result.history:
         writer.writerow(
-            [metrics.step, repr(float(metrics.loss)), metrics.multiply_adds, f"{metrics.wall_ms:.3f}"]
+            [
+                metrics.step,
+                repr(float(metrics.loss)),
+                metrics.multiply_adds,
+                f"{metrics.wall_ms:.3f}",
+                repr(metrics.grad_norm),
+                int(metrics.clipped),
+            ]
         )
     atomic_write_text(args.metrics_out, buffer.getvalue())
     if args.checkpoint_out:

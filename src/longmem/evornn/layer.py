@@ -5,6 +5,13 @@ size changes, the carried state is mapped through the boundary's projection
 matrix before the new segment's cell consumes it; boundaries with equal
 sizes carry the state through unchanged. Hidden-to-hidden multiplies are
 counted at 3*n^2 per step (three gates) for cost instrumentation.
+
+The unroll walks segment runs (consecutive steps of one cell). Each run
+writes its states and gates into (T_run, B, n) buffers, and a layer above
+reads a run's states as its own input block, without a copy. The reverse
+loops over a run's steps only for the recurrent state gradient; the run's
+weight gradients, bias sums and input gradients are one GEMM or sum each
+over its stacked rows.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, DomainError, ScheduleError
 from ..schedule import CellSchedule, lookup_cell
-from .cell import GruCellParams, gru_backward_batch, gru_forward_batch, init_cell
+from .cell import GruCellParams, gru_backward_run, gru_forward_run, init_cell
 
 
 @dataclass
@@ -149,50 +156,75 @@ def segment_runs(
 
 @dataclass
 class SegmentRun:
-    """Consecutive steps of one segment's cell.
+    """Steps [start, stop) of one segment's cell and the buffers its reverse reads.
 
     `crossings` holds (boundary, state before it) for each boundary the
     carried state crossed on entry; the first run's crossings chain the
-    initial state to the starting segment. `caches` holds one GRU cache per step.
+    initial state to the starting segment. `inputs` is the run's
+    (T_run, B, m) input block, a view of the layer's input. `states` is
+    (T_run+1, B, n): the entering state, then each step's output. `gates`
+    is (3, T_run, B, n): each step's update, reset and candidate gates,
+    which the backward pass overwrites.
     """
 
     segment: int
+    start: int
+    stop: int
     crossings: list[tuple[int, np.ndarray]]
-    caches: list[tuple]
+    inputs: np.ndarray
+    states: np.ndarray
+    gates: np.ndarray
 
 
 @dataclass
 class LayerForward:
-    """Everything the backward pass needs from one layer's unroll."""
+    """Everything the backward pass needs from one layer's unroll.
+
+    `outputs[t]` is step t's (B, n_t) output, a view of its run's `states`.
+    """
 
     outputs: list[np.ndarray]
     runs: list[SegmentRun]
     multiply_adds: int
 
 
-def evo_forward_batch(layer: EvoRnnLayer, inputs: list[np.ndarray], length: int) -> LayerForward:
+def evo_forward_batch(
+    layer: EvoRnnLayer, inputs: np.ndarray | LayerForward, length: int
+) -> LayerForward:
     """Unroll the layer over a batch, one segment run at a time.
 
-    `inputs[t]` is the (B, m_t) input at step t; steps past `length - 1`
-    are unfold steps handled by the last segment. The carried state crosses
+    `inputs` is the (T, B, m) input of a bottom layer (a list of per-step
+    (B, m) arrays is stacked into one), or the `LayerForward` of the layer
+    below, whose run outputs are read in place as this layer's input blocks;
+    both layers must then have the same runs. Steps past `length - 1` are
+    unfold steps handled by the last segment. The carried state crosses
     each boundary through its projection; when the sequence is shorter than
     the schedule's span, the initial state crosses every boundary before
     the starting segment.
     """
-    if not inputs or length < 1:
+    if isinstance(inputs, LayerForward):
+        below, steps = inputs, inputs.outputs
+    else:
+        below, steps = None, np.asarray(inputs, dtype=np.float64)
+    total_steps = len(steps)
+    if total_steps < 1 or length < 1:
         raise DomainError(f"need at least one input step and length >= 1, got length {length}")
-    total_steps = len(inputs)
     if total_steps < length:
         raise DimensionMismatchError(
             f"got {total_steps} input steps for sequence length {length}"
         )
-    batch = inputs[0].shape[0]
+    spans = segment_runs(length, total_steps, layer.schedule)
+    if below is not None and [(r.start, r.stop) for r in below.runs] != [
+        (start, stop) for _, start, stop in spans
+    ]:
+        raise DimensionMismatchError("stacked layers must share their segment runs")
+    batch = steps[0].shape[0]
     h = np.broadcast_to(layer.init_state, (batch, layer.init_state.size)).copy()
     outputs: list[np.ndarray] = []
     runs: list[SegmentRun] = []
     multiply_adds = 0
     previous_segment = 0
-    for segment, start, stop in segment_runs(length, total_steps, layer.schedule):
+    for k, (segment, start, stop) in enumerate(spans):
         crossings = []
         for boundary in range(previous_segment, segment):
             crossings.append((boundary, h))
@@ -200,13 +232,19 @@ def evo_forward_batch(layer: EvoRnnLayer, inputs: list[np.ndarray], length: int)
             if matrix is not None:
                 h = h @ matrix.T
         cell = layer.cells[segment]
-        caches = []
-        for t in range(start, stop):
-            h, cache = gru_forward_batch(cell, inputs[t], h)
-            outputs.append(h)
-            caches.append(cache)
-        runs.append(SegmentRun(segment, crossings, caches))
+        x = steps[start:stop] if below is None else below.runs[k].states[1:]
+        if x.ndim != 3 or x.shape[1:] != (batch, cell.input_dim):
+            raise DimensionMismatchError(
+                f"segment {segment} needs ({batch}, {cell.input_dim}) inputs, got {x.shape[1:]}"
+            )
+        states = np.empty((stop - start + 1, batch, cell.hidden_dim))
+        states[0] = h
+        gates = np.empty((3, stop - start, batch, cell.hidden_dim))
+        gru_forward_run(cell, x, states, gates)
+        outputs.extend(states[1:])
+        runs.append(SegmentRun(segment, start, stop, crossings, x, states, gates))
         multiply_adds += 3 * cell.hidden_dim * cell.hidden_dim * (stop - start)
+        h = states[-1]
         previous_segment = segment
     return LayerForward(outputs=outputs, runs=runs, multiply_adds=multiply_adds)
 
@@ -216,26 +254,40 @@ def evo_backward_batch(
     forward: LayerForward,
     grad_outputs: list[Optional[np.ndarray]],
     grads: EvoRnnLayer,
+    grad_inputs: Optional[np.ndarray] = None,
 ) -> list[np.ndarray]:
     """Reverse the unroll run by run; accumulates parameter grads into
     `grads` (a zeroed twin of `layer`) and returns per-step input gradients.
-    `grad_outputs[t]` may be None when no loss term touches the step's output."""
-    t = len(forward.outputs)
-    grad_inputs: list[np.ndarray] = [None] * t  # type: ignore[list-item]
+
+    `grad_outputs[t]` may be None when no loss term touches the step's
+    output. Input gradients are written into `grad_inputs`, a C-contiguous
+    (T, B, m) array, when one is given (every step must then read m
+    inputs), else into a new block per run; the returned steps are views of
+    them. The runs' gate buffers are overwritten, so a forward is reversed
+    once.
+    """
+    blocks = []
     dh = np.zeros_like(forward.outputs[-1])
     for run in reversed(forward.runs):
-        cell = layer.cells[run.segment]
-        cell_grads = grads.cells[run.segment].tensors()
-        for cache in reversed(run.caches):
-            t -= 1
-            g = grad_outputs[t]
-            if g is not None:
-                dh = dh + g
-            grad_inputs[t], dh = gru_backward_batch(cell, cache, dh, cell_grads)
+        block = (
+            np.empty(run.inputs.shape) if grad_inputs is None
+            else grad_inputs[run.start : run.stop]
+        )
+        dh = gru_backward_run(
+            layer.cells[run.segment],
+            run.inputs,
+            run.states,
+            run.gates,
+            grad_outputs[run.start : run.stop],
+            dh,
+            grads.cells[run.segment].tensors(),
+            block,
+        )
+        blocks.append(block)
         for boundary, h_before in reversed(run.crossings):
             matrix = layer.projections[boundary]
             if matrix is not None:
                 grads.projections[boundary] += dh.T @ h_before
                 dh = dh @ matrix
     grads.init_state += dh.sum(axis=0)
-    return grad_inputs
+    return [step for block in reversed(blocks) for step in block]

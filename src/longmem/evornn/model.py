@@ -166,14 +166,13 @@ def forward_with_caches(model: ModelParams, ids: np.ndarray) -> ModelForward:
         raise DimensionMismatchError(
             f"sequence of {total_steps} steps too short for horizon {horizon}"
         )
-    inputs = list(model.input_table[ids.T])
+    inputs: np.ndarray | LayerForward = model.input_table[ids.T]
     layer_forwards: list[LayerForward] = []
     multiply_adds = 0
     for layer in model.layers:
-        result = evo_forward_batch(layer, inputs, prefix_length)
-        layer_forwards.append(result)
-        multiply_adds += result.multiply_adds
-        inputs = result.outputs
+        inputs = evo_forward_batch(layer, inputs, prefix_length)
+        layer_forwards.append(inputs)
+        multiply_adds += inputs.multiply_adds
     top_outputs = layer_forwards[-1].outputs
     decoded_states = np.stack(
         [top_outputs[t] for t in range(prefix_length - 1, total_steps)], axis=1
@@ -237,10 +236,21 @@ def score_batch(
     dlogits = np.exp(logits - lse[..., None])
     dlogits[..., 0] -= 1.0
     grad_y = np.einsum("bjk,bjkd->bjd", dlogits, cand_vectors)
-    grad_table = np.zeros_like(output_table)
     contributions = dlogits[..., None] * y[..., None, :]
-    np.add.at(grad_table, candidates.reshape(-1), contributions.reshape(-1, y.shape[-1]))
+    grad_table = rows_by_id(candidates.reshape(-1), contributions.reshape(-1, y.shape[-1]), vocab)
     return score, grad_y, grad_table
+
+
+def rows_by_id(ids: np.ndarray, rows: np.ndarray, vocab: int) -> np.ndarray:
+    """(vocab, d) sums of the (N, d) `rows` grouped by their `ids`.
+
+    One `np.bincount` per column adds each id's rows in row order, so the
+    result equals a row-by-row scatter-add into zeros bit for bit.
+    """
+    out = np.empty((vocab, rows.shape[1]))
+    for j in range(rows.shape[1]):
+        out[:, j] = np.bincount(ids, weights=rows[:, j], minlength=vocab)
+    return out
 
 
 def _tensor_to_json(array: np.ndarray) -> dict:

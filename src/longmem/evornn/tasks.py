@@ -48,10 +48,12 @@ def task_lag_recall(
         raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
-    probabilities = lag_distribution(seq_len, tail_exponent)
-    taus = np.arange(1, seq_len)
+    # the inverse-CDF draw `rng.choice(taus, p=...)` makes, with the
+    # cumulative sum built once instead of on every call
+    cdf = lag_distribution(seq_len, tail_exponent).cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     while True:
         ids = rng.integers(0, vocab_size, size=seq_len)
-        lags = rng.choice(taus, size=horizon + 1, p=probabilities)
+        lags = 1 + cdf.searchsorted(rng.random(horizon + 1), side="right")
         yield ids, ids[seq_len - lags]

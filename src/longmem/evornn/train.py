@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import DomainError, TrainingDivergedError
 from .cell import GruCellParams, zero_cell_grads
 from .layer import EvoRnnLayer, evo_backward_batch
-from .model import ModelForward, ModelParams, forward_with_caches, score_batch
+from .model import ModelForward, ModelParams, forward_with_caches, rows_by_id, score_batch
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,10 @@ def sample_negatives(
         raise DomainError(f"cannot draw {count} negatives from {vocab - 1} non-label ids")
     b, j = labels.shape
     keys = rng.random((b, j, vocab - 1))
-    order = np.argsort(keys, axis=-1)[..., :count]
+    # the `count` smallest keys, then sorted: argsort(keys)[..., :count]
+    smallest = np.argpartition(keys, count - 1, axis=-1)[..., :count]
+    rank = np.argsort(np.take_along_axis(keys, smallest, axis=-1), axis=-1)
+    order = np.take_along_axis(smallest, rank, axis=-1)
     return order + (order >= labels[..., None])
 
 
@@ -135,8 +138,8 @@ def _batch_gradients(
 ) -> tuple[float, ModelParams, int]:
     """Negative score, gradients and the forward's instrumented multiply-adds.
 
-    Only the count leaves this frame, so the forward caches are freed
-    before the caller's next step.
+    Only the count leaves this frame, so the forward's run buffers are
+    freed before the caller's next step.
     """
     ids, labels = batch_arrays(batch, model.horizon)
     vocab = model.output_table.shape[0]
@@ -167,16 +170,18 @@ def gradients_from_forward(
     for offset in range(j):
         grad_top[prefix - 1 + offset] = grad_y[:, offset] @ model.decoder_w.T
     grad_outputs = grad_top
+    grad_embedded = np.empty((total_steps, b, model.emb_dim))
     for layer_index in range(len(model.layers) - 1, -1, -1):
-        grad_inputs = evo_backward_batch(
+        grad_outputs = evo_backward_batch(
             model.layers[layer_index],
             forward.layer_forwards[layer_index],
             grad_outputs,
             grads.layers[layer_index],
+            grad_embedded if layer_index == 0 else None,
         )
-        grad_outputs = grad_inputs
-    for t in range(total_steps):
-        np.add.at(grads.input_table, forward.ids[:, t], grad_outputs[t])
+    grads.input_table += rows_by_id(
+        forward.ids.T.ravel(), grad_embedded.reshape(-1, model.emb_dim), model.vocab_size
+    )
     return -score, grads
 
 
@@ -204,6 +209,8 @@ class StepMetrics:
     loss: float
     multiply_adds: int
     wall_ms: float
+    grad_norm: float
+    clipped: bool
 
 
 @dataclass
@@ -226,8 +233,9 @@ def train_toy(
     the step size is batch-size-invariant; recorded loss is the mean
     negative log-probability per labeled position. `multiply_adds` is the
     instrumented hidden-to-hidden multiply count of one forward pass
-    through one sequence. Aborts with the step index if loss leaves the
-    finite range.
+    through one sequence; `grad_norm` is the global gradient norm before
+    clipping and `clipped` whether clipping scaled it down. Aborts with the
+    step index if loss leaves the finite range.
     """
     rng = np.random.default_rng(config.seed)
     stream: Iterator = iter(task)
@@ -242,7 +250,7 @@ def train_toy(
             raise TrainingDivergedError(step)
         for _, _, grad in parameter_pairs(model, grads):
             grad /= positions
-        clip_global_norm(grads, model, config.clip_norm)
+        grad_norm = clip_global_norm(grads, model, config.clip_norm)
         sgd_step(model, grads, config.learning_rate)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         result.history.append(
@@ -251,6 +259,8 @@ def train_toy(
                 loss=loss,
                 multiply_adds=multiply_adds,
                 wall_ms=elapsed_ms,
+                grad_norm=float(grad_norm),
+                clipped=bool(grad_norm > config.clip_norm),
             )
         )
     return result

@@ -336,8 +336,9 @@ def test_train_toy_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert "multiply_adds_per_forward = 3072" in out  # 3 * 16 * 8^2
 
     rows = list(csv.reader(metrics.open()))
-    assert rows[0] == ["step", "loss", "multiply_adds", "wall_ms"]
+    assert rows[0] == ["step", "loss", "multiply_adds", "wall_ms", "grad_norm", "clipped"]
     assert len(rows) == 6
+    assert all(float(r[4]) > 0 and r[5] == str(int(float(r[4]) > 1.0)) for r in rows[1:])
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
     assert all(float(r[1]) > 0 for r in rows[1:])
 
@@ -354,9 +355,9 @@ def test_train_toy_metrics_deterministic_columns(tmp_path, capsys):
     m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     assert run_cli(argv_base + ["--metrics-out", str(m1)], capsys)[0] == 0
     assert run_cli(argv_base + ["--metrics-out", str(m2)], capsys)[0] == 0
-    r1 = [row[:3] for row in csv.reader(m1.open())]
-    r2 = [row[:3] for row in csv.reader(m2.open())]
-    assert r1 == r2  # step, loss, multiply_adds replay bit-identically
+    r1 = [row[:3] + row[4:] for row in csv.reader(m1.open())]
+    r2 = [row[:3] + row[4:] for row in csv.reader(m2.open())]
+    assert r1 == r2  # every column but wall_ms replays bit-identically
 
 
 def test_train_toy_schedule_from_json_file(tmp_path, capsys):

@@ -187,6 +187,17 @@ def test_multiply_add_counter_is_three_n_squared_per_step():
     assert result.multiply_adds == 3 * (1 * 9 + 4 * 16)
 
 
+def test_layer_forward_rejects_mismatched_inputs():
+    rng = np.random.default_rng(10)
+    layer = init_layer(CellSchedule(((2, 2), (2, 4))), 3, rng)
+    with pytest.raises(DimensionMismatchError):
+        evo_forward_batch(layer, np.zeros((4, 1, 2)), 4)  # 2 input columns, cells read 3
+    below = evo_forward_batch(layer, np.zeros((4, 1, 3)), 4)
+    shifted = init_layer(CellSchedule(((3, 2), (1, 4))), [2, 4], rng)
+    with pytest.raises(DimensionMismatchError):
+        evo_forward_batch(shifted, below, 4)  # runs [0, 3), [3, 4) against [0, 2), [2, 4)
+
+
 def test_segment_of_step_clamps_beyond_length():
     schedule = CellSchedule(((2, 2), (2, 4)))
     assert segment_of_step(3, 4, schedule) == 1

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REFERENCE_BATCH, finite_difference_worst_rel, perturbed_reference_model
-from longmem.evornn import build_model, compute_gradients, init_cell, parameter_pairs
+from longmem.evornn import (
+    GruCellParams,
+    build_model,
+    compute_gradients,
+    init_cell,
+    init_layer,
+    parameter_pairs,
+)
 from longmem.evornn.cell import gru_backward_batch, gru_forward_batch, zero_cell_grads
+from longmem.evornn.layer import EvoRnnLayer, evo_backward_batch, evo_forward_batch, segment_of_step
+from longmem.evornn.model import rows_by_id
 from longmem.evornn.train import TrainConfig, clip_global_norm, zero_grads
 from longmem.schedule import CellSchedule
 
@@ -176,3 +187,141 @@ def test_gradients_with_equal_size_segments():
         layer.init_state += rng.normal(scale=0.1, size=layer.init_state.shape)
     worst = finite_difference_worst_rel(model, REFERENCE_BATCH, TrainConfig(negatives=7), **NOISY)
     assert worst < 1e-4, f"worst rel = {worst:.3e}"
+
+
+def _zero_layer(layer):
+    """`train.zero_grads` for one layer."""
+    return EvoRnnLayer(
+        schedule=layer.schedule,
+        cells=[
+            GruCellParams(cell.input_dim, cell.hidden_dim, *zero_cell_grads(cell))
+            for cell in layer.cells
+        ],
+        projections=[None if m is None else np.zeros_like(m) for m in layer.projections],
+        init_state=np.zeros_like(layer.init_state),
+    )
+
+
+def _oracle_layer(layer, inputs, length):
+    """Step-by-step unroll with `gru_forward_batch`, crossing boundaries on entry."""
+    h = np.tile(layer.init_state, (inputs[0].shape[0], 1))
+    outputs, steps, previous = [], [], 0
+    for t, x in enumerate(inputs):
+        segment = segment_of_step(t, length, layer.schedule)
+        crossings = []
+        for boundary in range(previous, segment):
+            crossings.append((boundary, h))
+            if layer.projections[boundary] is not None:
+                h = h @ layer.projections[boundary].T
+        previous = segment
+        h, cache = gru_forward_batch(layer.cells[segment], x, h)
+        outputs.append(h)
+        steps.append((segment, crossings, cache))
+    return outputs, steps
+
+
+def _oracle_layer_backward(layer, steps, grad_outputs, grads):
+    """Reverse `_oracle_layer` with `gru_backward_batch`; returns per-step input gradients."""
+    dh = np.zeros_like(steps[-1][2][0])
+    grad_inputs = [None] * len(steps)
+    for t in range(len(steps) - 1, -1, -1):
+        segment, crossings, cache = steps[t]
+        if grad_outputs[t] is not None:
+            dh = dh + grad_outputs[t]
+        cell_grads = grads.cells[segment].tensors()
+        grad_inputs[t], dh = gru_backward_batch(layer.cells[segment], cache, dh, cell_grads)
+        for boundary, h_before in reversed(crossings):
+            if layer.projections[boundary] is not None:
+                grads.projections[boundary] += dh.T @ h_before
+                dh = dh @ layer.projections[boundary]
+    grads.init_state += dh.sum(axis=0)
+    return grad_inputs
+
+
+def _assert_close(got, want, rel=1e-12):
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * max(scale, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4),
+    st.data(),
+    st.integers(0, 3),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 2**31),
+)
+def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_layers, batch, seed):
+    # lengths below the span start mid-schedule, above it in the open-ended
+    # first segment; `unfold` steps run past the end in the last segment;
+    # equal adjacent sizes give identity boundaries, unequal ones projections
+    rng = np.random.default_rng(seed)
+    schedules = [CellSchedule(tuple(segments))]
+    for _ in range(num_layers - 1):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=len(segments), max_size=len(segments)))
+        schedules.append(CellSchedule(tuple((l, n) for (l, _), n in zip(segments, sizes))))
+    span = schedules[0].total_length
+    length = data.draw(st.integers(1, span + 2))
+    layers, input_dims = [], 3
+    for schedule in schedules:
+        layer = init_layer(schedule, input_dims, rng)
+        layer.init_state += rng.normal(size=layer.init_state.shape)
+        for cell in layer.cells:
+            for tensor in cell.tensors():
+                tensor += rng.normal(scale=0.3, size=tensor.shape)
+        for matrix in layer.projections:
+            if matrix is not None:
+                matrix += rng.normal(scale=0.3, size=matrix.shape)
+        layers.append(layer)
+        input_dims = list(schedule.hidden_sizes)
+    total = length + unfold
+    embedded = rng.standard_normal((total, batch, 3))
+    top_grads = [
+        rng.standard_normal((batch, schedules[-1].segments[segment_of_step(t, length, schedules[-1])][1]))
+        if rng.random() < 0.6 else None
+        for t in range(total)
+    ]
+
+    forwards, inputs = [], embedded
+    for layer in layers:
+        inputs = evo_forward_batch(layer, inputs, length)
+        forwards.append(inputs)
+    oracle_steps, oracle_inputs = [], list(embedded)
+    for layer, forward in zip(layers, forwards):
+        outputs, steps = _oracle_layer(layer, oracle_inputs, length)
+        assert len(forward.outputs) == total
+        for got, want in zip(forward.outputs, outputs):
+            assert np.array_equal(got, want)
+        oracle_steps.append(steps)
+        oracle_inputs = outputs
+
+    grad_embedded = np.empty_like(embedded)
+    grad_outputs = oracle_grads_out = top_grads
+    for i in range(num_layers - 1, -1, -1):
+        grads, oracle = _zero_layer(layers[i]), _zero_layer(layers[i])
+        grad_outputs = evo_backward_batch(
+            layers[i], forwards[i], grad_outputs, grads, grad_embedded if i == 0 else None
+        )
+        oracle_grads_out = _oracle_layer_backward(layers[i], oracle_steps[i], oracle_grads_out, oracle)
+        for got, want in zip(grad_outputs, oracle_grads_out):
+            _assert_close(got, want)
+        for got, want in zip(grads.cells, oracle.cells):
+            for g, w in zip(got.tensors(), want.tensors()):
+                _assert_close(g, w)
+        for g, w in zip(grads.projections, oracle.projections):
+            if w is not None:
+                _assert_close(g, w)
+        _assert_close(grads.init_state, oracle.init_state)
+    _assert_close(grad_embedded, np.stack(oracle_grads_out))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12), st.integers(0, 40), st.integers(1, 5), st.integers(0, 2**31))
+def test_rows_by_id_equals_a_row_by_row_scatter(vocab, n, d, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, vocab, size=n)
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    expected = np.zeros((vocab, d))
+    np.add.at(expected, ids, rows)
+    assert rows_by_id(ids, rows, vocab).tobytes() == expected.tobytes()

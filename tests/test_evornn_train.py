@@ -140,6 +140,18 @@ def test_sample_negatives_contract(seed, vocab, data):
             assert np.all((0 <= drawn) & (drawn < vocab))
 
 
+@settings(max_examples=60)
+@given(st.integers(0, 2**31), st.sampled_from([2, 3, 8, 17, 64, 1024]), st.data())
+def test_sample_negatives_equal_the_full_argsort(seed, vocab, data):
+    count = data.draw(st.sampled_from(sorted({1, min(5, vocab - 1), vocab // 2 or 1, vocab - 1})))
+    labels = np.random.default_rng(seed + 1).integers(0, vocab, size=(2, 3))
+    keys = np.random.default_rng(seed).random((2, 3, vocab - 1))
+    order = np.argsort(keys, axis=-1)[..., :count]
+    expected = order + (order >= labels[..., None])
+    got = sample_negatives(np.random.default_rng(seed), labels, vocab, count)
+    assert np.array_equal(got, expected)
+
+
 def test_sample_negatives_full_complement():
     labels = np.array([[3]])
     negatives = sample_negatives(np.random.default_rng(0), labels, 8, 7)
@@ -191,6 +203,33 @@ def test_task_lag_recall_infinite_exponent_recalls_last_symbol():
     stream = task_lag_recall(vocab_size=8, seq_len=6, tail_exponent=float("inf"), seed=2)
     for seq, labels in itertools.islice(stream, 30):
         assert labels[0] == seq[-1]
+
+
+@pytest.mark.parametrize(
+    "seq_len, exponent, horizon",
+    [(2, 2.0, 0), (4, 2.0, 2), (12, 0.0, 1), (64, 1.5, 0), (67, 2.0, 3), (9, float("inf"), 2)],
+)
+def test_task_lag_recall_draws_equal_rng_choice(seq_len, exponent, horizon):
+    probabilities = lag_distribution(seq_len, exponent)
+    taus = np.arange(1, seq_len)
+    rng = np.random.default_rng(13)
+    stream = task_lag_recall(vocab_size=32, seq_len=seq_len, tail_exponent=exponent, seed=13, horizon=horizon)
+    for ids, labels in itertools.islice(stream, 300):
+        expected_ids = rng.integers(0, 32, size=seq_len)
+        lags = rng.choice(taus, size=horizon + 1, p=probabilities)
+        assert np.array_equal(ids, expected_ids)
+        assert np.array_equal(labels, expected_ids[seq_len - lags])
+
+
+def test_step_metrics_report_the_norm_before_clipping():
+    def history(clip_norm):
+        config = TrainConfig(learning_rate=0.5, negatives=7, steps=6, batch_size=2, clip_norm=clip_norm)
+        return train_toy(tiny_model(), constant_task(), config).history
+
+    clipped, loose = history(0.05), history(1e6)
+    assert all(m.grad_norm > 0.05 and m.clipped for m in clipped)
+    assert loose[0].grad_norm == clipped[0].grad_norm  # same model, same first batch
+    assert not any(m.clipped for m in loose)
 
 
 def test_task_lag_recall_lag_frequencies_follow_power_law():

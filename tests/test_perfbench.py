@@ -1,0 +1,48 @@
+"""The benchmark's train pipeline against the library, at a few steps.
+
+`perfbench/train.py` checks `train_toy` jobs, replays them call by call for
+per-layer times and times the GRU cell oracles. A library change that
+breaks any of these would otherwise show only when the benchmark runs.
+"""
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import common
+        import train
+        import workloads
+
+        yield common, train, workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("name", ["train-powerlaw", "train-constant-sampled"])
+def test_train_workload_checks_replay_and_cell_timings(perfbench, name):
+    common, train, workloads = perfbench
+    w = replace(workloads.WORKLOADS[name], steps=3)
+    layers = train._Layers()
+
+    job = train.run_job(w, 1)
+    assert train.check_job(w, job, None) == (0, [])
+    assert train.check_job(w, train.run_job(w, 1), job.losses) == (0, [])
+
+    model, task, config = train.new_job(w, 1)
+    losses, multiply_adds = train.replay_job(layers, model, task, config, common.Tracer())
+    assert losses == job.losses
+    assert multiply_adds == train.expected_multiply_adds(w)
+
+    metrics = train.time_cells(layers, w, model, 0.01)
+    sizes = {hidden for _, hidden in w.segments}
+    assert {f"evornn.cell.h{n}.bwd_us" for n in sizes} <= metrics.keys()
+    assert all(value > 0 for value in metrics.values())
