@@ -102,10 +102,13 @@ def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str
 def cmd_estimate(args, parser) -> int:
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
     config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
+    chunk_len = pad_length if args.chunk_len is None else args.chunk_len
+    if chunk_len < 1:
+        parser.error(f"--chunk-len must be >= 1, got {chunk_len}")
     with open(args.embeddings, encoding="utf-8") as stream:
         table = load_table(stream)
     with open(args.corpus, encoding="utf-8") as stream:
-        ids = read_corpus_ids(stream, table, args.chunk_len or pad_length)
+        ids = read_corpus_ids(stream, table, chunk_len)
     if args.shuffle:
         ids = shuffle_rows(ids, args.seed)
     result = run_dataset(
@@ -129,7 +132,7 @@ def cmd_estimate(args, parser) -> int:
             "corpus": args.corpus,
             "embeddings": args.embeddings,
             "pad_length": pad_length,
-            "chunk_len": args.chunk_len or pad_length,
+            "chunk_len": chunk_len,
             "batch_size": args.batch_size,
             "oov": args.oov,
             "cutoff": args.cutoff,
@@ -146,6 +149,8 @@ def cmd_estimate(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
+    if args.count < 1:
+        parser.error(f"--count must be >= 1, got {args.count}")
     if args.d is not None and args.hurst is not None:
         if abs(args.d - (args.hurst - 0.5)) > 1e-12:
             parser.error(f"--d {args.d} and --hurst {args.hurst} disagree (d = H - 1/2)")

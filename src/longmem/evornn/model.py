@@ -13,19 +13,21 @@ sees a fixed input width within a segment.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import CheckpointError, DimensionMismatchError, DomainError, ScheduleError
+from ..errors import CheckpointError, DimensionMismatchError, DomainError, LongmemError, ScheduleError
 from ..fileio import atomic_write_text
-from ..schedule import CellSchedule
+from ..schedule import CellSchedule, schedule_from_pairs
 from .cell import TENSOR_NAMES, GruCellParams
 from .layer import EvoRnnLayer, LayerForward, evo_forward_batch, init_layer
 
 CHECKPOINT_FORMAT = "evornn-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -124,6 +126,37 @@ def build_model(
         decoder_w=rng.uniform(-1, 1, (top_hidden, decoder_dim)) / np.sqrt(top_hidden),
         decoder_b=np.zeros(decoder_dim),
         output_table=rng.uniform(-1, 1, (vocab_size, decoder_dim)) / np.sqrt(decoder_dim),
+        horizon=horizon,
+    )
+
+
+def zero_model(
+    schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int, horizon: int
+) -> ModelParams:
+    """An all-zero model with one layer per schedule: the structure that
+    gradients and loaded checkpoints take.
+
+    Layer 0's cells read `emb_dim` inputs; layer i's cell in a segment reads
+    the hidden size of layer i-1's cell in the same segment.
+    """
+    if min(vocab_size, emb_dim, decoder_dim) < 1 or not schedules:
+        raise DomainError("vocab, dims, and layer count must be positive")
+    layers, input_dims = [], [emb_dim] * len(schedules[0].segments)
+    for schedule in schedules:
+        sizes = schedule.hidden_sizes
+        cells = [
+            GruCellParams(m, n, *[np.zeros(shape) for shape in ((m + n, n), (n,)) * 3])
+            for m, n in zip(input_dims, sizes)
+        ]
+        projections = [None if a == b else np.zeros((b, a)) for a, b in zip(sizes, sizes[1:])]
+        layers.append(EvoRnnLayer(schedule, cells, projections, np.zeros(sizes[0])))
+        input_dims = sizes
+    return ModelParams(
+        input_table=np.zeros((vocab_size, emb_dim)),
+        layers=layers,
+        decoder_w=np.zeros((input_dims[-1], decoder_dim)),
+        decoder_b=np.zeros(decoder_dim),
+        output_table=np.zeros((vocab_size, decoder_dim)),
         horizon=horizon,
     )
 
@@ -253,61 +286,30 @@ def rows_by_id(ids: np.ndarray, rows: np.ndarray, vocab: int) -> np.ndarray:
     return out
 
 
-def _tensor_to_json(array: np.ndarray) -> dict:
-    return {"shape": list(array.shape), "data": [float(v) for v in array.ravel()]}
-
-
-def _tensor_from_json(obj: dict) -> np.ndarray:
-    try:
-        shape = tuple(obj["shape"])
-        data = np.array(obj["data"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed tensor entry: {exc}") from None
-    if data.size != int(np.prod(shape)):
-        raise CheckpointError(
-            f"tensor data length {data.size} does not match shape {shape}"
-        )
-    return data.reshape(shape)
-
-
 def save_checkpoint(model: ModelParams, path: str) -> None:
-    """Write a versioned JSON checkpoint with explicit shape headers."""
+    """Write a versioned JSON checkpoint: the layer schedules and every named tensor."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "horizon": model.horizon,
-        "input_table": _tensor_to_json(model.input_table),
-        "decoder": {
-            "weight": _tensor_to_json(model.decoder_w),
-            "bias": _tensor_to_json(model.decoder_b),
+        "schedules": [[list(segment) for segment in layer.schedule.segments] for layer in model.layers],
+        "tensors": {
+            name: {"shape": list(tensor.shape), "data": tensor.ravel().tolist()}
+            for name, tensor in model.named_tensors()
         },
-        "output_table": _tensor_to_json(model.output_table),
-        "layers": [
-            {
-                "schedule": [[length, hidden] for length, hidden in layer.schedule.segments],
-                "cells": [
-                    {
-                        "input_dim": cell.input_dim,
-                        "hidden_dim": cell.hidden_dim,
-                        **{
-                            name: _tensor_to_json(tensor)
-                            for name, tensor in zip(TENSOR_NAMES, cell.tensors())
-                        },
-                    }
-                    for cell in layer.cells
-                ],
-                "projections": [
-                    None if m is None else _tensor_to_json(m) for m in layer.projections
-                ],
-                "init_state": _tensor_to_json(layer.init_state),
-            }
-            for layer in model.layers
-        ],
     }
     atomic_write_text(path, json.dumps(payload))
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a `save_checkpoint` file; every defect raises `CheckpointError`.
+
+    Every tensor's data length is checked against its declared shape before
+    anything is allocated. The zero model of the schedules, with dims read
+    from the `input_table` and `decoder_b` shapes, then names the tensors
+    the file must hold; each is copied in after one shape and finiteness
+    check.
+    """
     with open(path, encoding="utf-8") as stream:
         try:
             payload = json.load(stream)
@@ -316,43 +318,39 @@ def load_checkpoint(path: str) -> ModelParams:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not an {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('version')!r}"
-        )
+        raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
+    entries, schedules, horizon = (payload.get(key) for key in ("tensors", "schedules", "horizon"))
+    if not (isinstance(entries, dict) and isinstance(schedules, list) and type(horizon) is int):
+        raise CheckpointError("checkpoint needs 'tensors', a 'schedules' list and an integer 'horizon'")
+    shapes = {}
+    for name, entry in entries.items():
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (
+            isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+            and isinstance(entry.get("data"), list)
+            and len(entry["data"]) == math.prod(shape)
+        ):
+            raise CheckpointError(f"tensor {name!r} needs a list of sizes and as many values")
+        shapes[name] = tuple(shape)
+    if len(shapes.get("input_table", ())) != 2 or len(shapes.get("decoder_b", ())) != 1:
+        raise CheckpointError("checkpoint needs a 2-D 'input_table' and a 1-D 'decoder_b'")
     try:
-        return _model_from_payload(payload)
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise CheckpointError(f"checkpoint has a malformed field: {exc}") from None
-
-
-def _model_from_payload(payload: dict) -> ModelParams:
-    layers = []
-    for entry in payload["layers"]:
-        cells = [
-            GruCellParams(
-                int(c["input_dim"]),
-                int(c["hidden_dim"]),
-                *(_tensor_from_json(c[name]) for name in TENSOR_NAMES),
-            )
-            for c in entry["cells"]
-        ]
-        layers.append(
-            EvoRnnLayer(
-                schedule=CellSchedule(entry["schedule"]),
-                cells=cells,
-                projections=[
-                    None if m is None else _tensor_from_json(m) for m in entry["projections"]
-                ],
-                init_state=_tensor_from_json(entry["init_state"]),
-            )
-        )
-    return ModelParams(
-        input_table=_tensor_from_json(payload["input_table"]),
-        layers=layers,
-        decoder_w=_tensor_from_json(payload["decoder"]["weight"]),
-        decoder_b=_tensor_from_json(payload["decoder"]["bias"]),
-        output_table=_tensor_from_json(payload["output_table"]),
-        horizon=int(payload["horizon"]),
-    )
+        schedules = [schedule_from_pairs(pairs) for pairs in schedules]
+        # each cell holds at least n * n weights: a file cannot ask for more than it carries
+        if sum(n * n for s in schedules for n in s.hidden_sizes) > sum(map(math.prod, shapes.values())):
+            raise ScheduleError("the schedules need more values than the checkpoint holds")
+        model = zero_model(schedules, *shapes["input_table"], *shapes["decoder_b"], horizon)
+    except LongmemError as exc:
+        raise CheckpointError(f"checkpoint describes no valid model: {exc}") from None
+    for name, tensor in model.named_tensors():
+        if shapes.pop(name, None) != tensor.shape:
+            raise CheckpointError(f"tensor {name!r} is missing or not of shape {tensor.shape}")
+        data = entries[name]["data"]
+        # rejects NaN, infinities and integers beyond the float range alike
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in data):
+            raise CheckpointError(f"tensor {name!r} must hold finite numbers")
+        tensor[...] = np.array(data, dtype=np.float64).reshape(tensor.shape)
+    if shapes:
+        raise CheckpointError(f"checkpoint has tensors the model lacks: {sorted(shapes)}")
+    return model

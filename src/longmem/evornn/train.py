@@ -15,9 +15,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..errors import DomainError, TrainingDivergedError
-from .cell import GruCellParams, zero_cell_grads
-from .layer import EvoRnnLayer, evo_backward_batch
-from .model import ModelForward, ModelParams, forward_with_caches, rows_by_id, score_batch
+from .layer import evo_backward_batch
+from .model import ModelForward, ModelParams, forward_with_caches, rows_by_id, score_batch, zero_model
 
 
 @dataclass(frozen=True)
@@ -42,25 +41,8 @@ class TrainConfig:
 
 def zero_grads(model: ModelParams) -> ModelParams:
     """A zeroed twin of `model`: gradients share the parameters' structure."""
-    return ModelParams(
-        input_table=np.zeros_like(model.input_table),
-        layers=[
-            EvoRnnLayer(
-                schedule=layer.schedule,
-                cells=[
-                    GruCellParams(cell.input_dim, cell.hidden_dim, *zero_cell_grads(cell))
-                    for cell in layer.cells
-                ],
-                projections=[None if m is None else np.zeros_like(m) for m in layer.projections],
-                init_state=np.zeros_like(layer.init_state),
-            )
-            for layer in model.layers
-        ],
-        decoder_w=np.zeros_like(model.decoder_w),
-        decoder_b=np.zeros_like(model.decoder_b),
-        output_table=np.zeros_like(model.output_table),
-        horizon=model.horizon,
-    )
+    schedules = [layer.schedule for layer in model.layers]
+    return zero_model(schedules, model.vocab_size, model.emb_dim, model.decoder_dim, model.horizon)
 
 
 def parameter_pairs(

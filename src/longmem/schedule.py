@@ -194,6 +194,11 @@ def schedule_from_json(text: str) -> CellSchedule:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ScheduleError(f"invalid schedule JSON: {exc}") from None
+    return schedule_from_pairs(data)
+
+
+def schedule_from_pairs(data: object) -> CellSchedule:
+    """A schedule from decoded JSON [length, hidden] pairs; non-integer entries raise."""
     if not isinstance(data, list):
         raise ScheduleError("schedule JSON must be an array of [length, hidden] pairs")
     for seg in data:

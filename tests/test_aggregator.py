@@ -16,7 +16,14 @@ from longmem.aggregator import (
     ema_update,
     run_dataset,
 )
-from longmem.embeddings import OOV_ID, OovPolicy, SymbolSequence, lookup_sequence, pad_to_length
+from longmem.embeddings import (
+    OOV_ID,
+    EmbeddingTable,
+    OovPolicy,
+    SymbolSequence,
+    lookup_sequence,
+    pad_to_length,
+)
 from longmem.errors import (
     DimensionMismatchError,
     DomainError,
@@ -196,6 +203,19 @@ def test_run_dataset_skips_all_oov_rows_under_skip_policy():
     config = EstimatorConfig(pad_length=256)
     result = run_dataset(seqs, table, config, OovPolicy.SKIP, LearningRateSchedule(), batch_size=4)
     assert (result.n_estimated, result.n_skipped) == (3, 1)
+
+
+def test_padding_a_series_with_a_mean_fakes_no_memory():
+    # white noise offset by +1: zero-padding 768 rows to 1024 would add a
+    # step at the pad edge, which the fit reads as low-frequency power
+    rng = np.random.default_rng(4242)
+    table = EmbeddingTable(vectors=1.0 + rng.standard_normal((512, 3)))
+    ids = rng.integers(0, 512, size=(100, 768))
+    config = EstimatorConfig(pad_length=1024)
+    result = run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=25)
+    assert result.n_estimated == 100
+    assert np.max(np.abs(result.pooled.d)) <= 0.02  # the criterion-3 bound
+    assert np.max(np.abs(result.state.d_hat)) <= 0.02
 
 
 def test_run_dataset_config_errors_raise_once():

@@ -107,6 +107,18 @@ def test_synth_inconsistent_d_and_hurst(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--vocab", "8"]], ids=["csv", "vocab"])
+def test_synth_zero_count_is_arg_error(tmp_path, capsys, extra):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        ["synth", "--model", "white", "--length", "64", "--count", "0", "--out", str(out), *extra],
+        capsys,
+    )
+    assert code == 2
+    assert "--count" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_consistent_d_and_hurst_accepted(tmp_path, capsys):
     code, out, _ = run_cli(
         ["synth", "--model", "fgn", "--d", "0.4", "--hurst", "0.9",
@@ -226,6 +238,20 @@ def test_estimate_rejects_non_power_of_two_pad(tmp_path, capsys):
     )
     assert code == 2
     assert "power of two" in err
+
+
+@pytest.mark.parametrize("chunk_len", ["0", "-3"])
+def test_estimate_non_positive_chunk_len_is_arg_error(tmp_path, capsys, chunk_len):
+    corpus, table = _make_corpus(tmp_path, capsys, count="2")
+    report = tmp_path / "r.json"
+    code, _, err = run_cli(
+        ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+         "--pad-length", "64", "--chunk-len", chunk_len, "--out", str(report)],
+        capsys,
+    )
+    assert code == 2
+    assert "--chunk-len" in err
+    assert not report.exists()
 
 
 def test_estimate_zero_estimable_sequences_is_runtime_error(tmp_path, capsys):

@@ -126,7 +126,9 @@ def test_pad_to_length_prepends_zeros():
     padded = pad_to_length(series, 5)
     assert padded.length == 5
     assert np.array_equal(padded.values[:2], np.zeros((2, 2)))
-    assert np.array_equal(padded.values[2:], series.values)
+    # demeaned over its own rows, so the pad adds no step; the input is untouched
+    assert np.array_equal(padded.values[2:], [[-2.0, -2.0], [0.0, 0.0], [2.0, 2.0]])
+    assert np.array_equal(series.values, np.arange(6.0).reshape(3, 2))
 
 
 def test_pad_to_length_noop_when_equal():

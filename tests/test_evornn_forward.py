@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -310,21 +311,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     )
     path = tmp_path / "model.json"
     save_checkpoint(model, str(path))
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2
+    assert payload["schedules"] == [[[3, 2], [2, 4]]] * 2
+    assert list(payload["tensors"]) == [name for name, _ in model.named_tensors()]
     loaded = load_checkpoint(str(path))
     assert loaded.horizon == 2
-    assert np.array_equal(loaded.input_table, model.input_table)
-    assert np.array_equal(loaded.output_table, model.output_table)
-    assert np.array_equal(loaded.decoder_w, model.decoder_w)
-    for la, lb in zip(loaded.layers, model.layers):
-        assert la.schedule == lb.schedule
-        assert np.array_equal(la.init_state, lb.init_state)
-        for ca, cb in zip(la.cells, lb.cells):
-            for ta, tb in zip(ca.tensors(), cb.tensors()):
-                assert np.array_equal(ta, tb)
-        for ma, mb in zip(la.projections, lb.projections):
-            assert (ma is None) == (mb is None)
-            if ma is not None:
-                assert np.array_equal(ma, mb)
+    assert [layer.schedule for layer in loaded.layers] == [layer.schedule for layer in model.layers]
+    for (name, a), (_, b) in zip(loaded.named_tensors(), model.named_tensors(), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     # forward passes agree exactly
     ids = np.array([[1, 2, 3, 4, 5, 6, 7]])
     assert np.array_equal(
@@ -332,9 +327,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     )
 
 
+def _saved_payload(tmp_path, schedule=((3, 2), (2, 4)), num_layers=1):
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(schedule),
+        decoder_dim=5, horizon=1, num_layers=num_layers, seed=0,
+    )
+    path = tmp_path / "model.json"
+    save_checkpoint(model, str(path))
+    return path, json.loads(path.read_text())
+
+
 def test_checkpoint_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else", "version": 1}')
+    path.write_text('{"format": "something-else", "version": 2}')
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
     path.write_text("{truncated")
@@ -342,24 +347,28 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_version_1_is_unsupported(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({
+        "format": "evornn-checkpoint", "version": 1, "horizon": 0,
+        "input_table": {"shape": [1, 1], "data": [0.0]}, "layers": [],
+    }))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize(
     "keys",
     [
-        ("layers",),
+        ("schedules",),
         ("horizon",),
-        ("layers", 0, "cells", 1, "input_dim"),
-        ("layers", 0, "cells", 0, "b_reset"),
+        ("tensors", "input_table"),
+        ("tensors", "layer0.cell0.b_reset"),
     ],
-    ids=["layers", "horizon", "input_dim", "b_reset"],
+    ids=["schedules", "horizon", "input_table", "b_reset"],
 )
 def test_checkpoint_missing_field_is_checkpoint_error(tmp_path, keys):
-    model = build_model(
-        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
-        decoder_dim=5, horizon=1, seed=0,
-    )
-    path = tmp_path / "model.json"
-    save_checkpoint(model, str(path))
-    payload = json.loads(path.read_text())
+    path, payload = _saved_payload(tmp_path)
     parent = payload
     for key in keys[:-1]:
         parent = parent[key]
@@ -373,25 +382,84 @@ def test_checkpoint_missing_field_is_checkpoint_error(tmp_path, keys):
     "edit",
     [
         lambda payload: [payload],
-        lambda payload: payload.update(layers=5),
+        lambda payload: payload.update(schedules=5),
         lambda payload: payload.update(horizon="x"),
-        lambda payload: payload["layers"][0].update(schedule="x"),
-        lambda payload: payload["input_table"].update(shape="ab"),
+        lambda payload: payload["schedules"].__setitem__(0, "x"),
+        lambda payload: payload["tensors"]["input_table"].update(shape="ab"),
+        lambda payload: payload.update(tensors=[]),
+        lambda payload: payload["tensors"]["decoder_b"].update(data=["1"] * 5),
+        lambda payload: payload["tensors"].update(extra={"shape": [1], "data": [0.0]}),
+        lambda payload: payload["tensors"]["layer0.init_state"].update(shape=[1, 2], data=[0.0, 0.0]),
     ],
-    ids=["array", "layers", "horizon", "schedule", "shape"],
+    ids=["array", "schedules", "horizon", "schedule", "shape", "tensors", "data", "extra", "reshaped"],
 )
 def test_checkpoint_wrong_type_is_checkpoint_error(tmp_path, edit):
-    model = build_model(
-        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
-        decoder_dim=5, horizon=1, seed=0,
-    )
-    path = tmp_path / "model.json"
-    save_checkpoint(model, str(path))
-    payload = json.loads(path.read_text())
+    path, payload = _saved_payload(tmp_path)
     edited = edit(payload)
     path.write_text(json.dumps(payload if edited is None else edited))
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "huge"]
+)
+@pytest.mark.parametrize(
+    "name",
+    [
+        "input_table",
+        "layer0.cell0.w_update",
+        "layer1.cell1.b_candidate",
+        "layer1.projection0",
+        "layer0.init_state",
+        "decoder_w",
+        "decoder_b",
+        "output_table",
+    ],
+)
+def test_checkpoint_non_finite_tensor_is_checkpoint_error(tmp_path, name, value):
+    path, payload = _saved_payload(tmp_path, num_layers=2)
+    payload["tensors"][name]["data"][-1] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=f"{name}.*finite"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "segment, position, value",
+    [(0, 0, 3.0), (0, 1, 2.0), (0, 0, 2.7), (1, 0, True)],
+    ids=["float-length", "float-hidden", "fraction", "bool"],
+)
+def test_checkpoint_schedule_entries_must_be_integers(tmp_path, segment, position, value):
+    # each edit would read back as the saved schedule if truncated to int
+    path, payload = _saved_payload(tmp_path, schedule=((3, 2), (1, 4)))
+    payload["schedules"][0][segment][position] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="integer pairs"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload["tensors"]["input_table"].update(shape=[4096, 4096]),
+        lambda payload: payload["schedules"][0][1].__setitem__(1, 4096),
+    ],
+    ids=["shape", "schedule"],
+)
+def test_checkpoint_declared_sizes_are_checked_before_allocation(tmp_path, edit):
+    # honoring either edit would allocate 128 MB or more for a 2 kB file
+    path, payload = _saved_payload(tmp_path)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_checkpoint_write_failure_leaves_no_file(tmp_path, monkeypatch):
