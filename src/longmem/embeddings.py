@@ -194,10 +194,8 @@ def embed_ids(
 
 
 def _demean(values: np.ndarray) -> np.ndarray:
-    """Subtract its column means from a C-contiguous T x p array, in place.
-    A matrix-vector product and a pass over the flat view take a fraction of
-    the time of numpy's axis-0 loops when p is small."""
-    flat = values.reshape(-1)  # a view: `values` is C-contiguous
+    """Subtract its column means from a C-contiguous T x p array, in place."""
+    flat = values.reshape(-1)  # a view; one pass over it beats numpy's axis-0 loops for small p
     flat -= np.tile(np.ones(len(values)) @ values / len(values), len(values))
     return values
 

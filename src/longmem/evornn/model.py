@@ -130,34 +130,56 @@ def build_model(
     )
 
 
-def zero_model(
-    schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int, horizon: int
-) -> ModelParams:
-    """An all-zero model with one layer per schedule: the structure that
-    gradients and loaded checkpoints take.
+def model_shapes(
+    schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor of a model with one layer per schedule, by
+    its `named_tensors` name and in that order. Nothing is allocated.
 
     Layer 0's cells read `emb_dim` inputs; layer i's cell in a segment reads
     the hidden size of layer i-1's cell in the same segment.
     """
     if min(vocab_size, emb_dim, decoder_dim) < 1 or not schedules:
         raise DomainError("vocab, dims, and layer count must be positive")
-    layers, input_dims = [], [emb_dim] * len(schedules[0].segments)
-    for schedule in schedules:
+    if len({tuple(length for length, _ in s.segments) for s in schedules}) > 1:
+        raise ScheduleError("all layers must share identical segment boundaries")
+    shapes = {"input_table": (vocab_size, emb_dim)}
+    input_dims = [emb_dim] * len(schedules[0].segments)
+    for i, schedule in enumerate(schedules):
         sizes = schedule.hidden_sizes
-        cells = [
-            GruCellParams(m, n, *[np.zeros(shape) for shape in ((m + n, n), (n,)) * 3])
-            for m, n in zip(input_dims, sizes)
-        ]
-        projections = [None if a == b else np.zeros((b, a)) for a, b in zip(sizes, sizes[1:])]
-        layers.append(EvoRnnLayer(schedule, cells, projections, np.zeros(sizes[0])))
+        for s, (m, n) in enumerate(zip(input_dims, sizes)):
+            for name in TENSOR_NAMES:
+                shapes[f"layer{i}.cell{s}.{name}"] = (m + n, n) if name.startswith("w_") else (n,)
+        for b, (old, new) in enumerate(zip(sizes, sizes[1:])):
+            if old != new:
+                shapes[f"layer{i}.projection{b}"] = (new, old)
+        shapes[f"layer{i}.init_state"] = (sizes[0],)
         input_dims = sizes
+    shapes.update(decoder_w=(input_dims[-1], decoder_dim), decoder_b=(decoder_dim,))
+    shapes["output_table"] = (vocab_size, decoder_dim)
+    return shapes
+
+
+def zero_model(
+    schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int, horizon: int
+) -> ModelParams:
+    """An all-zero model of the `model_shapes` structure: the twin that
+    gradients take and the frame a checkpoint is read into."""
+    zeros = {
+        name: np.zeros(shape)
+        for name, shape in model_shapes(schedules, vocab_size, emb_dim, decoder_dim).items()
+    }
+    layers = []
+    for i, schedule in enumerate(schedules):
+        cells = []
+        for s, n in enumerate(schedule.hidden_sizes):
+            tensors = [zeros[f"layer{i}.cell{s}.{name}"] for name in TENSOR_NAMES]
+            cells.append(GruCellParams(len(tensors[0]) - n, n, *tensors))
+        projections = [zeros.get(f"layer{i}.projection{b}") for b in range(len(cells) - 1)]
+        layers.append(EvoRnnLayer(schedule, cells, projections, zeros[f"layer{i}.init_state"]))
     return ModelParams(
-        input_table=np.zeros((vocab_size, emb_dim)),
-        layers=layers,
-        decoder_w=np.zeros((input_dims[-1], decoder_dim)),
-        decoder_b=np.zeros(decoder_dim),
-        output_table=np.zeros((vocab_size, decoder_dim)),
-        horizon=horizon,
+        zeros["input_table"], layers, zeros["decoder_w"], zeros["decoder_b"], zeros["output_table"],
+        horizon,
     )
 
 
@@ -304,11 +326,11 @@ def save_checkpoint(model: ModelParams, path: str) -> None:
 def load_checkpoint(path: str) -> ModelParams:
     """Read a `save_checkpoint` file; every defect raises `CheckpointError`.
 
-    Every tensor's data length is checked against its declared shape before
-    anything is allocated. The zero model of the schedules, with dims read
-    from the `input_table` and `decoder_b` shapes, then names the tensors
-    the file must hold; each is copied in after one shape and finiteness
-    check.
+    Every tensor's data length is checked against its declared shape, and
+    every declared shape against the `model_shapes` of the schedules, with
+    dims read from the `input_table` and `decoder_b` shapes, before anything
+    is allocated. The zero model is then built and each tensor copied in
+    after a finiteness check.
     """
     with open(path, encoding="utf-8") as stream:
         try:
@@ -335,22 +357,20 @@ def load_checkpoint(path: str) -> ModelParams:
         shapes[name] = tuple(shape)
     if len(shapes.get("input_table", ())) != 2 or len(shapes.get("decoder_b", ())) != 1:
         raise CheckpointError("checkpoint needs a 2-D 'input_table' and a 1-D 'decoder_b'")
+    dims = (*shapes["input_table"], *shapes["decoder_b"])
     try:
         schedules = [schedule_from_pairs(pairs) for pairs in schedules]
-        # each cell holds at least n * n weights: a file cannot ask for more than it carries
-        if sum(n * n for s in schedules for n in s.hidden_sizes) > sum(map(math.prod, shapes.values())):
-            raise ScheduleError("the schedules need more values than the checkpoint holds")
-        model = zero_model(schedules, *shapes["input_table"], *shapes["decoder_b"], horizon)
+        expected = model_shapes(schedules, *dims)
+        wrong = sorted(n for n in expected.keys() | shapes.keys() if expected.get(n) != shapes.get(n))
+        if wrong:
+            raise DimensionMismatchError(f"tensors missing, extra or of another shape: {wrong[:4]}")
+        model = zero_model(schedules, *dims, horizon)
     except LongmemError as exc:
         raise CheckpointError(f"checkpoint describes no valid model: {exc}") from None
     for name, tensor in model.named_tensors():
-        if shapes.pop(name, None) != tensor.shape:
-            raise CheckpointError(f"tensor {name!r} is missing or not of shape {tensor.shape}")
         data = entries[name]["data"]
         # rejects NaN, infinities and integers beyond the float range alike
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in data):
             raise CheckpointError(f"tensor {name!r} must hold finite numbers")
         tensor[...] = np.array(data, dtype=np.float64).reshape(tensor.shape)
-    if shapes:
-        raise CheckpointError(f"checkpoint has tensors the model lacks: {sorted(shapes)}")
     return model

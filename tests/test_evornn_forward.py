@@ -439,16 +439,30 @@ def test_checkpoint_schedule_entries_must_be_integers(tmp_path, segment, positio
         load_checkpoint(str(path))
 
 
+def _long_tables(payload):
+    # a 4096-row input table and a 4096-wide decoder: the output table needs 4096 x 4096
+    payload["tensors"]["input_table"] = {"shape": [4096, 1], "data": [0.0] * 4096}
+    payload["tensors"]["decoder_b"] = {"shape": [4096], "data": [0.0] * 4096}
+
+
+def _wide_input(payload):
+    # 8192 input dims into 64-wide cells: the first cell weights need 3 x 8256 x 64
+    payload["tensors"]["input_table"] = {"shape": [1, 8192], "data": [0.0] * 8192}
+    payload["schedules"] = [[[3, 64], [2, 64]]]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda payload: payload["tensors"]["input_table"].update(shape=[4096, 4096]),
         lambda payload: payload["schedules"][0][1].__setitem__(1, 4096),
+        _long_tables,
+        _wide_input,
     ],
-    ids=["shape", "schedule"],
+    ids=["shape", "schedule", "long-tables", "wide-input"],
 )
 def test_checkpoint_declared_sizes_are_checked_before_allocation(tmp_path, edit):
-    # honoring either edit would allocate 128 MB or more for a 2 kB file
+    # honoring any edit would allocate 12 MB or more for a file of at most 50 kB
     path, payload = _saved_payload(tmp_path)
     edit(payload)
     path.write_text(json.dumps(payload))

@@ -16,7 +16,7 @@ from longmem.evornn import (
 )
 from longmem.evornn.cell import gru_backward_batch, gru_forward_batch, zero_cell_grads
 from longmem.evornn.layer import EvoRnnLayer, evo_backward_batch, evo_forward_batch, segment_of_step
-from longmem.evornn.model import rows_by_id
+from longmem.evornn.model import model_shapes, rows_by_id
 from longmem.evornn.train import TrainConfig, clip_global_norm, zero_grads
 from longmem.schedule import CellSchedule
 
@@ -99,6 +99,9 @@ def test_zero_grads_pair_every_tensor_with_a_zero_twin():
     # 2 layers x (3 cells x 6 tensors + 1 projection + init state), tables, decoder
     assert len(pairs) == 2 * (3 * 6 + 1 + 1) + 4
     assert "layer1.projection0" in names and "layer1.projection1" not in names
+    # the shapes a checkpoint is checked against name the same tensors in the same order
+    shapes = model_shapes([layer.schedule for layer in model.layers], 8, 4, 3)
+    assert [(name, param.shape) for name, param, _ in pairs] == list(shapes.items())
     for name, param, grad in pairs:
         assert grad is not param, name
         assert grad.shape == param.shape, name

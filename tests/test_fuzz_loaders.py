@@ -1,8 +1,11 @@
-"""The three file loaders under malformed input: only a `LongmemError` escapes."""
+"""The three file loaders under malformed input: only a `LongmemError`
+escapes, and a checkpoint cannot make the loader allocate far more than
+the file holds."""
 
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,11 +60,20 @@ def _random_node(data, payload):
 
 def _mutate(data, payload):
     """One edit of a decoded checkpoint: replace or delete a random node,
-    replace a top-level field, declare a huge shape, or write a non-finite
-    value."""
+    replace a top-level field, declare a huge shape, write a non-finite
+    value, or resize the two tensors that set the model's dims, with their
+    data."""
     tensors = payload.get("tensors") if isinstance(payload, dict) else None
     names = sorted(tensors) if isinstance(tensors, dict) else []
-    kind = data.draw(st.sampled_from(["replace", "delete", "field", "shape", "value"]))
+    kind = data.draw(st.sampled_from(["replace", "delete", "field", "shape", "value", "resize"]))
+    if kind == "resize" and names:
+        rows = data.draw(st.integers(1, 4096))
+        for name, shape in (
+            ("input_table", [rows, data.draw(st.integers(1, 4096 // rows))]),
+            ("decoder_b", [data.draw(st.integers(1, 4096))]),
+        ):
+            tensors[name] = {"shape": shape, "data": [0.0] * math.prod(shape)}
+        return payload
     if kind == "field" and isinstance(payload, dict):
         payload[data.draw(st.sampled_from(sorted(payload) or ["horizon"]))] = data.draw(JSON_VALUES)
         return payload
@@ -93,6 +105,17 @@ def _returns_or_raises_longmem_error(load):
         pass
 
 
+def _checkpoint_load_stays_small(path):
+    # a file of at most 4096 x 2 values may not make the loader allocate much more
+    tracemalloc.start()
+    try:
+        _returns_or_raises_longmem_error(lambda: load_checkpoint(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_loaders_raise_only_longmem_errors(valid_checkpoint, data):
@@ -106,4 +129,4 @@ def test_loaders_raise_only_longmem_errors(valid_checkpoint, data):
     for _ in range(data.draw(st.integers(1, 3))):
         payload = _mutate(data, payload)
         path.write_text(json.dumps(payload))
-        _returns_or_raises_longmem_error(lambda: load_checkpoint(str(path)))
+        _checkpoint_load_stays_small(path)
