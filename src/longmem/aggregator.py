@@ -13,6 +13,7 @@ floating-point fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -57,8 +58,8 @@ class LearningRateSchedule:
     def __post_init__(self):
         if not 0.0 < self.alpha0 <= 1.0:
             raise DomainError(f"alpha0 must lie in (0, 1], got {self.alpha0}")
-        if self.tau <= 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError(f"tau must be positive and finite, got {self.tau}")
 
     def alpha(self, step: int) -> float:
         return self.alpha0 * self.tau / (self.tau + step)

@@ -175,7 +175,7 @@ def cmd_synth(args, parser) -> int:
         else:
             series = generate_white(args.length, seed)
         series_list.append(series)
-    if args.vocab:
+    if args.vocab is not None:
         table = normal_bucket_table(args.vocab)
         lines = []
         for series in series_list:
@@ -215,18 +215,15 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _load_schedule_arg(args, parser) -> CellSchedule:
+def _load_schedule_arg(args) -> CellSchedule:
     if args.preset:
-        try:
-            return build_preset(args.preset)
-        except LongmemError as exc:
-            parser.error(str(exc))
+        return build_preset(args.preset)
     with open(args.file, encoding="utf-8") as stream:
         return schedule_from_json(stream.read())
 
 
 def cmd_schedule_cost(args, parser) -> int:
-    schedule = _load_schedule_arg(args, parser)
+    schedule = _load_schedule_arg(args)
     total = cost_multiply_adds(schedule)
     print("segment length hidden cost")
     for index, (length, hidden) in enumerate(schedule.segments):

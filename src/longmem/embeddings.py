@@ -179,17 +179,21 @@ def embed_ids(
         raise DomainError(
             f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
         )
-    substitute = table.mean_vector if policy is OovPolicy.MEAN else np.zeros(table.dim)
-    # row V is the padding; OOV_ID (-1) gathers the last row, the substitute
-    rows = np.vstack([table.vectors, np.zeros(table.dim), substitute])
     keep = ids != OOV_ID if policy is OovPolicy.SKIP else np.ones(ids.shape, dtype=bool)
     kept = keep.sum(axis=1)
     columns = length - kept[:, None] + np.cumsum(keep, axis=1) - 1
-    padded = np.full((ids.shape[0], length), table.vocab_size, dtype=np.intp)
+    padded = np.zeros((ids.shape[0], length), dtype=np.intp)
     padded[np.nonzero(keep)[0], columns[keep]] = ids[keep]
-    block = rows[padded]
-    for b in np.flatnonzero((kept > 0) & (kept < length)):
-        _demean(block[b, length - kept[b] :])
+    # the pad and OOV_ID (-1) gather row 0 here, without copying the table
+    block = table.vectors.take(padded, axis=0, mode="clip")
+    if policy is not OovPolicy.SKIP:
+        oov = padded == OOV_ID
+        if oov.any():
+            block[oov] = table.mean_vector if policy is OovPolicy.MEAN else 0.0
+    for b in np.flatnonzero(kept < length):
+        block[b, : length - kept[b]] = 0.0
+        if kept[b]:
+            _demean(block[b, length - kept[b] :])
     return block, kept
 
 

@@ -3,8 +3,8 @@
 Public surface of the recurrent-model subpackage.
 """
 
-from .cell import GruCellParams, init_cell
-from .layer import EvoRnnLayer, identity_like, init_layer
+from .cell import GruCellParams
+from .layer import EvoRnnLayer
 from .model import (
     ModelParams,
     build_model,
@@ -26,10 +26,7 @@ from .train import (
 
 __all__ = [
     "GruCellParams",
-    "init_cell",
     "EvoRnnLayer",
-    "identity_like",
-    "init_layer",
     "ModelParams",
     "build_model",
     "forward_with_caches",

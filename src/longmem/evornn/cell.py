@@ -55,22 +55,6 @@ class GruCellParams:
         return [getattr(self, name) for name in TENSOR_NAMES]
 
 
-def init_cell(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> GruCellParams:
-    """Uniform init in [-1/sqrt(m+n), 1/sqrt(m+n)] for matrices, zero biases."""
-    scale = 1.0 / np.sqrt(input_dim + hidden_dim)
-    shape = (input_dim + hidden_dim, hidden_dim)
-    return GruCellParams(
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        w_update=rng.uniform(-scale, scale, shape),
-        b_update=np.zeros(hidden_dim),
-        w_reset=rng.uniform(-scale, scale, shape),
-        b_reset=np.zeros(hidden_dim),
-        w_candidate=rng.uniform(-scale, scale, shape),
-        b_candidate=np.zeros(hidden_dim),
-    )
-
-
 def zero_cell_grads(cell: GruCellParams) -> list[np.ndarray]:
     return [np.zeros_like(t) for t in cell.tensors()]
 

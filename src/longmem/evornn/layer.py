@@ -17,13 +17,13 @@ over its stacked rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, DomainError, ScheduleError
+from ..errors import DimensionMismatchError, DomainError
 from ..schedule import CellSchedule, lookup_cell
-from .cell import GruCellParams, gru_backward_run, gru_forward_run, init_cell
+from .cell import GruCellParams, gru_backward_run, gru_forward_run
 
 
 @dataclass
@@ -31,97 +31,14 @@ class EvoRnnLayer:
     """One GRU cell per schedule segment and one projection slot per boundary.
 
     `projections[b]` reconciles segment b to segment b+1: shape
-    (n_{b+1}, n_b), or None for an identity boundary (equal sizes).
+    (n_{b+1}, n_b), or None for an identity boundary (equal sizes). The
+    `ModelParams` holding the layer checks these shapes (`model_shapes`).
     """
 
     schedule: CellSchedule
     cells: list[GruCellParams]
     projections: list[Optional[np.ndarray]]
     init_state: np.ndarray
-
-    def __post_init__(self):
-        segments = self.schedule.segments
-        if len(self.cells) != len(segments):
-            raise ScheduleError(
-                f"need one cell per segment: {len(self.cells)} cells for "
-                f"{len(segments)} segments"
-            )
-        for cell, (_, hidden) in zip(self.cells, segments):
-            if cell.hidden_dim != hidden:
-                raise DimensionMismatchError(
-                    f"cell hidden dim {cell.hidden_dim} does not match segment size {hidden}"
-                )
-        if len(self.projections) != len(segments) - 1:
-            raise ScheduleError(
-                f"need one projection slot per boundary: "
-                f"{len(self.projections)} for {len(segments) - 1} boundaries"
-            )
-        for b, matrix in enumerate(self.projections):
-            n_old, n_new = segments[b][1], segments[b + 1][1]
-            if n_old == n_new:
-                if matrix is not None:
-                    raise ScheduleError(
-                        f"boundary {b} has equal sizes; projection must be the identity marker"
-                    )
-            else:
-                if matrix is None:
-                    raise ScheduleError(
-                        f"boundary {b} changes size {n_old} -> {n_new}; projection required"
-                    )
-                matrix = np.asarray(matrix, dtype=np.float64)
-                if matrix.shape != (n_new, n_old):
-                    raise DimensionMismatchError(
-                        f"boundary {b} projection must have shape ({n_new}, {n_old}), "
-                        f"got {matrix.shape}"
-                    )
-                self.projections[b] = matrix
-        init = np.asarray(self.init_state, dtype=np.float64)
-        if init.shape != (segments[0][1],):
-            raise DimensionMismatchError(
-                f"init state must have the earliest segment's dim ({segments[0][1]},), "
-                f"got {init.shape}"
-            )
-        self.init_state = init
-
-
-def identity_like(n_new: int, n_old: int) -> np.ndarray:
-    """Projection that copies overlapping coordinates and zeros the rest."""
-    matrix = np.zeros((n_new, n_old))
-    k = min(n_new, n_old)
-    matrix[:k, :k] = np.eye(k)
-    return matrix
-
-
-def init_layer(
-    schedule: CellSchedule,
-    input_dims: int | Sequence[int],
-    rng: np.random.Generator,
-) -> EvoRnnLayer:
-    """Build a layer with fresh cells and identity-like boundary projections.
-
-    `input_dims` is one integer (same input width at every segment) or one
-    per segment (stacked layers feed segment-dependent widths).
-    """
-    segments = schedule.segments
-    if isinstance(input_dims, int):
-        dims = [input_dims] * len(segments)
-    else:
-        dims = list(input_dims)
-        if len(dims) != len(segments):
-            raise ScheduleError(
-                f"need one input dim per segment: {len(dims)} for {len(segments)}"
-            )
-    cells = [init_cell(m, n, rng) for m, (_, n) in zip(dims, segments)]
-    projections: list[Optional[np.ndarray]] = []
-    for b in range(len(segments) - 1):
-        n_old, n_new = segments[b][1], segments[b + 1][1]
-        projections.append(None if n_old == n_new else identity_like(n_new, n_old))
-    return EvoRnnLayer(
-        schedule=schedule,
-        cells=cells,
-        projections=projections,
-        init_state=np.zeros(segments[0][1]),
-    )
 
 
 def segment_of_step(t: int, length: int, schedule: CellSchedule) -> int:

@@ -24,7 +24,7 @@ from ..errors import CheckpointError, DimensionMismatchError, DomainError, Longm
 from ..fileio import atomic_write_text
 from ..schedule import CellSchedule, schedule_from_pairs
 from .cell import TENSOR_NAMES, GruCellParams
-from .layer import EvoRnnLayer, LayerForward, evo_forward_batch, init_layer
+from .layer import EvoRnnLayer, LayerForward, evo_forward_batch
 
 CHECKPOINT_FORMAT = "evornn-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -35,7 +35,8 @@ class ModelParams:
     """Parameters of the full symbol-prediction model.
 
     The embedding tables are raw (V, dim) matrices: rows are updated in
-    place during training.
+    place during training. Every tensor must have its `model_shapes` shape,
+    with the dims read from `input_table` and `decoder_b`.
     """
 
     input_table: np.ndarray
@@ -46,31 +47,12 @@ class ModelParams:
     horizon: int
 
     def __post_init__(self):
-        if not self.layers:
-            raise ScheduleError("model needs at least one layer")
         if self.horizon < 0:
             raise DomainError(f"horizon must be >= 0, got {self.horizon}")
-        boundaries = self.layers[0].schedule.segments
-        for layer in self.layers[1:]:
-            if tuple(length for length, _ in layer.schedule.segments) != tuple(
-                length for length, _ in boundaries
-            ):
-                raise ScheduleError("all layers must share identical segment boundaries")
-        self.input_table = np.asarray(self.input_table, dtype=np.float64)
-        self.output_table = np.asarray(self.output_table, dtype=np.float64)
-        self.decoder_w = np.asarray(self.decoder_w, dtype=np.float64)
-        self.decoder_b = np.asarray(self.decoder_b, dtype=np.float64)
-        top_hidden = self.layers[-1].schedule.segments[-1][1]
-        if self.decoder_w.shape != (top_hidden, self.decoder_b.size):
-            raise DimensionMismatchError(
-                f"decoder weight must map the top hidden size {top_hidden} to the "
-                f"decoder output size {self.decoder_b.size}, got {self.decoder_w.shape}"
-            )
-        if self.output_table.shape[1] != self.decoder_b.size:
-            raise DimensionMismatchError(
-                f"output table dim {self.output_table.shape[1]} must equal decoder "
-                f"output size {self.decoder_b.size}"
-            )
+        check_shapes(
+            [layer.schedule for layer in self.layers],
+            {name: np.shape(tensor) for name, tensor in self.named_tensors()},
+        )
 
     @property
     def vocab_size(self) -> int:
@@ -109,25 +91,30 @@ def build_model(
     num_layers: int = 1,
     seed: int = 0,
 ) -> ModelParams:
-    """Fresh model with one GRU per (layer, segment) and tied boundaries."""
-    if vocab_size < 1 or emb_dim < 1 or decoder_dim < 1 or num_layers < 1:
-        raise DomainError("vocab, dims, and layer count must be positive")
+    """Fresh model with one GRU per (layer, segment) and tied boundaries.
+
+    Gate matrices are uniform in +-1/sqrt(m+n), drawn per layer and per cell;
+    biases and initial states are zero, and each projection copies the
+    overlapping coordinates. Then `input_table`, `decoder_w` and
+    `output_table` are uniform in +-1/sqrt(d), d being the dim each maps
+    from: `emb_dim`, the top hidden size and `decoder_dim`.
+    """
+    model = zero_model([schedule] * num_layers, vocab_size, emb_dim, decoder_dim, horizon)
     rng = np.random.default_rng(seed)
-    layers = []
-    lower_dims: list[int] | int = emb_dim
-    for _ in range(num_layers):
-        layer = init_layer(schedule, lower_dims, rng)
-        layers.append(layer)
-        lower_dims = list(schedule.hidden_sizes)
+    for layer in model.layers:
+        for cell in layer.cells:
+            scale = 1.0 / np.sqrt(cell.input_dim + cell.hidden_dim)
+            for matrix in (cell.w_update, cell.w_reset, cell.w_candidate):
+                matrix[...] = rng.uniform(-scale, scale, matrix.shape)
+        for matrix in layer.projections:
+            if matrix is not None:
+                np.fill_diagonal(matrix, 1.0)
     top_hidden = schedule.segments[-1][1]
-    return ModelParams(
-        input_table=rng.uniform(-1, 1, (vocab_size, emb_dim)) / np.sqrt(emb_dim),
-        layers=layers,
-        decoder_w=rng.uniform(-1, 1, (top_hidden, decoder_dim)) / np.sqrt(top_hidden),
-        decoder_b=np.zeros(decoder_dim),
-        output_table=rng.uniform(-1, 1, (vocab_size, decoder_dim)) / np.sqrt(decoder_dim),
-        horizon=horizon,
-    )
+    for matrix, width in (
+        (model.input_table, emb_dim), (model.decoder_w, top_hidden), (model.output_table, decoder_dim)
+    ):
+        matrix[...] = rng.uniform(-1, 1, matrix.shape) / np.sqrt(width)
+    return model
 
 
 def model_shapes(
@@ -158,6 +145,19 @@ def model_shapes(
     shapes.update(decoder_w=(input_dims[-1], decoder_dim), decoder_b=(decoder_dim,))
     shapes["output_table"] = (vocab_size, decoder_dim)
     return shapes
+
+
+def check_shapes(schedules: Sequence[CellSchedule], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise unless `shapes` (by `named_tensors` name) are exactly the
+    `model_shapes` of `schedules`, with the vocabulary and embedding dims read
+    from the `input_table` shape and the decoder dim from `decoder_b`'s."""
+    table, bias = shapes.get("input_table", ()), shapes.get("decoder_b", ())
+    if len(table) != 2 or len(bias) != 1:
+        raise DimensionMismatchError("a model needs a 2-D 'input_table' and a 1-D 'decoder_b'")
+    expected = model_shapes(schedules, *table, *bias)
+    wrong = sorted(n for n in expected.keys() | shapes.keys() if expected.get(n) != shapes.get(n))
+    if wrong:
+        raise DimensionMismatchError(f"tensors missing, extra or of another shape: {wrong[:4]}")
 
 
 def zero_model(
@@ -327,10 +327,9 @@ def load_checkpoint(path: str) -> ModelParams:
     """Read a `save_checkpoint` file; every defect raises `CheckpointError`.
 
     Every tensor's data length is checked against its declared shape, and
-    every declared shape against the `model_shapes` of the schedules, with
-    dims read from the `input_table` and `decoder_b` shapes, before anything
-    is allocated. The zero model is then built and each tensor copied in
-    after a finiteness check.
+    the declared shapes against the schedules (`check_shapes`), before
+    anything is allocated. The zero model is then built and each tensor
+    copied in after a finiteness check.
     """
     with open(path, encoding="utf-8") as stream:
         try:
@@ -355,16 +354,10 @@ def load_checkpoint(path: str) -> ModelParams:
         ):
             raise CheckpointError(f"tensor {name!r} needs a list of sizes and as many values")
         shapes[name] = tuple(shape)
-    if len(shapes.get("input_table", ())) != 2 or len(shapes.get("decoder_b", ())) != 1:
-        raise CheckpointError("checkpoint needs a 2-D 'input_table' and a 1-D 'decoder_b'")
-    dims = (*shapes["input_table"], *shapes["decoder_b"])
     try:
         schedules = [schedule_from_pairs(pairs) for pairs in schedules]
-        expected = model_shapes(schedules, *dims)
-        wrong = sorted(n for n in expected.keys() | shapes.keys() if expected.get(n) != shapes.get(n))
-        if wrong:
-            raise DimensionMismatchError(f"tensors missing, extra or of another shape: {wrong[:4]}")
-        model = zero_model(schedules, *dims, horizon)
+        check_shapes(schedules, shapes)
+        model = zero_model(schedules, *shapes["input_table"], *shapes["decoder_b"], horizon)
     except LongmemError as exc:
         raise CheckpointError(f"checkpoint describes no valid model: {exc}") from None
     for name, tensor in model.named_tensors():

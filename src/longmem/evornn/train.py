@@ -8,6 +8,7 @@ SGD updates. Loss is reported per labeled position, comparable to log V.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -29,9 +30,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DomainError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.clip_norm <= 0:
+        # written so that NaN fails each range check
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise DomainError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        if not self.clip_norm > 0:
             raise DomainError(f"clip norm must be positive, got {self.clip_norm}")
         if self.negatives < 1:
             raise DomainError(f"negative count must be >= 1, got {self.negatives}")

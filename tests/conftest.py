@@ -4,12 +4,27 @@ import numpy as np
 
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.train import TrainConfig
-from longmem.schedule import CellSchedule
+from longmem.schedule import CellSchedule, constant_schedule
 
 REFERENCE_BATCH = [
     ([1, 2, 3, 4, 5], [3]),
     ([7, 0, 1, 6, 2], [0]),
 ]
+
+
+def fresh_layer(schedule: CellSchedule, input_dim: int, seed: int = 0, index: int = 0):
+    """Layer `index` of a fresh `build_model` whose bottom cells read
+    `input_dim` inputs; each upper layer reads the hidden sizes below it."""
+    model = build_model(
+        vocab_size=1, emb_dim=input_dim, schedule=schedule, decoder_dim=1,
+        num_layers=index + 1, seed=seed,
+    )
+    return model.layers[index]
+
+
+def fresh_cell(input_dim: int, hidden_dim: int, seed: int = 0):
+    """A fresh GRU cell reading `input_dim` inputs into `hidden_dim` states."""
+    return fresh_layer(constant_schedule(1, hidden_dim), input_dim, seed).cells[0]
 
 
 def perturbed_reference_model():

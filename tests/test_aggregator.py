@@ -1,6 +1,7 @@
 """Streaming EMA aggregation over per-sequence estimates."""
 
 import io
+import math
 import re
 
 import numpy as np
@@ -48,10 +49,12 @@ def test_schedule_alpha_values():
 
 
 def test_schedule_rejects_bad_params():
-    with pytest.raises(DomainError):
-        LearningRateSchedule(alpha0=0.0)
-    with pytest.raises(DomainError):
-        LearningRateSchedule(tau=-1.0)
+    for alpha0 in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            LearningRateSchedule(alpha0=alpha0)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tau"):
+            LearningRateSchedule(tau=tau)
 
 
 def test_ema_init_defaults_to_zero():

@@ -119,6 +119,18 @@ def test_synth_zero_count_is_arg_error(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("vocab", ["0", "1"])
+def test_synth_vocab_below_two_is_runtime_error(tmp_path, capsys, vocab):
+    out = tmp_path / "v.txt"
+    code, _, err = run_cli(
+        ["synth", "--model", "white", "--length", "8", "--vocab", vocab, "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"error: vocab size must be >= 2, got {vocab}\n"
+    assert not out.exists()
+
+
 def test_synth_consistent_d_and_hurst_accepted(tmp_path, capsys):
     code, out, _ = run_cli(
         ["synth", "--model", "fgn", "--d", "0.4", "--hurst", "0.9",
@@ -265,6 +277,28 @@ def test_estimate_zero_estimable_sequences_is_runtime_error(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--lr", "nan", "learning rate"), ("--clip", "nan", "clip norm"),
+     ("--tau", "nan", "tau"), ("--tau", "inf", "tau")],
+    ids=["lr-nan", "clip-nan", "tau-nan", "tau-inf"],
+)
+def test_non_finite_rate_is_clean_runtime_error(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "out"
+    if flag == "--tau":
+        corpus, table = _make_corpus(tmp_path, capsys, count="2")
+        argv = ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+                "--pad-length", "512", "--out", str(out)]
+    else:
+        argv = ["train-toy", "--schedule", "constant", "--vocab", "8", "--seq-len", "4",
+                "--max-hidden", "4", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
+                "--metrics-out", str(out)]
+    code, _, err = run_cli([*argv, flag, value], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {name} must be")
+    assert not out.exists()
 
 
 def test_estimate_progress_and_spectrum_dump(tmp_path, capsys):

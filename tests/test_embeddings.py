@@ -1,6 +1,7 @@
 """Embedding table parsing, lookup, padding, and chunking."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,23 @@ def test_embed_ids_matches_lookup_and_pad(rows, extra, policy):
             if i != OOV_ID or policy is not OovPolicy.SKIP
         ]
         assert np.array_equal(series.values, np.array(expected))
+
+
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_embed_ids_peak_allocation_does_not_grow_with_the_table(policy):
+    # a 200k x 8 table is 12.8 MB; the padded 4 x 16 block with OOV ids is 4 kB
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(rng.standard_normal((200_000, 8)))
+    ids = rng.integers(0, table.vocab_size, (4, 12))
+    ids[0, 3] = ids[2, :] = OOV_ID
+    tracemalloc.start()
+    try:
+        block, _ = embed_ids(table, ids, policy, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes == 4096
+    assert peak <= 8 * block.nbytes
 
 
 def test_embed_ids_rejects_long_rows_and_unknown_ids():

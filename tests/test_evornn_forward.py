@@ -14,15 +14,10 @@ from longmem.errors import (
     CheckpointError,
     DimensionMismatchError,
     DomainError,
+    LongmemError,
 )
-from longmem.evornn import (
-    build_model,
-    identity_like,
-    init_cell,
-    init_layer,
-    load_checkpoint,
-    save_checkpoint,
-)
+from conftest import fresh_cell, fresh_layer
+from longmem.evornn import build_model, load_checkpoint, save_checkpoint
 from longmem.evornn.cell import TENSOR_NAMES, _sigmoid, gru_forward_batch
 from longmem.evornn.layer import evo_forward_batch, segment_of_step, segment_runs
 from longmem.evornn.model import forward_with_caches, score_batch
@@ -30,7 +25,7 @@ from longmem.schedule import CellSchedule, constant_schedule
 
 
 def test_gru_step_zero_parameters_hold_state():
-    cell = init_cell(3, 5, np.random.default_rng(0))
+    cell = fresh_cell(3, 5, seed=0)
     for tensor in cell.tensors():
         tensor[:] = 0.0
     out, _ = gru_forward_batch(cell, np.ones((1, 3)), np.zeros((1, 5)))
@@ -39,14 +34,14 @@ def test_gru_step_zero_parameters_hold_state():
 
 
 def test_gru_step_output_is_new_state():
-    cell = init_cell(2, 4, np.random.default_rng(1))
+    cell = fresh_cell(2, 4, seed=1)
     out, _ = gru_forward_batch(cell, np.array([[0.3, -0.7]]), np.full((1, 4), 0.1))
     assert out.shape == (1, 4)
     assert np.all(np.abs(out) < 1.0)  # convex mix of h and tanh candidate
 
 
 def test_gru_step_rejects_dim_mismatch():
-    cell = init_cell(2, 4, np.random.default_rng(2))
+    cell = fresh_cell(2, 4, seed=2)
     with pytest.raises(DimensionMismatchError):
         gru_forward_batch(cell, np.zeros((1, 3)), np.zeros((1, 4)))
     with pytest.raises(DimensionMismatchError):
@@ -55,7 +50,7 @@ def test_gru_step_rejects_dim_mismatch():
 
 def test_gru_batch_matches_single_steps():
     rng = np.random.default_rng(3)
-    cell = init_cell(3, 4, rng)
+    cell = fresh_cell(3, 4, seed=3)
     for tensor in cell.tensors():
         tensor += rng.normal(scale=0.3, size=tensor.shape)
     xs = rng.standard_normal((5, 3))
@@ -68,14 +63,14 @@ def test_gru_batch_matches_single_steps():
 
 @pytest.mark.parametrize("name", TENSOR_NAMES)
 def test_cell_rejects_a_wrongly_shaped_tensor(name):
-    cell = init_cell(2, 3, np.random.default_rng(4))
+    cell = fresh_cell(2, 3, seed=4)
     with pytest.raises(DimensionMismatchError, match=name):
         replace(cell, **{name: getattr(cell, name)[:-1]})
 
 
 @pytest.mark.parametrize("name", TENSOR_NAMES)
 def test_cell_rejects_a_nan_entry(name):
-    cell = init_cell(2, 3, np.random.default_rng(4))
+    cell = fresh_cell(2, 3, seed=4)
     tensor = getattr(cell, name).copy()
     tensor.flat[0] = np.nan
     with pytest.raises(DomainError, match=name):
@@ -97,7 +92,7 @@ def test_sigmoid_saturates_without_floating_point_errors():
 
 def test_gru_step_with_huge_weights_stays_finite():
     rng = np.random.default_rng(5)
-    cell = init_cell(3, 4, rng)
+    cell = fresh_cell(3, 4, seed=5)
     for tensor in cell.tensors():
         tensor += rng.normal(size=tensor.shape)
         tensor *= 1e3
@@ -105,17 +100,19 @@ def test_gru_step_with_huge_weights_stays_finite():
     assert np.all(np.isfinite(out))
 
 
-def test_identity_like_shapes():
-    assert np.array_equal(identity_like(3, 3), np.eye(3))
-    grow = identity_like(4, 2)
-    assert grow.shape == (4, 2)
-    assert np.array_equal(grow[:2], np.eye(2))
-    assert np.array_equal(grow[2:], np.zeros((2, 2)))
+def test_build_model_projections_copy_the_overlapping_coordinates():
+    schedule = CellSchedule(((2, 3), (2, 3), (2, 1), (2, 4), (2, 2)))
+    for layer in fresh_layer(schedule, 2), fresh_layer(schedule, 2, index=1):
+        assert layer.projections[0] is None  # equal sizes carry the state through
+        shrink, grow, narrow = layer.projections[1:]
+        assert np.array_equal(shrink, [[1.0, 0.0, 0.0]])
+        assert np.array_equal(grow, [[1.0], [0.0], [0.0], [0.0]])
+        assert np.array_equal(narrow, np.eye(2, 4))
 
 
 def test_constant_schedule_equals_plain_unroll():
     rng = np.random.default_rng(4)
-    layer = init_layer(constant_schedule(6, 4), 3, rng)
+    layer = fresh_layer(constant_schedule(6, 4), 3, seed=4)
     inputs = [rng.standard_normal((1, 3)) for _ in range(6)]
     result = evo_forward_batch(layer, inputs, 6)
 
@@ -129,7 +126,7 @@ def test_constant_schedule_equals_plain_unroll():
 def test_appendix_dims_along_sequence():
     schedule = CellSchedule(((6, 2), (8, 4), (4, 8), (2, 16)))
     rng = np.random.default_rng(5)
-    layer = init_layer(schedule, 3, rng)
+    layer = fresh_layer(schedule, 3, seed=5)
     inputs = [rng.standard_normal((1, 3)) for _ in range(20)]
     result = evo_forward_batch(layer, inputs, 20)
     dims = [out.shape[1] for out in result.outputs]
@@ -139,7 +136,7 @@ def test_appendix_dims_along_sequence():
 
 def test_equal_adjacent_sizes_have_identity_boundary():
     schedule = CellSchedule(((2, 4), (3, 4)))
-    layer = init_layer(schedule, 2, np.random.default_rng(6))
+    layer = fresh_layer(schedule, 2, seed=6)
     assert layer.projections == [None]
     result = evo_forward_batch(layer, [np.zeros((1, 2))] * 5, 5)
     assert all(out.shape == (1, 4) for out in result.outputs)
@@ -148,7 +145,7 @@ def test_equal_adjacent_sizes_have_identity_boundary():
 def test_short_sequence_starts_in_later_segment():
     schedule = CellSchedule(((2, 2), (2, 4)))
     rng = np.random.default_rng(7)
-    layer = init_layer(schedule, 3, rng)
+    layer = fresh_layer(schedule, 3, seed=7)
     inputs = [rng.standard_normal((1, 3)) for _ in range(2)]
     outputs = evo_forward_batch(layer, inputs, 2).outputs
     # both steps are within distance 2 of the end, so only the large cell runs,
@@ -161,7 +158,7 @@ def test_short_sequence_starts_in_later_segment():
 
 def test_multiply_add_counter_is_three_n_squared_per_step():
     schedule = CellSchedule(((2, 2), (2, 4)))
-    layer = init_layer(schedule, 3, np.random.default_rng(8))
+    layer = fresh_layer(schedule, 3, seed=8)
     inputs = [np.zeros((1, 3)) for _ in range(4)]
     result = evo_forward_batch(layer, inputs, 4)
     assert result.multiply_adds == 3 * (2 * 4 + 2 * 16)
@@ -169,7 +166,7 @@ def test_multiply_add_counter_is_three_n_squared_per_step():
     # three segments; a length-3 sequence starts in the middle one, and two
     # steps unfold past its end in the last one
     rng = np.random.default_rng(9)
-    layer = init_layer(CellSchedule(((2, 2), (2, 3), (2, 4))), 3, rng)
+    layer = fresh_layer(CellSchedule(((2, 2), (2, 3), (2, 4))), 3, seed=9)
     layer.init_state += rng.normal(size=2)
     layer.projections[0] += rng.normal(scale=0.3, size=(3, 2))
     layer.projections[1] += rng.normal(scale=0.3, size=(4, 3))
@@ -189,12 +186,11 @@ def test_multiply_add_counter_is_three_n_squared_per_step():
 
 
 def test_layer_forward_rejects_mismatched_inputs():
-    rng = np.random.default_rng(10)
-    layer = init_layer(CellSchedule(((2, 2), (2, 4))), 3, rng)
+    layer = fresh_layer(CellSchedule(((2, 2), (2, 4))), 3, seed=10)
     with pytest.raises(DimensionMismatchError):
         evo_forward_batch(layer, np.zeros((4, 1, 2)), 4)  # 2 input columns, cells read 3
     below = evo_forward_batch(layer, np.zeros((4, 1, 3)), 4)
-    shifted = init_layer(CellSchedule(((3, 2), (1, 4))), [2, 4], rng)
+    shifted = fresh_layer(CellSchedule(((3, 2), (1, 4))), 3, seed=10, index=1)
     with pytest.raises(DimensionMismatchError):
         evo_forward_batch(shifted, below, 4)  # runs [0, 3), [3, 4) against [0, 2), [2, 4)
 
@@ -325,6 +321,38 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(
         forward_with_caches(loaded, ids).decoded, forward_with_caches(model, ids).decoded
     )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda model: setattr(model, "output_table", np.zeros((9, 5))), "output_table"),
+        (lambda model: model.layers[1].cells.__setitem__(0, fresh_cell(3, 2)), "layer1.cell0.w_"),
+        (lambda model: model.layers[0].projections.__setitem__(0, None), "layer0.projection0"),
+        (lambda model: model.layers[1].projections.__setitem__(1, np.eye(4)), "layer1.projection1"),
+        (lambda model: model.layers[0].cells.pop(), "layer0.cell2."),
+        (lambda model: setattr(model.layers[1], "init_state", np.zeros(4)), "layer1.init_state"),
+        (lambda model: setattr(model, "decoder_w", np.zeros((2, 5))), "decoder_w"),
+        (
+            lambda model: setattr(model.layers[1], "schedule", CellSchedule(((2, 2), (3, 4), (2, 4)))),
+            "share identical segment boundaries",
+        ),
+        (lambda model: model.layers.clear(), "layer count"),
+    ],
+    ids=[
+        "other-vocab-output-table", "wrong-width-upper-cell", "missing-projection",
+        "projection-on-equal-boundary", "one-cell-too-few", "wrong-init-state",
+        "wrong-decoder-w", "unshared-boundaries", "no-layers",
+    ],
+)
+def test_model_params_rejects_a_malformed_structure(edit, message):
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4), (2, 4))),
+        decoder_dim=5, horizon=1, num_layers=2, seed=0,
+    )
+    edit(model)
+    with pytest.raises(LongmemError, match=message):
+        replace(model)
 
 
 def _saved_payload(tmp_path, schedule=((3, 2), (2, 4)), num_layers=1):
@@ -499,7 +527,7 @@ def test_checkpoint_write_failure_leaves_no_file(tmp_path, monkeypatch):
 def test_output_dims_follow_active_segment(segments, seed):
     schedule = CellSchedule(tuple(segments))
     rng = np.random.default_rng(seed)
-    layer = init_layer(schedule, 2, rng)
+    layer = fresh_layer(schedule, 2, seed=seed)
     length = schedule.total_length
     inputs = [rng.standard_normal((1, 2)) for _ in range(length)]
     outputs = evo_forward_batch(layer, inputs, length).outputs

@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_BATCH, finite_difference_worst_rel, perturbed_reference_model
-from longmem.evornn import (
-    GruCellParams,
-    build_model,
-    compute_gradients,
-    init_cell,
-    init_layer,
-    parameter_pairs,
-)
+from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model
+from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.cell import gru_backward_batch, gru_forward_batch, zero_cell_grads
-from longmem.evornn.layer import EvoRnnLayer, evo_backward_batch, evo_forward_batch, segment_of_step
-from longmem.evornn.model import model_shapes, rows_by_id
+from longmem.evornn.layer import evo_backward_batch, evo_forward_batch, segment_of_step
+from longmem.evornn.model import model_shapes, rows_by_id, zero_model
 from longmem.evornn.train import TrainConfig, clip_global_norm, zero_grads
 from longmem.schedule import CellSchedule
 
@@ -27,7 +20,7 @@ NOISY = dict(denom_floor=1e-6)
 
 def test_gru_cell_backward_matches_finite_differences():
     rng = np.random.default_rng(0)
-    cell = init_cell(4, 6, rng)
+    cell = fresh_cell(4, 6, seed=0)
     for tensor in cell.tensors():
         tensor += rng.normal(scale=0.2, size=tensor.shape)
     x = rng.standard_normal((2, 4))
@@ -192,19 +185,6 @@ def test_gradients_with_equal_size_segments():
     assert worst < 1e-4, f"worst rel = {worst:.3e}"
 
 
-def _zero_layer(layer):
-    """`train.zero_grads` for one layer."""
-    return EvoRnnLayer(
-        schedule=layer.schedule,
-        cells=[
-            GruCellParams(cell.input_dim, cell.hidden_dim, *zero_cell_grads(cell))
-            for cell in layer.cells
-        ],
-        projections=[None if m is None else np.zeros_like(m) for m in layer.projections],
-        init_state=np.zeros_like(layer.init_state),
-    )
-
-
 def _oracle_layer(layer, inputs, length):
     """Step-by-step unroll with `gru_forward_batch`, crossing boundaries on entry."""
     h = np.tile(layer.init_state, (inputs[0].shape[0], 1))
@@ -266,18 +246,16 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
         schedules.append(CellSchedule(tuple((l, n) for (l, _), n in zip(segments, sizes))))
     span = schedules[0].total_length
     length = data.draw(st.integers(1, span + 2))
-    layers, input_dims = [], 3
-    for schedule in schedules:
-        layer = init_layer(schedule, input_dims, rng)
+    layers = zero_model(schedules, 1, 3, 1, 0).layers
+    for layer in layers:
         layer.init_state += rng.normal(size=layer.init_state.shape)
         for cell in layer.cells:
             for tensor in cell.tensors():
                 tensor += rng.normal(scale=0.3, size=tensor.shape)
         for matrix in layer.projections:
             if matrix is not None:
+                np.fill_diagonal(matrix, 1.0)
                 matrix += rng.normal(scale=0.3, size=matrix.shape)
-        layers.append(layer)
-        input_dims = list(schedule.hidden_sizes)
     total = length + unfold
     embedded = rng.standard_normal((total, batch, 3))
     top_grads = [
@@ -302,7 +280,7 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
     grad_embedded = np.empty_like(embedded)
     grad_outputs = oracle_grads_out = top_grads
     for i in range(num_layers - 1, -1, -1):
-        grads, oracle = _zero_layer(layers[i]), _zero_layer(layers[i])
+        grads, oracle = (zero_model(schedules, 1, 3, 1, 0).layers[i] for _ in range(2))
         grad_outputs = evo_backward_batch(
             layers[i], forwards[i], grad_outputs, grads, grad_embedded if i == 0 else None
         )

@@ -81,10 +81,12 @@ def test_train_result_empty_history():
 
 
 def test_train_config_validation():
-    with pytest.raises(DomainError):
-        TrainConfig(learning_rate=-1.0)
-    with pytest.raises(DomainError):
-        TrainConfig(clip_norm=0.0)
+    for learning_rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            TrainConfig(learning_rate=learning_rate)
+    for clip_norm in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            TrainConfig(clip_norm=clip_norm)
     with pytest.raises(DomainError):
         TrainConfig(steps=-1)
     with pytest.raises(DomainError):
