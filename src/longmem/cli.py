@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from typing import Iterable, Optional
 
@@ -39,6 +38,7 @@ from .evornn.train import TrainConfig
 from .fileio import atomic_write_text
 from .schedule import (
     CellSchedule,
+    DESK_FLOORS,
     PRESETS,
     build_preset,
     cost_multiply_adds,
@@ -151,6 +151,8 @@ def cmd_estimate(args, parser) -> int:
 def cmd_synth(args, parser) -> int:
     if args.count < 1:
         parser.error(f"--count must be >= 1, got {args.count}")
+    if args.emb_out and args.vocab is None:
+        parser.error("--emb-out writes the bucket table of a quantized corpus; it needs --vocab")
     if args.d is not None and args.hurst is not None:
         if abs(args.d - (args.hurst - 0.5)) > 1e-12:
             parser.error(f"--d {args.d} and --hurst {args.hurst} disagree (d = H - 1/2)")
@@ -215,15 +217,13 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _load_schedule_arg(args) -> CellSchedule:
-    if args.preset:
-        return build_preset(args.preset)
-    with open(args.file, encoding="utf-8") as stream:
+def _read_schedule(path: str) -> CellSchedule:
+    with open(path, encoding="utf-8") as stream:
         return schedule_from_json(stream.read())
 
 
 def cmd_schedule_cost(args, parser) -> int:
-    schedule = _load_schedule_arg(args)
+    schedule = build_preset(args.preset) if args.preset else _read_schedule(args.file)
     total = cost_multiply_adds(schedule)
     print("segment length hidden cost")
     for index, (length, hidden) in enumerate(schedule.segments):
@@ -238,15 +238,10 @@ def cmd_schedule_cost(args, parser) -> int:
 
 
 def cmd_train_toy(args, parser) -> int:
-    if args.schedule in ("constant", "powerlaw", "extrexp"):
-        schedule = desk_schedule(args.schedule, args.seq_len, args.max_hidden)
+    if args.schedule in DESK_FLOORS:
+        schedule, inputs = desk_schedule(args.schedule, args.seq_len, args.max_hidden), []
     else:
-        try:
-            with open(args.schedule, encoding="utf-8") as stream:
-                text = stream.read()
-        except OSError as exc:
-            parser.error(f"--schedule must be a named kind or a readable file: {exc}")
-        schedule = schedule_from_json(text)
+        schedule, inputs = _read_schedule(args.schedule), [args.schedule]
     negatives = args.negatives if args.negatives else args.vocab - 1
     config = TrainConfig(
         learning_rate=args.lr,
@@ -314,7 +309,7 @@ def cmd_train_toy(args, parser) -> int:
             "metrics_out": args.metrics_out,
             "checkpoint_out": args.checkpoint_out,
         },
-        [args.schedule] if os.path.isfile(args.schedule) else [],
+        inputs,
         args.seed,
     )
     return 0

@@ -205,7 +205,10 @@ def hurst_from_d(d: float) -> float:
 
 
 def estimate_report(est: LrdEstimate) -> dict:
-    """Plain-JSON view of an estimate, including the cutoff and abscissa used."""
+    """Plain-JSON view of an estimate, including the cutoff and abscissa used.
+
+    JSON has no NaN: the `stderr` and `pvalue` of a two-bin fit, which has
+    no residual degrees of freedom, are written as None (null)."""
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dim": int(est.d.size),
@@ -213,8 +216,8 @@ def estimate_report(est: LrdEstimate) -> dict:
         "abscissa": REPORT_ABSCISSA,
         "d": [float(v) for v in est.d],
         "intercept": [float(v) for v in est.intercept],
-        "stderr": [float(v) for v in est.slope_stderr],
-        "pvalue": [float(v) for v in est.pvalue],
+        "stderr": [None if math.isnan(v) else float(v) for v in est.slope_stderr],
+        "pvalue": [None if math.isnan(v) else float(v) for v in est.pvalue],
     }
 
 

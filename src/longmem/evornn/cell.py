@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, DomainError
+from ..errors import DimensionMismatchError
 
 
 #: Field names of a cell's tensors, in the order of `tensors()` and of gradient lists.
@@ -25,10 +25,11 @@ TENSOR_NAMES = ("w_update", "b_update", "w_reset", "b_reset", "w_candidate", "b_
 
 @dataclass
 class GruCellParams:
-    """Gate matrices of shape (m+n, n) and bias vectors of shape (n,)."""
+    """Gate matrices of shape (m+n, n) and bias vectors of shape (n,).
 
-    input_dim: int
-    hidden_dim: int
+    The `ModelParams` holding the cell checks these shapes (`model_shapes`).
+    """
+
     w_update: np.ndarray
     b_update: np.ndarray
     w_reset: np.ndarray
@@ -36,20 +37,13 @@ class GruCellParams:
     w_candidate: np.ndarray
     b_candidate: np.ndarray
 
-    def __post_init__(self):
-        m, n = self.input_dim, self.hidden_dim
-        if m < 1 or n < 1:
-            raise DomainError(f"cell dims must be positive, got m={m}, n={n}")
-        for name in TENSOR_NAMES:
-            tensor = np.asarray(getattr(self, name), dtype=np.float64)
-            shape = (m + n, n) if name.startswith("w_") else (n,)
-            if tensor.shape != shape:
-                raise DimensionMismatchError(
-                    f"{name} must have shape {shape}, got {tensor.shape}"
-                )
-            if not np.all(np.isfinite(tensor)):
-                raise DomainError(f"{name} has non-finite entries")
-            setattr(self, name, tensor)
+    @property
+    def input_dim(self) -> int:
+        return len(self.w_update) - self.hidden_dim
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.w_update.shape[1]
 
     def tensors(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in TENSOR_NAMES]

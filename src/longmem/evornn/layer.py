@@ -28,16 +28,17 @@ from .cell import GruCellParams, gru_backward_run, gru_forward_run
 
 @dataclass
 class EvoRnnLayer:
-    """One GRU cell per schedule segment and one projection slot per boundary.
+    """One GRU cell per schedule segment and a projection per resizing boundary.
 
-    `projections[b]` reconciles segment b to segment b+1: shape
-    (n_{b+1}, n_b), or None for an identity boundary (equal sizes). The
-    `ModelParams` holding the layer checks these shapes (`model_shapes`).
+    `projections[b]` maps segment b's state into segment b+1: shape
+    (n_{b+1}, n_b). Boundaries between equal sizes carry the state through
+    and have no entry. The `ModelParams` holding the layer checks these
+    shapes (`model_shapes`).
     """
 
     schedule: CellSchedule
     cells: list[GruCellParams]
-    projections: list[Optional[np.ndarray]]
+    projections: dict[int, np.ndarray]
     init_state: np.ndarray
 
 
@@ -145,7 +146,7 @@ def evo_forward_batch(
         crossings = []
         for boundary in range(previous_segment, segment):
             crossings.append((boundary, h))
-            matrix = layer.projections[boundary]
+            matrix = layer.projections.get(boundary)
             if matrix is not None:
                 h = h @ matrix.T
         cell = layer.cells[segment]
@@ -202,7 +203,7 @@ def evo_backward_batch(
         )
         blocks.append(block)
         for boundary, h_before in reversed(run.crossings):
-            matrix = layer.projections[boundary]
+            matrix = layer.projections.get(boundary)
             if matrix is not None:
                 grads.projections[boundary] += dh.T @ h_before
                 dh = dh @ matrix

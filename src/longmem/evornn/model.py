@@ -73,9 +73,8 @@ class ModelParams:
             for s, cell in enumerate(layer.cells):
                 for name, tensor in zip(TENSOR_NAMES, cell.tensors()):
                     yield f"layer{i}.cell{s}.{name}", tensor
-            for b, matrix in enumerate(layer.projections):
-                if matrix is not None:
-                    yield f"layer{i}.projection{b}", matrix
+            for b, matrix in sorted(layer.projections.items()):
+                yield f"layer{i}.projection{b}", matrix
             yield f"layer{i}.init_state", layer.init_state
         yield "decoder_w", self.decoder_w
         yield "decoder_b", self.decoder_b
@@ -106,9 +105,8 @@ def build_model(
             scale = 1.0 / np.sqrt(cell.input_dim + cell.hidden_dim)
             for matrix in (cell.w_update, cell.w_reset, cell.w_candidate):
                 matrix[...] = rng.uniform(-scale, scale, matrix.shape)
-        for matrix in layer.projections:
-            if matrix is not None:
-                np.fill_diagonal(matrix, 1.0)
+        for matrix in layer.projections.values():
+            np.fill_diagonal(matrix, 1.0)
     top_hidden = schedule.segments[-1][1]
     for matrix, width in (
         (model.input_table, emb_dim), (model.decoder_w, top_hidden), (model.output_table, decoder_dim)
@@ -171,11 +169,14 @@ def zero_model(
     }
     layers = []
     for i, schedule in enumerate(schedules):
-        cells = []
-        for s, n in enumerate(schedule.hidden_sizes):
-            tensors = [zeros[f"layer{i}.cell{s}.{name}"] for name in TENSOR_NAMES]
-            cells.append(GruCellParams(len(tensors[0]) - n, n, *tensors))
-        projections = [zeros.get(f"layer{i}.projection{b}") for b in range(len(cells) - 1)]
+        cells = [
+            GruCellParams(*(zeros[f"layer{i}.cell{s}.{name}"] for name in TENSOR_NAMES))
+            for s in range(len(schedule.segments))
+        ]
+        projections = {
+            b: zeros[f"layer{i}.projection{b}"]
+            for b in range(len(cells) - 1) if f"layer{i}.projection{b}" in zeros
+        }
         layers.append(EvoRnnLayer(schedule, cells, projections, zeros[f"layer{i}.init_state"]))
     return ModelParams(
         zeros["input_table"], layers, zeros["decoder_w"], zeros["decoder_b"], zeros["output_table"],

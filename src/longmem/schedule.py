@@ -88,44 +88,46 @@ def constant_schedule(length: int, hidden: int) -> CellSchedule:
     return CellSchedule([(length, hidden)])
 
 
+#: The smallest `max_hidden` each desk shape can honour: the shrinking shapes stop at 2.
+DESK_FLOORS = {"constant": 1, "powerlaw": 2, "extrexp": 2}
+
+
 def desk_schedule(kind: str, seq_len: int, max_hidden: int) -> CellSchedule:
     """Desk-scale schedule shapes mirroring the published preset families.
 
     `kind` is "constant", "powerlaw" or "extrexp"; the schedule covers
-    `seq_len` positions with hidden sizes up to `max_hidden`.
+    `seq_len` positions with hidden sizes up to `max_hidden`, which must be
+    at least the kind's `DESK_FLOORS` entry.
     """
+    floor = DESK_FLOORS.get(kind)
+    if floor is None:
+        raise ScheduleError(f"unknown schedule kind {kind!r}")
+    if max_hidden < floor:
+        raise ScheduleError(f"max_hidden must be >= {floor} for a {kind} schedule, got {max_hidden}")
     if kind == "constant":
         return constant_schedule(seq_len, max_hidden)
+    segments_end_first = []
+    remaining = seq_len
+    hidden = max_hidden
     if kind == "powerlaw":
         # from the end: two length-4 segments, then doubling lengths,
         # hidden sizes halving from max_hidden (floor 2)
-        segments_end_first = []
-        remaining = seq_len
-        hidden = max_hidden
         length = 4
-        while remaining > 0:
-            if hidden <= 2 or length >= remaining:
-                segments_end_first.append((remaining, max(hidden, 2)))
-                break
+        while hidden > 2 and length < remaining:
             segments_end_first.append((length, hidden))
             remaining -= length
             if len(segments_end_first) >= 2:
                 length *= 2
             hidden = max(hidden // 2, 2)
-        return CellSchedule(list(reversed(segments_end_first)))
-    if kind == "extrexp":
+    else:
         # from the end: length-8 segments with hidden sizes dividing by 4,
         # the earliest segment absorbing the rest at hidden size 2
-        segments_end_first = []
-        remaining = seq_len
-        hidden = max_hidden
         while remaining > 8 and hidden > 2:
             segments_end_first.append((8, hidden))
             remaining -= 8
             hidden = max(hidden // 4, 2)
-        segments_end_first.append((remaining, max(hidden, 2)))
-        return CellSchedule(list(reversed(segments_end_first)))
-    raise ScheduleError(f"unknown schedule kind {kind!r}")
+    segments_end_first.append((remaining, hidden))
+    return CellSchedule(list(reversed(segments_end_first)))
 
 
 def lookup_cell(t: int, length: int, schedule: CellSchedule) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import json
+
 import numpy as np
 
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
@@ -10,6 +12,17 @@ REFERENCE_BATCH = [
     ([1, 2, 3, 4, 5], [3]),
     ([7, 0, 1, 6, 2], [0]),
 ]
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def load_json(path):
+    """Parse a JSON file, refusing the NaN, Infinity and -Infinity tokens
+    that Python's `json` module writes and reads but JSON does not define."""
+    with open(path, encoding="utf-8") as stream:
+        return json.load(stream, parse_constant=_reject_constant)
 
 
 def fresh_layer(schedule: CellSchedule, input_dim: int, seed: int = 0, index: int = 0):

@@ -2,12 +2,12 @@
 
 import csv
 import hashlib
-import json
 import os
 
 import numpy as np
 import pytest
 
+from conftest import load_json
 from longmem.cli import main
 from longmem.embeddings import load_table
 from longmem.evornn import load_checkpoint
@@ -150,7 +150,7 @@ def test_synth_writes_manifest(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    manifest = load_json(tmp_path / "x.csv.manifest.json")
     assert manifest["schema_version"] == 1
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 7
@@ -192,7 +192,7 @@ def test_estimate_end_to_end_recovers_d(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    report = json.loads(report_path.read_text())
+    report = load_json(report_path)
     assert report["schema_version"] == 1
     assert report["dim"] == 1
     assert report["cutoff"] == 22  # floor(sqrt(512))
@@ -200,7 +200,7 @@ def test_estimate_end_to_end_recovers_d(tmp_path, capsys):
     assert report["n_skipped"] == 0
     assert abs(report["d"][0] - 0.3) <= 0.1
     assert report["pvalue"][0] < 0.01
-    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    manifest = load_json(tmp_path / "report.json.manifest.json")
     assert set(manifest["inputs"]) == {str(corpus), str(table)}
     for digest in manifest["inputs"].values():
         assert len(digest) == 64  # sha256 hex
@@ -220,7 +220,7 @@ def test_manifest_keeps_a_digest_per_input_path(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    manifest = load_json(tmp_path / "report.json.manifest.json")
     assert manifest["inputs"] == {
         str(corpus_copy): hashlib.sha256(corpus.read_bytes()).hexdigest(),
         str(table_copy): hashlib.sha256(table.read_bytes()).hexdigest(),
@@ -237,7 +237,7 @@ def test_estimate_shuffle_control_destroys_memory(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    report = json.loads(report_path.read_text())
+    report = load_json(report_path)
     assert abs(report["d"][0]) <= 0.1
 
 
@@ -402,6 +402,7 @@ def test_train_toy_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
     assert all(float(r[1]) > 0 for r in rows[1:])
 
+    assert load_json(checkpoint)["tensors"]["input_table"]["shape"] == [16, 4]
     model = load_checkpoint(str(checkpoint))
     assert model.input_table.shape == (16, 4)
 
@@ -433,3 +434,67 @@ def test_train_toy_schedule_from_json_file(tmp_path, capsys):
     assert code == 0
     # 3 * (12*16 + 4*64)
     assert "multiply_adds_per_forward = 1344" in out
+
+
+def test_train_toy_max_hidden_below_the_kind_floor_is_runtime_error(tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    argv = ["train-toy", "--schedule", "powerlaw", "--max-hidden", "0", "--vocab", "8",
+            "--seq-len", "16", "--steps", "1", "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err == "error: max_hidden must be >= 2 for a powerlaw schedule, got 0\n"
+    assert not metrics.exists()
+
+
+def test_synth_emb_out_without_vocab_is_arg_error(tmp_path, capsys):
+    out, table = tmp_path / "x.csv", tmp_path / "table.txt"
+    code, _, err = run_cli(
+        ["synth", "--model", "white", "--length", "32", "--out", str(out), "--emb-out", str(table)],
+        capsys,
+    )
+    assert code == 2
+    assert "--emb-out" in err and "--vocab" in err
+    assert not out.exists() and not table.exists()
+
+
+def test_estimate_two_bin_fit_reports_null_stderr_and_pvalue(tmp_path, capsys):
+    corpus, table = _make_corpus(tmp_path, capsys, count="4")
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+         "--pad-length", "512", "--cutoff", "2", "--out", str(report_path)],
+        capsys,
+    )
+    assert code == 0
+    report = load_json(report_path)
+    assert report["cutoff"] == 2
+    assert report["stderr"] == [None] and report["pvalue"] == [None]
+    assert all(isinstance(v, float) for key in ("d", "d_pooled", "intercept") for v in report[key])
+
+
+def test_train_toy_missing_schedule_file_is_runtime_error(tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    argv = ["train-toy", "--schedule", str(tmp_path / "missing.json"), "--vocab", "8",
+            "--seq-len", "16", "--steps", "1", "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and "missing.json" in err
+    assert not metrics.exists()
+
+
+@pytest.mark.parametrize("schedule", ["powerlaw", "sched.json"])
+def test_train_toy_manifest_lists_the_schedule_file_only_when_read(
+    tmp_path, capsys, monkeypatch, schedule
+):
+    monkeypatch.chdir(tmp_path)
+    for name in ("powerlaw", "sched.json"):  # a file named like a desk kind is not read
+        (tmp_path / name).write_text("[[12, 4], [4, 8]]")
+    argv = ["train-toy", "--schedule", schedule, "--vocab", "8", "--seq-len", "16",
+            "--max-hidden", "8", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
+            "--metrics-out", "m.csv"]
+    assert run_cli(argv, capsys)[0] == 0
+    inputs = load_json(tmp_path / "m.csv.manifest.json")["inputs"]
+    if schedule == "powerlaw":
+        assert inputs == {}
+    else:
+        assert inputs == {"sched.json": hashlib.sha256(b"[[12, 4], [4, 8]]").hexdigest()}

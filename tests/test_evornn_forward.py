@@ -61,22 +61,6 @@ def test_gru_batch_matches_single_steps():
         assert np.allclose(batched[i], single[0], atol=1e-14)
 
 
-@pytest.mark.parametrize("name", TENSOR_NAMES)
-def test_cell_rejects_a_wrongly_shaped_tensor(name):
-    cell = fresh_cell(2, 3, seed=4)
-    with pytest.raises(DimensionMismatchError, match=name):
-        replace(cell, **{name: getattr(cell, name)[:-1]})
-
-
-@pytest.mark.parametrize("name", TENSOR_NAMES)
-def test_cell_rejects_a_nan_entry(name):
-    cell = fresh_cell(2, 3, seed=4)
-    tensor = getattr(cell, name).copy()
-    tensor.flat[0] = np.nan
-    with pytest.raises(DomainError, match=name):
-        replace(cell, **{name: tensor})
-
-
 def test_sigmoid_matches_the_logistic_function():
     x = np.linspace(-40.0, 40.0, 200001)
     # absolute bound: the gates mix states convexly, and relative error of
@@ -103,8 +87,8 @@ def test_gru_step_with_huge_weights_stays_finite():
 def test_build_model_projections_copy_the_overlapping_coordinates():
     schedule = CellSchedule(((2, 3), (2, 3), (2, 1), (2, 4), (2, 2)))
     for layer in fresh_layer(schedule, 2), fresh_layer(schedule, 2, index=1):
-        assert layer.projections[0] is None  # equal sizes carry the state through
-        shrink, grow, narrow = layer.projections[1:]
+        assert list(layer.projections) == [1, 2, 3]  # equal sizes carry the state through
+        shrink, grow, narrow = layer.projections.values()
         assert np.array_equal(shrink, [[1.0, 0.0, 0.0]])
         assert np.array_equal(grow, [[1.0], [0.0], [0.0], [0.0]])
         assert np.array_equal(narrow, np.eye(2, 4))
@@ -137,7 +121,7 @@ def test_appendix_dims_along_sequence():
 def test_equal_adjacent_sizes_have_identity_boundary():
     schedule = CellSchedule(((2, 4), (3, 4)))
     layer = fresh_layer(schedule, 2, seed=6)
-    assert layer.projections == [None]
+    assert layer.projections == {}
     result = evo_forward_batch(layer, [np.zeros((1, 2))] * 5, 5)
     assert all(out.shape == (1, 4) for out in result.outputs)
 
@@ -323,13 +307,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     )
 
 
+def _shortened(name):
+    """An edit that drops the last row of tensor `name` of layer 0's first cell."""
+
+    def edit(model):
+        cell = model.layers[0].cells[0]
+        setattr(cell, name, getattr(cell, name)[:-1])
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda model: setattr(model, "output_table", np.zeros((9, 5))), "output_table"),
         (lambda model: model.layers[1].cells.__setitem__(0, fresh_cell(3, 2)), "layer1.cell0.w_"),
-        (lambda model: model.layers[0].projections.__setitem__(0, None), "layer0.projection0"),
+        (lambda model: model.layers[0].projections.pop(0), "layer0.projection0"),
         (lambda model: model.layers[1].projections.__setitem__(1, np.eye(4)), "layer1.projection1"),
+        (lambda model: model.layers[0].projections.__setitem__(2, np.eye(4)), "layer0.projection2"),
         (lambda model: model.layers[0].cells.pop(), "layer0.cell2."),
         (lambda model: setattr(model.layers[1], "init_state", np.zeros(4)), "layer1.init_state"),
         (lambda model: setattr(model, "decoder_w", np.zeros((2, 5))), "decoder_w"),
@@ -338,11 +333,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             "share identical segment boundaries",
         ),
         (lambda model: model.layers.clear(), "layer count"),
+        *((_shortened(name), f"layer0.cell0.{name}") for name in TENSOR_NAMES),
     ],
     ids=[
         "other-vocab-output-table", "wrong-width-upper-cell", "missing-projection",
-        "projection-on-equal-boundary", "one-cell-too-few", "wrong-init-state",
-        "wrong-decoder-w", "unshared-boundaries", "no-layers",
+        "projection-on-equal-boundary", "projection-past-the-last-boundary", "one-cell-too-few",
+        "wrong-init-state", "wrong-decoder-w", "unshared-boundaries", "no-layers",
+        *(f"short-{name}" for name in TENSOR_NAMES),
     ],
 )
 def test_model_params_rejects_a_malformed_structure(edit, message):
@@ -353,6 +350,17 @@ def test_model_params_rejects_a_malformed_structure(edit, message):
     edit(model)
     with pytest.raises(LongmemError, match=message):
         replace(model)
+
+
+def test_a_layer_without_projections_on_equal_boundaries_runs_as_built():
+    model = build_model(
+        vocab_size=8, emb_dim=3, schedule=CellSchedule(((2, 4), (2, 4))),
+        decoder_dim=5, horizon=0, seed=0,
+    )
+    ids = np.array([[1, 2, 3, 4], [5, 6, 7, 0]])
+    expected = forward_with_caches(model, ids).decoded
+    model.layers[0].projections.clear()
+    assert np.array_equal(forward_with_caches(replace(model), ids).decoded, expected)
 
 
 def _saved_payload(tmp_path, schedule=((3, 2), (2, 4)), num_layers=1):

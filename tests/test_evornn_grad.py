@@ -194,7 +194,7 @@ def _oracle_layer(layer, inputs, length):
         crossings = []
         for boundary in range(previous, segment):
             crossings.append((boundary, h))
-            if layer.projections[boundary] is not None:
+            if boundary in layer.projections:
                 h = h @ layer.projections[boundary].T
         previous = segment
         h, cache = gru_forward_batch(layer.cells[segment], x, h)
@@ -214,7 +214,7 @@ def _oracle_layer_backward(layer, steps, grad_outputs, grads):
         cell_grads = grads.cells[segment].tensors()
         grad_inputs[t], dh = gru_backward_batch(layer.cells[segment], cache, dh, cell_grads)
         for boundary, h_before in reversed(crossings):
-            if layer.projections[boundary] is not None:
+            if boundary in layer.projections:
                 grads.projections[boundary] += dh.T @ h_before
                 dh = dh @ layer.projections[boundary]
     grads.init_state += dh.sum(axis=0)
@@ -252,10 +252,9 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
         for cell in layer.cells:
             for tensor in cell.tensors():
                 tensor += rng.normal(scale=0.3, size=tensor.shape)
-        for matrix in layer.projections:
-            if matrix is not None:
-                np.fill_diagonal(matrix, 1.0)
-                matrix += rng.normal(scale=0.3, size=matrix.shape)
+        for matrix in layer.projections.values():
+            np.fill_diagonal(matrix, 1.0)
+            matrix += rng.normal(scale=0.3, size=matrix.shape)
     total = length + unfold
     embedded = rng.standard_normal((total, batch, 3))
     top_grads = [
@@ -290,9 +289,9 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
         for got, want in zip(grads.cells, oracle.cells):
             for g, w in zip(got.tensors(), want.tensors()):
                 _assert_close(g, w)
-        for g, w in zip(grads.projections, oracle.projections):
-            if w is not None:
-                _assert_close(g, w)
+        assert grads.projections.keys() == oracle.projections.keys()
+        for boundary, matrix in oracle.projections.items():
+            _assert_close(grads.projections[boundary], matrix)
         _assert_close(grads.init_state, oracle.init_state)
     _assert_close(grad_embedded, np.stack(oracle_grads_out))
 

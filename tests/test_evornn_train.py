@@ -64,9 +64,14 @@ def test_training_is_deterministic():
     assert [m.loss for m in r1.history] == [m.loss for m in r2.history]
 
 
-def test_divergence_aborts_with_step_index():
+@pytest.mark.parametrize(
+    "tensor",
+    [lambda model: model.output_table, lambda model: model.layers[0].cells[1].w_candidate],
+    ids=["output-table", "cell"],
+)
+def test_divergence_aborts_with_step_index(tensor):
     model = tiny_model()
-    model.output_table[:] = np.nan  # forces a non-finite score immediately
+    tensor(model)[:] = np.nan  # forces a non-finite score immediately
     config = TrainConfig(learning_rate=0.1, negatives=7, steps=5, batch_size=1, seed=0)
     with pytest.raises(TrainingDivergedError) as exc:
         train_toy(model, constant_task(), config)

@@ -181,3 +181,17 @@ def test_desk_powerlaw_structure_at_toy_scale():
     assert schedule.max_hidden == 128
     hiddens = schedule.hidden_sizes
     assert all(a < b for a, b in zip(hiddens, hiddens[1:]))
+
+
+
+@pytest.mark.parametrize("kind, floor", [("constant", 1), ("powerlaw", 2), ("extrexp", 2)])
+@pytest.mark.parametrize("max_hidden", [-5, 0, 1, 2, 3, 8, 128])
+def test_desk_schedule_honours_max_hidden_or_names_it(kind, floor, max_hidden):
+    if max_hidden < floor:
+        with pytest.raises(ScheduleError, match="max_hidden"):
+            desk_schedule(kind, 64, max_hidden)
+        return
+    for seq_len in (1, 5, 9, 64, 200):
+        schedule = desk_schedule(kind, seq_len, max_hidden)
+        assert schedule.total_length == seq_len
+        assert schedule.max_hidden == max_hidden
