@@ -24,8 +24,8 @@ from longmem.synth import (
 
 
 def averaged_estimate(series_list, config):
-    power = periodograms(np.stack(series_list)[:, :, None]).mean(axis=0)
-    return estimate_from_periodogram(Periodogram(length=config.pad_length, power=power), config)
+    power = periodograms(np.stack(series_list)[:, None, :]).mean(axis=0)
+    return estimate_from_periodogram(Periodogram(length=config.pad_length, power=power.T), config)
 
 
 def main() -> int:

@@ -239,7 +239,12 @@ def cmd_schedule_cost(args, parser) -> int:
 
 def cmd_train_toy(args, parser) -> int:
     if args.schedule in DESK_FLOORS:
-        schedule, inputs = desk_schedule(args.schedule, args.seq_len, args.max_hidden), []
+        max_hidden = 128 if args.max_hidden is None else args.max_hidden
+        schedule, inputs = desk_schedule(args.schedule, args.seq_len, max_hidden), []
+    elif args.max_hidden is not None:
+        parser.error(
+            "--max-hidden sizes a desk schedule shape; a schedule file sets its own hidden sizes"
+        )
     else:
         schedule, inputs = _read_schedule(args.schedule), [args.schedule]
     negatives = args.negatives if args.negatives else args.vocab - 1
@@ -304,7 +309,7 @@ def cmd_train_toy(args, parser) -> int:
             "emb_dim": args.emb_dim,
             "horizon": args.horizon,
             "layers": args.layers,
-            "max_hidden": args.max_hidden,
+            "max_hidden": schedule.max_hidden,
             "tail_exponent": args.tail_exponent,
             "metrics_out": args.metrics_out,
             "checkpoint_out": args.checkpoint_out,
@@ -361,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--schedule", default="powerlaw", help="constant|powerlaw|extrexp or a schedule JSON file")
     toy.add_argument("--vocab", type=int, default=64)
     toy.add_argument("--seq-len", type=int, default=64)
-    toy.add_argument("--max-hidden", type=int, default=128)
+    toy.add_argument(
+        "--max-hidden", type=int, default=None,
+        help="largest hidden size of a desk shape (default: 128); not with a schedule file",
+    )
     toy.add_argument("--emb-dim", type=int, default=32)
     toy.add_argument("--layers", type=int, default=1)
     toy.add_argument("--horizon", type=int, default=0)

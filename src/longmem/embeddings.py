@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
@@ -113,14 +114,25 @@ class EmbeddedSeries:
         return self.values.shape[1]
 
 
+#: Lines whose value strings `load_table` holds for one float cast: enough
+#: to amortize the cast, few enough that the strings (~4.5 KB a line at
+#: p=50) add no table-size term to its peak memory.
+_CAST_LINES = 1024
+
+
 def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
     """Parse a GloVe-style text stream into an EmbeddingTable.
 
     Each non-empty line is `token v1 ... vp` (whitespace separated). All
-    lines must share the same p. Duplicate tokens keep the first occurrence.
+    lines must share the same p. Duplicate tokens keep the first occurrence,
+    but their values must parse too.
     """
     token_ids: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    rows: list[list[str]] = []
+    line_numbers: list[int] = []
+    first_rows: list[int] = []
+    n_rows = 0
     dim: int | None = None
     for line_number, line in enumerate(source, start=1):
         parts = line.split()
@@ -129,25 +141,48 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
         token, raw_values = parts[0], parts[1:]
         if not raw_values:
             raise EmbeddingParseError(line_number, f"no values after token {token!r}")
-        try:
-            values = np.array([float(x) for x in raw_values], dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingParseError(line_number, str(exc)) from None
-        if not np.all(np.isfinite(values)):
-            raise EmbeddingParseError(line_number, "non-finite embedding value")
         if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
+            dim = len(raw_values)
+        elif len(raw_values) != dim:
             raise DimensionMismatchError(
-                f"line {line_number}: expected {dim} values, got {len(values)}"
+                f"line {line_number}: expected {dim} values, got {len(raw_values)}"
             )
-        if token in token_ids:
-            continue  # first occurrence wins
-        token_ids[token] = len(rows)
-        rows.append(values)
-    if not rows:
+        if token not in token_ids:  # first occurrence wins
+            token_ids[token] = len(first_rows)
+            first_rows.append(n_rows)
+        n_rows += 1
+        rows.append(raw_values)
+        line_numbers.append(line_number)
+        if len(rows) == _CAST_LINES:
+            blocks.append(_parse_values(rows, line_numbers))
+            rows, line_numbers = [], []
+    if rows:
+        blocks.append(_parse_values(rows, line_numbers))
+    if not blocks:
         raise EmptyInputError("embedding stream contains no rows")
-    return EmbeddingTable(vectors=np.stack(rows), token_ids=token_ids)
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if len(first_rows) < n_rows:
+        values = values[first_rows]
+    return EmbeddingTable(vectors=values, token_ids=token_ids)
+
+
+def _parse_values(rows: list[list[str]], line_numbers: list[int]) -> np.ndarray:
+    """The value strings of table lines as a float64 matrix, by one cast;
+    an unparsable or non-finite value raises naming its line."""
+    try:
+        # numpy's str -> float64 cast accepts and rejects what float() does
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        for row, line_number in zip(rows, line_numbers):
+            try:
+                np.array(row, dtype=np.float64)
+            except ValueError as exc:
+                raise EmbeddingParseError(line_number, str(exc)) from None
+        raise
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise EmbeddingParseError(line_numbers[np.argmin(finite)], "non-finite embedding value")
+    return values
 
 
 def row_ids(table: EmbeddingTable, tokens: Iterable[Token]) -> np.ndarray:
@@ -256,7 +291,8 @@ def read_corpus_ids(
     row per consecutive chunk; a final partial chunk is dropped."""
     if chunk_len < 1:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
-    ids = row_ids(table, iter_corpus_tokens(stream))
+    tokens = iter_corpus_tokens(stream)
+    ids = np.fromiter(map(table.token_ids.get, tokens, repeat(OOV_ID)), dtype=np.intp)
     rows = ids.size // chunk_len
     return ids[: rows * chunk_len].reshape(rows, chunk_len)
 

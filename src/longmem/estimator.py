@@ -132,7 +132,8 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
 
 def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
     """`ols_loglog` of each row of the K x n matrix `ys` on the shared `xs`,
-    reduced in `ols_loglog`'s expression order, so rows do not interact."""
+    reduced in `ols_loglog`'s expression order, so rows do not interact.
+    `ys` is left as it is; its rows need not be contiguous."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
@@ -143,19 +144,25 @@ def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
     if np.any(x <= 0) or np.any(y <= 0):
         raise DomainError("all xs and ys must be strictly positive for log-log regression")
     lx = np.log(x)
-    ly = np.log(y)
+    # one contiguous row per fit: numpy then sums each row pairwise, as in ols_loglog
+    ly = np.log(y, out=np.empty(y.shape))
     lx_mean = lx.mean()
     ly_mean = ly.mean(axis=1)
     xc = lx - lx_mean
     sxx = float((xc**2).sum())
     if sxx == 0.0:
         raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
-    slope = (xc * (ly - ly_mean[:, None])).sum(axis=1) / sxx
+    work = ly - ly_mean[:, None]
+    work *= xc
+    slope = work.sum(axis=1) / sxx
     intercept = ly_mean - slope * lx_mean
     if n == 2:
         nan = np.full(slope.shape, np.nan)
         return OlsFit(intercept, slope, nan, nan, n)
-    residuals = ly - intercept[:, None] - slope[:, None] * lx
+    # the residuals ly - intercept - slope * lx, written over ly
+    residuals = ly
+    residuals -= intercept[:, None]
+    residuals -= np.multiply(slope[:, None], lx, out=work)
     # one dot product per row, as ols_loglog's `residuals @ residuals`
     rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
     stderr = np.sqrt(rss / (n - 2) / sxx)
@@ -179,13 +186,12 @@ def fitted_bins(n_bins: int, cutoff: Cutoff) -> int:
 
 
 def fit_periodograms(power: np.ndarray, cutoff: Cutoff) -> LrdEstimate:
-    """Fit every dimension of a (..., L/2, p) block of periodograms, whose
-    fitted bins must have positive power; the arrays have shape (..., p)."""
-    m = fitted_bins(power.shape[-2], cutoff)
-    shape = power.shape[:-2] + power.shape[-1:]
-    # one contiguous row per fit: numpy then sums each row pairwise, as in ols_loglog
-    rows = np.ascontiguousarray(np.swapaxes(power[..., :m, :], -1, -2)).reshape(-1, m)
-    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), rows)
+    """Fit every dimension of a time-last (..., p, L/2) block of
+    periodograms, whose fitted bins must have positive power; the arrays
+    have shape (..., p)."""
+    m = fitted_bins(power.shape[-1], cutoff)
+    shape = power.shape[:-1]
+    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), power[..., :m].reshape(-1, m))
     fields = (-fit.slope / 2.0, fit.intercept, fit.slope_stderr, fit.pvalue)
     return LrdEstimate(*(a.reshape(shape) for a in fields), cutoff_used=m)
 
@@ -196,7 +202,7 @@ def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEs
     zero = np.argwhere(pg.power[:m].T <= 0.0)
     if zero.size:
         raise ZeroPowerError(dim=int(zero[0, 0]), bin_index=int(zero[0, 1]) + 1)
-    return fit_periodograms(pg.power, config.cutoff)
+    return fit_periodograms(pg.power.T, config.cutoff)
 
 
 def hurst_from_d(d: float) -> float:

@@ -62,23 +62,25 @@ def dft_naive(signal: np.ndarray) -> np.ndarray:
 
 
 def periodograms(block: np.ndarray) -> np.ndarray:
-    """Power at k = 1..L/2 (DC removed) of every column of a (..., L, p)
-    block of series, by one real FFT along the time axis; (..., L/2, p)."""
+    """Power at k = 1..L/2 (DC removed) of every row of a time-last
+    (..., p, L) block of series, by one real FFT along the contiguous last
+    axis; (..., p, L/2)."""
     values = np.asarray(block, dtype=np.float64)
     if values.ndim < 2:
-        raise DimensionMismatchError(f"block must be (..., L, p), got shape {values.shape}")
-    length = values.shape[-2]
+        raise DimensionMismatchError(f"block must be (..., p, L), got shape {values.shape}")
+    length = values.shape[-1]
     if length < 1 or length & (length - 1):
         raise SpectralLengthError(
             f"series length {length} is not a power of two; pad the series first"
         )
-    spectrum = np.fft.rfft(values, axis=-2)
-    return np.abs(spectrum[..., 1:, :]) ** 2
+    power = np.abs(np.fft.rfft(values, axis=-1)[..., 1:])
+    power **= 2
+    return power
 
 
 def periodogram(series: EmbeddedSeries) -> Periodogram:
     """Per-dimension squared magnitudes at k = 1..L/2 (DC removed)."""
-    return Periodogram(length=series.length, power=periodograms(series.values))
+    return Periodogram(length=series.length, power=periodograms(series.values.T).T)
 
 
 def write_periodogram_csv(pg: Periodogram, stream: TextIO) -> None:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -23,6 +24,18 @@ def load_json(path):
     that Python's `json` module writes and reads but JSON does not define."""
     with open(path, encoding="utf-8") as stream:
         return json.load(stream, parse_constant=_reject_constant)
+
+
+def traced_peak(fn):
+    """Call `fn()` under tracemalloc; returns its result and the peak of
+    traced allocations in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def fresh_layer(schedule: CellSchedule, input_dim: int, seed: int = 0, index: int = 0):

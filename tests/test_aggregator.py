@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from longmem import aggregator
 from longmem.aggregator import (
     LearningRateSchedule,
     dataset_report,
@@ -30,15 +31,18 @@ from longmem.errors import (
     DomainError,
     EmptyInputError,
     LengthExceededError,
+    LongmemError,
 )
 from longmem.estimator import (
     EstimatorConfig,
+    FullBand,
     LowFrequency,
     estimate_from_periodogram,
     estimate_report,
 )
 from longmem.spectral import periodogram
 from longmem.synth import FgnSpec, generate_fgn, normal_bucket_table, quantize_to_symbols
+from conftest import traced_peak
 
 
 def test_schedule_alpha_values():
@@ -170,26 +174,67 @@ def test_run_dataset_progress_line_format():
     assert lines[0].startswith("batch=0 alpha=1 ")
 
 
-def test_run_dataset_matches_manual_ema_composition():
-    seqs, table = _quantized_fgn_dataset(6, length=256)
-    config = EstimatorConfig(pad_length=256)
-    schedule = LearningRateSchedule()
-    result = run_dataset(
-        seqs, table, config, OovPolicy.ZERO, schedule, batch_size=3
-    )
-
-    def estimate_one(row):
-        series = lookup_sequence(table, SymbolSequence(row), OovPolicy.ZERO)
-        return estimate_from_periodogram(periodogram(pad_to_length(series, 256)), config)
-
+def _composed_reference(ids, table, config, policy, schedule, batch_size):
+    """The B=1 chain per row, lookup -> pad -> periodogram -> fit, skipping
+    rows that raise; one EMA update per batch; the periodograms added in
+    stream order. Returns the EMA state, the mean power and the row count."""
     state = ema_init(table.dim)
-    for batch in (seqs[:3], seqs[3:]):
-        ests = np.stack([estimate_one(row).d for row in batch])
-        state = ema_update(state, ests, schedule)
+    power_sum, n = None, 0
+    for start in range(0, ids.shape[0], batch_size):
+        ests = []
+        for row in ids[start : start + batch_size]:
+            try:
+                series = lookup_sequence(table, SymbolSequence(row), policy)
+                pg = periodogram(pad_to_length(series, config.pad_length))
+                ests.append(estimate_from_periodogram(pg, config).d)
+            except LongmemError:
+                continue
+            power_sum = pg.power if power_sum is None else power_sum + pg.power
+        if ests:
+            n += len(ests)
+            state = ema_update(state, np.stack(ests), schedule)
+    return state, power_sum / n, n
+
+
+@pytest.mark.parametrize("slab_rows", [1, 2, 3, None], ids=lambda rows: f"slab{rows}")
+@pytest.mark.parametrize("cutoff", [FullBand(), LowFrequency(11)], ids=["full", "m11"])
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_run_dataset_matches_manual_ema_composition(monkeypatch, policy, cutoff, slab_rows):
+    p, length, batch_size = 7, 128, 5
+    if slab_rows is not None:  # None keeps the default: the whole batch in one slab
+        monkeypatch.setattr(aggregator, "SLAB_BYTES", slab_rows * 8 * p * length)
+    rng = np.random.default_rng(37)
+    vectors = rng.standard_normal((16, p))
+    vectors[0] = 0.0
+    table = EmbeddingTable(vectors)
+    # 96 symbols padded to 128, with about 10% OOV ids
+    ids = np.where(rng.random((37, 96)) < 0.1, OOV_ID, rng.integers(1, 16, (37, 96)))
+    ids[9] = OOV_ID  # all-OOV: the last row of batch 1, in a later slab
+    ids[10:15] = 0  # batch 2 embeds to zeros: every row is skipped
+    ids[23] = 0  # a skipped row inside batch 4
+    config = EstimatorConfig(pad_length=length, cutoff=cutoff)
+    schedule = LearningRateSchedule(alpha0=0.9, tau=3.0)
+    sink = io.StringIO()
+    result = run_dataset(ids, table, config, policy, schedule, batch_size, progress=sink)
+    state, mean_power, n = _composed_reference(ids, table, config, policy, schedule, batch_size)
+    assert (result.n_estimated, result.n_skipped) == (n, 37 - n)
+    assert n <= 37 - 6 and result.state.step == state.step == 7  # 8 batches, one all skipped
+    assert len(sink.getvalue().splitlines()) == 7
     assert np.array_equal(result.state.d_hat, state.d_hat)
-    # the mean periodogram adds the sequences' periodograms in stream order
-    pgs = [periodogram(lookup_sequence(table, SymbolSequence(row), OovPolicy.ZERO)) for row in seqs]
-    assert np.array_equal(result.mean_periodogram.power, sum(pg.power for pg in pgs) / 6)
+    assert np.array_equal(result.mean_periodogram.power, mean_power)
+
+
+def test_run_dataset_peak_allocation_does_not_grow_with_the_batch():
+    # 64 rows of 1024 x 50: a whole batch of series would be 26 MB
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(rng.standard_normal((500, 50)))
+    ids = rng.integers(0, 500, (64, 1024))
+    config, schedule = EstimatorConfig(pad_length=1024), LearningRateSchedule()
+    peaks = [
+        traced_peak(lambda: run_dataset(ids, table, config, OovPolicy.ZERO, schedule, size))[1]
+        for size in (8, 64)
+    ]
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_run_dataset_validates_sizes():

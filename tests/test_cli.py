@@ -446,6 +446,35 @@ def test_train_toy_max_hidden_below_the_kind_floor_is_runtime_error(tmp_path, ca
     assert not metrics.exists()
 
 
+def test_train_toy_max_hidden_beside_a_schedule_file_is_arg_error(tmp_path, capsys):
+    sched, metrics = tmp_path / "sched.json", tmp_path / "m.csv"
+    sched.write_text("[[12, 4], [4, 8]]")
+    argv = ["train-toy", "--schedule", str(sched), "--max-hidden", "3", "--vocab", "8",
+            "--seq-len", "16", "--steps", "1", "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and "--max-hidden" in err
+    assert not metrics.exists()
+
+
+@pytest.mark.parametrize(
+    "schedule, max_hidden, used",
+    [("powerlaw", None, 128), ("powerlaw", "16", 16), ("sched.json", None, 8)],
+    ids=["desk-default", "desk-flag", "file"],
+)
+def test_train_toy_manifest_records_the_max_hidden_used(
+    tmp_path, capsys, monkeypatch, schedule, max_hidden, used
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sched.json").write_text("[[12, 4], [4, 8]]")
+    argv = ["train-toy", "--schedule", schedule, "--vocab", "8", "--seq-len", "16",
+            "--emb-dim", "4", "--steps", "1", "--batch-size", "2", "--metrics-out", "m.csv"]
+    if max_hidden is not None:
+        argv += ["--max-hidden", max_hidden]
+    assert run_cli(argv, capsys)[0] == 0
+    assert load_json(tmp_path / "m.csv.manifest.json")["config"]["max_hidden"] == used
+
+
 def test_synth_emb_out_without_vocab_is_arg_error(tmp_path, capsys):
     out, table = tmp_path / "x.csv", tmp_path / "table.txt"
     code, _, err = run_cli(
@@ -490,8 +519,7 @@ def test_train_toy_manifest_lists_the_schedule_file_only_when_read(
     for name in ("powerlaw", "sched.json"):  # a file named like a desk kind is not read
         (tmp_path / name).write_text("[[12, 4], [4, 8]]")
     argv = ["train-toy", "--schedule", schedule, "--vocab", "8", "--seq-len", "16",
-            "--max-hidden", "8", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
-            "--metrics-out", "m.csv"]
+            "--emb-dim", "4", "--steps", "1", "--batch-size", "2", "--metrics-out", "m.csv"]
     assert run_cli(argv, capsys)[0] == 0
     inputs = load_json(tmp_path / "m.csv.manifest.json")["inputs"]
     if schedule == "powerlaw":

@@ -1,13 +1,13 @@
 """Embedding table parsing, lookup, padding, and chunking."""
 
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmem import embeddings
 from longmem.embeddings import (
     OOV_ID,
     EmbeddedSeries,
@@ -30,6 +30,7 @@ from longmem.errors import (
     EmptyInputError,
     LengthExceededError,
 )
+from conftest import traced_peak
 
 TWO_LINE = "the 0.1 0.2 0.3\ncat -1.0 0.0 1.0\n"
 
@@ -72,6 +73,23 @@ def test_load_table_empty():
 def test_load_table_rejects_non_finite():
     with pytest.raises(EmbeddingParseError):
         load_table(io.StringIO("a 1 inf\n"))
+
+
+@pytest.mark.parametrize("cast_lines", [1, 2, 1024])
+def test_load_table_blocks_of_lines_keep_the_error_contract(monkeypatch, cast_lines):
+    # values are cast a block of lines at a time; a duplicate and every
+    # error may sit in a later block and still name its own line
+    monkeypatch.setattr(embeddings, "_CAST_LINES", cast_lines)
+    text = "a 1 2\nb 3 4\n\nc 5 6\na 7 8\nd 9 10\n"
+    table = load_table(io.StringIO(text))
+    assert table.token_ids == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert np.array_equal(table.vectors, [[1, 2], [3, 4], [5, 6], [9, 10]])
+    for bad_line, message in (("a 1 x", "could not convert"), ("e 1 nan", "non-finite")):
+        with pytest.raises(EmbeddingParseError, match=message) as exc:
+            load_table(io.StringIO(text + bad_line + "\nf 1 2\n"))
+        assert exc.value.line_number == 7
+    with pytest.raises(DimensionMismatchError, match="line 7"):
+        load_table(io.StringIO(text + "e 1 2 3\n"))
 
 
 def test_lookup_by_token_and_id():
@@ -227,12 +245,7 @@ def test_embed_ids_peak_allocation_does_not_grow_with_the_table(policy):
     table = EmbeddingTable(rng.standard_normal((200_000, 8)))
     ids = rng.integers(0, table.vocab_size, (4, 12))
     ids[0, 3] = ids[2, :] = OOV_ID
-    tracemalloc.start()
-    try:
-        block, _ = embed_ids(table, ids, policy, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (block, _), peak = traced_peak(lambda: embed_ids(table, ids, policy, 16))
     assert block.nbytes == 4096
     assert peak <= 8 * block.nbytes
 

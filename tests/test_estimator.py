@@ -100,7 +100,9 @@ def test_ols_loglog_rows_match_scalar_fit(seed, n, rows):
     xs = np.exp(rng.normal(size=n))
     ys = np.exp(rng.normal(size=(rows, n)))
     ys[0] = 3.0 * xs**-0.4  # an exact power law: zero residuals
+    given_ys = ys.copy()
     batch = ols_loglog_rows(xs, ys)
+    assert np.array_equal(ys, given_ys)  # the fit works in buffers of its own
     for i in range(rows):
         fit = ols_loglog(xs, ys[i])
         for name in ("slope", "intercept", "slope_stderr", "pvalue"):
@@ -192,7 +194,7 @@ def test_lookup_pad_periodogram_fit_pipeline():
 def test_fit_periodograms_rows_equal_single_fits():
     block = np.random.default_rng(5).standard_normal((4, 64, 3))
     config = EstimatorConfig(64, cutoff=LowFrequency(8))
-    batch = fit_periodograms(periodograms(block), config.cutoff)
+    batch = fit_periodograms(periodograms(block.transpose(0, 2, 1)), config.cutoff)
     assert batch.d.shape == (4, 3) and batch.cutoff_used == 8
     for b in range(4):
         single = estimate_from_periodogram(periodogram(EmbeddedSeries(block[b])), config)

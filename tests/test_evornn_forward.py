@@ -2,7 +2,6 @@
 
 import json
 import os
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from longmem.errors import (
     DomainError,
     LongmemError,
 )
-from conftest import fresh_cell, fresh_layer
+from conftest import fresh_cell, fresh_layer, traced_peak
 from longmem.evornn import build_model, load_checkpoint, save_checkpoint
 from longmem.evornn.cell import TENSOR_NAMES, _sigmoid, gru_forward_batch
 from longmem.evornn.layer import evo_forward_batch, segment_of_step, segment_runs
@@ -502,13 +501,7 @@ def test_checkpoint_declared_sizes_are_checked_before_allocation(tmp_path, edit)
     path, payload = _saved_payload(tmp_path)
     edit(payload)
     path.write_text(json.dumps(payload))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: pytest.raises(CheckpointError, load_checkpoint, str(path)))
     assert peak < 2**20
 
 

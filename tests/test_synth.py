@@ -151,8 +151,9 @@ def test_generate_farima_recovers_d():
     series = []
     for s in range(200):
         x = generate_farima(FarimaSpec(d=0.4, length=2048, seed=70000 + s, ma_truncation=4096))
-        series.append(x[:, None])
-    mean_pg = Periodogram(length=2048, power=periodograms(np.stack(series)).mean(axis=0))
+        series.append(x[None])
+    power = periodograms(np.stack(series)).mean(axis=0)
+    mean_pg = Periodogram(length=2048, power=power.T)
     est = estimate_from_periodogram(mean_pg, config)
     assert 0.32 <= est.d[0] <= 0.48
 
@@ -225,8 +226,9 @@ def test_quantized_fgn_preserves_memory_coefficient():
     for s in range(200):
         x = generate_fgn(FgnSpec(hurst=0.8, length=2048, seed=81000 + s))
         seq = quantize_to_symbols(x, 64, table=table)
-        series.append(lookup_sequence(table, seq, OovPolicy.ZERO).values)
-    mean_pg = Periodogram(length=2048, power=periodograms(np.stack(series)).mean(axis=0))
+        series.append(lookup_sequence(table, seq, OovPolicy.ZERO).values.T)
+    power = periodograms(np.stack(series)).mean(axis=0)
+    mean_pg = Periodogram(length=2048, power=power.T)
     est = estimate_from_periodogram(mean_pg, config)
     assert abs(est.d[0] - 0.3) <= 0.08
 
