@@ -26,7 +26,7 @@ from .estimator import (
     LrdEstimate,
     estimate_from_periodogram,
     estimate_report,
-    fit_periodograms,
+    fit_d,
     fitted_bins,
 )
 from .spectral import Periodogram, periodograms
@@ -129,8 +129,10 @@ def run_dataset(
 
     Each batch is embedded, transformed and fitted in slabs of about
     SLAB_BYTES of time-last series; its estimates then make one EMA update.
-    Rows with zero power in a fitted bin, which includes all-OOV rows under
-    the skip policy, are skipped and counted. A bad configuration raises.
+    A row's fit is its slopes alone: the inference is computed once, for
+    the pooled fit of the mean periodogram. Rows with zero power in a
+    fitted bin, which includes constant rows and all-OOV rows under the
+    skip policy, are skipped and counted. A bad configuration raises.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be positive, got {batch_size}")
@@ -155,7 +157,7 @@ def run_dataset(
                 power = power[keep]
                 if power.shape[0] == 0:
                     continue
-            estimates.append(fit_periodograms(power, config.cutoff).d)
+            estimates.append(fit_d(power, config.cutoff))
             if power_sum is not None:
                 # fold the running sum in first, so rows are added in stream order
                 power[0] += power_sum

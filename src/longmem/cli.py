@@ -6,8 +6,9 @@ cost table), `train-toy` (toy training with metrics CSV).
 
 Every command that writes files also writes a run manifest beside its
 primary output (resolved configuration, input digests, seed, version), and
-all files are written atomically (temp + rename). Exit codes: 0 success,
-1 runtime failure, 2 argument error.
+all files are written atomically (temp + rename). An output path whose
+directory does not exist is refused before any input is read. Exit codes:
+0 success, 1 runtime failure, 2 argument error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from typing import Iterable, Optional
 
@@ -81,6 +83,14 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: Iterable[
     atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _require_output_dirs(*paths: Optional[str]) -> None:
+    """Refuse, before any input is read, an output path whose directory
+    does not exist, so a failed run leaves no partial set of files."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise LongmemError(f"cannot write {path}: its directory does not exist")
+
+
 def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
     if raw == "full":
         return FullBand()
@@ -100,6 +110,7 @@ def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str
 
 
 def cmd_estimate(args, parser) -> int:
+    _require_output_dirs(args.out, args.dump_spectrum)
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
     config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
     chunk_len = pad_length if args.chunk_len is None else args.chunk_len
@@ -149,6 +160,7 @@ def cmd_estimate(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
+    _require_output_dirs(args.out, args.emb_out)
     if args.count < 1:
         parser.error(f"--count must be >= 1, got {args.count}")
     if args.emb_out and args.vocab is None:
@@ -238,6 +250,7 @@ def cmd_schedule_cost(args, parser) -> int:
 
 
 def cmd_train_toy(args, parser) -> int:
+    _require_output_dirs(args.metrics_out, args.checkpoint_out)
     if args.schedule in DESK_FLOORS:
         max_hidden = 128 if args.max_hidden is None else args.max_hidden
         schedule, inputs = desk_schedule(args.schedule, args.seq_len, max_hidden), []

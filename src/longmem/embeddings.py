@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
@@ -214,11 +214,18 @@ def embed_ids(
         raise DomainError(
             f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
         )
-    keep = ids != OOV_ID if policy is OovPolicy.SKIP else np.ones(ids.shape, dtype=bool)
-    kept = keep.sum(axis=1)
-    columns = length - kept[:, None] + np.cumsum(keep, axis=1) - 1
-    padded = np.zeros((ids.shape[0], length), dtype=np.intp)
-    padded[np.nonzero(keep)[0], columns[keep]] = ids[keep]
+    if policy is OovPolicy.SKIP:
+        keep = ids != OOV_ID
+        kept = keep.sum(axis=1)
+        columns = length - kept[:, None] + np.cumsum(keep, axis=1) - 1
+        padded = np.zeros((ids.shape[0], length), dtype=np.intp)
+        padded[np.nonzero(keep)[0], columns[keep]] = ids[keep]
+    else:  # every id is kept
+        kept = np.full(ids.shape[0], ids.shape[1])
+        padded = ids
+        if ids.shape[1] < length:
+            padded = np.zeros((ids.shape[0], length), dtype=np.intp)
+            padded[:, length - ids.shape[1] :] = ids
     # the pad and OOV_ID (-1) gather row 0 here, without copying the table
     block = table.vectors.take(padded, axis=0, mode="clip")
     if policy is not OovPolicy.SKIP:
@@ -233,9 +240,14 @@ def embed_ids(
 
 
 def _demean(values: np.ndarray) -> np.ndarray:
-    """Subtract its column means from a C-contiguous T x p array, in place."""
+    """Subtract its column means from a C-contiguous T x p array, in place.
+    A column of one repeated value becomes exactly zero: its rounded mean
+    can leave a residue, whose pad edge would then read as memory."""
+    columns = values.T.copy()  # numpy reduces contiguous rows far faster than narrow columns
+    constant = columns.min(axis=1) == columns.max(axis=1)
     flat = values.reshape(-1)  # a view; one pass over it beats numpy's axis-0 loops for small p
     flat -= np.tile(np.ones(len(values)) @ values / len(values), len(values))
+    values[:, constant] = 0.0
     return values
 
 
@@ -291,8 +303,10 @@ def read_corpus_ids(
     row per consecutive chunk; a final partial chunk is dropped."""
     if chunk_len < 1:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
-    tokens = iter_corpus_tokens(stream)
-    ids = np.fromiter(map(table.token_ids.get, tokens, repeat(OOV_ID)), dtype=np.intp)
+    get = table.token_ids.get
+    # line by line into one fromiter: no per-token generator frame, no per-line array
+    lines = (map(get, line.split(), repeat(OOV_ID)) for line in stream)
+    ids = np.fromiter(chain.from_iterable(lines), dtype=np.intp)
     rows = ids.size // chunk_len
     return ids[: rows * chunk_len].reshape(rows, chunk_len)
 

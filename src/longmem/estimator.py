@@ -130,39 +130,48 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
     return OlsFit(intercept, slope, stderr, pvalue, n)
 
 
-def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
-    """`ols_loglog` of each row of the K x n matrix `ys` on the shared `xs`,
-    reduced in `ols_loglog`'s expression order, so rows do not interact.
-    `ys` is left as it is; its rows need not be contiguous."""
+def _loglog_slopes(
+    xs: Sequence[float], ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The per-row OLS slopes of log ys on log xs for a K x n matrix `ys`
+    and shared `xs`, reduced in `ols_loglog`'s expression order, so rows do
+    not interact; returns (slope, lx, ly, ly_mean, sxx). `ys` is left as it
+    is; its rows need not be contiguous."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
         raise DomainError(f"need n xs and a K x n ys, got {x.shape} vs {y.shape}")
-    n = x.size
-    if n < 2:
-        raise DomainError(f"need at least 2 points, got {n}")
+    if x.size < 2:
+        raise DomainError(f"need at least 2 points, got {x.size}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise DomainError("all xs and ys must be strictly positive for log-log regression")
     lx = np.log(x)
     # one contiguous row per fit: numpy then sums each row pairwise, as in ols_loglog
     ly = np.log(y, out=np.empty(y.shape))
-    lx_mean = lx.mean()
     ly_mean = ly.mean(axis=1)
-    xc = lx - lx_mean
+    xc = lx - lx.mean()
     sxx = float((xc**2).sum())
     if sxx == 0.0:
         raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
     work = ly - ly_mean[:, None]
     work *= xc
     slope = work.sum(axis=1) / sxx
-    intercept = ly_mean - slope * lx_mean
+    return slope, lx, ly, ly_mean, sxx
+
+
+def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
+    """`ols_loglog` of each row of the K x n matrix `ys` on the shared `xs`:
+    the slopes of `_loglog_slopes`, then the inference on top of them."""
+    slope, lx, ly, ly_mean, sxx = _loglog_slopes(xs, ys)
+    n = lx.size
+    intercept = ly_mean - slope * lx.mean()
     if n == 2:
         nan = np.full(slope.shape, np.nan)
         return OlsFit(intercept, slope, nan, nan, n)
     # the residuals ly - intercept - slope * lx, written over ly
     residuals = ly
     residuals -= intercept[:, None]
-    residuals -= np.multiply(slope[:, None], lx, out=work)
+    residuals -= slope[:, None] * lx
     # one dot product per row, as ols_loglog's `residuals @ residuals`
     rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
     stderr = np.sqrt(rss / (n - 2) / sxx)
@@ -194,6 +203,15 @@ def fit_periodograms(power: np.ndarray, cutoff: Cutoff) -> LrdEstimate:
     fit = ols_loglog_rows(np.arange(1.0, m + 1.0), power[..., :m].reshape(-1, m))
     fields = (-fit.slope / 2.0, fit.intercept, fit.slope_stderr, fit.pvalue)
     return LrdEstimate(*(a.reshape(shape) for a in fields), cutoff_used=m)
+
+
+def fit_d(power: np.ndarray, cutoff: Cutoff) -> np.ndarray:
+    """The memory coefficients alone of `fit_periodograms`, bit for bit:
+    one slope per dimension of a time-last (..., p, L/2) block, no
+    inference; shape (..., p)."""
+    m = fitted_bins(power.shape[-1], cutoff)
+    slope = _loglog_slopes(np.arange(1.0, m + 1.0), power[..., :m].reshape(-1, m))[0]
+    return (-slope / 2.0).reshape(power.shape[:-1])
 
 
 def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEstimate:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from longmem import aggregator
+from longmem import aggregator, estimator
 from longmem.aggregator import (
     LearningRateSchedule,
     dataset_report,
@@ -224,6 +224,27 @@ def test_run_dataset_matches_manual_ema_composition(monkeypatch, policy, cutoff,
     assert np.array_equal(result.mean_periodogram.power, mean_power)
 
 
+def test_run_dataset_computes_the_inference_once_for_the_pooled_fit(monkeypatch):
+    # per-sequence fits are slopes alone; only the mean periodogram's fit
+    # computes intercept, stderr and pvalue
+    shapes = []
+    full_fit = estimator.ols_loglog_rows
+
+    def counted(xs, ys):
+        shapes.append(np.shape(ys))
+        return full_fit(xs, ys)
+
+    monkeypatch.setattr(estimator, "ols_loglog_rows", counted)
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * 3 * 128)  # one row a slab
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable(rng.standard_normal((16, 3)))
+    ids = rng.integers(0, 16, (10, 100))
+    config = EstimatorConfig(pad_length=128, cutoff=LowFrequency(16))
+    result = run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=4)
+    assert (result.n_estimated, result.state.step) == (10, 3)
+    assert shapes == [(3, 16)]  # one row per dimension of the mean periodogram
+
+
 def test_run_dataset_peak_allocation_does_not_grow_with_the_batch():
     # 64 rows of 1024 x 50: a whole batch of series would be 26 MB
     rng = np.random.default_rng(0)
@@ -251,6 +272,22 @@ def test_run_dataset_skips_all_oov_rows_under_skip_policy():
     config = EstimatorConfig(pad_length=256)
     result = run_dataset(seqs, table, config, OovPolicy.SKIP, LearningRateSchedule(), batch_size=4)
     assert (result.n_estimated, result.n_skipped) == (3, 1)
+
+
+@pytest.mark.parametrize("length", [40, 57, 97, 119, 128])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_run_dataset_skips_every_constant_row(policy, p, length):
+    # one all-OOV row, one row per repeated symbol, then one random row; a
+    # padded constant row must demean to exact zeros, not to a rounding
+    # residue whose pad edge the fit reads as memory
+    rng = np.random.default_rng(11)
+    table = EmbeddingTable(rng.standard_normal((16, p)))
+    constant = np.repeat(np.arange(OOV_ID, 16), length).reshape(17, length)
+    ids = np.vstack([constant, rng.integers(0, 16, (1, length))])
+    config = EstimatorConfig(pad_length=128)
+    result = run_dataset(ids, table, config, policy, LearningRateSchedule(), batch_size=5)
+    assert (result.n_estimated, result.n_skipped) == (1, 17)
 
 
 def test_padding_a_series_with_a_mean_fakes_no_memory():

@@ -335,23 +335,31 @@ def test_no_stray_temp_files(tmp_path, capsys):
     assert set(os.listdir(tmp_path)) == expected
 
 
-@pytest.mark.parametrize("command", ["estimate", "synth", "train-toy"])
-def test_output_into_missing_directory_is_clean_runtime_error(tmp_path, capsys, command):
-    missing = str(tmp_path / "missing" / "out")
+@pytest.mark.parametrize(
+    "command, flag",
+    [("estimate", "--out"), ("estimate", "--dump-spectrum"), ("synth", "--out"),
+     ("synth", "--emb-out"), ("train-toy", "--metrics-out"), ("train-toy", "--checkpoint-out")],
+)
+def test_output_into_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
     if command == "estimate":
         corpus, table = _make_corpus(tmp_path, capsys, count="2")
         argv = ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
-                "--pad-length", "512", "--out", missing]
+                "--pad-length", "512", "--out", "o.json", "--dump-spectrum", "s.csv"]
     elif command == "synth":
-        argv = ["synth", "--model", "white", "--length", "32", "--out", missing]
+        argv = ["synth", "--model", "white", "--length", "32", "--vocab", "4",
+                "--out", "c.txt", "--emb-out", "t.txt"]
     else:
         argv = ["train-toy", "--schedule", "constant", "--vocab", "8", "--seq-len", "4",
                 "--max-hidden", "4", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
-                "--metrics-out", str(tmp_path / "m.csv"), "--checkpoint-out", missing]
-    code, _, err = run_cli(argv, capsys)
+                "--metrics-out", "m.csv", "--checkpoint-out", "ck.json"]
+    missing = os.path.join("nodir", "x.out")
+    argv[argv.index(flag) + 1] = missing
+    before = set(os.listdir(tmp_path))
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert out == "" and err == f"error: cannot write {missing}: its directory does not exist\n"
+    assert set(os.listdir(tmp_path)) == before  # nothing written, not even a temp file
 
 
 @pytest.mark.parametrize(

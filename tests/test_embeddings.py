@@ -21,6 +21,7 @@ from longmem.embeddings import (
     lookup_sequence,
     pad_to_length,
     read_corpus_ids,
+    row_ids,
     shuffle_rows,
 )
 from longmem.errors import (
@@ -258,21 +259,24 @@ def test_embed_ids_rejects_long_rows_and_unknown_ids():
             embed_ids(SMALL_TABLE, np.array([[0, bad]]), OovPolicy.ZERO, 4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6), min_size=0, max_size=8
-    ),
-    st.integers(1, 7),
-)
+#: Separators `str.split()` splits on: ASCII blanks, the information
+#: separators \x1c-\x1f, the no-break space and the ideographic space.
+SEPARATOR = st.text(alphabet=" \t\x1c\x1d\x1e\x1f\xa0\u3000", min_size=1, max_size=3)
+WORDS = st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d", "zz"]), SEPARATOR), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(""), SEPARATOR), WORDS), max_size=8), st.integers(1, 7))
 def test_read_corpus_ids_matches_chunked_lookup(lines, chunk_len):
-    # chunks run across line breaks; a partial tail is dropped
-    text = "\n".join(" ".join(line) for line in lines) + "\n"
+    # blank and separator-only lines; chunks run across line breaks; a
+    # partial tail is dropped
+    text = "".join(lead + "".join(t + sep for t, sep in words) + "\n" for lead, words in lines)
     ids = read_corpus_ids(io.StringIO(text), SMALL_TABLE, chunk_len)
-    chunks = chunk_corpus(iter_corpus_tokens(io.StringIO(text)), chunk_len)
-    expected = [[SMALL_TABLE.token_ids.get(t, OOV_ID) for t in c.ids] for c in chunks]
-    assert ids.shape == (len(chunks), chunk_len)
-    assert ids.tolist() == expected
+    flat = row_ids(SMALL_TABLE, iter_corpus_tokens(io.StringIO(text)))
+    assert flat.size == sum(len(words) for _, words in lines)
+    rows = flat.size // chunk_len
+    assert ids.shape == (rows, chunk_len)
+    assert np.array_equal(ids.reshape(-1), flat[: rows * chunk_len])
 
 
 def test_shuffle_rows_draws_one_permutation_per_row():

@@ -24,6 +24,7 @@ from longmem.estimator import (
     LowFrequency,
     estimate_from_periodogram,
     estimate_report,
+    fit_d,
     fit_periodograms,
     gaussian_mutual_info,
     hurst_from_d,
@@ -200,6 +201,24 @@ def test_fit_periodograms_rows_equal_single_fits():
         single = estimate_from_periodogram(periodogram(EmbeddedSeries(block[b])), config)
         for name in ("d", "intercept", "slope_stderr", "pvalue"):
             assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), name
+
+
+@pytest.mark.parametrize(
+    "cutoff", [FullBand(), LowFrequency(11), LowFrequency(2)], ids=["full", "m11", "m2"]
+)
+def test_fit_d_is_the_d_of_fit_periodograms(cutoff):
+    power = periodograms(np.random.default_rng(8).standard_normal((6, 3, 64)))
+    given_power = power.copy()
+    views = (
+        power,
+        power[::2, ::-1],  # rows a stride apart
+        np.ascontiguousarray(power.transpose(0, 2, 1)).transpose(0, 2, 1),  # bins a stride apart
+    )
+    for block in views:
+        d = fit_d(block, cutoff)
+        assert d.shape == block.shape[:-1]
+        assert np.array_equal(d, fit_periodograms(block, cutoff).d)
+    assert np.array_equal(power, given_power)
 
 
 def test_estimate_report_fields():
