@@ -103,6 +103,10 @@ class AggregateResult:
     n_skipped: int
     mean_periodogram: Periodogram
     pooled: LrdEstimate
+    #: of n_skipped: rows whose every bin is 0.0 (constant or all-OOV rows)
+    n_skipped_constant: int
+    #: of n_skipped: the other rows, with zero power in some fitted bin
+    n_skipped_zero_power: int
 
 
 #: Bytes of time-last float64 series per slab, the rows `run_dataset` embeds,
@@ -132,7 +136,8 @@ def run_dataset(
     A row's fit is its slopes alone: the inference is computed once, for
     the pooled fit of the mean periodogram. Rows with zero power in a
     fitted bin, which includes constant rows and all-OOV rows under the
-    skip policy, are skipped and counted. A bad configuration raises.
+    skip policy, are skipped and counted: as constant when every bin is
+    zero, else as zero power. A bad configuration raises.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be positive, got {batch_size}")
@@ -141,7 +146,7 @@ def run_dataset(
     m = fitted_bins(length // 2, config.cutoff)
     slab = min(batch_size, max(1, SLAB_BYTES // (8 * table.dim * length)))
     state: Optional[EmaState] = None
-    n_estimated = 0
+    n_estimated = n_constant = 0
     power_sum: Optional[np.ndarray] = None
     for start in range(0, ids.shape[0], batch_size):
         batch_ids = ids[start : start + batch_size]
@@ -154,6 +159,7 @@ def run_dataset(
             del block
             keep = np.all(power[..., :m] > 0.0, axis=(1, 2))
             if not keep.all():
+                n_constant += int(np.count_nonzero(~power[~keep].any(axis=(1, 2))))
                 power = power[keep]
                 if power.shape[0] == 0:
                     continue
@@ -180,7 +186,10 @@ def run_dataset(
         raise EmptyInputError("no sequence could be estimated")
     mean_pg = Periodogram(length=length, power=(power_sum / n_estimated).T)
     pooled = estimate_from_periodogram(mean_pg, config)
-    return AggregateResult(state, n_estimated, ids.shape[0] - n_estimated, mean_pg, pooled)
+    n_skipped = ids.shape[0] - n_estimated
+    return AggregateResult(
+        state, n_estimated, n_skipped, mean_pg, pooled, n_constant, n_skipped - n_constant
+    )
 
 
 def dataset_report(result: AggregateResult) -> dict:
@@ -194,5 +203,7 @@ def dataset_report(result: AggregateResult) -> dict:
     report["d_pooled"] = [float(v) for v in result.pooled.d]
     report["n_estimated"] = result.n_estimated
     report["n_skipped"] = result.n_skipped
+    report["n_skipped_constant"] = result.n_skipped_constant
+    report["n_skipped_zero_power"] = result.n_skipped_zero_power
     report["batches"] = result.state.step
     return report

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+import time
 from typing import Iterable, Optional
 
 import numpy as np
@@ -49,16 +50,6 @@ from .schedule import (
     validate_schedule,
 )
 from .spectral import write_periodogram_csv
-from .synth import (
-    FarimaSpec,
-    FgnSpec,
-    generate_farima,
-    generate_fgn,
-    generate_white,
-    normal_bucket_table,
-    quantize_to_symbols,
-    theoretical_d,
-)
 
 SCHEMA_VERSION = REPORT_SCHEMA_VERSION
 
@@ -71,7 +62,23 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, config: dict, inputs: Iterable[str], seed) -> None:
+def _environment(started: float) -> dict:
+    """What a run's timings are to be compared across: versions, CPUs and
+    the seconds since `started`. scipy's version is read off the loaded
+    module, and is null when the run never imported scipy."""
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": ".".join(str(part) for part in sys.version_info[:3]),
+        "numpy": np.__version__,
+        "scipy": None if scipy is None else scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "elapsed_s": time.perf_counter() - started,
+    }
+
+
+def _write_manifest(
+    out_path: str, command: str, config: dict, inputs: Iterable[str], seed, started: float
+) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -79,6 +86,7 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: Iterable[
         "inputs": {path: _sha256(path) for path in inputs},
         "seed": seed,
         "version": __version__,
+        "environment": _environment(started),
     }
     atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -110,6 +118,7 @@ def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str
 
 
 def cmd_estimate(args, parser) -> int:
+    started = time.perf_counter()
     _require_output_dirs(args.out, args.dump_spectrum)
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
     config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
@@ -155,11 +164,25 @@ def cmd_estimate(args, parser) -> int:
         },
         [args.corpus, args.embeddings],
         args.seed,
+        started,
     )
     return 0
 
 
 def cmd_synth(args, parser) -> int:
+    started = time.perf_counter()
+    # synth loads scipy, so it is imported here, for this command alone
+    from .synth import (
+        FarimaSpec,
+        FgnSpec,
+        generate_farima,
+        generate_fgn,
+        generate_white,
+        normal_bucket_table,
+        quantize_to_symbols,
+        theoretical_d,
+    )
+
     _require_output_dirs(args.out, args.emb_out)
     if args.count < 1:
         parser.error(f"--count must be >= 1, got {args.count}")
@@ -225,6 +248,7 @@ def cmd_synth(args, parser) -> int:
         },
         [],
         args.seed,
+        started,
     )
     return 0
 
@@ -250,6 +274,7 @@ def cmd_schedule_cost(args, parser) -> int:
 
 
 def cmd_train_toy(args, parser) -> int:
+    started = time.perf_counter()
     _require_output_dirs(args.metrics_out, args.checkpoint_out)
     if args.schedule in DESK_FLOORS:
         max_hidden = 128 if args.max_hidden is None else args.max_hidden
@@ -329,6 +354,7 @@ def cmd_train_toy(args, parser) -> int:
         },
         inputs,
         args.seed,
+        started,
     )
     return 0
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateInputError, DomainError, ZeroPowerError
 from .spectral import Periodogram
@@ -84,13 +83,27 @@ class LrdEstimate:
     cutoff_used: int
 
 
-def _slope_pvalue(t_stat: float, dof: int) -> float:
-    """Two-sided p-value of the slope-zero test."""
-    if not math.isfinite(t_stat):
-        return 0.0
+def slope_pvalues(slope: np.ndarray, stderr: np.ndarray, dof: int) -> np.ndarray:
+    """Two-sided p-values of the slope-zero test, element by element.
+
+    Above `_NORMAL_APPROX_N` degrees of freedom the t-tail is the normal
+    tail erfc(|t|/sqrt 2), taken from `math.erfc`; only a Student-t tail
+    loads `scipy.special`. An infinite |t| has p-value 0, and a zero
+    stderr gives 1 for a zero slope and 0 otherwise.
+    """
+    slope = np.asarray(slope, dtype=np.float64)
+    stderr = np.asarray(stderr, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t_stat = np.abs(slope / stderr)
     if dof > _NORMAL_APPROX_N:
-        return float(special.erfc(abs(t_stat) / math.sqrt(2.0)))
-    return float(2.0 * special.stdtr(dof, -abs(t_stat)))
+        scaled = (t_stat / math.sqrt(2.0)).ravel().tolist()
+        tail = np.fromiter(map(math.erfc, scaled), np.float64, len(scaled)).reshape(t_stat.shape)
+    else:
+        from scipy import special
+
+        tail = 2.0 * special.stdtr(dof, -t_stat)
+    pvalue = np.where(np.isfinite(t_stat), tail, 0.0)
+    return np.where(stderr == 0.0, np.where(slope == 0.0, 1.0, 0.0), pvalue)
 
 
 def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
@@ -123,11 +136,7 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
     residuals = ly - intercept - slope * lx
     rss = float(residuals @ residuals)
     stderr = math.sqrt(rss / (n - 2) / sxx)
-    if stderr == 0.0:
-        pvalue = 1.0 if slope == 0.0 else 0.0
-    else:
-        pvalue = _slope_pvalue(slope / stderr, n - 2)
-    return OlsFit(intercept, slope, stderr, pvalue, n)
+    return OlsFit(intercept, slope, stderr, float(slope_pvalues(slope, stderr, n - 2)), n)
 
 
 def _loglog_slopes(
@@ -175,15 +184,7 @@ def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
     # one dot product per row, as ols_loglog's `residuals @ residuals`
     rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
     stderr = np.sqrt(rss / (n - 2) / sxx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = np.abs(slope / stderr)
-    if n - 2 > _NORMAL_APPROX_N:
-        tail = special.erfc(t_stat / math.sqrt(2.0))
-    else:
-        tail = 2.0 * special.stdtr(n - 2, -t_stat)
-    pvalue = np.where(np.isfinite(t_stat), tail, 0.0)
-    pvalue = np.where(stderr == 0.0, np.where(slope == 0.0, 1.0, 0.0), pvalue)
-    return OlsFit(intercept, slope, stderr, pvalue, n)
+    return OlsFit(intercept, slope, stderr, slope_pvalues(slope, stderr, n - 2), n)
 
 
 def fitted_bins(n_bins: int, cutoff: Cutoff) -> int:
@@ -228,11 +229,21 @@ def hurst_from_d(d: float) -> float:
     return d + 0.5
 
 
+def d_stderr_asymptotic(m: int) -> float:
+    """The asymptotic standard error pi / sqrt(24 m) of the log-periodogram
+    d over m bins (Robinson 1995, Ann. Statist.): the log periodogram's
+    error has variance pi^2/6, and d is half the slope."""
+    return math.pi / math.sqrt(24.0 * m)
+
+
 def estimate_report(est: LrdEstimate) -> dict:
     """Plain-JSON view of an estimate, including the cutoff and abscissa used.
 
     JSON has no NaN: the `stderr` and `pvalue` of a two-bin fit, which has
-    no residual degrees of freedom, are written as None (null)."""
+    no residual degrees of freedom, are written as None (null).
+    `stderr` is the OLS standard error of the slope, twice that of d;
+    `d_stderr_asymptotic` is a separate estimator, Robinson's (1995)
+    asymptotic standard error of d over the fitted bins."""
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dim": int(est.d.size),
@@ -242,6 +253,7 @@ def estimate_report(est: LrdEstimate) -> dict:
         "intercept": [float(v) for v in est.intercept],
         "stderr": [None if math.isnan(v) else float(v) for v in est.slope_stderr],
         "pvalue": [None if math.isnan(v) else float(v) for v in est.pvalue],
+        "d_stderr_asymptotic": d_stderr_asymptotic(est.cutoff_used),
     }
 
 

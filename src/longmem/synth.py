@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 from .embeddings import EmbeddedSeries, EmbeddingTable, SymbolSequence
 from .errors import DomainError
@@ -125,6 +125,8 @@ def farima_ma_coeffs(d: float, truncation: int) -> np.ndarray:
 
 def generate_farima(spec: FarimaSpec) -> np.ndarray:
     """FARIMA(0,d,0): x_t = sum_j psi_j eps_{t-j}, burn-in of J discarded."""
+    from scipy import signal  # imported here: it loads scipy.stats, which nothing else needs
+
     j = spec.truncation
     rng = np.random.default_rng(spec.seed)
     psi = farima_ma_coeffs(spec.d, j)

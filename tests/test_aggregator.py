@@ -288,6 +288,29 @@ def test_run_dataset_skips_every_constant_row(policy, p, length):
     config = EstimatorConfig(pad_length=128)
     result = run_dataset(ids, table, config, policy, LearningRateSchedule(), batch_size=5)
     assert (result.n_estimated, result.n_skipped) == (1, 17)
+    # every bin of a constant row is exactly zero, so each counts as constant
+    assert (result.n_skipped_constant, result.n_skipped_zero_power) == (17, 0)
+
+
+@pytest.mark.parametrize("length", [97, 128])
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_run_dataset_counts_a_row_with_one_flat_dimension_as_zero_power(policy, length):
+    # table rows 0-7 hold one value in the first dimension, so a row of them
+    # has zero power there but not in the second: skipped, yet not constant;
+    # a row of table rows 8-15 varies in both dimensions and is estimated
+    rng = np.random.default_rng(12)
+    vectors = rng.standard_normal((16, 2))
+    vectors[:8, 0] = 0.5
+    table = EmbeddingTable(vectors)
+    ids = np.vstack(
+        [np.full(length, OOV_ID), rng.integers(0, 8, length), rng.integers(8, 16, length)]
+    )
+    config = EstimatorConfig(pad_length=128, cutoff=LowFrequency(11))
+    result = run_dataset(ids, table, config, policy, LearningRateSchedule(), batch_size=2)
+    assert (result.n_estimated, result.n_skipped) == (1, 2)
+    assert (result.n_skipped_constant, result.n_skipped_zero_power) == (1, 1)
+    report = dataset_report(result)
+    assert (report["n_skipped_constant"], report["n_skipped_zero_power"]) == (1, 1)
 
 
 def test_padding_a_series_with_a_mean_fakes_no_memory():
@@ -327,6 +350,7 @@ def test_dataset_report_keys_name_their_sources():
     for key, field in (("intercept", "intercept"), ("stderr", "slope_stderr"), ("pvalue", "pvalue")):
         assert report[key] == getattr(pooled, field).tolist(), key
     assert (report["n_estimated"], report["n_skipped"], report["batches"]) == (5, 1, 2)
-    assert {k: report[k] for k in ("schema_version", "dim", "cutoff", "abscissa")} == {
-        k: estimate_report(pooled)[k] for k in ("schema_version", "dim", "cutoff", "abscissa")
-    }
+    assert (report["n_skipped_constant"], report["n_skipped_zero_power"]) == (1, 0)
+    # d_stderr_asymptotic is Robinson's for the m = 16 bins fitted
+    keys = ("schema_version", "dim", "cutoff", "abscissa", "d_stderr_asymptotic")
+    assert {k: report[k] for k in keys} == {k: estimate_report(pooled)[k] for k in keys}

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -155,6 +156,38 @@ def test_synth_writes_manifest(tmp_path, capsys):
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 7
     assert manifest["config"]["model"] == "white"
+
+
+def test_every_manifest_records_its_environment(tmp_path, capsys):
+    # scipy is loaded in this process, so its version is recorded; a fresh
+    # process that never loads it records null (tests/test_import_graph.py)
+    import scipy
+
+    corpus, table = _make_corpus(tmp_path, capsys, count="2")
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+         "--pad-length", "512", "--out", str(report)],
+        capsys,
+    )
+    assert code == 0
+    metrics = tmp_path / "m.csv"
+    code, _, _ = run_cli(
+        ["train-toy", "--vocab", "8", "--seq-len", "8", "--max-hidden", "8", "--emb-dim", "4",
+         "--steps", "2", "--batch-size", "2", "--metrics-out", str(metrics)],
+        capsys,
+    )
+    assert code == 0
+    for primary in (corpus, report, metrics):
+        environment = load_json(f"{primary}.manifest.json")["environment"]
+        elapsed = environment.pop("elapsed_s")
+        assert isinstance(elapsed, float) and 0.0 <= elapsed < 60.0
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
 
 
 def _make_corpus(tmp_path, capsys, d="0.3", count="40", length="512", vocab="16", seed="5"):

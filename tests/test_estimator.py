@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from longmem.embeddings import (
     EmbeddedSeries,
@@ -31,6 +31,7 @@ from longmem.estimator import (
     mi_decay_slope,
     ols_loglog,
     ols_loglog_rows,
+    slope_pvalues,
     sqrt_cutoff,
 )
 from longmem.spectral import periodogram, periodograms
@@ -113,6 +114,39 @@ def test_ols_loglog_rows_match_scalar_fit(seed, n, rows):
             else:
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, i, got, want)
         assert batch.n_points == fit.n_points
+
+
+def _t_values(seed):
+    # |t| from 0 past the normal tail's underflow near |t|/sqrt 2 = 27, both signs
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([[0.0, 1e-9, 1.0, 37.0, 38.0], rng.uniform(0.0, 40.0, 40)])
+    return np.concatenate([t, -t])
+
+
+def test_slope_pvalues_normal_tail_matches_scipy_erfc():
+    for dof in range(_NORMAL_APPROX_N + 1, 601):
+        t = _t_values(dof)
+        got = slope_pvalues(t, np.ones_like(t), dof)
+        want = special.erfc(np.abs(t) / math.sqrt(2.0))
+        close = np.abs(got - want) <= 1e-13 * np.maximum(got, want)
+        assert np.all(close | ((got <= 1e-300) & (want <= 1e-300))), dof
+
+
+def test_slope_pvalues_t_tail_is_scipy_stdtr():
+    for dof in range(1, _NORMAL_APPROX_N + 1):
+        t = _t_values(dof)
+        got = slope_pvalues(t, np.ones_like(t), dof)
+        assert np.array_equal(got, 2.0 * special.stdtr(dof, -np.abs(t))), dof
+
+
+@pytest.mark.parametrize("dof", [3, _NORMAL_APPROX_N + 1])
+def test_slope_pvalues_of_an_infinite_t_or_a_zero_stderr(dof):
+    slope = np.array([[2.0, 0.0], [-1.0, 1e300]])
+    stderr = np.array([[0.0, 0.0], [0.0, 1e-300]])
+    got = slope_pvalues(slope, stderr, dof)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    assert slope_pvalues(1.0, 2.0, dof).shape == ()
 
 
 def test_ols_loglog_rows_rejects_bad_input():
@@ -232,6 +266,7 @@ def test_estimate_report_fields():
     for key in ("d", "intercept", "stderr", "pvalue"):
         assert isinstance(report[key], list) and len(report[key]) == 1
     assert np.isclose(report["d"][0], 0.1, atol=1e-9)
+    assert report["d_stderr_asymptotic"] == math.pi / math.sqrt(24.0 * 32)  # Robinson, m = 32
 
 
 def test_hurst_from_d():
