@@ -110,12 +110,14 @@ class AggregateResult:
 
 
 #: Bytes of time-last float64 series per slab, the rows `run_dataset` embeds,
-#: transforms and fits at a time, so a batch's arrays stay in cache and
-#: memory does not grow with the batch size. Measured as the median of 5
-#: whole perfbench jobs on a 2-core box: `estimate-wide` (400 KiB rows) took
-#: 1.89 s at 1 row a slab, 1.64 s at 2, 1.72 s at 8 and 2.16 s at its whole
-#: 64-row batch; `estimate-long-oov` (128 KiB rows) took 0.19 s at 1-2 rows,
-#: 0.155 s at 8 and 0.136 s at 16. 1 MiB gives them 2 and 8 rows.
+#: transforms and fits at a time in its workspace, so a batch's arrays stay
+#: in cache and memory does not grow with the batch size. Measured as the
+#: median of 9 whole `estimate` jobs on the perfbench inputs, the sizes
+#: interleaved, on a 2-core box: `estimate-wide` (400 KiB rows) took 1.30 s
+#: at 1 row a slab, 1.25 s at 2, 1.35 s at 8 and 1.48 s at its whole 64-row
+#: batch; `estimate-long-oov` (128 KiB rows) took 0.133 s at 1 row, 0.121 s
+#: at 2, 0.114 s at 8 and 0.130 s at its whole 16-row batch. The host's
+#: speed drifts by about 10% between runs. 1 MiB gives them 2 and 8 rows.
 SLAB_BYTES = 1 << 20
 
 
@@ -142,33 +144,39 @@ def run_dataset(
     if batch_size < 1:
         raise DomainError(f"batch size must be positive, got {batch_size}")
     ids = np.asarray(ids)
-    length = config.pad_length
-    m = fitted_bins(length // 2, config.cutoff)
-    slab = min(batch_size, max(1, SLAB_BYTES // (8 * table.dim * length)))
+    p, length = table.dim, config.pad_length
+    n_bins = length // 2
+    m = fitted_bins(n_bins, config.cutoff)
+    slab = min(batch_size, max(1, SLAB_BYTES // (8 * p * length)))
+    # the workspace, all a slab writes: its time-last series, later its
+    # power, and its spectrum, which first holds the gathered block and last
+    # the logs of the fitted bins
+    series = np.empty((slab, p, length))
+    spectrum = np.empty((slab, p, n_bins + 1), dtype=np.complex128)
+    floats = spectrum.view(np.float64).reshape(-1)
     state: Optional[EmaState] = None
     n_estimated = n_constant = 0
-    power_sum: Optional[np.ndarray] = None
+    power_sum = np.zeros((p, n_bins))
     for start in range(0, ids.shape[0], batch_size):
         batch_ids = ids[start : start + batch_size]
         estimates = []
         for first in range(0, batch_ids.shape[0], slab):
             rows = batch_ids[first : first + slab]
-            # one transposed copy to time-last; the (B, L, p) block is freed here
-            block = embed_ids(table, rows, policy, length)[0].transpose(0, 2, 1).copy()
-            power = periodograms(block)
-            del block
-            keep = np.all(power[..., :m] > 0.0, axis=(1, 2))
+            k = rows.shape[0]
+            block = floats[: k * length * p].reshape(k, length, p)
+            embed_ids(table, rows, policy, length, out=block)
+            np.copyto(series[:k], block.transpose(0, 2, 1))
+            power = series.reshape(-1)[: k * p * n_bins].reshape(k, p, n_bins)
+            periodograms(series[:k], spectrum=spectrum[:k], out=power)
+            keep = power[..., :m].min(axis=(1, 2)) > 0.0
             if not keep.all():
                 n_constant += int(np.count_nonzero(~power[~keep].any(axis=(1, 2))))
                 power = power[keep]
                 if power.shape[0] == 0:
                     continue
-            estimates.append(fit_d(power, config.cutoff))
-            if power_sum is not None:
-                # fold the running sum in first, so rows are added in stream order
-                power[0] += power_sum
-            power_sum = power.sum(axis=0)
-            del power  # before the next slab allocates its own
+            estimates.append(fit_d(power, config.cutoff, work=floats))
+            for row in power:  # one row at a time: the sum adds rows in stream order
+                power_sum += row
         if not estimates:
             continue
         batch = np.concatenate(estimates)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -195,13 +195,19 @@ def row_ids(table: EmbeddingTable, tokens: Iterable[Token]) -> np.ndarray:
 
 
 def embed_ids(
-    table: EmbeddingTable, ids: np.ndarray, policy: OovPolicy, length: int
+    table: EmbeddingTable,
+    ids: np.ndarray,
+    policy: OovPolicy,
+    length: int,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Embed and front zero-pad a B x n block of row ids to B x length x p,
     applying the OOV policy; also returns each row's embedded symbol count.
-    Under `skip` the kept symbols of a row are right-aligned, in order.
-    A row that gets padding is demeaned over its symbols first, else the pad
-    adds a step that reads as low-frequency power (Percival & Walden)."""
+    The block is written into `out`, a C-contiguous B x length x p float64
+    array, when given. Under `skip` the kept symbols of a row are
+    right-aligned, in order. A row that gets padding is demeaned over its
+    symbols first, else the pad adds a step that reads as low-frequency
+    power (Percival & Walden)."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 2:
         raise DimensionMismatchError(f"ids must be a B x n matrix, got shape {ids.shape}")
@@ -209,17 +215,18 @@ def embed_ids(
         raise LengthExceededError(
             f"sequence length {ids.shape[1]} exceeds pad length {length}; chunk first"
         )
-    bad = (ids < OOV_ID) | (ids >= table.vocab_size)
-    if bad.any():
+    lowest = ids.min(initial=0)
+    if lowest < OOV_ID or ids.max(initial=0) >= table.vocab_size:
+        bad = (ids < OOV_ID) | (ids >= table.vocab_size)
         raise DomainError(
             f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
         )
     if policy is OovPolicy.SKIP:
         keep = ids != OOV_ID
-        kept = keep.sum(axis=1)
-        columns = length - kept[:, None] + np.cumsum(keep, axis=1) - 1
+        kept = np.count_nonzero(keep, axis=1)
         padded = np.zeros((ids.shape[0], length), dtype=np.intp)
-        padded[np.nonzero(keep)[0], columns[keep]] = ids[keep]
+        for row, mask, n, place in zip(ids, keep, kept, padded):
+            place[length - n :] = row[mask]
     else:  # every id is kept
         kept = np.full(ids.shape[0], ids.shape[1])
         padded = ids
@@ -227,11 +234,9 @@ def embed_ids(
             padded = np.zeros((ids.shape[0], length), dtype=np.intp)
             padded[:, length - ids.shape[1] :] = ids
     # the pad and OOV_ID (-1) gather row 0 here, without copying the table
-    block = table.vectors.take(padded, axis=0, mode="clip")
-    if policy is not OovPolicy.SKIP:
-        oov = padded == OOV_ID
-        if oov.any():
-            block[oov] = table.mean_vector if policy is OovPolicy.MEAN else 0.0
+    block = table.vectors.take(padded, axis=0, out=out, mode="clip")
+    if lowest == OOV_ID and policy is not OovPolicy.SKIP:
+        block[padded == OOV_ID] = table.mean_vector if policy is OovPolicy.MEAN else 0.0
     for b in np.flatnonzero(kept < length):
         block[b, : length - kept[b]] = 0.0
         if kept[b]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,40 +140,43 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
 
 
 def _loglog_slopes(
-    xs: Sequence[float], ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The per-row OLS slopes of log ys on log xs for a K x n matrix `ys`
-    and shared `xs`, reduced in `ols_loglog`'s expression order, so rows do
-    not interact; returns (slope, lx, ly, ly_mean, sxx). `ys` is left as it
-    is; its rows need not be contiguous."""
+    xs: Sequence[float], ys: np.ndarray, work: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], float]:
+    """The per-row OLS slopes of log ys on log xs for the K rows of a
+    (..., n) array `ys` and shared `xs`, so rows do not interact; returns
+    (slope, lx, ly, sxx) with ly the K x n logs. `ys` is left as it is; its
+    rows need not be contiguous. Given `work`, a float64 array of at least
+    K * n entries, the logs are taken there and the slopes formed over them
+    in place, and ly is None: the slopes alone, in no array of their own."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
+    if x.ndim != 1 or y.ndim < 2 or y.shape[-1] != x.size:
         raise DomainError(f"need n xs and a K x n ys, got {x.shape} vs {y.shape}")
     if x.size < 2:
         raise DomainError(f"need at least 2 points, got {x.size}")
-    if np.any(x <= 0) or np.any(y <= 0):
+    # fmin skips NaN as `y <= 0` does, and needs no K x n mask
+    if np.any(x <= 0) or np.fmin.reduce(y, axis=None, initial=np.inf) <= 0:
         raise DomainError("all xs and ys must be strictly positive for log-log regression")
     lx = np.log(x)
-    # one contiguous row per fit: numpy then sums each row pairwise, as in ols_loglog
-    ly = np.log(y, out=np.empty(y.shape))
-    ly_mean = ly.mean(axis=1)
+    logs = np.empty(y.shape) if work is None else work.reshape(-1)[: y.size].reshape(y.shape)
+    ly = np.log(y, out=logs).reshape(-1, x.size)
     xc = lx - lx.mean()
     sxx = float((xc**2).sum())
     if sxx == 0.0:
         raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
-    work = ly - ly_mean[:, None]
-    work *= xc
-    slope = work.sum(axis=1) / sxx
-    return slope, lx, ly, ly_mean, sxx
+    # sum (ly - mean ly) xc = sum ly xc, as sum xc = 0; one contiguous row per
+    # fit, which numpy sums pairwise whatever K is
+    products = np.multiply(ly, xc, out=None if work is None else ly)
+    slope = products.sum(axis=1) / sxx
+    return slope, lx, None if work is not None else ly, sxx
 
 
 def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
     """`ols_loglog` of each row of the K x n matrix `ys` on the shared `xs`:
     the slopes of `_loglog_slopes`, then the inference on top of them."""
-    slope, lx, ly, ly_mean, sxx = _loglog_slopes(xs, ys)
+    slope, lx, ly, sxx = _loglog_slopes(xs, ys)
     n = lx.size
-    intercept = ly_mean - slope * lx.mean()
+    intercept = ly.mean(axis=1) - slope * lx.mean()
     if n == 2:
         nan = np.full(slope.shape, np.nan)
         return OlsFit(intercept, slope, nan, nan, n)
@@ -201,17 +204,19 @@ def fit_periodograms(power: np.ndarray, cutoff: Cutoff) -> LrdEstimate:
     have shape (..., p)."""
     m = fitted_bins(power.shape[-1], cutoff)
     shape = power.shape[:-1]
-    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), power[..., :m].reshape(-1, m))
+    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), power[..., :m])
     fields = (-fit.slope / 2.0, fit.intercept, fit.slope_stderr, fit.pvalue)
     return LrdEstimate(*(a.reshape(shape) for a in fields), cutoff_used=m)
 
 
-def fit_d(power: np.ndarray, cutoff: Cutoff) -> np.ndarray:
+def fit_d(power: np.ndarray, cutoff: Cutoff, work: Optional[np.ndarray] = None) -> np.ndarray:
     """The memory coefficients alone of `fit_periodograms`, bit for bit:
     one slope per dimension of a time-last (..., p, L/2) block, no
-    inference; shape (..., p)."""
+    inference; shape (..., p). The fitted bins are logged straight from
+    `power` into `work`, a float64 array of at least m entries per
+    dimension fitted, or into an array of their own when it is not given."""
     m = fitted_bins(power.shape[-1], cutoff)
-    slope = _loglog_slopes(np.arange(1.0, m + 1.0), power[..., :m].reshape(-1, m))[0]
+    slope = _loglog_slopes(np.arange(1.0, m + 1.0), power[..., :m], work)[0]
     return (-slope / 2.0).reshape(power.shape[:-1])
 
 

@@ -9,7 +9,7 @@ lengths; `dft_naive` is the O(L^2) oracle used to verify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -61,10 +61,17 @@ def dft_naive(signal: np.ndarray) -> np.ndarray:
     return kernel @ x
 
 
-def periodograms(block: np.ndarray) -> np.ndarray:
+def periodograms(
+    block: np.ndarray, spectrum: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Power at k = 1..L/2 (DC removed) of every row of a time-last
-    (..., p, L) block of series, by one real FFT along the contiguous last
-    axis; (..., p, L/2)."""
+    (..., p, L) block of series, by one real FFT along the last axis;
+    (..., p, L/2).
+
+    The transform is written into `spectrum`, a C-contiguous complex128
+    (..., p, L/2 + 1) array, and the power into `out`; either is allocated
+    when not given. `out` may share memory with `block`, which is dead
+    once transformed. The spectrum is left squared part by part."""
     values = np.asarray(block, dtype=np.float64)
     if values.ndim < 2:
         raise DimensionMismatchError(f"block must be (..., p, L), got shape {values.shape}")
@@ -73,9 +80,15 @@ def periodograms(block: np.ndarray) -> np.ndarray:
         raise SpectralLengthError(
             f"series length {length} is not a power of two; pad the series first"
         )
-    power = np.abs(np.fft.rfft(values, axis=-1)[..., 1:])
-    power **= 2
-    return power
+    if spectrum is None:
+        # C-contiguous, so it has a float view: rfft's own result need not
+        spectrum = np.empty(values.shape[:-1] + (length // 2 + 1,), dtype=np.complex128)
+    np.fft.rfft(values, axis=-1, out=spectrum)
+    # re^2 + im^2 of bins 1..L/2. The parts are squared in place, DC too: an
+    # in-place ufunc on the contiguous view runs ~4x faster than on [..., 2:]
+    parts = spectrum.view(np.float64)
+    parts *= parts
+    return np.add(parts[..., 2::2], parts[..., 3::2], out=out)
 
 
 def periodogram(series: EmbeddedSeries) -> Periodogram:

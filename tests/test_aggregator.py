@@ -1,8 +1,12 @@
 """Streaming EMA aggregation over per-sequence estimates."""
 
 import io
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from longmem import aggregator, estimator
+from longmem import aggregator, estimator, spectral
 from longmem.aggregator import (
     LearningRateSchedule,
     dataset_report,
@@ -256,6 +260,79 @@ def test_run_dataset_peak_allocation_does_not_grow_with_the_batch():
         for size in (8, 64)
     ]
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+_FAULTS_CHILD = """
+import json, resource
+import numpy as np
+from longmem.aggregator import LearningRateSchedule, run_dataset
+from longmem.embeddings import EmbeddingTable, OovPolicy
+from longmem.estimator import EstimatorConfig
+
+rng = np.random.default_rng(0)
+table = EmbeddingTable(rng.standard_normal((500, 50)))
+ids = rng.integers(0, 500, (32, 1024))
+
+def faults(rows):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_dataset(ids[:rows], table, EstimatorConfig(1024), OovPolicy.ZERO, LearningRateSchedule(), 8)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(8)  # first-call costs: lazy imports, the allocator's first pages
+print(json.dumps([faults(8), faults(32)]))
+"""
+
+
+def test_run_dataset_page_faults_do_not_grow_with_the_rows():
+    # a slab that allocates its arrays afresh faults in new pages for every
+    # row, about 2 MB a slab here; a reused workspace faults in its pages once
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _FAULTS_CHILD],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    few, many = json.loads(child.stdout.strip().splitlines()[-1])
+    assert many <= 1.5 * few + 2000, (few, many)
+
+
+def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
+    buffers = []
+
+    def recorded_periodograms(block, spectrum=None, out=None):
+        buffers.extend([block, spectrum, out])
+        return spectral.periodograms(block, spectrum=spectrum, out=out)
+
+    def recorded_fit_d(power, cutoff, work=None):
+        buffers.append(work)
+        return estimator.fit_d(power, cutoff, work=work)
+
+    monkeypatch.setattr(aggregator, "periodograms", recorded_periodograms)
+    monkeypatch.setattr(aggregator, "fit_d", recorded_fit_d)
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 2 * 8 * 3 * 128)  # two rows a slab
+    rng = np.random.default_rng(6)
+    table = EmbeddingTable(rng.standard_normal((16, 3)))
+    ids = rng.integers(0, 16, (9, 100))
+    config = EstimatorConfig(pad_length=128, cutoff=LowFrequency(11))
+
+    def run():
+        return run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=4)
+
+    first = run()
+    assert len(buffers) == 4 * 5 and all(b is not None for b in buffers)  # 5 slabs
+    kept = first.mean_periodogram.power.copy(), first.state.d_hat.copy()
+    for result in (first.mean_periodogram.power, first.state.d_hat):
+        assert not any(np.shares_memory(result, b) for b in buffers)
+    second = run()
+    assert np.array_equal(first.mean_periodogram.power, kept[0])
+    assert np.array_equal(first.state.d_hat, kept[1])
+    assert np.array_equal(second.mean_periodogram.power, kept[0])
+    assert np.array_equal(second.state.d_hat, kept[1])
+    assert not np.shares_memory(first.mean_periodogram.power, second.mean_periodogram.power)
 
 
 def test_run_dataset_validates_sizes():

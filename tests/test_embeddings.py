@@ -251,6 +251,20 @@ def test_embed_ids_peak_allocation_does_not_grow_with_the_table(policy):
     assert peak <= 8 * block.nbytes
 
 
+@pytest.mark.parametrize("length", [12, 16])
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_embed_ids_into_a_given_block_equals_the_allocating_call(policy, length):
+    rng = np.random.default_rng(1)
+    ids = rng.integers(OOV_ID, SMALL_TABLE.vocab_size, (5, 12))
+    ids[1] = OOV_ID
+    out = np.full((5, length, 2), np.nan)
+    block, kept = embed_ids(SMALL_TABLE, ids, policy, length, out=out)
+    assert block is out
+    expected_block, expected_kept = embed_ids(SMALL_TABLE, ids, policy, length)
+    assert np.array_equal(block, expected_block)
+    assert np.array_equal(kept, expected_kept)
+
+
 def test_embed_ids_rejects_long_rows_and_unknown_ids():
     with pytest.raises(LengthExceededError):
         embed_ids(SMALL_TABLE, np.zeros((2, 5), dtype=int), OovPolicy.ZERO, 4)

@@ -37,6 +37,8 @@ from longmem.estimator import (
 from longmem.spectral import periodogram, periodograms
 from longmem.synth import fgn_autocov, normal_bucket_table
 
+from conftest import traced_peak
+
 
 def test_ols_loglog_frozen_example():
     fit = ols_loglog([1.0, 2.0, 3.0, 4.0], [2.1, 1.0, 0.9, 0.4])
@@ -253,6 +255,26 @@ def test_fit_d_is_the_d_of_fit_periodograms(cutoff):
         assert d.shape == block.shape[:-1]
         assert np.array_equal(d, fit_periodograms(block, cutoff).d)
     assert np.array_equal(power, given_power)
+
+
+@pytest.mark.parametrize(
+    "cutoff", [FullBand(), LowFrequency(11), LowFrequency(2)], ids=["full", "m11", "m2"]
+)
+def test_fit_d_into_a_work_array_equals_the_allocating_fit(cutoff):
+    power = periodograms(np.random.default_rng(9).standard_normal((6, 3, 64)))
+    work = np.full(6 * 3 * 32 + 5, np.nan)  # larger than the fit needs
+    for block in (power, power[::2, ::-1], power[1]):
+        assert np.array_equal(fit_d(block, cutoff, work=work), fit_d(block, cutoff))
+
+
+def test_fit_d_logs_strided_fitted_bins_without_a_copy():
+    # 400 fits of 64 of 512 bins: a copy of the fitted bins would be 205 kB,
+    # twice the bound, which leaves room for numpy's 64 kB iterator buffer
+    power = periodograms(np.random.default_rng(10).standard_normal((8, 50, 1024)))
+    work = np.empty(power.size)
+    d, peak = traced_peak(lambda: fit_d(power, LowFrequency(64), work=work))
+    assert np.array_equal(d, fit_d(power, LowFrequency(64)))
+    assert peak < 400 * 64 * 8 / 2
 
 
 def test_estimate_report_fields():

@@ -92,6 +92,29 @@ def test_periodograms_block_rows_equal_single_series():
     assert np.array_equal(power.mean(axis=0), sum(power) / 5)
 
 
+def test_periodograms_into_given_buffers_equal_the_allocating_call():
+    series = np.random.default_rng(6).standard_normal((4, 64, 3))
+    blocks = {
+        "contiguous": np.ascontiguousarray(series.transpose(0, 2, 1)),
+        "transposed": series[0].T,  # as `periodogram` passes series.values.T
+        "row-strided": series.transpose(0, 2, 1)[::2, ::-1],
+    }
+    for name, block in blocks.items():
+        given_block = block.copy()
+        power = periodograms(block)
+        assert power.flags.c_contiguous, name
+        spectrum = np.empty(block.shape[:-1] + (33,), dtype=np.complex128)
+        out = np.empty(block.shape[:-1] + (32,))
+        assert periodograms(block, spectrum=spectrum, out=out) is out
+        assert np.array_equal(out, power), name
+        assert np.array_equal(block, given_block), name
+    # the power may be written over the series it is taken from
+    block = blocks["contiguous"].copy()
+    over = block.reshape(-1)[: 4 * 3 * 32].reshape(4, 3, 32)
+    periodograms(block, spectrum=np.empty((4, 3, 33), dtype=np.complex128), out=over)
+    assert np.array_equal(over, periodograms(blocks["contiguous"]))
+
+
 def test_periodograms_rejects_a_single_column():
     with pytest.raises(DimensionMismatchError):
         periodograms(np.ones(8))
