@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .aggregator import LearningRateSchedule, dataset_report, run_dataset
-from .embeddings import OovPolicy, load_table, read_corpus_ids, shuffle_rows
+from .embeddings import OovPolicy, format_table, load_table, read_corpus_ids, shuffle_rows
 from .errors import LongmemError
 from .estimator import (
     EstimatorConfig,
@@ -46,8 +46,9 @@ from .schedule import (
     build_preset,
     cost_multiply_adds,
     desk_schedule,
+    length_mismatch,
     schedule_from_json,
-    validate_schedule,
+    segment_costs,
 )
 from .spectral import write_periodogram_csv
 
@@ -172,66 +173,32 @@ def cmd_estimate(args, parser) -> int:
 def cmd_synth(args, parser) -> int:
     started = time.perf_counter()
     # synth loads scipy, so it is imported here, for this command alone
-    from .synth import (
-        FarimaSpec,
-        FgnSpec,
-        generate_farima,
-        generate_fgn,
-        generate_white,
-        normal_bucket_table,
-        quantize_to_symbols,
-        theoretical_d,
-    )
+    from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
 
     _require_output_dirs(args.out, args.emb_out)
     if args.count < 1:
         parser.error(f"--count must be >= 1, got {args.count}")
     if args.emb_out and args.vocab is None:
         parser.error("--emb-out writes the bucket table of a quantized corpus; it needs --vocab")
-    if args.d is not None and args.hurst is not None:
-        if abs(args.d - (args.hurst - 0.5)) > 1e-12:
-            parser.error(f"--d {args.d} and --hurst {args.hurst} disagree (d = H - 1/2)")
+    if args.ma_truncation is not None and args.model != "farima":
+        parser.error(f"--ma-truncation truncates the farima filter; {args.model} has none")
     try:
         d_true = theoretical_d(args.model, hurst=args.hurst, d=args.d)
     except LongmemError as exc:
         parser.error(str(exc))
-    series_list = []
-    for index in range(args.count):
-        seed = args.seed + index
-        if args.model == "fgn":
-            series = generate_fgn(FgnSpec(hurst=d_true + 0.5, length=args.length, seed=seed))
-        elif args.model == "farima":
-            series = generate_farima(
-                FarimaSpec(
-                    d=d_true,
-                    length=args.length,
-                    seed=seed,
-                    ma_truncation=args.ma_truncation,
-                )
-            )
-        else:
-            series = generate_white(args.length, seed)
-        series_list.append(series)
+    matrix = generate_series(
+        args.model, d_true, args.length, args.count, args.seed, args.ma_truncation
+    )
     if args.vocab is not None:
         table = normal_bucket_table(args.vocab)
-        lines = []
-        for series in series_list:
-            seq = quantize_to_symbols(series, args.vocab, table)
-            lines.append(" ".join(str(i) for i in seq.ids))
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        corpus = (quantize_to_symbols(series, args.vocab, table).ids for series in matrix.T)
+        atomic_write_text(args.out, "".join(" ".join(map(str, ids)) + "\n" for ids in corpus))
         if args.emb_out:
-            rows = [
-                f"{token} " + " ".join(repr(float(v)) for v in table.vectors[idx])
-                for token, idx in sorted(table.token_ids.items(), key=lambda kv: kv[1])
-            ]
-            atomic_write_text(args.emb_out, "\n".join(rows) + "\n")
+            atomic_write_text(args.emb_out, format_table(table))
     else:
         header = ",".join(f"series{i}" for i in range(args.count))
-        rows = [header]
-        matrix = np.stack(series_list, axis=1)
-        for row in matrix:
-            rows.append(",".join(repr(float(v)) for v in row))
-        atomic_write_text(args.out, "\n".join(rows) + "\n")
+        rows = [",".join(repr(float(v)) for v in row) for row in matrix]
+        atomic_write_text(args.out, "\n".join([header, *rows]) + "\n")
     print(f"d = {d_true:g}")
     _write_manifest(
         args.out,
@@ -260,15 +227,15 @@ def _read_schedule(path: str) -> CellSchedule:
 
 def cmd_schedule_cost(args, parser) -> int:
     schedule = build_preset(args.preset) if args.preset else _read_schedule(args.file)
-    total = cost_multiply_adds(schedule)
+    total, costs = cost_multiply_adds(schedule), segment_costs(schedule)
     print("segment length hidden cost")
-    for index, (length, hidden) in enumerate(schedule.segments):
-        print(f"{index} {length} {hidden} {length * hidden * hidden}")
+    for index, ((length, hidden), cost) in enumerate(zip(schedule.segments, costs)):
+        print(f"{index} {length} {hidden} {cost}")
     print(f"total {total}")
     if args.seq_len is not None:
-        diagnostics = validate_schedule(schedule, args.seq_len)
-        print(diagnostics.message)
-        if not diagnostics.ok:
+        mismatch = length_mismatch(schedule, args.seq_len)
+        print(mismatch or f"ok: segment lengths sum to {args.seq_len}")
+        if mismatch:
             return 1
     return 0
 

@@ -57,8 +57,14 @@ class EmbeddingTable:
             )
         if not np.all(np.isfinite(v)):
             raise DomainError("embedding vectors must be finite")
+        with np.errstate(over="ignore"):
+            mean = v.mean(axis=0)
+        # the sum behind the mean of large finite values can overflow; the mean cannot
+        overflowed = ~np.isfinite(mean)
+        if overflowed.any():
+            mean[overflowed] = (v[:, overflowed] / v.shape[0]).sum(axis=0)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "_mean", v.mean(axis=0))
+        object.__setattr__(self, "_mean", mean)
 
     @property
     def vocab_size(self) -> int:
@@ -164,6 +170,16 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
     if len(first_rows) < n_rows:
         values = values[first_rows]
     return EmbeddingTable(vectors=values, token_ids=token_ids)
+
+
+def format_table(table: EmbeddingTable) -> str:
+    """The text `load_table` reads back: one `token v1 ... vp` line per
+    token in row order, each value as `repr(float(v))`, which round-trips."""
+    rows = sorted(table.token_ids.items(), key=lambda item: item[1])
+    return "".join(
+        f"{token} " + " ".join(repr(float(v)) for v in table.vectors[row]) + "\n"
+        for token, row in rows
+    )
 
 
 def _parse_values(rows: list[list[str]], line_numbers: list[int]) -> np.ndarray:

@@ -101,33 +101,21 @@ def compute_gradients(
     config: TrainConfig,
     negatives: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[float, ModelParams]:
-    """Summed negative score over the batch and its exact gradients.
-
-    When `config.negatives` < V-1 and no negatives are supplied, a sample
-    is drawn from `rng` (or a fresh generator seeded by the config).
-    """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    neg_score, grads, _ = _batch_gradients(model, batch, config, rng, negatives)
-    return neg_score, grads
-
-
-def _batch_gradients(
-    model: ModelParams,
-    batch: Sequence[tuple[Sequence[int], Sequence[int]]],
-    config: TrainConfig,
-    rng: np.random.Generator,
-    negatives: Optional[np.ndarray] = None,
 ) -> tuple[float, ModelParams, int]:
-    """Negative score, gradients and the forward's instrumented multiply-adds.
+    """Summed negative score over the batch, its exact gradients and the
+    forward's instrumented multiply-adds.
 
-    Only the count leaves this frame, so the forward's run buffers are
-    freed before the caller's next step.
+    Unless `config.negatives` is V-1 (the full softmax) or negatives are
+    supplied, a sample is drawn from `rng` (or a fresh generator seeded by
+    the config); more than V-1 negatives raise DomainError. Only the count
+    leaves this frame, so the forward's run buffers are freed before the
+    caller's next step.
     """
     ids, labels = batch_arrays(batch, model.horizon)
     vocab = model.output_table.shape[0]
-    if negatives is None and config.negatives < vocab - 1:
+    if negatives is None and config.negatives != vocab - 1:
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
         negatives = sample_negatives(rng, labels, vocab, config.negatives)
     forward = forward_with_caches(model, ids)
     neg_score, grads = gradients_from_forward(model, forward, labels, negatives)
@@ -228,7 +216,7 @@ def train_toy(
     for step in range(config.steps):
         batch = [next(stream) for _ in range(config.batch_size)]
         started = time.perf_counter()
-        neg_score, grads, multiply_adds = _batch_gradients(model, batch, config, rng)
+        neg_score, grads, multiply_adds = compute_gradients(model, batch, config, rng=rng)
         loss = neg_score / positions
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)

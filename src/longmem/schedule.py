@@ -148,11 +148,16 @@ def lookup_cell(t: int, length: int, schedule: CellSchedule) -> tuple[int, int]:
     return 0, schedule.segments[0][1]
 
 
+def segment_costs(schedule: CellSchedule) -> tuple[int, ...]:
+    """Each segment's exact multiply-add cost, length * hidden^2."""
+    return tuple(length * hidden * hidden for length, hidden in schedule.segments)
+
+
 def cost_multiply_adds(schedule: CellSchedule) -> int:
-    """Exact integer sum over segments of length * hidden^2."""
+    """Exact integer sum of `segment_costs`."""
     total = 0
-    for length, hidden in schedule.segments:
-        total += length * hidden * hidden
+    for (length, hidden), cost in zip(schedule.segments, segment_costs(schedule)):
+        total += cost
         if total > _INT64_MAX:
             raise CostOverflowError(
                 f"cost exceeds the 64-bit integer range at segment ({length}, {hidden})"
@@ -160,34 +165,10 @@ def cost_multiply_adds(schedule: CellSchedule) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Result of validating a schedule against a sequence length."""
-
-    ok: bool
-    total_length: int
-    expected_length: int
-    segment_costs: tuple[tuple[int, int, int], ...]
-    message: str
-
-
-def validate_schedule(schedule: CellSchedule, length: int) -> ScheduleDiagnostics:
-    """Check that segment lengths sum to `length`; report per-segment costs."""
+def length_mismatch(schedule: CellSchedule, length: int) -> str | None:
+    """Why the segment lengths do not sum to `length`, or None when they do."""
     total = schedule.total_length
-    costs = tuple(
-        (seg_len, hidden, seg_len * hidden * hidden) for seg_len, hidden in schedule.segments
-    )
-    if total == length:
-        message = f"ok: segment lengths sum to {length}"
-    else:
-        message = f"segment lengths sum to {total}, expected {length}"
-    return ScheduleDiagnostics(
-        ok=total == length,
-        total_length=total,
-        expected_length=length,
-        segment_costs=costs,
-        message=message,
-    )
+    return None if total == length else f"segment lengths sum to {total}, expected {length}"
 
 
 def schedule_from_json(text: str) -> CellSchedule:
@@ -214,6 +195,3 @@ def schedule_from_pairs(data: object) -> CellSchedule:
             )
     return CellSchedule(data)
 
-
-def schedule_to_json(schedule: CellSchedule) -> str:
-    return json.dumps([[length, hidden] for length, hidden in schedule.segments])

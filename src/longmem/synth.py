@@ -181,8 +181,32 @@ def quantize_to_symbols(
     return SymbolSequence(ids=[int(i) for i in ids])
 
 
+def generate_series(
+    model: str, d: float, length: int, count: int, seed: int, ma_truncation: int | None = None
+) -> np.ndarray:
+    """A (length, count) matrix of `model` series with memory coefficient d
+    ("fgn", "farima" or "white", which ignores d); column i is drawn from
+    seed + i. `ma_truncation` is read by farima alone."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+
+    def draw(column_seed: int) -> np.ndarray:
+        if model == "fgn":
+            return generate_fgn(FgnSpec(hurst=d + 0.5, length=length, seed=column_seed))
+        if model == "farima":
+            return generate_farima(FarimaSpec(d, length, column_seed, ma_truncation))
+        if model == "white":
+            return generate_white(length, column_seed)
+        raise DomainError(f"unknown model {model!r}")
+
+    return np.stack([draw(seed + i) for i in range(count)], axis=1)
+
+
 def theoretical_d(model: str, hurst: float | None = None, d: float | None = None) -> float:
-    """The memory coefficient implied by a generator spec (d = H - 1/2)."""
+    """The memory coefficient implied by a generator spec (d = H - 1/2); a d
+    and a Hurst index given together must agree to 1e-12."""
+    if d is not None and hurst is not None and abs(d - (hurst - 0.5)) > 1e-12:
+        raise DomainError(f"d {d} and Hurst index {hurst} disagree (d = H - 1/2)")
     if model == "white":
         return 0.0
     if model == "fgn":

@@ -94,7 +94,7 @@ def finite_difference_worst_rel(
     def loss():
         return compute_gradients(model, batch, config, negatives=negatives)[0]
 
-    _, grads = compute_gradients(model, batch, config, negatives=negatives)
+    _, grads, _ = compute_gradients(model, batch, config, negatives=negatives)
     worst = 0.0
     for _, param, grad in parameter_pairs(model, grads):
         flat_p, flat_g = param.ravel(), grad.ravel()

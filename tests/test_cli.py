@@ -12,6 +12,7 @@ from conftest import load_json
 from longmem.cli import main
 from longmem.embeddings import load_table
 from longmem.evornn import load_checkpoint
+from longmem.synth import normal_bucket_table
 
 
 def run_cli(argv, capsys):
@@ -132,6 +133,19 @@ def test_synth_vocab_below_two_is_runtime_error(tmp_path, capsys, vocab):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["fgn", "white"])
+def test_synth_ma_truncation_without_farima_is_arg_error(tmp_path, capsys, model):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        ["synth", "--model", model, "--d", "0.3", "--length", "64", "--ma-truncation", "50",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "--ma-truncation" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_consistent_d_and_hurst_accepted(tmp_path, capsys):
     code, out, _ = run_cli(
         ["synth", "--model", "fgn", "--d", "0.4", "--hurst", "0.9",
@@ -208,6 +222,9 @@ def test_synth_quantized_corpus_and_table(tmp_path, capsys):
     table = load_table(table_path.open())
     assert table.vocab_size == 16
     assert table.dim == 1
+    expected = normal_bucket_table(16)
+    assert table.token_ids == expected.token_ids
+    assert table.vectors.tobytes() == expected.vectors.tobytes()
     lines = corpus.read_text().strip().split("\n")
     assert len(lines) == 40
     for line in lines:
@@ -460,6 +477,18 @@ def test_train_toy_metrics_deterministic_columns(tmp_path, capsys):
     r1 = [row[:3] + row[4:] for row in csv.reader(m1.open())]
     r2 = [row[:3] + row[4:] for row in csv.reader(m2.open())]
     assert r1 == r2  # every column but wall_ms replays bit-identically
+
+
+def test_train_toy_more_negatives_than_non_label_ids_is_runtime_error(tmp_path, capsys):
+    # at the default V=64 there are 63 non-label ids; 100 cannot be drawn
+    metrics = tmp_path / "m.csv"
+    argv = ["train-toy", "--seq-len", "8", "--max-hidden", "4", "--emb-dim", "4",
+            "--steps", "1", "--batch-size", "2", "--negatives", "100",
+            "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err == "error: cannot draw 100 negatives from 63 non-label ids\n"
+    assert not metrics.exists()
 
 
 def test_train_toy_schedule_from_json_file(tmp_path, capsys):

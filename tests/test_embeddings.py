@@ -47,6 +47,9 @@ def test_load_table_basic():
 def test_load_table_mean_vector():
     table = load_table(io.StringIO(TWO_LINE))
     assert np.allclose(table.mean_vector, [-0.45, 0.1, 0.65])
+    # a column sum of 3.4e308 overflows float64; the mean lies between the rows
+    large = load_table(io.StringIO("a 1.7e308 -1.7e308 1\nb 1.7e308 -1.7e308 2\n"))
+    assert np.array_equal(large.mean_vector, [1.7e308, -1.7e308, 1.5])
 
 
 def test_load_table_duplicate_keeps_first():

@@ -55,8 +55,8 @@ def test_duplicated_example_doubles_gradients():
     config = TrainConfig(negatives=7)
     single = [REFERENCE_BATCH[0]]
     doubled = [REFERENCE_BATCH[0], REFERENCE_BATCH[0]]
-    loss1, grads1 = compute_gradients(model, single, config)
-    loss2, grads2 = compute_gradients(model, doubled, config)
+    loss1, grads1, _ = compute_gradients(model, single, config)
+    loss2, grads2, _ = compute_gradients(model, doubled, config)
     assert np.isclose(loss2, 2.0 * loss1, rtol=1e-12)
     for (_, _, g1), (_, _, g2) in zip(
         parameter_pairs(model, grads1), parameter_pairs(model, grads2)
@@ -67,13 +67,13 @@ def test_duplicated_example_doubles_gradients():
 def test_unused_vocabulary_rows_get_zero_gradient():
     model = perturbed_reference_model()
     single = [REFERENCE_BATCH[0]]  # input ids {1, 2, 3, 4, 5}
-    _, grads = compute_gradients(model, single, TrainConfig(negatives=7))
+    _, grads, _ = compute_gradients(model, single, TrainConfig(negatives=7))
     for v in (0, 6, 7):
         assert np.array_equal(grads.input_table[v], np.zeros(4)), v
     assert np.any(grads.input_table[1] != 0.0)
     # with sampled negatives, output rows outside {label} + sample stay zero
     negatives = np.array([[[2, 4]]])
-    _, sampled = compute_gradients(
+    _, sampled, _ = compute_gradients(
         model, single, TrainConfig(negatives=2), negatives=negatives
     )
     for v in (0, 1, 5, 6, 7):

@@ -101,6 +101,13 @@ def test_train_config_validation():
         TrainConfig(negatives=0)
 
 
+def test_more_negatives_than_non_label_ids_raise():
+    # V=8 leaves 7 non-label ids: 50 negatives cannot be drawn, nor trained as a full softmax
+    config = TrainConfig(negatives=50, steps=1, batch_size=2)
+    with pytest.raises(DomainError, match="cannot draw 50 negatives from 7 non-label ids"):
+        train_toy(tiny_model(), constant_task(), config)
+
+
 def test_batch_arrays_without_horizon():
     batch = [([1, 2, 3], [7]), ([4, 5, 6], [0])]
     ids, labels = batch_arrays(batch, horizon=0)

@@ -1,17 +1,18 @@
 """The three file loaders under malformed input: only a `LongmemError`
 escapes, and a checkpoint cannot make the loader allocate far more than
-the file holds."""
+the file holds. The table writer round-trips through its loader."""
 
 import io
 import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from longmem.embeddings import load_table
+from longmem.embeddings import EmbeddingTable, format_table, load_table
 from longmem.errors import LongmemError
 from longmem.evornn import build_model, load_checkpoint, save_checkpoint
 from longmem.schedule import CellSchedule, schedule_from_json
@@ -130,3 +131,25 @@ def test_loaders_raise_only_longmem_errors(valid_checkpoint, data):
         payload = _mutate(data, payload)
         path.write_text(json.dumps(payload))
         _checkpoint_load_stays_small(path)
+
+
+TOKENS = st.text(min_size=1, max_size=6).filter(lambda token: token.split() == [token])
+TABLE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-309, 1.7e308, -1.7e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_format_table_round_trips_through_load_table(data):
+    tokens = data.draw(st.lists(TOKENS, min_size=1, max_size=6, unique=True))
+    dim = data.draw(st.integers(1, 4))
+    size = len(tokens) * dim
+    values = data.draw(st.lists(TABLE_VALUES, min_size=size, max_size=size))
+    table = EmbeddingTable(
+        vectors=np.array(values).reshape(len(tokens), dim),
+        token_ids={token: row for row, token in enumerate(tokens)},
+    )
+    loaded = load_table(format_table(table).splitlines())
+    assert loaded.token_ids == table.token_ids
+    assert loaded.vectors.tobytes() == table.vectors.tobytes()

@@ -1,5 +1,7 @@
 """Cell schedules: end-keyed lookup, cost model, presets, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,10 @@ from longmem.schedule import (
     constant_schedule,
     cost_multiply_adds,
     desk_schedule,
+    length_mismatch,
     lookup_cell,
     schedule_from_json,
-    schedule_to_json,
-    validate_schedule,
+    segment_costs,
 )
 
 
@@ -140,17 +142,14 @@ def test_lookup_is_keyed_from_sequence_end(segments, extra1, extra2):
 
 def test_validate_schedule_diagnostics():
     schedule = CellSchedule(((2, 3), (2, 5)))
-    ok = validate_schedule(schedule, 4)
-    assert ok.ok
-    assert ok.segment_costs == ((2, 3, 18), (2, 5, 50))
-    bad = validate_schedule(schedule, 6)
-    assert not bad.ok
-    assert "expected 6" in bad.message
+    assert length_mismatch(schedule, 4) is None
+    assert segment_costs(schedule) == (18, 50)
+    assert "expected 6" in length_mismatch(schedule, 6)
 
 
 def test_schedule_json_roundtrip():
     schedule = CellSchedule(((6, 2), (8, 4), (4, 8), (2, 16)))
-    text = schedule_to_json(schedule)
+    text = json.dumps([list(segment) for segment in schedule.segments])
     assert schedule_from_json(text) == schedule
 
 

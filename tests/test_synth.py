@@ -18,6 +18,7 @@ from longmem.synth import (
     fgn_autocov,
     generate_farima,
     generate_fgn,
+    generate_series,
     generate_white,
     normal_bucket_table,
     quantize_to_symbols,
@@ -241,6 +242,27 @@ def test_theoretical_d():
         theoretical_d("fgn")
     with pytest.raises(DomainError):
         theoretical_d("unknown", d=0.1)
+    assert theoretical_d("farima", d=0.4, hurst=0.9) == 0.4
+    for model in ("fgn", "farima", "white"):
+        with pytest.raises(DomainError, match="disagree"):
+            theoretical_d(model, d=0.3, hurst=0.9)
+
+
+def test_generate_series_draws_column_i_from_seed_plus_i():
+    columns = {
+        "fgn": lambda seed: generate_fgn(FgnSpec(hurst=0.3 + 0.5, length=50, seed=seed)),
+        "farima": lambda seed: generate_farima(FarimaSpec(0.3, 50, seed, 20)),
+        "white": lambda seed: generate_white(50, seed),
+    }
+    for model, column in columns.items():
+        truncation = 20 if model == "farima" else None
+        matrix = generate_series(model, 0.3, 50, 3, 7, ma_truncation=truncation)
+        assert matrix.shape == (50, 3)
+        for i in range(3):
+            assert matrix[:, i].tobytes() == column(7 + i).tobytes(), (model, i)
+    for model, count in (("fgn", 0), ("unknown", 1)):
+        with pytest.raises(DomainError):
+            generate_series(model, 0.3, 50, count, 7)
 
 
 @settings(max_examples=25)
