@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -317,19 +316,169 @@ def iter_corpus_tokens(stream: Union[TextIO, Iterable[str]]) -> Iterator[str]:
         yield from line.split()
 
 
+#: Characters of corpus text `read_corpus_ids` tokenizes at a time: enough
+#: that numpy's per-call cost is spread over thousands of tokens, few
+#: enough that a block's temporaries (30-40 bytes a character) stay near
+#: 1 MiB.
+BLOCK_CHARS = 1 << 15
+
+#: The characters above ASCII that `str.split()` splits on.
+_NON_ASCII_BLANKS = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
+    "\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+#: `bytes.translate` table: 0 for the ASCII blanks (\t \n \v \f \r, the
+#: separators \x1c-\x1f and the space), 1 for every byte of a token.
+_WORD_BYTES = bytes(0 if b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " else 1 for b in range(256))
+
+#: Blanks after the bytes of a block: a packed key is one 8-byte load.
+_PAD = b" " * 7
+#: Per token length 0-7, the mask of its bytes and its length in the top byte.
+_KEY_MASK = (np.uint64(1) << np.arange(0, 64, 8, dtype=np.uint64)) - np.uint64(1)
+_KEY_LENGTH = np.arange(8, dtype=np.uint64) << np.uint64(56)
+#: Fibonacci hashing: the top bits of key * 2^64 / golden ratio.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _encode(text: str) -> bytes:
+    # surrogatepass: any str encodes, one to one
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _pack_keys(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The uint64 keys of the 1-7 byte tokens at `starts` in `data`, which
+    ends in _PAD: the token's bytes, little-endian, below its length."""
+    words = np.ndarray((len(data) - len(_PAD),), dtype="<u8", buffer=data, strides=(1,))
+    return words.take(starts) & _KEY_MASK.take(lengths) | _KEY_LENGTH.take(lengths)
+
+
+class TokenIndex:
+    """The table's tokens of 1-7 UTF-8 bytes, as packed keys in an open-
+    addressing hash table with linear probing, mapped to their rows.
+
+    Probes run forward without wrapping: slots past the last home hold the
+    overflow, and the table ends in an empty slot, which ends every probe.
+    """
+
+    def __init__(self, token_ids: dict[str, int]):
+        encoded = list(map(_encode, token_ids))
+        lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+        starts = np.cumsum(lengths) - lengths
+        short = (lengths >= 1) & (lengths <= 7)
+        keys = _pack_keys(b"".join(encoded) + _PAD, starts[short], lengths[short])
+        rows = np.fromiter(token_ids.values(), dtype=np.int32, count=len(encoded))[short]
+        self._shift = 64 - max(1, 2 * keys.size - 1).bit_length()  # load at most 1/2
+        homes = self._homes(keys)
+        order = np.argsort(homes, kind="stable")
+        homes = homes[order]
+        # each key takes its home or the slot after the previous key's
+        rank = np.arange(keys.size)
+        slots = rank + np.maximum.accumulate(homes - rank)
+        size = max(1 << (64 - self._shift), int(slots.max(initial=0)) + 2)
+        self._keys = np.zeros(size, dtype=np.uint64)  # no token packs to key 0
+        self._keys[slots] = keys[order]
+        self._rows = np.full(size, OOV_ID, dtype=np.int32)
+        self._rows[slots] = rows[order]
+
+    def _homes(self, keys: np.ndarray) -> np.ndarray:
+        homes = keys * _HASH_MULTIPLIER
+        homes >>= np.uint64(self._shift)
+        return homes.view(np.int64)  # below 2^63 after the shift
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The int32 rows of packed keys, OOV_ID for keys not in the table."""
+        slots = self._homes(keys)
+        rows = self._rows.take(slots)  # an empty slot holds OOV_ID
+        stored = self._keys.take(slots)
+        pending = np.flatnonzero((stored != keys) & (stored != 0))
+        rows[pending] = OOV_ID
+        slots = slots[pending]
+        while pending.size:
+            slots += 1
+            stored = self._keys.take(slots)
+            hit = stored == keys[pending]
+            rows[pending[hit]] = self._rows[slots[hit]]
+            going = ~hit & (stored != 0)
+            pending, slots = pending[going], slots[going]
+        return rows
+
+
+def _text_blocks(stream: Iterable[str], size: int) -> Iterator[str]:
+    """The stream's lines, each followed by a line break (a line's end
+    always ends a token), cut into blocks of `size` characters; the last
+    block is shorter or up to twice as long, and ends in a line break."""
+    lines, n = [], 0
+    for line in stream:
+        lines.append(line)
+        n += len(line) + 1
+        if n >= size:
+            lines.append("")
+            text = "\n".join(lines)
+            whole = len(text) - len(text) % size
+            for start in range(0, whole, size):
+                yield text[start : start + size]
+            lines = [text[whole:]]  # the cut-off tail, less than a block
+            n = len(lines[0]) + 1
+    lines.append("")
+    yield "\n".join(lines)
+
+
+def _block_ids(
+    data: bytes, index: TokenIndex, token_ids: dict[str, int]
+) -> tuple[np.ndarray, bytes]:
+    """The int32 row ids of the whole tokens in `data`, a blank, a block's
+    bytes and _PAD; and the bytes of a last token the next block may go on."""
+    word = np.frombuffer(data.translate(_WORD_BYTES), dtype=bool)
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    edges += 1
+    starts, ends = edges[0::2], edges[1::2]
+    carry = b""
+    if word[-len(_PAD) - 1]:
+        carry = data[starts[-1] : -len(_PAD)]
+        starts, ends = starts[:-1], ends[:-1]
+    lengths = ends - starts
+    short = lengths <= 7
+    if short.all():
+        return index.lookup(_pack_keys(data, starts, lengths)), carry
+    ids = np.empty(starts.size, dtype=np.int32)
+    ids[short] = index.lookup(_pack_keys(data, starts[short], lengths[short]))
+    long = np.flatnonzero(~short)
+    spans = zip(starts[long].tolist(), ends[long].tolist())
+    get = token_ids.get
+    ids[long] = [get(data[s:e].decode("utf-8", "surrogatepass"), OOV_ID) for s, e in spans]
+    return ids, carry
+
+
 def read_corpus_ids(
     stream: Union[TextIO, Iterable[str]], table: EmbeddingTable, chunk_len: int
 ) -> np.ndarray:
-    """Read a token stream as an N x chunk_len matrix of table row ids, one
-    row per consecutive chunk; a final partial chunk is dropped."""
+    """Read a token stream as an N x chunk_len int32 matrix of table row
+    ids, one row per consecutive chunk; a final partial chunk is dropped.
+
+    Tokens are what `str.split()` gives for each line. The lines are read
+    in blocks of BLOCK_CHARS characters, each tokenized as UTF-8 bytes:
+    tokens of 1-7 bytes are looked up as packed keys in a `TokenIndex`,
+    longer ones in `token_ids`. The ids fill one buffer that grows by half.
+    """
     if chunk_len < 1:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
-    get = table.token_ids.get
-    # line by line into one fromiter: no per-token generator frame, no per-line array
-    lines = (map(get, line.split(), repeat(OOV_ID)) for line in stream)
-    ids = np.fromiter(chain.from_iterable(lines), dtype=np.intp)
-    rows = ids.size // chunk_len
-    return ids[: rows * chunk_len].reshape(rows, chunk_len)
+    index = TokenIndex(table.token_ids)
+    ids = np.empty(BLOCK_CHARS, dtype=np.int32)
+    n, carry = 0, b""
+    for text in _text_blocks(stream, BLOCK_CHARS):
+        if not text.isascii():
+            for blank in _NON_ASCII_BLANKS:  # a scan each; str.translate is far slower
+                text = text.replace(blank, " ")
+        data = b"".join((b" ", carry, _encode(text), _PAD))
+        block, carry = _block_ids(data, index, table.token_ids)
+        if n + block.size > ids.size:
+            ids.resize(max(n + block.size, ids.size * 3 // 2), refcheck=False)
+        ids[n : n + block.size] = block
+        n += block.size
+    rows = n // chunk_len
+    ids.resize(rows * chunk_len, refcheck=False)
+    return ids.reshape(rows, chunk_len)
 
 
 def shuffle_rows(ids: np.ndarray, seed: int) -> np.ndarray:

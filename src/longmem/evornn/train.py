@@ -76,6 +76,12 @@ def batch_arrays(batch: Sequence[tuple[Sequence[int], Sequence[int]]], horizon: 
     return np.concatenate([ids, labels[:, :-1]], axis=1), labels
 
 
+def _require_drawable(count: int, vocab: int) -> None:
+    """Raise DomainError unless `count` negatives fit in the vocab's V-1 non-label ids."""
+    if count > vocab - 1:
+        raise DomainError(f"cannot draw {count} negatives from {vocab - 1} non-label ids")
+
+
 def sample_negatives(
     rng: np.random.Generator, labels: np.ndarray, vocab: int, count: int
 ) -> np.ndarray:
@@ -84,8 +90,7 @@ def sample_negatives(
     Shape (B, J, count). Draws from [0, vocab-1) and shifts ids at or above
     the label by one, which is exactly uniform over the non-label ids.
     """
-    if count > vocab - 1:
-        raise DomainError(f"cannot draw {count} negatives from {vocab - 1} non-label ids")
+    _require_drawable(count, vocab)
     b, j = labels.shape
     keys = rng.random((b, j, vocab - 1))
     # the `count` smallest keys, then sorted: argsort(keys)[..., :count]
@@ -207,8 +212,10 @@ def train_toy(
     instrumented hidden-to-hidden multiply count of one forward pass
     through one sequence; `grad_norm` is the global gradient norm before
     clipping and `clipped` whether clipping scaled it down. Aborts with the
-    step index if loss leaves the finite range.
+    step index if loss leaves the finite range. More negatives than V-1
+    raise DomainError before the first step, so even zero steps check them.
     """
+    _require_drawable(config.negatives, model.output_table.shape[0])
     rng = np.random.default_rng(config.seed)
     stream: Iterator = iter(task)
     positions = config.batch_size * (model.horizon + 1)

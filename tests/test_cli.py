@@ -491,6 +491,18 @@ def test_train_toy_more_negatives_than_non_label_ids_is_runtime_error(tmp_path, 
     assert not metrics.exists()
 
 
+def test_train_toy_zero_steps_still_checks_the_negatives_bound(tmp_path, capsys):
+    # no step draws a negative, but the run must not record a count it could not draw
+    metrics = tmp_path / "m.csv"
+    argv = ["train-toy", "--seq-len", "8", "--max-hidden", "4", "--emb-dim", "4",
+            "--steps", "0", "--batch-size", "2", "--negatives", "100",
+            "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err == "error: cannot draw 100 negatives from 63 non-label ids\n"
+    assert list(tmp_path.iterdir()) == []  # no metrics file, no manifest
+
+
 def test_train_toy_schedule_from_json_file(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text("[[12, 4], [4, 8]]")

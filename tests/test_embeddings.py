@@ -276,24 +276,89 @@ def test_embed_ids_rejects_long_rows_and_unknown_ids():
             embed_ids(SMALL_TABLE, np.array([[0, bad]]), OovPolicy.ZERO, 4)
 
 
-#: Separators `str.split()` splits on: ASCII blanks, the information
-#: separators \x1c-\x1f, the no-break space and the ideographic space.
-SEPARATOR = st.text(alphabet=" \t\x1c\x1d\x1e\x1f\xa0\u3000", min_size=1, max_size=3)
-WORDS = st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d", "zz"]), SEPARATOR), max_size=6)
+#: Every separator `str.split()` splits on: the ASCII blanks, the
+#: information separators \x1c-\x1f and the non-ASCII blanks.
+SEPARATOR = st.text(
+    alphabet="\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000",
+    min_size=1,
+    max_size=3,
+)
+#: Table tokens that test the packed keys: 7 and 8+ bytes, a trailing or
+#: lone NUL, non-ASCII and lone-surrogate tokens, and tokens holding a
+#: blank, which no corpus token can equal; then enough more for probe chains.
+EDGE_TOKENS = [
+    "a", "b", "a\x00", "\x00", "seven77", "eight888", "longer-than-eight", "\xe9",
+    "\u65e5\u672c", "\U0001f600", "caf\xe9s", "\ud800", "x\udfff", "a b", "a\xa0b", "a\u3000b",
+]
+CORPUS_TABLE = EmbeddingTable(
+    vectors=np.zeros((len(EDGE_TOKENS) + 3000, 1)),
+    token_ids={t: i for i, t in enumerate(EDGE_TOKENS + [str(i) for i in range(3000)])},
+)
+#: Corpus words: the table's tokens and near misses (a byte more or less,
+#: the other half of a surrogate pair, "\x00a").
+CORPUS_WORDS = list(CORPUS_TABLE.token_ids) + [
+    "c", "aa", "a\x00\x00", "\x00a", "seven7", "eight88", "eight8888", "\u65e5", "\udc00",
+    "\ud800\udc00", "3000", "-1", "01",
+]
+WORDS = st.lists(st.tuples(st.sampled_from(CORPUS_WORDS), SEPARATOR), max_size=6)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.just(""), SEPARATOR), WORDS), max_size=8), st.integers(1, 7))
-def test_read_corpus_ids_matches_chunked_lookup(lines, chunk_len):
-    # blank and separator-only lines; chunks run across line breaks; a
-    # partial tail is dropped
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(st.just(""), SEPARATOR), WORDS), max_size=8),
+    st.integers(1, 7),
+    st.integers(1, 64),
+)
+def test_read_corpus_ids_matches_chunked_lookup(lines, chunk_len, block_chars):
+    # blank and separator-only lines; chunks run across line breaks; tokens
+    # and lines run across blocks; a partial tail is dropped
     text = "".join(lead + "".join(t + sep for t, sep in words) + "\n" for lead, words in lines)
-    ids = read_corpus_ids(io.StringIO(text), SMALL_TABLE, chunk_len)
-    flat = row_ids(SMALL_TABLE, iter_corpus_tokens(io.StringIO(text)))
-    assert flat.size == sum(len(words) for _, words in lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "BLOCK_CHARS", block_chars)
+        ids = read_corpus_ids(io.StringIO(text), CORPUS_TABLE, chunk_len)
+    flat = row_ids(CORPUS_TABLE, iter_corpus_tokens(io.StringIO(text)))
+    assert flat.size == sum(len(t.split()) for _, words in lines for t, _ in words)
     rows = flat.size // chunk_len
-    assert ids.shape == (rows, chunk_len)
+    assert ids.shape == (rows, chunk_len) and ids.dtype == np.int32
     assert np.array_equal(ids.reshape(-1), flat[: rows * chunk_len])
+
+
+def test_read_corpus_ids_finds_every_token_through_probe_chains():
+    # 3000 numbers and the edge tokens in 8192 slots: many keys sit past their home
+    words = [t for t in CORPUS_TABLE.token_ids if t.split() == [t]]
+    ids = read_corpus_ids(["  ".join(words)], CORPUS_TABLE, 1)
+    assert ids.reshape(-1).tolist() == [CORPUS_TABLE.token_ids[t] for t in words]
+    index = embeddings.TokenIndex(CORPUS_TABLE.token_ids)
+    stored = np.flatnonzero(index._keys)
+    assert np.count_nonzero(index._homes(index._keys[stored]) != stored) > 100
+
+
+def test_read_corpus_ids_accepts_lines_without_breaks_and_rejects_bad_chunks():
+    # each item of the iterable is a line, so its end ends a token
+    ids = read_corpus_ids(iter(["a", "b", "", "a\x00"]), CORPUS_TABLE, 1)
+    assert ids.reshape(-1).tolist() == [0, 1, 2]
+    assert read_corpus_ids([], CORPUS_TABLE, 1).shape == (0, 1)
+    for chunk_len in (0, -1):
+        with pytest.raises(DomainError):
+            read_corpus_ids(["a"], CORPUS_TABLE, chunk_len)
+
+
+def test_blank_sets_are_exactly_what_str_split_splits_on():
+    non_ascii = {chr(c) for c in range(0x80, 0x110000) if chr(c).isspace()}
+    assert set(embeddings._NON_ASCII_BLANKS) == non_ascii
+    ascii_blanks = {b for b in range(256) if not embeddings._WORD_BYTES[b]}
+    assert ascii_blanks == {c for c in range(0x80) if chr(c).isspace()}
+
+
+def test_read_corpus_ids_peak_allocation_per_token():
+    # the int32 ids take 4 bytes a token and the buffer grows by half, so
+    # its peak is at most 6; block temporaries add a constant
+    tokens = 1_200_000
+    stream = io.StringIO(("a bb 17 zz seven77 " * 200 + "\n") * (tokens // 1000))
+    ids, peak = traced_peak(lambda: read_corpus_ids(stream, CORPUS_TABLE, 1000))
+    assert ids.size == tokens
+    assert peak <= 7 * tokens + (1 << 20)
 
 
 def test_shuffle_rows_draws_one_permutation_per_row():
