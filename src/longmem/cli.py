@@ -51,6 +51,7 @@ from .schedule import (
     segment_costs,
 )
 from .spectral import write_periodogram_csv
+from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
 
 SCHEMA_VERSION = REPORT_SCHEMA_VERSION
 
@@ -65,13 +66,10 @@ def _sha256(path: str) -> str:
 
 def _environment(started: float) -> dict:
     """What a run's timings are to be compared across: versions, CPUs and
-    the seconds since `started`. scipy's version is read off the loaded
-    module, and is null when the run never imported scipy."""
-    scipy = sys.modules.get("scipy")
+    the seconds since `started`."""
     return {
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "numpy": np.__version__,
-        "scipy": None if scipy is None else scipy.__version__,
         "cpu_count": os.cpu_count(),
         "elapsed_s": time.perf_counter() - started,
     }
@@ -172,9 +170,6 @@ def cmd_estimate(args, parser) -> int:
 
 def cmd_synth(args, parser) -> int:
     started = time.perf_counter()
-    # synth loads scipy, so it is imported here, for this command alone
-    from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
-
     _require_output_dirs(args.out, args.emb_out)
     if args.count < 1:
         parser.error(f"--count must be >= 1, got {args.count}")

@@ -58,10 +58,12 @@ class EmbeddingTable:
             raise DomainError("embedding vectors must be finite")
         with np.errstate(over="ignore"):
             mean = v.mean(axis=0)
-        # the sum behind the mean of large finite values can overflow; the mean cannot
+        # the sum behind the mean of large finite values can overflow; the mean
+        # cannot, nor can the sum of the values over their column's max |v|
         overflowed = ~np.isfinite(mean)
         if overflowed.any():
-            mean[overflowed] = (v[:, overflowed] / v.shape[0]).sum(axis=0)
+            scale = np.abs(v[:, overflowed]).max(axis=0)
+            mean[overflowed] = scale * (v[:, overflowed] / scale).mean(axis=0)
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "_mean", mean)
 
@@ -216,14 +218,17 @@ def embed_ids(
     length: int,
     out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Embed and front zero-pad a B x n block of row ids to B x length x p,
-    applying the OOV policy; also returns each row's embedded symbol count.
+    """Embed and front zero-pad a B x n block of row ids, of any integer
+    dtype, to B x length x p, applying the OOV policy; also returns each
+    row's embedded symbol count.
     The block is written into `out`, a C-contiguous B x length x p float64
     array, when given. Under `skip` the kept symbols of a row are
     right-aligned, in order. A row that gets padding is demeaned over its
     symbols first, else the pad adds a step that reads as low-frequency
     power (Percival & Walden)."""
-    ids = np.asarray(ids, dtype=np.intp)
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise DomainError(f"ids must be integers, got dtype {ids.dtype}")
     if ids.ndim != 2:
         raise DimensionMismatchError(f"ids must be a B x n matrix, got shape {ids.shape}")
     if ids.shape[1] > length:
@@ -239,14 +244,14 @@ def embed_ids(
     if policy is OovPolicy.SKIP:
         keep = ids != OOV_ID
         kept = np.count_nonzero(keep, axis=1)
-        padded = np.zeros((ids.shape[0], length), dtype=np.intp)
+        padded = np.zeros((ids.shape[0], length), dtype=ids.dtype)
         for row, mask, n, place in zip(ids, keep, kept, padded):
             place[length - n :] = row[mask]
     else:  # every id is kept
         kept = np.full(ids.shape[0], ids.shape[1])
         padded = ids
         if ids.shape[1] < length:
-            padded = np.zeros((ids.shape[0], length), dtype=np.intp)
+            padded = np.zeros((ids.shape[0], length), dtype=ids.dtype)
             padded[:, length - ids.shape[1] :] = ids
     # the pad and OOV_ID (-1) gather row 0 here, without copying the table
     block = table.vectors.take(padded, axis=0, out=out, mode="clip")

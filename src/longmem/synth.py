@@ -9,9 +9,9 @@ real series into equiprobable symbol buckets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .embeddings import EmbeddedSeries, EmbeddingTable, SymbolSequence
 from .errors import DomainError
@@ -124,14 +124,14 @@ def farima_ma_coeffs(d: float, truncation: int) -> np.ndarray:
 
 
 def generate_farima(spec: FarimaSpec) -> np.ndarray:
-    """FARIMA(0,d,0): x_t = sum_j psi_j eps_{t-j}, burn-in of J discarded."""
-    from scipy import signal  # imported here: it loads scipy.stats, which nothing else needs
-
+    """FARIMA(0,d,0): x_t = sum_j psi_j eps_{t-j}, burn-in of J discarded;
+    the convolution is one FFT product, long enough not to wrap."""
     j = spec.truncation
     rng = np.random.default_rng(spec.seed)
     psi = farima_ma_coeffs(spec.d, j)
     eps = rng.standard_normal(spec.length + j)
-    full = signal.fftconvolve(eps, psi, mode="full")
+    n = 1 << (eps.size + psi.size - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(eps, n) * np.fft.rfft(psi, n), n)
     return full[j : j + spec.length]
 
 
@@ -141,12 +141,17 @@ def shuffle_series(series: EmbeddedSeries, seed: int) -> EmbeddedSeries:
     return EmbeddedSeries(values=series.values[perm])
 
 
+def _normal_quantiles(q: np.ndarray) -> np.ndarray:
+    """Standard-normal quantiles of the probabilities `q` (Wichura's AS 241)."""
+    return np.fromiter(map(NormalDist().inv_cdf, q.tolist()), np.float64, q.size)
+
+
 def normal_bucket_table(vocab_size: int) -> EmbeddingTable:
     """A 1-dim monotone table whose row i is the midpoint quantile of
     standard-normal bucket i; tokens are '0'..'V-1'."""
     if vocab_size < 2:
         raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
-    mids = special.ndtri((np.arange(vocab_size) + 0.5) / vocab_size)
+    mids = _normal_quantiles((np.arange(vocab_size) + 0.5) / vocab_size)
     return EmbeddingTable(
         vectors=mids[:, None], token_ids={str(i): i for i in range(vocab_size)}
     )
@@ -176,7 +181,7 @@ def quantize_to_symbols(
         diffs = np.diff(first)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise DomainError("table's first coordinate must be strictly monotone")
-    edges = special.ndtri(np.arange(1, vocab_size) / vocab_size)
+    edges = _normal_quantiles(np.arange(1, vocab_size) / vocab_size)
     ids = np.searchsorted(edges, x, side="right")
     return SymbolSequence(ids=[int(i) for i in ids])
 

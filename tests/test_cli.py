@@ -173,10 +173,6 @@ def test_synth_writes_manifest(tmp_path, capsys):
 
 
 def test_every_manifest_records_its_environment(tmp_path, capsys):
-    # scipy is loaded in this process, so its version is recorded; a fresh
-    # process that never loads it records null (tests/test_import_graph.py)
-    import scipy
-
     corpus, table = _make_corpus(tmp_path, capsys, count="2")
     report = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -199,7 +195,6 @@ def test_every_manifest_records_its_environment(tmp_path, capsys):
         assert environment == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
         }
 

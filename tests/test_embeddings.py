@@ -266,6 +266,10 @@ def test_embed_ids_into_a_given_block_equals_the_allocating_call(policy, length)
     expected_block, expected_kept = embed_ids(SMALL_TABLE, ids, policy, length)
     assert np.array_equal(block, expected_block)
     assert np.array_equal(kept, expected_kept)
+    # the int32 ids the corpus reader gives are indexed as they are
+    narrow_block, narrow_kept = embed_ids(SMALL_TABLE, ids.astype(np.int32), policy, length)
+    assert narrow_block.tobytes() == expected_block.tobytes()
+    assert np.array_equal(narrow_kept, expected_kept)
 
 
 def test_embed_ids_rejects_long_rows_and_unknown_ids():
@@ -274,6 +278,8 @@ def test_embed_ids_rejects_long_rows_and_unknown_ids():
     for bad in (OOV_ID - 1, SMALL_TABLE.vocab_size):
         with pytest.raises(DomainError):
             embed_ids(SMALL_TABLE, np.array([[0, bad]]), OovPolicy.ZERO, 4)
+    with pytest.raises(DomainError, match="integers"):
+        embed_ids(SMALL_TABLE, np.array([[0.0, 1.0]]), OovPolicy.ZERO, 4)
 
 
 #: Every separator `str.split()` splits on: the ASCII blanks, the

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from longmem import estimator
 from longmem.embeddings import (
     EmbeddedSeries,
     OovPolicy,
@@ -18,7 +19,6 @@ from longmem.embeddings import (
 )
 from longmem.errors import DegenerateInputError, DomainError, ZeroPowerError
 from longmem.estimator import (
-    _NORMAL_APPROX_N,
     EstimatorConfig,
     FullBand,
     LowFrequency,
@@ -95,11 +95,10 @@ def test_ols_loglog_matches_linregress(seed, n):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 3, 4, 17, _NORMAL_APPROX_N + 1, _NORMAL_APPROX_N + 2, _NORMAL_APPROX_N + 3, 300]),
+    st.sampled_from([2, 3, 4, 17, 201, 202, 203, 300]),
     st.integers(1, 6),
 )
 def test_ols_loglog_rows_match_scalar_fit(seed, n, rows):
-    # n = 202 is the last t-tail fit (200 dof) and n = 203 the first normal one
     rng = np.random.default_rng(seed)
     xs = np.exp(rng.normal(size=n))
     ys = np.exp(rng.normal(size=(rows, n)))
@@ -119,29 +118,45 @@ def test_ols_loglog_rows_match_scalar_fit(seed, n, rows):
 
 
 def _t_values(seed):
-    # |t| from 0 past the normal tail's underflow near |t|/sqrt 2 = 27, both signs
+    # |t| from 0 to 60, both signs, but none in (0, 1e-5), where stdtr at 1
+    # dof is off by up to 5e-9 relative (the closed forms below cover them)
     rng = np.random.default_rng(seed)
-    t = np.concatenate([[0.0, 1e-9, 1.0, 37.0, 38.0], rng.uniform(0.0, 40.0, 40)])
+    t = np.concatenate(
+        [[0.0, 1.0, 37.0, 38.0, 60.0], np.exp(np.linspace(-11.0, 5.0, 50)), rng.uniform(0.0, 40.0, 40)]
+    )
     return np.concatenate([t, -t])
 
 
-def test_slope_pvalues_normal_tail_matches_scipy_erfc():
-    for dof in range(_NORMAL_APPROX_N + 1, 601):
+def test_slope_pvalues_is_the_student_t_tail_at_every_dof():
+    # worst measured: 1.0e-11 relative on these values and 1.25e-11 over 400
+    # |t| from e^-20 to e^5, both at 4094 dof, from the lgamma prefactor
+    for dof in [*range(1, 601), 1000, 4094]:
         t = _t_values(dof)
         got = slope_pvalues(t, np.ones_like(t), dof)
-        want = special.erfc(np.abs(t) / math.sqrt(2.0))
-        close = np.abs(got - want) <= 1e-13 * np.maximum(got, want)
+        want = 2.0 * special.stdtr(dof, -np.abs(t))
+        close = np.abs(got - want) <= 1.3e-11 * np.maximum(got, want)
         assert np.all(close | ((got <= 1e-300) & (want <= 1e-300))), dof
 
 
-def test_slope_pvalues_t_tail_is_scipy_stdtr():
-    for dof in range(1, _NORMAL_APPROX_N + 1):
-        t = _t_values(dof)
-        got = slope_pvalues(t, np.ones_like(t), dof)
-        assert np.array_equal(got, 2.0 * special.stdtr(dof, -np.abs(t))), dof
+def test_slope_pvalues_at_one_and_two_dof_are_the_closed_forms():
+    # 1 - (2/pi) atan|t| and 1 - |t|/sqrt(2 + t^2), each written without the
+    # difference, which cancels at large |t|; worst measured: 2.6e-14 relative
+    t = np.concatenate(
+        [[0.0, 1e-300, 1e-20, 1e-12, 1e-9, 5e-9, 38.0, 60.0, 1e10, 1e100], np.exp(np.linspace(-20.0, 5.0, 400))]
+    )
+    root = np.sqrt(2.0 + t * t)
+    for dof, want in ((1, (2.0 / np.pi) * np.arctan2(1.0, t)), (2, 2.0 / (root * (root + t)))):
+        got = slope_pvalues(-t, np.ones_like(t), dof)
+        assert np.all(np.abs(got - want) <= 3e-14 * want), dof
 
 
-@pytest.mark.parametrize("dof", [3, _NORMAL_APPROX_N + 1])
+def test_the_tail_fraction_refuses_to_stop_short(monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        slope_pvalues(1.5, 1.0, 30)
+
+
+@pytest.mark.parametrize("dof", [1, 3, 201, 4094])
 def test_slope_pvalues_of_an_infinite_t_or_a_zero_stderr(dof):
     slope = np.array([[2.0, 0.0], [-1.0, 1e300]])
     stderr = np.array([[0.0, 0.0], [0.0, 1e-300]])

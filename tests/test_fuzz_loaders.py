@@ -153,3 +153,14 @@ def test_format_table_round_trips_through_load_table(data):
     loaded = load_table(format_table(table).splitlines())
     assert loaded.token_ids == table.token_ids
     assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
+
+def test_the_mean_of_three_largest_floats_does_not_overflow():
+    # top / 3 rounds up, so the sum of three such quotients exceeds top
+    top = np.finfo(np.float64).max
+    table = EmbeddingTable(
+        vectors=np.array([[top, 1.0], [top, 2.0], [top, 4.0]]), token_ids={"a": 0, "b": 1, "c": 2}
+    )
+    assert table.mean_vector.tolist() == [top, 7.0 / 3.0]
+    round_trip = load_table(format_table(table).splitlines())
+    assert round_trip.mean_vector.tobytes() == table.mean_vector.tobytes()

@@ -1,7 +1,8 @@
-"""Which scipy modules each command loads, seen from a fresh interpreter.
+"""No command loads scipy, seen from a fresh interpreter.
 
-The test process has scipy loaded already, so every case runs in a child
-process and reports the `scipy*` names left in its `sys.modules`.
+The test process has scipy loaded already (it is the tests' oracle), so
+every case runs in a child process and reports the `scipy*` names left in
+its `sys.modules`.
 """
 
 import json
@@ -51,52 +52,30 @@ def _estimate_inputs(tmp_path):
     return str(corpus), str(table)
 
 
-def test_importing_the_cli_loads_no_scipy():
-    assert scipy_modules_after() == set()
-
-
-def test_a_full_band_estimate_loads_no_scipy_and_records_none(tmp_path):
-    corpus, table = _estimate_inputs(tmp_path)
-    out = str(tmp_path / "report.json")
-    assert scipy_modules_after(
-        "estimate", "--corpus", corpus, "--embeddings", table,
-        "--pad-length", "1024", "--cutoff", "full", "--out", out,
-    ) == set()
-    assert load_json(out)["n_estimated"] == 3
-    environment = load_json(out + ".manifest.json")["environment"]
-    assert environment["scipy"] is None
-
-
-def test_a_t_tail_estimate_loads_scipy_special_alone(tmp_path):
-    # --cutoff sqrt fits 32 bins: 30 degrees of freedom, a Student-t tail
-    corpus, table = _estimate_inputs(tmp_path)
-    out = str(tmp_path / "report.json")
-    loaded = scipy_modules_after(
-        "estimate", "--corpus", corpus, "--embeddings", table,
-        "--pad-length", "1024", "--cutoff", "sqrt", "--out", out,
-    )
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.signal", "scipy.stats"}
-    assert load_json(out + ".manifest.json")["environment"]["scipy"] is not None
+_ESTIMATE = ("estimate", "--corpus", "{corpus}", "--embeddings", "{table}", "--pad-length", "1024")
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, manifest",
     [
-        ("schedule-cost", "--preset", "lm-powerlaw"),
-        ("train-toy", "--vocab", "8", "--seq-len", "8", "--max-hidden", "8", "--emb-dim", "4",
-         "--steps", "2", "--batch-size", "2", "--metrics-out", "{tmp}/m.csv"),
+        ((), None),
+        ((*_ESTIMATE, "--cutoff", "full", "--out", "{tmp}/report.json"), "report.json"),
+        # --cutoff sqrt fits 32 bins: 30 degrees of freedom
+        ((*_ESTIMATE, "--cutoff", "sqrt", "--out", "{tmp}/report.json"), "report.json"),
+        (("synth", "--model", "fgn", "--d", "0.3", "--length", "64", "--vocab", "4",
+          "--out", "{tmp}/corpus.txt", "--emb-out", "{tmp}/table.txt"), "corpus.txt"),
+        (("synth", "--model", "farima", "--d", "0.3", "--length", "64", "--out", "{tmp}/series.csv"),
+         "series.csv"),
+        (("schedule-cost", "--preset", "lm-powerlaw"), None),
+        (("train-toy", "--vocab", "8", "--seq-len", "8", "--max-hidden", "8", "--emb-dim", "4",
+          "--steps", "2", "--batch-size", "2", "--metrics-out", "{tmp}/m.csv"), "m.csv"),
     ],
-    ids=lambda argv: argv[0],
+    ids=["import", "estimate-full", "estimate-sqrt", "synth-fgn", "synth-farima", "schedule-cost", "train-toy"],
 )
-def test_schedule_and_training_commands_load_no_scipy(tmp_path, argv):
-    assert scipy_modules_after(*(a.format(tmp=tmp_path) for a in argv)) == set()
-
-
-def test_synth_fgn_leaves_scipy_signal_out(tmp_path):
-    loaded = scipy_modules_after(
-        "synth", "--model", "fgn", "--d", "0.3", "--length", "64", "--vocab", "4",
-        "--out", str(tmp_path / "corpus.txt"), "--emb-out", str(tmp_path / "table.txt"),
-    )
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.signal", "scipy.stats"}
+def test_no_command_loads_scipy(tmp_path, argv, manifest):
+    corpus, table = _estimate_inputs(tmp_path)
+    argv = [a.format(tmp=tmp_path, corpus=corpus, table=table) for a in argv]
+    assert scipy_modules_after(*argv) == set()
+    if manifest is not None:
+        environment = load_json(f"{tmp_path / manifest}.manifest.json")["environment"]
+        assert "scipy" not in environment

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import signal, special
 
 from longmem.embeddings import EmbeddedSeries
 from longmem.errors import DomainError
@@ -12,6 +12,7 @@ from longmem.estimator import EstimatorConfig, LowFrequency, estimate_from_perio
 from longmem.spectral import Periodogram, periodograms
 from longmem.synth import (
     _EIGENVALUE_RTOL,
+    _normal_quantiles,
     FarimaSpec,
     FgnSpec,
     farima_ma_coeffs,
@@ -141,6 +142,15 @@ def test_generate_farima_deterministic():
     assert np.array_equal(generate_farima(spec), generate_farima(spec))
 
 
+def test_generate_farima_is_the_full_convolution():
+    # scipy's fftconvolve is the oracle; worst measured: 8.3e-14 relative
+    spec = FarimaSpec(d=0.3, length=500, seed=4, ma_truncation=700)
+    eps = np.random.default_rng(4).standard_normal(1200)
+    want = signal.fftconvolve(eps, farima_ma_coeffs(0.3, 700), mode="full")[700:1200]
+    got = generate_farima(spec)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_generate_farima_zero_d_is_white():
     x = generate_farima(FarimaSpec(d=0.0, length=32768, seed=2))
     assert abs(float(x.var()) - 1.0) < 0.03
@@ -183,6 +193,18 @@ def test_normal_bucket_table_structure():
     assert np.all(np.diff(first) > 0)  # strictly increasing bucket centers
     assert abs(float(first.mean())) < 1e-10  # symmetric around zero
     assert table.token_ids == {str(i): i for i in range(8)}
+
+
+@pytest.mark.parametrize("vocab", [2, 16, 64, 5000])
+def test_bucket_mids_and_edges_are_the_normal_quantiles(vocab):
+    # scipy's ndtri is the oracle; worst measured: 1.03e-15 relative, at V = 5000
+    mids = normal_bucket_table(vocab).vectors[:, 0]
+    want = special.ndtri((np.arange(vocab) + 0.5) / vocab)
+    assert np.all(np.abs(mids - want) <= 2e-15 * np.abs(want))
+    # the edges quantize_to_symbols cuts at
+    edges = _normal_quantiles(np.arange(1, vocab) / vocab)
+    want = special.ndtri(np.arange(1, vocab) / vocab)
+    assert np.all(np.abs(edges - want) <= 2e-15 * np.abs(want))
 
 
 def test_quantize_two_buckets_is_sign():
