@@ -24,12 +24,17 @@ from .errors import DimensionMismatchError, DomainError, EmptyInputError
 from .estimator import (
     EstimatorConfig,
     LrdEstimate,
+    d_stderr_asymptotic,
     estimate_from_periodogram,
-    estimate_report,
     fit_d,
     fitted_bins,
 )
 from .spectral import Periodogram, periodograms
+
+REPORT_SCHEMA_VERSION = 1
+
+#: The regression abscissa is log k for the bin index k; reports name it.
+REPORT_ABSCISSA = "index"
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,7 @@ def run_dataset(
             )
     if state is None:
         raise EmptyInputError("no sequence could be estimated")
-    mean_pg = Periodogram(length=length, power=(power_sum / n_estimated).T)
+    mean_pg = Periodogram(length=length, power=power_sum / n_estimated)
     pooled = estimate_from_periodogram(mean_pg, config)
     n_skipped = ids.shape[0] - n_estimated
     return AggregateResult(
@@ -201,17 +206,31 @@ def run_dataset(
 
 
 def dataset_report(result: AggregateResult) -> dict:
-    """Plain-JSON report of a dataset run.
+    """Plain-JSON report of a dataset run, with the cutoff and abscissa used.
 
     `d` is the EMA of per-sequence fits. `d_pooled`, `intercept`, `stderr`
-    and `pvalue` come from one fit to the mean periodogram.
+    and `pvalue` come from one fit to the mean periodogram. JSON has no
+    NaN: the `stderr` and `pvalue` of a two-bin fit, which has no residual
+    degrees of freedom, are written as None (null). `stderr` is the OLS
+    standard error of the slope, twice that of d; `d_stderr_asymptotic` is
+    a separate estimator, Robinson's (1995) asymptotic standard error of d
+    over the fitted bins.
     """
-    report = estimate_report(result.pooled)
-    report["d"] = [float(v) for v in result.state.d_hat]
-    report["d_pooled"] = [float(v) for v in result.pooled.d]
-    report["n_estimated"] = result.n_estimated
-    report["n_skipped"] = result.n_skipped
-    report["n_skipped_constant"] = result.n_skipped_constant
-    report["n_skipped_zero_power"] = result.n_skipped_zero_power
-    report["batches"] = result.state.step
-    return report
+    pooled = result.pooled
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "dim": int(pooled.d.size),
+        "cutoff": pooled.cutoff_used,
+        "abscissa": REPORT_ABSCISSA,
+        "d": [float(v) for v in result.state.d_hat],
+        "intercept": [float(v) for v in pooled.intercept],
+        "stderr": [None if math.isnan(v) else float(v) for v in pooled.slope_stderr],
+        "pvalue": [None if math.isnan(v) else float(v) for v in pooled.pvalue],
+        "d_stderr_asymptotic": d_stderr_asymptotic(pooled.cutoff_used),
+        "d_pooled": [float(v) for v in pooled.d],
+        "n_estimated": result.n_estimated,
+        "n_skipped": result.n_skipped,
+        "n_skipped_constant": result.n_skipped_constant,
+        "n_skipped_zero_power": result.n_skipped_zero_power,
+        "batches": result.state.step,
+    }

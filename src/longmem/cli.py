@@ -26,16 +26,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import __version__
-from .aggregator import LearningRateSchedule, dataset_report, run_dataset
+from .aggregator import REPORT_SCHEMA_VERSION, LearningRateSchedule, dataset_report, run_dataset
 from .embeddings import OovPolicy, format_table, load_table, read_corpus_ids, shuffle_rows
 from .errors import LongmemError
-from .estimator import (
-    EstimatorConfig,
-    FullBand,
-    LowFrequency,
-    REPORT_SCHEMA_VERSION,
-    sqrt_cutoff,
-)
+from .estimator import EstimatorConfig, FullBand, LowFrequency, sqrt_cutoff
 from .evornn import build_model, save_checkpoint, task_lag_recall, train_toy
 from .evornn.train import TrainConfig
 from .fileio import atomic_write_text
@@ -185,11 +179,10 @@ def cmd_synth(args, parser) -> int:
         args.model, d_true, args.length, args.count, args.seed, args.ma_truncation
     )
     if args.vocab is not None:
-        table = normal_bucket_table(args.vocab)
-        corpus = (quantize_to_symbols(series, args.vocab, table).ids for series in matrix.T)
+        corpus = (quantize_to_symbols(series, args.vocab).ids for series in matrix.T)
         atomic_write_text(args.out, "".join(" ".join(map(str, ids)) + "\n" for ids in corpus))
         if args.emb_out:
-            atomic_write_text(args.emb_out, format_table(table))
+            atomic_write_text(args.emb_out, format_table(normal_bucket_table(args.vocab)))
     else:
         header = ",".join(f"series{i}" for i in range(args.count))
         rows = [",".join(repr(float(v)) for v in row) for row in matrix]

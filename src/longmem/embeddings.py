@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -409,26 +410,6 @@ class TokenIndex:
         return rows
 
 
-def _text_blocks(stream: Iterable[str], size: int) -> Iterator[str]:
-    """The stream's lines, each followed by a line break (a line's end
-    always ends a token), cut into blocks of `size` characters; the last
-    block is shorter or up to twice as long, and ends in a line break."""
-    lines, n = [], 0
-    for line in stream:
-        lines.append(line)
-        n += len(line) + 1
-        if n >= size:
-            lines.append("")
-            text = "\n".join(lines)
-            whole = len(text) - len(text) % size
-            for start in range(0, whole, size):
-                yield text[start : start + size]
-            lines = [text[whole:]]  # the cut-off tail, less than a block
-            n = len(lines[0]) + 1
-    lines.append("")
-    yield "\n".join(lines)
-
-
 def _block_ids(
     data: bytes, index: TokenIndex, token_ids: dict[str, int]
 ) -> tuple[np.ndarray, bytes]:
@@ -455,23 +436,23 @@ def _block_ids(
     return ids, carry
 
 
-def read_corpus_ids(
-    stream: Union[TextIO, Iterable[str]], table: EmbeddingTable, chunk_len: int
-) -> np.ndarray:
-    """Read a token stream as an N x chunk_len int32 matrix of table row
-    ids, one row per consecutive chunk; a final partial chunk is dropped.
+def read_corpus_ids(stream: TextIO, table: EmbeddingTable, chunk_len: int) -> np.ndarray:
+    """Read a text stream as an N x chunk_len int32 matrix of table row
+    ids, one row per consecutive chunk of its tokens; a final partial chunk
+    is dropped.
 
-    Tokens are what `str.split()` gives for each line. The lines are read
-    in blocks of BLOCK_CHARS characters, each tokenized as UTF-8 bytes:
-    tokens of 1-7 bytes are looked up as packed keys in a `TokenIndex`,
-    longer ones in `token_ids`. The ids fill one buffer that grows by half.
+    Tokens are what `str.split()` gives. The text is read BLOCK_CHARS
+    characters at a time, each block tokenized as UTF-8 bytes: tokens of
+    1-7 bytes are looked up as packed keys in a `TokenIndex`, longer ones
+    in `token_ids`. The ids fill one buffer that grows by half.
     """
     if chunk_len < 1:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
     index = TokenIndex(table.token_ids)
     ids = np.empty(BLOCK_CHARS, dtype=np.int32)
     n, carry = 0, b""
-    for text in _text_blocks(stream, BLOCK_CHARS):
+    # a last line break ends a last token that no blank ends
+    for text in chain(iter(lambda: stream.read(BLOCK_CHARS), ""), ["\n"]):
         if not text.isascii():
             for blank in _NON_ASCII_BLANKS:  # a scan each; str.translate is far slower
                 text = text.replace(blank, " ")

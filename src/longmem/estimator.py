@@ -2,10 +2,12 @@
 
 For a series whose spectral density behaves like lambda^(-2d) near zero
 frequency, the log periodogram is affine in log frequency with slope -2d.
-Each embedding dimension is fitted independently by ordinary least squares,
-and the returned coefficient is -slope/2, for a block of periodograms at
-once (`fit_periodograms`). Estimates are reported as-is:
-values outside (0, 1/2) indicate estimation failure and are not clamped.
+Each embedding dimension is fitted independently by ordinary least squares
+over the rows of a time-last periodogram, and the returned coefficient is
+-slope/2: `fit_d` gives the slopes alone for a block of periodograms, and
+`estimate_from_periodogram` the full fit with inference of one, the pooled
+fit of a run. Estimates are reported as-is: values outside (0, 1/2)
+indicate estimation failure and are not clamped.
 
 Also provides the Hurst conversion H = d + 1/2, Gaussian mutual information
 from covariance blocks, and the mutual-information decay-slope diagnostic
@@ -22,11 +24,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ZeroPowerError
 from .spectral import Periodogram
-
-REPORT_SCHEMA_VERSION = 1
-
-#: The regression abscissa is log k for the bin index k; reports name it.
-REPORT_ABSCISSA = "index"
 
 #: A step that changes the t-tail's continued fraction by at most this
 #: factor ends it, and at most this many steps are taken (63 were the
@@ -77,7 +74,7 @@ class OlsFit:
 @dataclass(frozen=True)
 class LrdEstimate:
     """Per-dimension memory coefficients with OLS inference; each array has
-    shape (p,), or (B, p) for a block of B periodograms."""
+    shape (p,)."""
 
     d: np.ndarray
     intercept: np.ndarray
@@ -126,15 +123,15 @@ def _t_tail(t: float, dof: int) -> float:
 def slope_pvalues(slope: np.ndarray, stderr: np.ndarray, dof: int) -> np.ndarray:
     """Two-sided p-values of the slope-zero test, element by element: the
     Student-t tail at every dof, by continued fraction. An infinite |t| has
-    p-value 0, and a zero stderr gives 1 for a zero slope and 0 otherwise."""
+    p-value 0 and a NaN t has NaN, but a zero slope with a zero stderr has 1."""
     slope = np.asarray(slope, dtype=np.float64)
     stderr = np.asarray(stderr, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_stat = np.abs(slope / stderr)
     finite = np.isfinite(t_stat)
-    pvalue = np.zeros(t_stat.shape)
+    pvalue = np.where(np.isnan(t_stat), np.nan, 0.0)
     pvalue[finite] = [_t_tail(t, dof) for t in t_stat[finite].tolist()]
-    return np.where(stderr == 0.0, np.where(slope == 0.0, 1.0, 0.0), pvalue)
+    return np.where((slope == 0.0) & (stderr == 0.0), 1.0, pvalue)
 
 
 def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
@@ -179,9 +176,13 @@ def _loglog_slopes(
     if sxx == 0.0:
         raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
     # sum (ly - mean ly) xc = sum ly xc, as sum xc = 0; one contiguous row per
-    # fit, which numpy sums pairwise whatever K is
-    products = np.multiply(ly, xc, out=None if work is None else ly)
-    slope = products.sum(axis=1) / sxx
+    # fit, which numpy sums pairwise whatever K is. A NaN or inf y gives a
+    # NaN or inf slope, quietly here; positive finite ys never do
+    with np.errstate(invalid="ignore"):
+        products = np.multiply(ly, xc, out=None if work is None else ly)
+        slope = products.sum(axis=1) / sxx
+    if not np.isfinite(slope).all():
+        raise DomainError("all ys must be finite for log-log regression")
     return slope, lx, None if work is not None else ly, sxx
 
 
@@ -212,20 +213,9 @@ def fitted_bins(n_bins: int, cutoff: Cutoff) -> int:
     return m
 
 
-def fit_periodograms(power: np.ndarray, cutoff: Cutoff) -> LrdEstimate:
-    """Fit every dimension of a time-last (..., p, L/2) block of
-    periodograms, whose fitted bins must have positive power; the arrays
-    have shape (..., p)."""
-    m = fitted_bins(power.shape[-1], cutoff)
-    shape = power.shape[:-1]
-    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), power[..., :m])
-    fields = (-fit.slope / 2.0, fit.intercept, fit.slope_stderr, fit.pvalue)
-    return LrdEstimate(*(a.reshape(shape) for a in fields), cutoff_used=m)
-
-
 def fit_d(power: np.ndarray, cutoff: Cutoff, work: Optional[np.ndarray] = None) -> np.ndarray:
-    """The memory coefficients alone of `fit_periodograms`, bit for bit:
-    one slope per dimension of a time-last (..., p, L/2) block, no
+    """The memory coefficients alone of `estimate_from_periodogram`, bit for
+    bit: one slope per dimension of a time-last (..., p, L/2) block, no
     inference; shape (..., p). The fitted bins are logged straight from
     `power` into `work`, a float64 array of at least m entries per
     dimension fitted, or into an array of their own when it is not given."""
@@ -235,12 +225,15 @@ def fit_d(power: np.ndarray, cutoff: Cutoff, work: Optional[np.ndarray] = None) 
 
 
 def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEstimate:
-    """Fit each dimension over the selected bins; returns d = -slope/2."""
-    m = fitted_bins(pg.power.shape[0], config.cutoff)
-    zero = np.argwhere(pg.power[:m].T <= 0.0)
+    """Fit each dimension over the selected bins, with inference; returns
+    d = -slope/2. Zero power in a fitted bin raises."""
+    m = fitted_bins(pg.power.shape[1], config.cutoff)
+    power = pg.power[:, :m]
+    zero = np.argwhere(power <= 0.0)
     if zero.size:
         raise ZeroPowerError(dim=int(zero[0, 0]), bin_index=int(zero[0, 1]) + 1)
-    return fit_periodograms(pg.power.T, config.cutoff)
+    fit = ols_loglog_rows(np.arange(1.0, m + 1.0), power)
+    return LrdEstimate(-fit.slope / 2.0, fit.intercept, fit.slope_stderr, fit.pvalue, m)
 
 
 def hurst_from_d(d: float) -> float:
@@ -253,27 +246,6 @@ def d_stderr_asymptotic(m: int) -> float:
     d over m bins (Robinson 1995, Ann. Statist.): the log periodogram's
     error has variance pi^2/6, and d is half the slope."""
     return math.pi / math.sqrt(24.0 * m)
-
-
-def estimate_report(est: LrdEstimate) -> dict:
-    """Plain-JSON view of an estimate, including the cutoff and abscissa used.
-
-    JSON has no NaN: the `stderr` and `pvalue` of a two-bin fit, which has
-    no residual degrees of freedom, are written as None (null).
-    `stderr` is the OLS standard error of the slope, twice that of d;
-    `d_stderr_asymptotic` is a separate estimator, Robinson's (1995)
-    asymptotic standard error of d over the fitted bins."""
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "dim": int(est.d.size),
-        "cutoff": est.cutoff_used,
-        "abscissa": REPORT_ABSCISSA,
-        "d": [float(v) for v in est.d],
-        "intercept": [float(v) for v in est.intercept],
-        "stderr": [None if math.isnan(v) else float(v) for v in est.slope_stderr],
-        "pvalue": [None if math.isnan(v) else float(v) for v in est.pvalue],
-        "d_stderr_asymptotic": d_stderr_asymptotic(est.cutoff_used),
-    }
 
 
 def gaussian_mutual_info(

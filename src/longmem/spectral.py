@@ -1,5 +1,9 @@
 """Real-input DFT periodograms, batched over blocks of series.
 
+Every spectrum is time-last: the power of p dimensions is a p x (L/2)
+array, one contiguous row of bins per dimension, from the FFT to the fit;
+only the CSV dump writes it bin by bin.
+
 The forward transform is unnormalized (no 1/L factor): log-log slope
 estimates are invariant to multiplicative scaling, so normalization would
 only shift the regression intercept. The fast path requires power-of-two
@@ -22,7 +26,7 @@ class Periodogram:
     """Squared-magnitude spectrum per dimension over indices k = 1..L/2.
 
     The DC bin (k = 0) is removed; the Nyquist bin is retained. `power`
-    is an (L/2) x p matrix.
+    is a time-last p x (L/2) matrix, as `periodograms` gives it.
     """
 
     length: int
@@ -30,9 +34,9 @@ class Periodogram:
 
     def __post_init__(self):
         power = np.asarray(self.power, dtype=np.float64)
-        if power.ndim != 2 or power.shape[0] != self.length // 2:
+        if power.ndim != 2 or power.shape[1] != self.length // 2:
             raise DimensionMismatchError(
-                f"expected {self.length // 2} x p power matrix for length "
+                f"expected p x {self.length // 2} power matrix for length "
                 f"{self.length}, got shape {power.shape}"
             )
         if np.any(power < 0):
@@ -41,7 +45,7 @@ class Periodogram:
 
     @property
     def dim(self) -> int:
-        return self.power.shape[1]
+        return self.power.shape[0]
 
     @property
     def freq_indices(self) -> np.ndarray:
@@ -93,12 +97,13 @@ def periodograms(
 
 def periodogram(series: EmbeddedSeries) -> Periodogram:
     """Per-dimension squared magnitudes at k = 1..L/2 (DC removed)."""
-    return Periodogram(length=series.length, power=periodograms(series.values.T).T)
+    return Periodogram(length=series.length, power=periodograms(series.values.T))
 
 
 def write_periodogram_csv(pg: Periodogram, stream: TextIO) -> None:
-    """Dump a periodogram as CSV with header `k,dim0,...,dim{p-1}`."""
+    """Dump a periodogram as CSV with header `k,dim0,...,dim{p-1}`, one
+    line per bin."""
     header = "k," + ",".join(f"dim{j}" for j in range(pg.dim))
     stream.write(header + "\n")
-    for k, row in zip(pg.freq_indices, pg.power):
+    for k, row in zip(pg.freq_indices, pg.power.T):
         stream.write(f"{k}," + ",".join(repr(float(v)) for v in row) + "\n")

@@ -157,30 +157,19 @@ def normal_bucket_table(vocab_size: int) -> EmbeddingTable:
     )
 
 
-def quantize_to_symbols(
-    series: np.ndarray, vocab_size: int, table: EmbeddingTable | None = None
-) -> SymbolSequence:
+def quantize_to_symbols(series: np.ndarray, vocab_size: int) -> SymbolSequence:
     """Map real values onto V equiprobable standard-normal buckets.
 
     Bucket edges are the normal quantiles at i/V; values on an edge fall
-    into the upper bucket, so V = 2 is the sign quantizer. When a table is
-    supplied it must have V rows with a strictly monotone first coordinate,
-    so that embedding the ids preserves the ordering of the raw values.
+    into the upper bucket, so V = 2 is the sign quantizer. Embedded by
+    `normal_bucket_table(V)`, whose rows rise with i, the ids keep the
+    ordering of the raw values.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("series must be a non-empty 1-d real vector")
     if vocab_size < 2:
         raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
-    if table is not None:
-        if table.vocab_size != vocab_size:
-            raise DomainError(
-                f"table has {table.vocab_size} rows, expected {vocab_size}"
-            )
-        first = table.vectors[:, 0]
-        diffs = np.diff(first)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise DomainError("table's first coordinate must be strictly monotone")
     edges = _normal_quantiles(np.arange(1, vocab_size) / vocab_size)
     ids = np.searchsorted(edges, x, side="right")
     return SymbolSequence(ids=[int(i) for i in ids])

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,15 @@ def load_json(path):
     that Python's `json` module writes and reads but JSON does not define."""
     with open(path, encoding="utf-8") as stream:
         return json.load(stream, parse_constant=_reject_constant)
+
+
+def src_env() -> dict:
+    """The environment for a child interpreter that imports `longmem` from
+    this checkout's `src`, ahead of any PYTHONPATH already set."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def traced_peak(fn):

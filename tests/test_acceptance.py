@@ -43,7 +43,7 @@ M45 = LowFrequency(45)
 def _averaged_estimate(series_list, config):
     block = np.stack([s if s.ndim == 2 else s[:, None] for s in series_list])
     power = periodograms(block.transpose(0, 2, 1)).mean(axis=0)
-    mean_pg = Periodogram(length=block.shape[1], power=power.T)
+    mean_pg = Periodogram(length=block.shape[1], power=power)
     return estimate_from_periodogram(mean_pg, config)
 
 

@@ -3,7 +3,6 @@
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -42,11 +41,10 @@ from longmem.estimator import (
     FullBand,
     LowFrequency,
     estimate_from_periodogram,
-    estimate_report,
 )
 from longmem.spectral import periodogram
 from longmem.synth import FgnSpec, generate_fgn, normal_bucket_table, quantize_to_symbols
-from conftest import traced_peak
+from conftest import src_env, traced_peak
 
 
 def test_schedule_alpha_values():
@@ -121,7 +119,7 @@ def _quantized_fgn_dataset(n, d=0.3, length=2048, vocab=64, seed0=82000):
     rows = []
     for s in range(n):
         x = generate_fgn(FgnSpec(hurst=d + 0.5, length=length, seed=seed0 + s))
-        rows.append(quantize_to_symbols(x, vocab, table=table).ids)
+        rows.append(quantize_to_symbols(x, vocab).ids)
     return np.array(rows), table
 
 
@@ -286,14 +284,9 @@ print(json.dumps([faults(8), faults(32)]))
 def test_run_dataset_page_faults_do_not_grow_with_the_rows():
     # a slab that allocates its arrays afresh faults in new pages for every
     # row, about 2 MB a slab here; a reused workspace faults in its pages once
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     child = subprocess.run(
         [sys.executable, "-c", _FAULTS_CHILD],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+        capture_output=True, text=True, env=src_env(), timeout=120, check=False,
     )
     assert child.returncode == 0, child.stderr
     few, many = json.loads(child.stdout.strip().splitlines()[-1])
@@ -430,4 +423,4 @@ def test_dataset_report_keys_name_their_sources():
     assert (report["n_skipped_constant"], report["n_skipped_zero_power"]) == (1, 0)
     # d_stderr_asymptotic is Robinson's for the m = 16 bins fitted
     keys = ("schema_version", "dim", "cutoff", "abscissa", "d_stderr_asymptotic")
-    assert {k: report[k] for k in keys} == {k: estimate_report(pooled)[k] for k in keys}
+    assert [report[k] for k in keys] == [1, 1, 16, "index", math.pi / math.sqrt(24.0 * 16)]

@@ -333,21 +333,23 @@ def test_read_corpus_ids_matches_chunked_lookup(lines, chunk_len, block_chars):
 def test_read_corpus_ids_finds_every_token_through_probe_chains():
     # 3000 numbers and the edge tokens in 8192 slots: many keys sit past their home
     words = [t for t in CORPUS_TABLE.token_ids if t.split() == [t]]
-    ids = read_corpus_ids(["  ".join(words)], CORPUS_TABLE, 1)
+    ids = read_corpus_ids(io.StringIO("  ".join(words)), CORPUS_TABLE, 1)
     assert ids.reshape(-1).tolist() == [CORPUS_TABLE.token_ids[t] for t in words]
     index = embeddings.TokenIndex(CORPUS_TABLE.token_ids)
     stored = np.flatnonzero(index._keys)
     assert np.count_nonzero(index._homes(index._keys[stored]) != stored) > 100
 
 
-def test_read_corpus_ids_accepts_lines_without_breaks_and_rejects_bad_chunks():
-    # each item of the iterable is a line, so its end ends a token
-    ids = read_corpus_ids(iter(["a", "b", "", "a\x00"]), CORPUS_TABLE, 1)
-    assert ids.reshape(-1).tolist() == [0, 1, 2]
-    assert read_corpus_ids([], CORPUS_TABLE, 1).shape == (0, 1)
+def test_read_corpus_ids_accepts_lines_without_breaks_and_rejects_bad_chunks(monkeypatch):
+    # the end of the text ends its last token, whichever block it falls in
+    for block_chars in (1, 2, 3, 1 << 15):
+        monkeypatch.setattr(embeddings, "BLOCK_CHARS", block_chars)
+        ids = read_corpus_ids(io.StringIO("a\nb\n\nseven77 a\x00"), CORPUS_TABLE, 1)
+        assert ids.reshape(-1).tolist() == [0, 1, 4, 2]
+    assert read_corpus_ids(io.StringIO(""), CORPUS_TABLE, 1).shape == (0, 1)
     for chunk_len in (0, -1):
         with pytest.raises(DomainError):
-            read_corpus_ids(["a"], CORPUS_TABLE, chunk_len)
+            read_corpus_ids(io.StringIO("a"), CORPUS_TABLE, chunk_len)
 
 
 def test_blank_sets_are_exactly_what_str_split_splits_on():
@@ -359,12 +361,15 @@ def test_blank_sets_are_exactly_what_str_split_splits_on():
 
 def test_read_corpus_ids_peak_allocation_per_token():
     # the int32 ids take 4 bytes a token and the buffer grows by half, so
-    # its peak is at most 6; block temporaries add a constant
+    # its peak is at most 6; block temporaries add a constant, also when
+    # the whole corpus is one line
     tokens = 1_200_000
-    stream = io.StringIO(("a bb 17 zz seven77 " * 200 + "\n") * (tokens // 1000))
-    ids, peak = traced_peak(lambda: read_corpus_ids(stream, CORPUS_TABLE, 1000))
-    assert ids.size == tokens
-    assert peak <= 7 * tokens + (1 << 20)
+    line = "a bb 17 zz seven77 " * 200
+    for text in ((line + "\n") * (tokens // 1000), line * (tokens // 1000)):
+        stream = io.StringIO(text)
+        ids, peak = traced_peak(lambda: read_corpus_ids(stream, CORPUS_TABLE, 1000))
+        assert ids.size == tokens
+        assert peak <= 7 * tokens + (1 << 20)
 
 
 def test_shuffle_rows_draws_one_permutation_per_row():

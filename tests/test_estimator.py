@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from longmem import estimator
+from longmem.aggregator import AggregateResult, EmaState, dataset_report
 from longmem.embeddings import (
     EmbeddedSeries,
     OovPolicy,
@@ -23,9 +24,7 @@ from longmem.estimator import (
     FullBand,
     LowFrequency,
     estimate_from_periodogram,
-    estimate_report,
     fit_d,
-    fit_periodograms,
     gaussian_mutual_info,
     hurst_from_d,
     mi_decay_slope,
@@ -34,7 +33,7 @@ from longmem.estimator import (
     slope_pvalues,
     sqrt_cutoff,
 )
-from longmem.spectral import periodogram, periodograms
+from longmem.spectral import Periodogram, periodogram, periodograms
 from longmem.synth import fgn_autocov, normal_bucket_table
 
 from conftest import traced_peak
@@ -76,6 +75,9 @@ def test_ols_loglog_rejects_bad_input():
         ols_loglog([1.0], [1.0])
     with pytest.raises(DegenerateInputError):
         ols_loglog([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf):  # a y that gives no finite slope
+        with pytest.raises(DomainError):
+            ols_loglog([1.0, 2.0, 3.0, 4.0], [1.0, bad, 2.0, 3.0])
 
 
 @settings(max_examples=50)
@@ -173,6 +175,19 @@ def test_ols_loglog_rows_rejects_bad_input():
         ols_loglog_rows([1.0, 2.0, 3.0], np.ones((2, 2)))
     with pytest.raises(DegenerateInputError):
         ols_loglog_rows([3.0, 3.0, 3.0], np.ones((1, 3)))
+    # infinities whose products cancel; a NaN row beside a finite one
+    with pytest.raises(DomainError):
+        ols_loglog_rows([1.0, 2.0, 4.0], np.array([[np.inf, 1.0, np.inf], [1.0, 2.0, 3.0]]))
+    with pytest.raises(DomainError):
+        fit_d(np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 2.0]]), FullBand())
+
+
+def test_slope_pvalues_of_a_nan_t_are_nan():
+    slope = np.array([np.nan, 1.0, np.nan, 0.0, np.inf])
+    stderr = np.array([1.0, np.nan, 0.0, 0.0, np.nan])
+    got = slope_pvalues(slope, stderr, 5)
+    assert np.isnan(got[[0, 1, 2, 4]]).all() and got[3] == 1.0
+    assert np.isnan(slope_pvalues(np.nan, 1.0, 5))
 
 
 def _power_law_periodogram(length=64, d=0.3, scale=1.0):
@@ -243,32 +258,22 @@ def test_lookup_pad_periodogram_fit_pipeline():
     assert np.isfinite(est.d[0])
 
 
-def test_fit_periodograms_rows_equal_single_fits():
-    block = np.random.default_rng(5).standard_normal((4, 64, 3))
-    config = EstimatorConfig(64, cutoff=LowFrequency(8))
-    batch = fit_periodograms(periodograms(block.transpose(0, 2, 1)), config.cutoff)
-    assert batch.d.shape == (4, 3) and batch.cutoff_used == 8
-    for b in range(4):
-        single = estimate_from_periodogram(periodogram(EmbeddedSeries(block[b])), config)
-        for name in ("d", "intercept", "slope_stderr", "pvalue"):
-            assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), name
-
-
 @pytest.mark.parametrize(
     "cutoff", [FullBand(), LowFrequency(11), LowFrequency(2)], ids=["full", "m11", "m2"]
 )
-def test_fit_d_is_the_d_of_fit_periodograms(cutoff):
+def test_fit_d_is_the_d_of_estimate_from_periodogram(cutoff):
     power = periodograms(np.random.default_rng(8).standard_normal((6, 3, 64)))
     given_power = power.copy()
+    config = EstimatorConfig(64, cutoff)
+    single = np.stack([estimate_from_periodogram(Periodogram(64, row), config).d for row in power])
     views = (
-        power,
-        power[::2, ::-1],  # rows a stride apart
-        np.ascontiguousarray(power.transpose(0, 2, 1)).transpose(0, 2, 1),  # bins a stride apart
+        (power, single),
+        (power[::2, ::-1], single[::2, ::-1]),  # rows a stride apart
+        # bins a stride apart
+        (np.ascontiguousarray(power.transpose(0, 2, 1)).transpose(0, 2, 1), single),
     )
-    for block in views:
-        d = fit_d(block, cutoff)
-        assert d.shape == block.shape[:-1]
-        assert np.array_equal(d, fit_periodograms(block, cutoff).d)
+    for block, want in views:
+        assert np.array_equal(fit_d(block, cutoff), want)
     assert np.array_equal(power, given_power)
 
 
@@ -294,8 +299,13 @@ def test_fit_d_logs_strided_fitted_bins_without_a_copy():
 
 def test_estimate_report_fields():
     pg = _power_law_periodogram(length=64, d=0.1)
-    config = EstimatorConfig(64)
-    report = estimate_report(estimate_from_periodogram(pg, config))
+    pooled = estimate_from_periodogram(pg, EstimatorConfig(64))
+    report = dataset_report(AggregateResult(EmaState(pooled.d, 1), 1, 0, pg, pooled, 0, 0))
+    assert list(report) == [
+        "schema_version", "dim", "cutoff", "abscissa", "d", "intercept", "stderr", "pvalue",
+        "d_stderr_asymptotic", "d_pooled", "n_estimated", "n_skipped", "n_skipped_constant",
+        "n_skipped_zero_power", "batches",
+    ]
     assert report["schema_version"] == 1
     assert report["dim"] == 1
     assert report["cutoff"] == 32

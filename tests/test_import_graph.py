@@ -6,16 +6,13 @@ its `sys.modules`.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import load_json
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import load_json, src_env
 
 _CHILD = """
 import json, sys
@@ -28,13 +25,9 @@ print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.spli
 def scipy_modules_after(*argv: str) -> set[str]:
     """The scipy modules loaded by `import longmem.cli` and then, if given,
     `longmem.cli.main(argv)` in a fresh interpreter; the command must exit 0."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+        capture_output=True, text=True, env=src_env(), timeout=120, check=False,
     )
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.strip().splitlines()[-1])

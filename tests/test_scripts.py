@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import src_env
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPTS = {
@@ -20,15 +22,11 @@ SCRIPTS = {
 
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_script_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     completed = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *SCRIPTS[script]],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr

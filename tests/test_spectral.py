@@ -49,7 +49,7 @@ def test_rfft_bin_count():
 def test_periodogram_drops_dc_keeps_nyquist():
     series = EmbeddedSeries(np.ones((8, 1)))
     pg = periodogram(series)
-    assert pg.power.shape == (4, 1)
+    assert pg.power.shape == (1, 4)
     assert np.array_equal(pg.freq_indices, [1, 2, 3, 4])
     assert np.allclose(pg.power, 0.0)  # constant signal is pure DC
 
@@ -67,7 +67,7 @@ def test_periodogram_matches_naive_dft():
     pg = periodogram(EmbeddedSeries(values))
     for j in range(3):
         naive = np.abs(dft_naive(values[:, j])[1:]) ** 2
-        assert np.allclose(pg.power[:, j], naive, rtol=1e-10)
+        assert np.allclose(pg.power[j], naive, rtol=1e-10)
 
 
 def test_periodogram_white_noise_mean_power_near_length():
@@ -77,7 +77,7 @@ def test_periodogram_white_noise_mean_power_near_length():
         periodogram(EmbeddedSeries(rng.standard_normal((length, 1)))).power
         for _ in range(100)
     ]
-    mean_power = np.mean(np.stack(powers), axis=0)[:, 0]
+    mean_power = np.mean(np.stack(powers), axis=0)[0]
     # E|X_k|^2 = L for iid unit-variance input away from DC
     assert abs(float(mean_power.mean()) - length) / length < 0.02
     assert np.mean(np.abs(mean_power - length) / length < 0.4) > 0.99
@@ -87,7 +87,7 @@ def test_periodograms_block_rows_equal_single_series():
     block = np.random.default_rng(4).standard_normal((5, 32, 3))
     power = periodograms(block.transpose(0, 2, 1))
     for b in range(5):
-        assert np.array_equal(power[b].T, periodogram(EmbeddedSeries(block[b])).power)
+        assert np.array_equal(power[b], periodogram(EmbeddedSeries(block[b])).power)
     # the mean over the leading axis adds the rows in order
     assert np.array_equal(power.mean(axis=0), sum(power) / 5)
 
@@ -154,4 +154,4 @@ def test_write_periodogram_csv():
     k, p0, p1 = lines[1].split(",")
     assert k == "1"
     assert np.isclose(float(p0), pg.power[0, 0])
-    assert np.isclose(float(p1), pg.power[0, 1])
+    assert np.isclose(float(p1), pg.power[1, 0])

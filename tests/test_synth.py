@@ -164,7 +164,7 @@ def test_generate_farima_recovers_d():
         x = generate_farima(FarimaSpec(d=0.4, length=2048, seed=70000 + s, ma_truncation=4096))
         series.append(x[None])
     power = periodograms(np.stack(series)).mean(axis=0)
-    mean_pg = Periodogram(length=2048, power=power.T)
+    mean_pg = Periodogram(length=2048, power=power)
     est = estimate_from_periodogram(mean_pg, config)
     assert 0.32 <= est.d[0] <= 0.48
 
@@ -228,18 +228,6 @@ def test_quantize_balanced_buckets_on_gaussian_input():
     assert np.all(np.abs(counts / 100000.0 - 0.25) < 0.01)
 
 
-def test_quantize_validates_table():
-    x = np.zeros(4)
-    wrong_size = normal_bucket_table(8)
-    with pytest.raises(DomainError):
-        quantize_to_symbols(x, 4, table=wrong_size)
-    from longmem.embeddings import EmbeddingTable
-
-    non_monotone = EmbeddingTable(vectors=np.array([[1.0], [0.0], [2.0], [1.5]]))
-    with pytest.raises(DomainError):
-        quantize_to_symbols(x, 4, table=non_monotone)
-
-
 def test_quantized_fgn_preserves_memory_coefficient():
     table = normal_bucket_table(64)
     config = EstimatorConfig(pad_length=2048, cutoff=LowFrequency(45))
@@ -248,10 +236,10 @@ def test_quantized_fgn_preserves_memory_coefficient():
     series = []
     for s in range(200):
         x = generate_fgn(FgnSpec(hurst=0.8, length=2048, seed=81000 + s))
-        seq = quantize_to_symbols(x, 64, table=table)
+        seq = quantize_to_symbols(x, 64)
         series.append(lookup_sequence(table, seq, OovPolicy.ZERO).values.T)
     power = periodograms(np.stack(series)).mean(axis=0)
-    mean_pg = Periodogram(length=2048, power=power.T)
+    mean_pg = Periodogram(length=2048, power=power)
     est = estimate_from_periodogram(mean_pg, config)
     assert abs(est.d[0] - 0.3) <= 0.08
 
