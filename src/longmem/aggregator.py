@@ -9,11 +9,19 @@ with an inverse-decay learning rate alpha_i = alpha0 * tau / (tau + i).
 The update is evaluated in the residual form d_hat + alpha*(mean - d_hat),
 which is the same convex combination but keeps a constant stream an exact
 floating-point fixed point.
+
+`run_dataset` runs the slabs of a batch on up to one thread per usable CPU
+(see SLABS_PER_WORKER for when it keeps to one), and takes their results
+in stream order, so its result is the same, bit for bit, for any number
+of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -112,6 +120,8 @@ class AggregateResult:
     n_skipped_constant: int
     #: of n_skipped: the other rows, with zero power in some fitted bin
     n_skipped_zero_power: int
+    #: slab workers the run used (see `run_dataset`)
+    workers: int = 1
 
 
 #: Bytes of time-last float64 series per slab, the rows `run_dataset` embeds,
@@ -124,6 +134,115 @@ class AggregateResult:
 #: at 2, 0.114 s at 8 and 0.130 s at its whole 16-row batch. The host's
 #: speed drifts by about 10% between runs. 1 MiB gives them 2 and 8 rows.
 SLAB_BYTES = 1 << 20
+
+#: Slabs of a full batch per slab worker of `run_dataset`: a batch of fewer
+#: than twice this many slabs runs on one worker, in the calling thread.
+#: Each batch starts by waking its workers and ends by waiting for the
+#: slowest, and these hand-offs cost a few hundred microseconds on a VM, as
+#: much as a slab. Measured as `run_dataset` alone on the perfbench inputs,
+#: two workers against one, median of 15 interleaved runs on a 2-core box:
+#: `estimate-wide` (2 rows a slab) ran 1.18x as fast at 2 slabs a batch,
+#: 1.27x at 4 and 1.34x at its 32; `estimate-long-oov` (8 rows a slab) ran
+#: 0.98x at its 2 slabs a batch, 0.99x at 4 and 1.03x at 12. So
+#: `estimate-long-oov` keeps one worker.
+SLABS_PER_WORKER = 2
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scale_error(table: EmbeddingTable) -> DomainError:
+    """The error for a table whose values overflow the periodograms or
+    their sum."""
+    scale = float(np.abs(table.vectors).max())
+    return DomainError(
+        f"the embedding table's scale (max |v| = {scale:.3g}) overflows the "
+        "periodogram; d does not depend on the scale, so divide the table by a constant"
+    )
+
+
+class _SlabWorker:
+    """One slab workspace and the slab body that writes it, run in the
+    calling thread as each slab is given or, with `thread`, on a thread of
+    its own. A slab's result is a view of the workspace: the next slab is
+    given only once the caller is done with it."""
+
+    def __init__(self, table: EmbeddingTable, config: EstimatorConfig, policy: OovPolicy,
+                 m: int, slab: int, thread: bool):
+        p, length = table.dim, config.pad_length
+        self.table, self.config, self.policy, self.m = table, config, policy, m
+        # all a slab writes: its time-last series, later its power, and its
+        # spectrum, which first holds the gathered block and last the logs
+        # of the fitted bins
+        self.series = np.empty((slab, p, length))
+        self.spectrum = np.empty((slab, p, length // 2 + 1), dtype=np.complex128)
+        self._result = None
+        self._thread: Optional[threading.Thread] = None
+        if thread:
+            self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+            self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="longmem-slab", daemon=True)
+            self._thread.start()
+
+    def put(self, rows: np.ndarray) -> None:
+        """Start on a slab of rows."""
+        if self._thread is None:
+            self._result = self._slab(rows)
+        else:
+            self._inbox.put(rows)
+
+    def get(self) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
+        """The last slab's count of constant rows, its kept rows' power and
+        their estimates (None when no row is kept); raises the slab's error."""
+        result = self._result if self._thread is None else self._outbox.get()
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def close(self) -> None:
+        """End the thread, once it has finished any slab it was given."""
+        if self._thread is not None:
+            self._inbox.put(None)
+            self._thread.join()
+
+    def _serve(self) -> None:
+        while (rows := self._inbox.get()) is not None:
+            self._outbox.put(self._slab(rows))
+
+    def _slab(self, rows: np.ndarray):
+        """Embed, transform and fit a slab; an error is returned, for the
+        caller to raise when it takes the slab, in stream order."""
+        try:
+            # errstate is per thread: a worker's is its own, not its caller's
+            with np.errstate(over="raise"):
+                return self._fit(rows)
+        except FloatingPointError:
+            return _scale_error(self.table)
+        except Exception as exc:
+            return exc
+
+    def _fit(self, rows: np.ndarray) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
+        k, p, length = rows.shape[0], self.table.dim, self.config.pad_length
+        n_bins = length // 2
+        floats = self.spectrum.view(np.float64).reshape(-1)
+        block = floats[: k * length * p].reshape(k, length, p)
+        embed_ids(self.table, rows, self.policy, length, out=block)
+        np.copyto(self.series[:k], block.transpose(0, 2, 1))
+        power = self.series.reshape(-1)[: k * p * n_bins].reshape(k, p, n_bins)
+        periodograms(self.series[:k], spectrum=self.spectrum[:k], out=power)
+        keep = power[..., : self.m].min(axis=(1, 2)) > 0.0
+        n_constant = 0
+        if not keep.all():
+            n_constant = int(np.count_nonzero(~power[~keep].any(axis=(1, 2))))
+            power = power[keep]
+            if power.shape[0] == 0:
+                return n_constant, power, None
+        return n_constant, power, fit_d(power, self.config.cutoff, work=floats)
 
 
 def run_dataset(
@@ -145,63 +264,76 @@ def run_dataset(
     fitted bin, which includes constant rows and all-OOV rows under the
     skip policy, are skipped and counted: as constant when every bin is
     zero, else as zero power. A bad configuration raises.
+
+    The slabs run on one worker per SLABS_PER_WORKER slabs of a full batch,
+    at most one per usable CPU, each a thread with a workspace of its own;
+    a single worker runs in the calling thread. The calling thread takes
+    the slabs' results in stream order: it adds the power rows, counts the
+    skipped rows and, once every slab of the batch is done, makes the EMA
+    update and writes the progress line. The result is therefore the same,
+    bit for bit, for any number of workers, and a slab's error is raised
+    as it would be by one worker.
     """
     if batch_size < 1:
         raise DomainError(f"batch size must be positive, got {batch_size}")
     ids = np.asarray(ids)
     p, length = table.dim, config.pad_length
-    n_bins = length // 2
-    m = fitted_bins(n_bins, config.cutoff)
+    m = fitted_bins(length // 2, config.cutoff)
     slab = min(batch_size, max(1, SLAB_BYTES // (8 * p * length)))
-    # the workspace, all a slab writes: its time-last series, later its
-    # power, and its spectrum, which first holds the gathered block and last
-    # the logs of the fitted bins
-    series = np.empty((slab, p, length))
-    spectrum = np.empty((slab, p, n_bins + 1), dtype=np.complex128)
-    floats = spectrum.view(np.float64).reshape(-1)
+    batch_slabs = -(-min(batch_size, ids.shape[0]) // slab)
+    n_workers = max(1, min(usable_cpus(), batch_slabs // SLABS_PER_WORKER))
     state: Optional[EmaState] = None
     n_estimated = n_constant = 0
-    power_sum = np.zeros((p, n_bins))
-    for start in range(0, ids.shape[0], batch_size):
-        batch_ids = ids[start : start + batch_size]
-        estimates = []
-        for first in range(0, batch_ids.shape[0], slab):
-            rows = batch_ids[first : first + slab]
-            k = rows.shape[0]
-            block = floats[: k * length * p].reshape(k, length, p)
-            embed_ids(table, rows, policy, length, out=block)
-            np.copyto(series[:k], block.transpose(0, 2, 1))
-            power = series.reshape(-1)[: k * p * n_bins].reshape(k, p, n_bins)
-            periodograms(series[:k], spectrum=spectrum[:k], out=power)
-            keep = power[..., :m].min(axis=(1, 2)) > 0.0
-            if not keep.all():
-                n_constant += int(np.count_nonzero(~power[~keep].any(axis=(1, 2))))
-                power = power[keep]
-                if power.shape[0] == 0:
-                    continue
-            estimates.append(fit_d(power, config.cutoff, work=floats))
-            for row in power:  # one row at a time: the sum adds rows in stream order
-                power_sum += row
-        if not estimates:
-            continue
-        batch = np.concatenate(estimates)
-        n_estimated += batch.shape[0]
-        if state is None:
-            state = ema_init(table.dim)
-        batch_index = state.step
-        state = ema_update(state, batch, schedule)
-        if progress is not None:
-            progress.write(
-                f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
-                f"dbar_mean={float(state.d_hat.mean()):.6g}\n"
-            )
+    power_sum = np.zeros((p, length // 2))
+    workers: list[_SlabWorker] = []
+    try:
+        for _ in range(n_workers):
+            workers.append(_SlabWorker(table, config, policy, m, slab, thread=n_workers > 1))
+        for start in range(0, ids.shape[0], batch_size):
+            batch_ids = ids[start : start + batch_size]
+            slabs = [batch_ids[first : first + slab] for first in range(0, batch_ids.shape[0], slab)]
+            for index in range(min(n_workers, len(slabs))):
+                workers[index].put(slabs[index])
+            estimates = []
+            for index in range(len(slabs)):
+                worker = workers[index % n_workers]
+                constant, power, estimate = worker.get()
+                n_constant += constant
+                if estimate is not None:
+                    estimates.append(estimate)
+                    try:
+                        with np.errstate(over="raise"):
+                            for row in power:  # one row at a time: the sum adds rows in stream order
+                                power_sum += row
+                    except FloatingPointError:
+                        raise _scale_error(table) from None
+                if index + n_workers < len(slabs):
+                    worker.put(slabs[index + n_workers])
+            # every slab of the batch is done: no worker runs from here to its next batch
+            if not estimates:
+                continue
+            batch = np.concatenate(estimates)
+            n_estimated += batch.shape[0]
+            if state is None:
+                state = ema_init(table.dim)
+            batch_index = state.step
+            state = ema_update(state, batch, schedule)
+            if progress is not None:
+                progress.write(
+                    f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
+                    f"dbar_mean={float(state.d_hat.mean()):.6g}\n"
+                )
+    finally:
+        for worker in workers:
+            worker.close()
     if state is None:
         raise EmptyInputError("no sequence could be estimated")
     mean_pg = Periodogram(length=length, power=power_sum / n_estimated)
     pooled = estimate_from_periodogram(mean_pg, config)
     n_skipped = ids.shape[0] - n_estimated
     return AggregateResult(
-        state, n_estimated, n_skipped, mean_pg, pooled, n_constant, n_skipped - n_constant
+        state, n_estimated, n_skipped, mean_pg, pooled, n_constant, n_skipped - n_constant,
+        n_workers,
     )
 
 

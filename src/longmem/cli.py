@@ -70,8 +70,11 @@ def _environment(started: float) -> dict:
 
 
 def _write_manifest(
-    out_path: str, command: str, config: dict, inputs: Iterable[str], seed, started: float
+    out_path: str, command: str, config: dict, inputs: Iterable[str], seed, started: float,
+    **environment,
 ) -> None:
+    """Write the run manifest beside `out_path`; `environment` adds to the
+    environment object."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -79,7 +82,7 @@ def _write_manifest(
         "inputs": {path: _sha256(path) for path in inputs},
         "seed": seed,
         "version": __version__,
-        "environment": _environment(started),
+        "environment": {**_environment(started), **environment},
     }
     atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -158,6 +161,7 @@ def cmd_estimate(args, parser) -> int:
         [args.corpus, args.embeddings],
         args.seed,
         started,
+        workers=result.workers,
     )
     return 0
 

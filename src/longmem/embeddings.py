@@ -133,14 +133,16 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
 
     Each non-empty line is `token v1 ... vp` (whitespace separated). All
     lines must share the same p. Duplicate tokens keep the first occurrence,
-    but their values must parse too.
+    but their values must parse too. The values are cast _CAST_LINES lines
+    at a time into one float64 buffer that grows by half, as
+    `read_corpus_ids` grows its ids.
     """
     token_ids: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
+    values = np.empty((0, 0))
+    n_values = 0
     rows: list[list[str]] = []
     line_numbers: list[int] = []
-    first_rows: list[int] = []
-    n_rows = 0
+    duplicates: list[int] = []  # of `rows`
     dim: int | None = None
     for line_number, line in enumerate(source, start=1):
         parts = line.split()
@@ -151,26 +153,25 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
             raise EmbeddingParseError(line_number, f"no values after token {token!r}")
         if dim is None:
             dim = len(raw_values)
+            values = np.empty((0, dim))
         elif len(raw_values) != dim:
             raise DimensionMismatchError(
                 f"line {line_number}: expected {dim} values, got {len(raw_values)}"
             )
-        if token not in token_ids:  # first occurrence wins
-            token_ids[token] = len(first_rows)
-            first_rows.append(n_rows)
-        n_rows += 1
+        if token in token_ids:  # the first occurrence wins
+            duplicates.append(len(rows))
+        else:
+            token_ids[token] = len(token_ids)
         rows.append(raw_values)
         line_numbers.append(line_number)
         if len(rows) == _CAST_LINES:
-            blocks.append(_parse_values(rows, line_numbers))
-            rows, line_numbers = [], []
+            n_values = _cast_rows(values, n_values, rows, line_numbers, duplicates)
+            rows, line_numbers, duplicates = [], [], []
     if rows:
-        blocks.append(_parse_values(rows, line_numbers))
-    if not blocks:
+        n_values = _cast_rows(values, n_values, rows, line_numbers, duplicates)
+    if dim is None:
         raise EmptyInputError("embedding stream contains no rows")
-    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    if len(first_rows) < n_rows:
-        values = values[first_rows]
+    values.resize((n_values, dim), refcheck=False)
     return EmbeddingTable(vectors=values, token_ids=token_ids)
 
 
@@ -184,12 +185,17 @@ def format_table(table: EmbeddingTable) -> str:
     )
 
 
-def _parse_values(rows: list[list[str]], line_numbers: list[int]) -> np.ndarray:
-    """The value strings of table lines as a float64 matrix, by one cast;
-    an unparsable or non-finite value raises naming its line."""
+def _cast_rows(
+    values: np.ndarray, start: int, rows: list[list[str]], line_numbers: list[int],
+    duplicates: list[int],
+) -> int:
+    """Cast the value strings of table lines, and write those of the rows
+    that are not `duplicates` at values[start:], growing the float64 buffer
+    in place by at least half when it is too short; returns where they
+    end. An unparsable or non-finite value raises naming its line."""
     try:
         # numpy's str -> float64 cast accepts and rejects what float() does
-        values = np.array(rows, dtype=np.float64)
+        block = np.array(rows, dtype=np.float64)
     except ValueError:
         for row, line_number in zip(rows, line_numbers):
             try:
@@ -197,10 +203,16 @@ def _parse_values(rows: list[list[str]], line_numbers: list[int]) -> np.ndarray:
             except ValueError as exc:
                 raise EmbeddingParseError(line_number, str(exc)) from None
         raise
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise EmbeddingParseError(line_numbers[np.argmin(finite)], "non-finite embedding value")
-    return values
+    if duplicates:
+        block = np.delete(block, duplicates, axis=0)
+    end = start + block.shape[0]
+    if end > values.shape[0]:
+        values.resize((max(end, values.shape[0] * 3 // 2), values.shape[1]), refcheck=False)
+    values[start:end] = block
+    return end
 
 
 def row_ids(table: EmbeddingTable, tokens: Iterable[Token]) -> np.ndarray:

@@ -6,6 +6,8 @@ import math
 import re
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from longmem.estimator import (
     FullBand,
     LowFrequency,
     estimate_from_periodogram,
+    sqrt_cutoff,
 )
 from longmem.spectral import periodogram
 from longmem.synth import FgnSpec, generate_fgn, normal_bucket_table, quantize_to_symbols
@@ -247,8 +250,10 @@ def test_run_dataset_computes_the_inference_once_for_the_pooled_fit(monkeypatch)
     assert shapes == [(3, 16)]  # one row per dimension of the mean periodogram
 
 
-def test_run_dataset_peak_allocation_does_not_grow_with_the_batch():
-    # 64 rows of 1024 x 50: a whole batch of series would be 26 MB
+def test_run_dataset_peak_allocation_does_not_grow_with_the_batch(monkeypatch):
+    # 64 rows of 1024 x 50: a whole batch of series would be 26 MB. Memory
+    # is one workspace per worker: on 2 CPUs both batch sizes run 2 workers
+    monkeypatch.setattr(aggregator, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(0)
     table = EmbeddingTable(rng.standard_normal((500, 50)))
     ids = rng.integers(0, 500, (64, 1024))
@@ -424,3 +429,171 @@ def test_dataset_report_keys_name_their_sources():
     # d_stderr_asymptotic is Robinson's for the m = 16 bins fitted
     keys = ("schema_version", "dim", "cutoff", "abscissa", "d_stderr_asymptotic")
     assert [report[k] for k in keys] == [1, 1, 16, "index", math.pi / math.sqrt(24.0 * 16)]
+
+
+def _pool_case(p=3, length=128, rows=29):
+    """Rows of 100 symbols padded to 128, about 10% OOV, with an all-OOV
+    row, constant rows and a batch of skipped rows among them."""
+    rng = np.random.default_rng(41)
+    vectors = rng.standard_normal((16, p))
+    vectors[0] = 0.0
+    table = EmbeddingTable(vectors)
+    ids = np.where(rng.random((rows, 100)) < 0.1, OOV_ID, rng.integers(1, 16, (rows, 100)))
+    ids[2] = OOV_ID
+    ids[6:12] = 0  # batch 1 embeds to zeros: every row is skipped
+    ids[14] = 5  # a constant row
+    return table, ids
+
+
+def _run_with_cpus(monkeypatch, cpus, *args, **kwargs):
+    """`run_dataset` on `cpus` usable CPUs; returns its result or error, and
+    fails the test instead of hanging if it does not end."""
+    monkeypatch.setattr(aggregator, "usable_cpus", lambda: cpus)
+    outcome = {}
+
+    def call():
+        try:
+            outcome["result"] = run_dataset(*args, **kwargs)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive(), "run_dataset did not return"
+    return outcome
+
+
+@pytest.mark.parametrize("cutoff", ["full", "sqrt"])
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_run_dataset_is_bit_identical_on_1_2_and_3_workers(monkeypatch, policy, cutoff):
+    # one row a slab and 6 rows a batch: 3 workers on 3 CPUs, more threads
+    # than this host may have cores; the last batch holds 5 rows
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
+    table, ids = _pool_case(p, length)
+    config = EstimatorConfig(length, FullBand() if cutoff == "full" else sqrt_cutoff(length))
+    schedule = LearningRateSchedule(alpha0=0.9, tau=3.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to shake out an unordered sum
+    try:
+        runs = []
+        for cpus in (1, 2, 3):
+            sink = io.StringIO()
+            outcome = _run_with_cpus(
+                monkeypatch, cpus, ids, table, config, policy, schedule, 6, progress=sink
+            )
+            runs.append((outcome["result"], sink.getvalue()))
+    finally:
+        sys.setswitchinterval(interval)
+    (first, text), others = runs[0], runs[1:]
+    assert [result.workers for result, _ in runs] == [1, 2, 3]
+    assert first.n_skipped >= 7 and first.n_skipped_constant >= 7 and first.state.step == 4
+    assert len(text.splitlines()) == 4
+    for result, other_text in others:
+        assert other_text == text
+        assert np.array_equal(result.state.d_hat, first.state.d_hat)
+        assert result.state.step == first.state.step
+        assert np.array_equal(result.mean_periodogram.power, first.mean_periodogram.power)
+        for field in ("d", "intercept", "slope_stderr", "pvalue"):
+            assert np.array_equal(
+                getattr(result.pooled, field), getattr(first.pooled, field), equal_nan=True
+            ), field
+        counts = ("n_estimated", "n_skipped", "n_skipped_constant", "n_skipped_zero_power")
+        assert [getattr(result, c) for c in counts] == [getattr(first, c) for c in counts]
+        assert result.pooled.cutoff_used == first.pooled.cutoff_used
+
+
+def test_run_dataset_workers_are_capped_by_the_slabs_of_a_batch(monkeypatch):
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
+    table, ids = _pool_case(p, length)
+    config, schedule = EstimatorConfig(length), LearningRateSchedule()
+    for batch_size, workers in ((1, 1), (3, 1), (4, 2), (6, 3), (29, 8), (64, 8)):
+        outcome = _run_with_cpus(monkeypatch, 8, ids, table, config, OovPolicy.ZERO, schedule, batch_size)
+        assert outcome["result"].workers == workers, batch_size
+
+
+def test_run_dataset_runs_no_slab_while_a_batch_is_folded_in(monkeypatch):
+    # each batch ends at a barrier: the EMA update and the progress line see
+    # no slab in flight
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
+    table, ids = _pool_case(p, length)
+    lock, running, seen = threading.Lock(), [0], []
+    fit = aggregator._SlabWorker._fit
+
+    def counted_fit(self, rows):
+        with lock:
+            running[0] += 1
+        try:
+            return fit(self, rows)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def counted_update(state, batch, schedule):
+        seen.append(running[0])
+        return ema_update(state, batch, schedule)
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            seen.append(running[0])
+            return super().write(text)
+
+    monkeypatch.setattr(aggregator._SlabWorker, "_fit", counted_fit)
+    monkeypatch.setattr(aggregator, "ema_update", counted_update)
+    config, schedule = EstimatorConfig(length), LearningRateSchedule()
+    outcome = _run_with_cpus(
+        monkeypatch, 2, ids, table, config, OovPolicy.ZERO, schedule, 6, progress=Sink()
+    )
+    assert outcome["result"].workers == 2
+    assert seen == [0] * 8  # 4 updates, 4 lines
+
+
+def _overflowing_table(scale, rows):
+    # a table whose first column is about `scale`, and `rows` rows of ids
+    rng = np.random.default_rng(8)
+    vectors = rng.standard_normal((8, 2))
+    vectors[:, 0] *= scale
+    return EmbeddingTable(vectors), rng.integers(0, 8, (rows, 256))
+
+
+# at 1e200 the squares of a row's FFT bins overflow float64; at 1.4e152 a
+# row's power peaks at 7.5e307, but the sum of 48 rows' power overflows
+@pytest.mark.parametrize("scale, rows", [(1e200, 24), (1.4e152, 48)], ids=["periodogram", "sum"])
+def test_run_dataset_names_the_table_scale_when_the_periodogram_overflows(monkeypatch, scale, rows):
+    table, ids = _overflowing_table(scale, rows)
+    config, schedule = EstimatorConfig(256), LearningRateSchedule()
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * 2 * 256)  # one row a slab
+    messages = []
+    for cpus in (1, 2):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+            warnings.simplefilter("always")
+            # the caller's errstate does not reach the slabs, on any thread
+            outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 4)
+        assert not caught, [str(w.message) for w in caught]
+        assert isinstance(outcome["error"], DomainError)
+        messages.append(str(outcome["error"]))
+    assert messages[0] == messages[1]
+    assert "embedding table's scale" in messages[0] and f"e+{int(math.log10(scale))}" in messages[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_dataset_raises_a_slab_error_in_the_caller_and_ends_its_threads(monkeypatch, cpus):
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
+    table, ids = _pool_case(p, length)
+    ids[17, 40] = 16  # one past the table, in the middle of batch 2
+    config, schedule = EstimatorConfig(length), LearningRateSchedule()
+    before = threading.active_count()
+    sink = io.StringIO()
+    outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 6, progress=sink)
+    assert isinstance(outcome["error"], DomainError)
+    assert "symbol id 16 outside [0, 16)" in str(outcome["error"])
+    assert len(sink.getvalue().splitlines()) == 1  # batch 0; batch 1 is all skipped
+    assert threading.active_count() == before
+    ids[17, 40] = 15
+    outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 6)
+    assert outcome["result"].workers == cpus
+    assert threading.active_count() == before

@@ -192,6 +192,8 @@ def test_every_manifest_records_its_environment(tmp_path, capsys):
         environment = load_json(f"{primary}.manifest.json")["environment"]
         elapsed = environment.pop("elapsed_s")
         assert isinstance(elapsed, float) and 0.0 <= elapsed < 60.0
+        if primary == report:  # estimate also records its slab workers: 2 rows make one slab
+            assert environment.pop("workers") == 1
         assert environment == {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -1,6 +1,7 @@
 """Embedding table parsing, lookup, padding, and chunking."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ def test_load_table_blocks_of_lines_keep_the_error_contract(monkeypatch, cast_li
         assert exc.value.line_number == 7
     with pytest.raises(DimensionMismatchError, match="line 7"):
         load_table(io.StringIO(text + "e 1 2 3\n"))
+
+
+def test_load_table_peak_allocation_is_the_values_and_half_again(monkeypatch):
+    # the values are cast into one buffer that grows by half, not into a
+    # list of blocks joined at the end (twice the values); 16,640 rows is
+    # the worst case, one block past a growth step. 64-line blocks keep one
+    # block's value strings (~4.5 KB a line at p=50) under the 1 MiB slack
+    monkeypatch.setattr(embeddings, "_CAST_LINES", 64)
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((16640, 50))
+    lines = [f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(vectors.tolist())]
+    lines.insert(9, "w2" + " 0.5" * 50 + "\n")  # a duplicate token: its row is sliced off
+    stream = io.StringIO("".join(lines))
+    tracemalloc.start()
+    try:
+        table = load_table(stream)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.vectors, vectors)
+    assert table.token_ids["w9"] == 9
+    # the table also holds its token index; the bound is on the rest
+    values = table.vectors.nbytes
+    assert peak - (retained - values) <= 1.6 * values + (1 << 20), (peak, retained, values)
 
 
 def test_lookup_by_token_and_id():

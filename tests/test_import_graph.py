@@ -1,8 +1,10 @@
-"""No command loads scipy, seen from a fresh interpreter.
+"""No command loads scipy, and `estimate` no pool or logging module, seen
+from a fresh interpreter.
 
 The test process has scipy loaded already (it is the tests' oracle), so
-every case runs in a child process and reports the `scipy*` names left in
-its `sys.modules`.
+every case runs in a child process and reports the `scipy*` names and the
+`concurrent`, `logging` and `multiprocessing` packages left in its
+`sys.modules`.
 """
 
 import json
@@ -12,18 +14,25 @@ import sys
 import numpy as np
 import pytest
 
+from longmem.aggregator import usable_cpus
 from conftest import load_json, src_env
 
 _CHILD = """
 import json, sys
 import longmem.cli
 code = longmem.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+tops = {m.split(".")[0] for m in sys.modules}
+print(json.dumps({
+    "code": code,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "slow": sorted(tops & {"concurrent", "logging", "multiprocessing"}),
+}))
 """
 
 
-def scipy_modules_after(*argv: str) -> set[str]:
-    """The scipy modules loaded by `import longmem.cli` and then, if given,
+def modules_after(*argv: str) -> dict:
+    """The scipy modules (`scipy`) and the pool and logging packages
+    (`slow`) loaded by `import longmem.cli` and then, if given,
     `longmem.cli.main(argv)` in a fresh interpreter; the command must exit 0."""
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, *argv],
@@ -32,7 +41,12 @@ def scipy_modules_after(*argv: str) -> set[str]:
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.strip().splitlines()[-1])
     assert result["code"] == 0, child.stderr
-    return set(result["scipy"])
+    return result
+
+
+def scipy_modules_after(*argv: str) -> set[str]:
+    """The scipy modules that `modules_after` reports."""
+    return set(modules_after(*argv)["scipy"])
 
 
 def _estimate_inputs(tmp_path):
@@ -72,3 +86,25 @@ def test_no_command_loads_scipy(tmp_path, argv, manifest):
     if manifest is not None:
         environment = load_json(f"{tmp_path / manifest}.manifest.json")["environment"]
         assert "scipy" not in environment
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["one-worker", "slab-workers"])
+def test_estimate_loads_no_pool_or_logging_module(tmp_path, wide):
+    # concurrent.futures imports logging, ~12 ms of a ~0.25 s start; the
+    # slab workers are plain threads. The wide table makes 2 rows a slab
+    # and 4 slabs a batch of 8: two workers where the host has two CPUs
+    corpus, table = _estimate_inputs(tmp_path)
+    argv = [a.format(tmp=tmp_path, corpus=corpus, table=table) for a in _ESTIMATE]
+    if wide:
+        rng = np.random.default_rng(4)
+        wide_table = tmp_path / "wide.txt"
+        wide_table.write_text("".join(
+            f"t{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(rng.standard_normal((8, 64)).tolist())
+        ))
+        argv[argv.index(table)] = str(wide_table)
+        argv += ["--batch-size", "8"]
+        (tmp_path / "corpus.txt").write_text(" ".join(f"t{i}" for i in rng.integers(0, 8, 16 * 1024)) + "\n")
+    report = tmp_path / "report.json"
+    assert modules_after(*argv, "--out", str(report))["slow"] == []
+    workers = load_json(f"{report}.manifest.json")["environment"]["workers"]
+    assert workers == (min(2, usable_cpus()) if wide else 1)
