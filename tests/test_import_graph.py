@@ -44,11 +44,6 @@ def modules_after(*argv: str) -> dict:
     return result
 
 
-def scipy_modules_after(*argv: str) -> set[str]:
-    """The scipy modules that `modules_after` reports."""
-    return set(modules_after(*argv)["scipy"])
-
-
 def _estimate_inputs(tmp_path):
     rng = np.random.default_rng(3)
     table = tmp_path / "table.txt"
@@ -82,7 +77,7 @@ _ESTIMATE = ("estimate", "--corpus", "{corpus}", "--embeddings", "{table}", "--p
 def test_no_command_loads_scipy(tmp_path, argv, manifest):
     corpus, table = _estimate_inputs(tmp_path)
     argv = [a.format(tmp=tmp_path, corpus=corpus, table=table) for a in argv]
-    assert scipy_modules_after(*argv) == set()
+    assert modules_after(*argv)["scipy"] == []
     if manifest is not None:
         environment = load_json(f"{tmp_path / manifest}.manifest.json")["environment"]
         assert "scipy" not in environment
@@ -90,9 +85,10 @@ def test_no_command_loads_scipy(tmp_path, argv, manifest):
 
 @pytest.mark.parametrize("wide", [False, True], ids=["one-worker", "slab-workers"])
 def test_estimate_loads_no_pool_or_logging_module(tmp_path, wide):
-    # concurrent.futures imports logging, ~12 ms of a ~0.25 s start; the
-    # slab workers are plain threads. The wide table makes 2 rows a slab
-    # and 4 slabs a batch of 8: two workers where the host has two CPUs
+    # concurrent.futures imports logging: 6-8 ms of import (-X importtime,
+    # 2-core Xeon VM) against an `estimate` start of about 0.25 s. The slab
+    # workers are plain threads. The wide table makes 2 rows a slab and 4
+    # slabs a batch of 8: two workers where the host has two CPUs
     corpus, table = _estimate_inputs(tmp_path)
     argv = [a.format(tmp=tmp_path, corpus=corpus, table=table) for a in _ESTIMATE]
     if wide:
