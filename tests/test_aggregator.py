@@ -431,14 +431,14 @@ def test_dataset_report_keys_name_their_sources():
     assert [report[k] for k in keys] == [1, 1, 16, "index", math.pi / math.sqrt(24.0 * 16)]
 
 
-def _pool_case(p=3, length=128, rows=29):
-    """Rows of 100 symbols padded to 128, about 10% OOV, with an all-OOV
-    row, constant rows and a batch of skipped rows among them."""
+def _pool_case(p):
+    """29 rows of 100 symbols, about 10% OOV, with an all-OOV row, constant
+    rows and a batch of skipped rows among them, and a table of p columns."""
     rng = np.random.default_rng(41)
     vectors = rng.standard_normal((16, p))
     vectors[0] = 0.0
     table = EmbeddingTable(vectors)
-    ids = np.where(rng.random((rows, 100)) < 0.1, OOV_ID, rng.integers(1, 16, (rows, 100)))
+    ids = np.where(rng.random((29, 100)) < 0.1, OOV_ID, rng.integers(1, 16, (29, 100)))
     ids[2] = OOV_ID
     ids[6:12] = 0  # batch 1 embeds to zeros: every row is skipped
     ids[14] = 5  # a constant row
@@ -471,7 +471,7 @@ def test_run_dataset_is_bit_identical_on_1_2_and_3_workers(monkeypatch, policy, 
     # than this host may have cores; the last batch holds 5 rows
     p, length = 3, 128
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
-    table, ids = _pool_case(p, length)
+    table, ids = _pool_case(p)
     config = EstimatorConfig(length, FullBand() if cutoff == "full" else sqrt_cutoff(length))
     schedule = LearningRateSchedule(alpha0=0.9, tau=3.0)
     interval = sys.getswitchinterval()
@@ -507,7 +507,7 @@ def test_run_dataset_is_bit_identical_on_1_2_and_3_workers(monkeypatch, policy, 
 def test_run_dataset_workers_are_capped_by_the_slabs_of_a_batch(monkeypatch):
     p, length = 3, 128
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
-    table, ids = _pool_case(p, length)
+    table, ids = _pool_case(p)
     config, schedule = EstimatorConfig(length), LearningRateSchedule()
     for batch_size, workers in ((1, 1), (3, 1), (4, 2), (6, 3), (29, 8), (64, 8)):
         outcome = _run_with_cpus(monkeypatch, 8, ids, table, config, OovPolicy.ZERO, schedule, batch_size)
@@ -519,7 +519,7 @@ def test_run_dataset_runs_no_slab_while_a_batch_is_folded_in(monkeypatch):
     # no slab in flight
     p, length = 3, 128
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
-    table, ids = _pool_case(p, length)
+    table, ids = _pool_case(p)
     lock, running, seen = threading.Lock(), [0], []
     fit = aggregator._SlabWorker._fit
 
@@ -583,7 +583,7 @@ def test_run_dataset_names_the_table_scale_when_the_periodogram_overflows(monkey
 def test_run_dataset_raises_a_slab_error_in_the_caller_and_ends_its_threads(monkeypatch, cpus):
     p, length = 3, 128
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
-    table, ids = _pool_case(p, length)
+    table, ids = _pool_case(p)
     ids[17, 40] = 16  # one past the table, in the middle of batch 2
     config, schedule = EstimatorConfig(length), LearningRateSchedule()
     before = threading.active_count()
