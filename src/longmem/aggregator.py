@@ -10,10 +10,11 @@ The update is evaluated in the residual form d_hat + alpha*(mean - d_hat),
 which is the same convex combination but keeps a constant stream an exact
 floating-point fixed point.
 
-`run_dataset` runs the slabs of a batch on up to one thread per usable CPU
-(see SLABS_PER_WORKER for when it keeps to one), and takes their results
-in stream order, so its result is the same, bit for bit, for any number
-of workers.
+`run_dataset` runs the slabs of a batch on up to one worker per usable
+CPU (see SLABS_PER_WORKER for when it keeps to one): the calling thread
+and helper threads, each handed the batch once. Each worker folds a slab's
+result into the batch at that slab's turn, in stream order, so the result
+is the same, bit for bit, for any number of workers.
 """
 
 from __future__ import annotations
@@ -137,14 +138,17 @@ SLAB_BYTES = 1 << 20
 
 #: Slabs of a full batch per slab worker of `run_dataset`: a batch of fewer
 #: than twice this many slabs runs on one worker, in the calling thread.
-#: Each batch starts by waking its workers and ends by waiting for the
-#: slowest, and these hand-offs cost a few hundred microseconds on a VM, as
-#: much as a slab. Measured as `run_dataset` alone on the perfbench inputs,
-#: two workers against one, median of 15 interleaved runs on a 2-core box:
-#: `estimate-wide` (2 rows a slab) ran 1.18x as fast at 2 slabs a batch,
-#: 1.27x at 4 and 1.34x at its 32; `estimate-long-oov` (8 rows a slab) ran
-#: 0.98x at its 2 slabs a batch, 0.99x at 4 and 1.03x at 12. So
-#: `estimate-long-oov` keeps one worker.
+#: Each batch wakes each helper thread once and waits for the slowest
+#: worker, and a wake-up costs a few hundred microseconds on a VM, a good
+#: part of a slab. Measured as `run_dataset` alone on the perfbench inputs,
+#: two workers against one, in three runs of the medians of 11-21
+#: interleaved runs on a 2-core VM whose speed drifted by up to 30%
+#: between runs: `estimate-wide` (2 rows a slab) ran 1.02-1.46x as fast at
+#: 2 slabs a batch, 1.20-1.48x at 4 and 1.50-1.58x at its 32;
+#: `estimate-long-oov` (8 rows a slab) ran 1.01-1.05x at its 2 slabs a
+#: batch, 1.11-1.18x at 4 and 1.10-1.14x at 12. So `estimate-long-oov`
+#: keeps one worker, which also keeps its peak memory to one 2 MiB
+#: workspace (a second raised its `peak_rss_mb` by 4%, against a 5% bound).
 SLABS_PER_WORKER = 2
 
 
@@ -166,11 +170,70 @@ def _scale_error(table: EmbeddingTable) -> DomainError:
     )
 
 
+class _Batch:
+    """The slabs of one batch and what their results add up to. Each slab's
+    result is folded in at its turn, and the turns follow stream order, so
+    the power rows are summed and the estimates kept in the order one
+    worker would take them."""
+
+    def __init__(self, slabs: list[np.ndarray], stride: int, power_sum: np.ndarray,
+                 table: EmbeddingTable):
+        self.slabs, self.stride, self.power_sum, self.table = slabs, stride, power_sum, table
+        self.estimates: list[np.ndarray] = []
+        self.n_constant = 0
+        #: the first error in stream order; no later slab is folded in
+        self.error: Optional[Exception] = None
+        self._stopped = False
+        self._turn = 0
+        self._turns = threading.Condition(threading.Lock())
+
+    @property
+    def live(self) -> bool:
+        """Whether a slab run now can still be folded in."""
+        return self.error is None and not self._stopped
+
+    def fold(self, index: int, result) -> None:
+        """Wait for slab `index`'s turn, fold in its result, which is an
+        error or what `_SlabWorker._fit` returns, and pass the turn on."""
+        with self._turns:
+            while self._turn != index and not self._stopped:
+                self._turns.wait()
+            try:
+                if self.live:
+                    self._add(result)
+            finally:
+                self._turn += 1
+                self._turns.notify_all()
+
+    def stop(self) -> None:
+        """Give every later turn at once and fold nothing more in, so that
+        no worker is left waiting on a slab that will not be folded."""
+        with self._turns:
+            self._stopped = True
+            self._turns.notify_all()
+
+    def _add(self, result) -> None:
+        if isinstance(result, Exception):
+            self.error = result
+            return
+        constant, power, estimate = result
+        self.n_constant += constant
+        if estimate is None:
+            return
+        self.estimates.append(estimate)  # fit_d's own array, not a view of the workspace
+        try:
+            with np.errstate(over="raise"):
+                for row in power:  # one row at a time: the sum adds rows in stream order
+                    self.power_sum += row
+        except FloatingPointError:
+            self.error = _scale_error(self.table)
+
+
 class _SlabWorker:
-    """One slab workspace and the slab body that writes it, run in the
-    calling thread as each slab is given or, with `thread`, on a thread of
-    its own. A slab's result is a view of the workspace: the next slab is
-    given only once the caller is done with it."""
+    """One slab workspace and the slab body that writes it. `run` runs the
+    worker's slabs of a batch in the calling thread; with `thread`, the
+    worker also has a thread of its own, which runs one batch per
+    `start` and tells `wait` when it is done."""
 
     def __init__(self, table: EmbeddingTable, config: EstimatorConfig, policy: OovPolicy,
                  m: int, slab: int, thread: bool):
@@ -181,42 +244,41 @@ class _SlabWorker:
         # of the fitted bins
         self.series = np.empty((slab, p, length))
         self.spectrum = np.empty((slab, p, length // 2 + 1), dtype=np.complex128)
-        self._result = None
         self._thread: Optional[threading.Thread] = None
         if thread:
             self._inbox: queue.SimpleQueue = queue.SimpleQueue()
             self._outbox: queue.SimpleQueue = queue.SimpleQueue()
-            self._thread = threading.Thread(target=self._serve, name="longmem-slab", daemon=True)
+            self._thread = threading.Thread(target=self._serve_batches, name="longmem-slab", daemon=True)
             self._thread.start()
 
-    def put(self, rows: np.ndarray) -> None:
-        """Start on a slab of rows."""
-        if self._thread is None:
-            self._result = self._slab(rows)
-        else:
-            self._inbox.put(rows)
+    def start(self, batch: _Batch, first: int) -> None:
+        """Have the thread run slabs `first`, `first + stride`, ... of a batch."""
+        self._inbox.put((batch, first))
 
-    def get(self) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
-        """The last slab's count of constant rows, its kept rows' power and
-        their estimates (None when no row is kept); raises the slab's error."""
-        result = self._result if self._thread is None else self._outbox.get()
-        if isinstance(result, Exception):
-            raise result
-        return result
+    def wait(self) -> None:
+        """Wait for the thread to finish its slabs of the batch it was given."""
+        self._outbox.get()
 
     def close(self) -> None:
-        """End the thread, once it has finished any slab it was given."""
+        """End the thread, once it has finished any batch it was given."""
         if self._thread is not None:
             self._inbox.put(None)
             self._thread.join()
 
-    def _serve(self) -> None:
-        while (rows := self._inbox.get()) is not None:
-            self._outbox.put(self._slab(rows))
+    def _serve_batches(self) -> None:
+        while (message := self._inbox.get()) is not None:
+            self.run(*message)
+            self._outbox.put(None)
+
+    def run(self, batch: _Batch, first: int) -> None:
+        """Run slabs `first`, `first + stride`, ... of a batch back to
+        back, each folded in at its turn, before the workspace is reused."""
+        for index in range(first, len(batch.slabs), batch.stride):
+            batch.fold(index, self._slab(batch.slabs[index]) if batch.live else None)
 
     def _slab(self, rows: np.ndarray):
-        """Embed, transform and fit a slab; an error is returned, for the
-        caller to raise when it takes the slab, in stream order."""
+        """Embed, transform and fit a slab; an error is returned, to be
+        raised in the caller in stream order."""
         try:
             # errstate is per thread: a worker's is its own, not its caller's
             with np.errstate(over="raise"):
@@ -230,11 +292,10 @@ class _SlabWorker:
         k, p, length = rows.shape[0], self.table.dim, self.config.pad_length
         n_bins = length // 2
         floats = self.spectrum.view(np.float64).reshape(-1)
-        block = floats[: k * length * p].reshape(k, length, p)
-        embed_ids(self.table, rows, self.policy, length, out=block)
-        np.copyto(self.series[:k], block.transpose(0, 2, 1))
+        series = self.series[:k]
+        embed_ids(self.table, rows, self.policy, length, out=series, work=floats)
         power = self.series.reshape(-1)[: k * p * n_bins].reshape(k, p, n_bins)
-        periodograms(self.series[:k], spectrum=self.spectrum[:k], out=power)
+        periodograms(series, spectrum=self.spectrum[:k], out=power)
         keep = power[..., : self.m].min(axis=(1, 2)) > 0.0
         n_constant = 0
         if not keep.all():
@@ -243,6 +304,12 @@ class _SlabWorker:
             if power.shape[0] == 0:
                 return n_constant, power, None
         return n_constant, power, fit_d(power, self.config.cutoff, work=floats)
+
+
+def check_batch_size(batch_size: int) -> None:
+    """Refuse a batch size `run_dataset` cannot take."""
+    if batch_size < 1:
+        raise DomainError(f"batch size must be positive, got {batch_size}")
 
 
 def run_dataset(
@@ -266,16 +333,18 @@ def run_dataset(
     zero, else as zero power. A bad configuration raises.
 
     The slabs run on one worker per SLABS_PER_WORKER slabs of a full batch,
-    at most one per usable CPU, each a thread with a workspace of its own;
-    a single worker runs in the calling thread. The calling thread takes
-    the slabs' results in stream order: it adds the power rows, counts the
-    skipped rows and, once every slab of the batch is done, makes the EMA
-    update and writes the progress line. The result is therefore the same,
-    bit for bit, for any number of workers, and a slab's error is raised
-    as it would be by one worker.
+    at most one per usable CPU, each with a workspace of its own. Worker 0
+    is the calling thread; each other worker is a helper thread, handed
+    each batch in one message and answering in one when done. Worker w of
+    W runs slabs w, w + W, w + 2W, ... of the batch back to back, and after
+    each waits for that slab's turn, which comes in stream order: it then
+    adds the slab's power rows to the sum and counts its skipped rows, as
+    one worker would. Once every worker is done with the batch, the calling
+    thread makes the EMA update and writes the progress line. The result
+    is therefore the same, bit for bit, for any number of workers, and the
+    first slab error in stream order is raised in the calling thread.
     """
-    if batch_size < 1:
-        raise DomainError(f"batch size must be positive, got {batch_size}")
+    check_batch_size(batch_size)
     ids = np.asarray(ids)
     p, length = table.dim, config.pad_length
     m = fitted_bins(length // 2, config.cutoff)
@@ -286,44 +355,39 @@ def run_dataset(
     n_estimated = n_constant = 0
     power_sum = np.zeros((p, length // 2))
     workers: list[_SlabWorker] = []
+    batch: Optional[_Batch] = None
     try:
-        for _ in range(n_workers):
-            workers.append(_SlabWorker(table, config, policy, m, slab, thread=n_workers > 1))
+        for index in range(n_workers):
+            workers.append(_SlabWorker(table, config, policy, m, slab, thread=index > 0))
         for start in range(0, ids.shape[0], batch_size):
             batch_ids = ids[start : start + batch_size]
             slabs = [batch_ids[first : first + slab] for first in range(0, batch_ids.shape[0], slab)]
-            for index in range(min(n_workers, len(slabs))):
-                workers[index].put(slabs[index])
-            estimates = []
-            for index in range(len(slabs)):
-                worker = workers[index % n_workers]
-                constant, power, estimate = worker.get()
-                n_constant += constant
-                if estimate is not None:
-                    estimates.append(estimate)
-                    try:
-                        with np.errstate(over="raise"):
-                            for row in power:  # one row at a time: the sum adds rows in stream order
-                                power_sum += row
-                    except FloatingPointError:
-                        raise _scale_error(table) from None
-                if index + n_workers < len(slabs):
-                    worker.put(slabs[index + n_workers])
+            batch = _Batch(slabs, n_workers, power_sum, table)
+            for first, helper in enumerate(workers[1:], 1):
+                helper.start(batch, first)
+            workers[0].run(batch, 0)
+            for helper in workers[1:]:
+                helper.wait()
             # every slab of the batch is done: no worker runs from here to its next batch
-            if not estimates:
+            if batch.error is not None:
+                raise batch.error
+            n_constant += batch.n_constant
+            if not batch.estimates:
                 continue
-            batch = np.concatenate(estimates)
-            n_estimated += batch.shape[0]
+            batch_estimates = np.concatenate(batch.estimates)
+            n_estimated += batch_estimates.shape[0]
             if state is None:
                 state = ema_init(table.dim)
             batch_index = state.step
-            state = ema_update(state, batch, schedule)
+            state = ema_update(state, batch_estimates, schedule)
             if progress is not None:
                 progress.write(
                     f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
                     f"dbar_mean={float(state.d_hat.mean()):.6g}\n"
                 )
     finally:
+        if batch is not None:
+            batch.stop()
         for worker in workers:
             worker.close()
     if state is None:

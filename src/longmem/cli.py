@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import hashlib
 import io
 import json
@@ -26,10 +28,16 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import __version__
-from .aggregator import REPORT_SCHEMA_VERSION, LearningRateSchedule, dataset_report, run_dataset
-from .embeddings import OovPolicy, format_table, load_table, read_corpus_ids, shuffle_rows
+from .aggregator import (
+    REPORT_SCHEMA_VERSION,
+    LearningRateSchedule,
+    check_batch_size,
+    dataset_report,
+    run_dataset,
+)
+from .embeddings import OovPolicy, check_fits, format_table, load_table, read_corpus_ids, shuffle_rows
 from .errors import LongmemError
-from .estimator import EstimatorConfig, FullBand, LowFrequency, sqrt_cutoff
+from .estimator import EstimatorConfig, FullBand, LowFrequency, fitted_bins, sqrt_cutoff
 from .evornn import build_model, save_checkpoint, task_lag_recall, train_toy
 from .evornn.train import TrainConfig
 from .fileio import atomic_write_text
@@ -58,13 +66,52 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+#: Thread-count getters of the OpenBLAS builds numpy ships or links.
+_BLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS this process has loaded,
+    found once through the process's memory map; None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_GETTERS:
+            getter = getattr(library, name, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return getter
+    return None
+
+
+def _blas_threads() -> Optional[int]:
+    """The BLAS thread count as it is now, asked of the library; None where
+    it cannot be read."""
+    getter = _blas_thread_getter()
+    return None if getter is None else int(getter())
+
+
 def _environment(started: float) -> dict:
-    """What a run's timings are to be compared across: versions, CPUs and
-    the seconds since `started`."""
+    """What a run's timings are to be compared across: versions, CPUs, BLAS
+    threads and the seconds since `started`."""
     return {
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "blas_threads": _blas_threads(),
         "elapsed_s": time.perf_counter() - started,
     }
 
@@ -113,14 +160,27 @@ def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str
     return value
 
 
+def _checked(parser: argparse.ArgumentParser, flag: str, check, *args):
+    """`check(*args)`, whose library error becomes a usage error naming `flag`."""
+    try:
+        return check(*args)
+    except LongmemError as exc:
+        parser.error(f"{flag}: {exc}")
+
+
 def cmd_estimate(args, parser) -> int:
     started = time.perf_counter()
     _require_output_dirs(args.out, args.dump_spectrum)
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
     config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
+    _checked(parser, "--cutoff", fitted_bins, pad_length // 2, config.cutoff)
     chunk_len = pad_length if args.chunk_len is None else args.chunk_len
     if chunk_len < 1:
         parser.error(f"--chunk-len must be >= 1, got {chunk_len}")
+    _checked(parser, "--chunk-len", check_fits, chunk_len, pad_length)
+    _checked(parser, "--batch-size", check_batch_size, args.batch_size)
+    _checked(parser, "--alpha0", LearningRateSchedule, args.alpha0)  # alone, so its error names it
+    schedule = _checked(parser, "--tau", LearningRateSchedule, args.alpha0, args.tau)
     with open(args.embeddings, encoding="utf-8") as stream:
         table = load_table(stream)
     with open(args.corpus, encoding="utf-8") as stream:
@@ -132,7 +192,7 @@ def cmd_estimate(args, parser) -> int:
         table,
         config,
         OovPolicy(args.oov),
-        LearningRateSchedule(alpha0=args.alpha0, tau=args.tau),
+        schedule,
         batch_size=args.batch_size,
         progress=sys.stderr if args.progress else None,
     )

@@ -224,69 +224,82 @@ def row_ids(table: EmbeddingTable, tokens: Iterable[Token]) -> np.ndarray:
     )
 
 
+def check_fits(n: int, length: int) -> None:
+    """Refuse sequences of `n` symbols where a pad length of `length` cannot hold them."""
+    if n > length:
+        raise LengthExceededError(f"sequence length {n} exceeds pad length {length}; chunk first")
+
+
 def embed_ids(
     table: EmbeddingTable,
     ids: np.ndarray,
     policy: OovPolicy,
     length: int,
     out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Embed and front zero-pad a B x n block of row ids, of any integer
-    dtype, to B x length x p, applying the OOV policy; also returns each
-    row's embedded symbol count.
-    The block is written into `out`, a C-contiguous B x length x p float64
-    array, when given. Under `skip` the kept symbols of a row are
-    right-aligned, in order. A row that gets padding is demeaned over its
-    symbols first, else the pad adds a step that reads as low-frequency
-    power (Percival & Walden)."""
+    dtype, to a time-last B x p x length series, applying the OOV policy;
+    also returns each row's embedded symbol count.
+    The series is written into `out`, a C-contiguous B x p x length float64
+    array, and the rows are first gathered into `work`, a float64 array of
+    at least B * length * p entries, when these are given. Under `skip` the
+    kept symbols of a row are right-aligned, in order. A row that gets
+    padding is demeaned over its symbols first, else the pad adds a step
+    that reads as low-frequency power (Percival & Walden)."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise DomainError(f"ids must be integers, got dtype {ids.dtype}")
     if ids.ndim != 2:
         raise DimensionMismatchError(f"ids must be a B x n matrix, got shape {ids.shape}")
-    if ids.shape[1] > length:
-        raise LengthExceededError(
-            f"sequence length {ids.shape[1]} exceeds pad length {length}; chunk first"
-        )
+    check_fits(ids.shape[1], length)
     lowest = ids.min(initial=0)
     if lowest < OOV_ID or ids.max(initial=0) >= table.vocab_size:
         bad = (ids < OOV_ID) | (ids >= table.vocab_size)
         raise DomainError(
             f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
         )
+    rows = ids.shape[0]
     if policy is OovPolicy.SKIP:
         keep = ids != OOV_ID
         kept = np.count_nonzero(keep, axis=1)
-        padded = np.zeros((ids.shape[0], length), dtype=ids.dtype)
-        for row, mask, n, place in zip(ids, keep, kept, padded):
-            place[length - n :] = row[mask]
+        padded = np.zeros((rows, length), dtype=ids.dtype)
+        symbols, end = ids[keep], 0  # the kept ids of every row, in order
+        for n, place in zip(kept.tolist(), padded):
+            place[length - n :] = symbols[end : end + n]
+            end += n
     else:  # every id is kept
-        kept = np.full(ids.shape[0], ids.shape[1])
+        kept = np.full(rows, ids.shape[1])
         padded = ids
         if ids.shape[1] < length:
-            padded = np.zeros((ids.shape[0], length), dtype=ids.dtype)
+            padded = np.zeros((rows, length), dtype=ids.dtype)
             padded[:, length - ids.shape[1] :] = ids
+    gathered = None
+    if work is not None:
+        gathered = work.reshape(-1)[: rows * length * table.dim].reshape(rows, length, table.dim)
     # the pad and OOV_ID (-1) gather row 0 here, without copying the table
-    block = table.vectors.take(padded, axis=0, out=out, mode="clip")
+    block = table.vectors.take(padded, axis=0, out=gathered, mode="clip")
     if lowest == OOV_ID and policy is not OovPolicy.SKIP:
         block[padded == OOV_ID] = table.mean_vector if policy is OovPolicy.MEAN else 0.0
-    for b in np.flatnonzero(kept < length):
-        block[b, : length - kept[b]] = 0.0
-        if kept[b]:
-            _demean(block[b, length - kept[b] :])
-    return block, kept
+    if out is None:
+        out = np.empty((rows, table.dim, length))
+    np.copyto(out, block.transpose(0, 2, 1))
+    for row in np.flatnonzero(kept < length):
+        n = kept[row]
+        out[row, :, : length - n] = 0.0
+        if n:
+            _demean(out[row, :, length - n :])
+    return out, kept
 
 
-def _demean(values: np.ndarray) -> np.ndarray:
-    """Subtract its column means from a C-contiguous T x p array, in place.
-    A column of one repeated value becomes exactly zero: its rounded mean
-    can leave a residue, whose pad edge would then read as memory."""
-    columns = values.T.copy()  # numpy reduces contiguous rows far faster than narrow columns
-    constant = columns.min(axis=1) == columns.max(axis=1)
-    flat = values.reshape(-1)  # a view; one pass over it beats numpy's axis-0 loops for small p
-    flat -= np.tile(np.ones(len(values)) @ values / len(values), len(values))
-    values[:, constant] = 0.0
-    return values
+def _demean(rows: np.ndarray) -> None:
+    """Subtract its mean from each time-last row of a (..., T) array, in
+    place. A row of one repeated value subtracts that value and so becomes
+    exactly zero: its rounded mean can leave a residue, whose pad edge
+    would then read as memory."""
+    constant = rows.min(axis=-1) == rows.max(axis=-1)
+    means = np.where(constant, rows[..., 0], rows.sum(axis=-1) / rows.shape[-1])
+    rows -= means[..., None]
 
 
 def lookup_sequence(
@@ -296,24 +309,23 @@ def lookup_sequence(
     ids = row_ids(table, seq.ids)
     if policy is OovPolicy.SKIP:
         ids = ids[ids != OOV_ID]
-    block, kept = embed_ids(table, ids[None], policy, ids.size)
+    series, kept = embed_ids(table, ids[None], policy, ids.size)
     if kept[0] == 0:
         raise EmptyInputError("all symbols were OOV under the skip policy")
-    return EmbeddedSeries(values=block[0])
+    return EmbeddedSeries(values=series[0].T)
 
 
 def pad_to_length(series: EmbeddedSeries, length: int) -> EmbeddedSeries:
     """Prepend zero rows to exactly `length` rows, demeaning first as `embed_ids` does."""
     if length < 1:
         raise DomainError(f"pad length must be positive, got {length}")
-    if series.length > length:
-        raise LengthExceededError(
-            f"series length {series.length} exceeds pad length {length}; chunk first"
-        )
+    check_fits(series.length, length)
     if series.length == length:
         return series
+    columns = series.values.T.copy()
+    _demean(columns)
     pad = np.zeros((length - series.length, series.dim))
-    return EmbeddedSeries(values=np.concatenate([pad, _demean(series.values.copy())], axis=0))
+    return EmbeddedSeries(values=np.concatenate([pad, columns.T], axis=0))
 
 
 def chunk_corpus(tokens: Iterable[Token], chunk_len: int) -> list[SymbolSequence]:

@@ -5,8 +5,10 @@ import json
 import math
 import re
 import subprocess
+import queue
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -552,31 +554,39 @@ def test_run_dataset_runs_no_slab_while_a_batch_is_folded_in(monkeypatch):
 
 
 def _overflowing_table(scale, rows):
-    # a table whose first column is about `scale`, and `rows` rows of ids
+    # a table whose first column is about `scale`, and `rows` rows of 200
+    # ids. Padded to 256, each row is demeaned, so its DC bin, which the
+    # periodogram squares with the rest, holds about nothing
     rng = np.random.default_rng(8)
     vectors = rng.standard_normal((8, 2))
     vectors[:, 0] *= scale
-    return EmbeddingTable(vectors), rng.integers(0, 8, (rows, 256))
+    return EmbeddingTable(vectors), rng.integers(0, 8, (rows, 200))
 
 
 # at 1e200 the squares of a row's FFT bins overflow float64; at 1.4e152 a
-# row's power peaks at 7.5e307, but the sum of 48 rows' power overflows
+# row's power peaks at 5.2e307, and the sum of the power overflows at row
+# 19, slab 1 of batch 3: on 2 and on 3 workers, a helper's turn
 @pytest.mark.parametrize("scale, rows", [(1e200, 24), (1.4e152, 48)], ids=["periodogram", "sum"])
 def test_run_dataset_names_the_table_scale_when_the_periodogram_overflows(monkeypatch, scale, rows):
     table, ids = _overflowing_table(scale, rows)
     config, schedule = EstimatorConfig(256), LearningRateSchedule()
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * 2 * 256)  # one row a slab
+    before = threading.active_count()
     messages = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
             warnings.simplefilter("always")
             # the caller's errstate does not reach the slabs, on any thread
-            outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 4)
+            outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 6)
         assert not caught, [str(w.message) for w in caught]
         assert isinstance(outcome["error"], DomainError)
         messages.append(str(outcome["error"]))
-    assert messages[0] == messages[1]
+        assert threading.active_count() == before  # no thread is left waiting on a turn
+    assert messages[0] == messages[1] == messages[2]
     assert "embedding table's scale" in messages[0] and f"e+{int(math.log10(scale))}" in messages[0]
+    if rows == 48:  # row 19 alone, and the sum of the rows before it, are finite
+        for part in (ids[19:20], ids[:19]):
+            run_dataset(part, table, config, OovPolicy.ZERO, schedule, 6)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -596,4 +606,72 @@ def test_run_dataset_raises_a_slab_error_in_the_caller_and_ends_its_threads(monk
     ids[17, 40] = 15
     outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 6)
     assert outcome["result"].workers == cpus
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("slabs", [2, 32])
+def test_run_dataset_hands_each_helper_one_message_a_batch_and_takes_one_back(monkeypatch, slabs):
+    # the hand-offs do not grow with the slabs: per batch, a helper's inbox
+    # gets the batch and its outbox the reply; the inbox's last message,
+    # after the last batch, ends the thread
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
+    monkeypatch.setattr(aggregator, "SLABS_PER_WORKER", 1)
+    made = []
+
+    class CountedQueue(queue.SimpleQueue):
+        def __init__(self):
+            super().__init__()
+            self.puts = self.gets = 0
+            made.append(self)
+
+        def put(self, item):
+            self.puts += 1
+            super().put(item)
+
+        def get(self):
+            self.gets += 1
+            return super().get()
+
+    monkeypatch.setattr(aggregator, "queue", types.SimpleNamespace(SimpleQueue=CountedQueue))
+    table, _ = _pool_case(p)
+    ids = np.random.default_rng(9).integers(0, 16, (3 * slabs, 100))  # three batches
+    config, schedule = EstimatorConfig(length), LearningRateSchedule()
+    outcome = _run_with_cpus(monkeypatch, 3, ids, table, config, OovPolicy.ZERO, schedule, slabs)
+    result = outcome["result"]
+    assert (result.workers, result.state.step) == (min(3, slabs), 3)
+    helpers = result.workers - 1
+    assert sorted((q.puts, q.gets) for q in made) == [(3, 3)] * helpers + [(4, 4)] * helpers
+
+
+def test_run_dataset_lets_its_helpers_go_when_its_caller_is_interrupted(monkeypatch):
+    # an interrupt in the calling thread's own slab, worker 0's, ends the
+    # run; the helper, waiting on that slab's turn, is let through and ends
+    class Interrupt(BaseException):
+        pass
+
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
+    monkeypatch.setattr(aggregator, "usable_cpus", lambda: 2)
+    table, ids = _pool_case(p)
+    fit, raised = aggregator._SlabWorker._fit, []
+
+    def interrupted_fit(self, rows):
+        if threading.current_thread() is caller:
+            raise Interrupt
+        return fit(self, rows)
+
+    def call():
+        try:
+            run_dataset(ids, table, EstimatorConfig(length), OovPolicy.ZERO, LearningRateSchedule(), 6)
+        except Interrupt:
+            raised.append(True)
+
+    monkeypatch.setattr(aggregator._SlabWorker, "_fit", interrupted_fit)
+    before = threading.active_count()
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "run_dataset did not return"
+    assert raised == [True]
     assert threading.active_count() == before

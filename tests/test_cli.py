@@ -194,6 +194,9 @@ def test_every_manifest_records_its_environment(tmp_path, capsys):
         assert isinstance(elapsed, float) and 0.0 <= elapsed < 60.0
         if primary == report:  # estimate also records its slab workers: 2 rows make one slab
             assert environment.pop("workers") == 1
+        # read from the OpenBLAS numpy loaded, or null where it cannot be read
+        threads = environment.pop("blas_threads")
+        assert threads is None or (type(threads) is int and threads >= 1)
         assert environment == {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -313,6 +316,39 @@ def test_estimate_non_positive_chunk_len_is_arg_error(tmp_path, capsys, chunk_le
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, extra",
+    [
+        ("--chunk-len", "2000", []),  # longer than the pad length of 1024
+        ("--batch-size", "0", []),
+        ("--alpha0", "2", []),
+        ("--alpha0", "0", []),
+        ("--cutoff", "1000", []),  # 512 bins at a pad length of 1024
+        ("--cutoff", "1", []),
+        ("--tau", "0", []),
+        ("--tau", "-1", ["--alpha0", "0.5"]),
+        ("--tau", "nan", []),
+        ("--tau", "inf", []),
+    ],
+    ids=["chunk-len-long", "batch-size-0", "alpha0-2", "alpha0-0", "cutoff-1000", "cutoff-1",
+         "tau-0", "tau-negative", "tau-nan", "tau-inf"],
+)
+def test_estimate_bad_arguments_are_arg_errors_before_any_input_is_read(
+    tmp_path, capsys, flag, value, extra
+):
+    # neither input exists: an error of any input read would exit 1
+    report = tmp_path / "r.json"
+    code, _, err = run_cli(
+        ["estimate", "--corpus", str(tmp_path / "missing.txt"),
+         "--embeddings", str(tmp_path / "missing-table.txt"),
+         "--pad-length", "1024", flag, value, *extra, "--out", str(report)],
+        capsys,
+    )
+    assert code == 2, err
+    assert f"{flag}: " in err
+    assert not report.exists()
+
+
 def test_estimate_zero_estimable_sequences_is_runtime_error(tmp_path, capsys):
     _, table = _make_corpus(tmp_path, capsys, count="2")
     broken = tmp_path / "broken.txt"
@@ -328,20 +364,16 @@ def test_estimate_zero_estimable_sequences_is_runtime_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--lr", "nan", "learning rate"), ("--clip", "nan", "clip norm"),
-     ("--tau", "nan", "tau"), ("--tau", "inf", "tau")],
-    ids=["lr-nan", "clip-nan", "tau-nan", "tau-inf"],
+    [("--lr", "nan", "learning rate"), ("--clip", "nan", "clip norm")],
+    ids=["lr-nan", "clip-nan"],
 )
 def test_non_finite_rate_is_clean_runtime_error(tmp_path, capsys, flag, value, name):
+    # estimate's --tau is checked before any input is read: see
+    # test_estimate_bad_arguments_are_arg_errors_before_any_input_is_read
     out = tmp_path / "out"
-    if flag == "--tau":
-        corpus, table = _make_corpus(tmp_path, capsys, count="2")
-        argv = ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
-                "--pad-length", "512", "--out", str(out)]
-    else:
-        argv = ["train-toy", "--schedule", "constant", "--vocab", "8", "--seq-len", "4",
-                "--max-hidden", "4", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
-                "--metrics-out", str(out)]
+    argv = ["train-toy", "--schedule", "constant", "--vocab", "8", "--seq-len", "4",
+            "--max-hidden", "4", "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
+            "--metrics-out", str(out)]
     code, _, err = run_cli([*argv, flag, value], capsys)
     assert code == 1
     assert err.startswith(f"error: {name} must be")

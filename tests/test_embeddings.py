@@ -247,16 +247,16 @@ def test_embed_ids_matches_lookup_and_pad(rows, extra, policy):
     ids = np.array(rows)
     length = ids.shape[1] + extra
     block, kept = embed_ids(SMALL_TABLE, ids, policy, length)
-    assert block.shape == (len(rows), length, 2)
+    assert block.shape == (len(rows), 2, length)  # time-last
     for b, row in enumerate(rows):
         try:
             series = lookup_sequence(SMALL_TABLE, SymbolSequence(row), policy)
         except EmptyInputError:
             assert policy is OovPolicy.SKIP and kept[b] == 0
-            assert np.array_equal(block[b], np.zeros((length, 2)))
+            assert np.array_equal(block[b], np.zeros((2, length)))
             continue
         assert kept[b] == series.length
-        assert np.array_equal(block[b], pad_to_length(series, length).values)
+        assert np.array_equal(block[b].T, pad_to_length(series, length).values)
         # the same rows, one symbol at a time
         substitute = SMALL_TABLE.mean_vector if policy is OovPolicy.MEAN else np.zeros(2)
         expected = [
@@ -285,8 +285,8 @@ def test_embed_ids_into_a_given_block_equals_the_allocating_call(policy, length)
     rng = np.random.default_rng(1)
     ids = rng.integers(OOV_ID, SMALL_TABLE.vocab_size, (5, 12))
     ids[1] = OOV_ID
-    out = np.full((5, length, 2), np.nan)
-    block, kept = embed_ids(SMALL_TABLE, ids, policy, length, out=out)
+    out, work = np.full((5, 2, length), np.nan), np.full(5 * length * 2 + 3, np.nan)
+    block, kept = embed_ids(SMALL_TABLE, ids, policy, length, out=out, work=work)
     assert block is out
     expected_block, expected_kept = embed_ids(SMALL_TABLE, ids, policy, length)
     assert np.array_equal(block, expected_block)
