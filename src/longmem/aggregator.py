@@ -10,18 +10,18 @@ The update is evaluated in the residual form d_hat + alpha*(mean - d_hat),
 which is the same convex combination but keeps a constant stream an exact
 floating-point fixed point.
 
-`run_dataset` runs the slabs of a batch on up to one worker per usable
-CPU (see SLABS_PER_WORKER for when it keeps to one): the calling thread
-and helper threads, each handed the batch once. Each worker folds a slab's
-result into the batch at that slab's turn, in stream order, so the result
-is the same, bit for bit, for any number of workers.
+`run_dataset` runs the slabs of a run on up to one worker per usable CPU
+(see SLABS_PER_WORKER for when it keeps to one): the calling thread and
+helper threads started once a run. Each worker folds a slab's result in at
+that slab's turn, in stream order, and the turn of a batch's last slab
+also makes the batch's EMA update, so the result is the same, bit for bit,
+for any number of workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Optional, TextIO
@@ -138,17 +138,19 @@ SLAB_BYTES = 1 << 20
 
 #: Slabs of a full batch per slab worker of `run_dataset`: a batch of fewer
 #: than twice this many slabs runs on one worker, in the calling thread.
-#: Each batch wakes each helper thread once and waits for the slowest
-#: worker, and a wake-up costs a few hundred microseconds on a VM, a good
-#: part of a slab. Measured as `run_dataset` alone on the perfbench inputs,
-#: two workers against one, in three runs of the medians of 11-21
-#: interleaved runs on a 2-core VM whose speed drifted by up to 30%
-#: between runs: `estimate-wide` (2 rows a slab) ran 1.02-1.46x as fast at
-#: 2 slabs a batch, 1.20-1.48x at 4 and 1.50-1.58x at its 32;
-#: `estimate-long-oov` (8 rows a slab) ran 1.01-1.05x at its 2 slabs a
-#: batch, 1.11-1.18x at 4 and 1.10-1.14x at 12. So `estimate-long-oov`
-#: keeps one worker, which also keeps its peak memory to one 2 MiB
-#: workspace (a second raised its `peak_rss_mb` by 4%, against a 5% bound).
+#: Measured with a pool that woke each helper once a batch, as
+#: `run_dataset` alone on the perfbench inputs, two workers against one, in
+#: three runs of the medians of 11-21 interleaved runs on a 2-core VM whose
+#: speed drifted by up to 30% between runs: `estimate-wide` (2 rows a slab)
+#: ran 1.02-1.46x as fast at 2 slabs a batch, 1.20-1.48x at 4 and
+#: 1.50-1.58x at its 32; `estimate-long-oov` (8 rows a slab) ran
+#: 1.01-1.05x at its 2 slabs a batch, 1.11-1.18x at 4 and 1.10-1.14x at 12.
+#: Helpers started once a run keep the rule, so that the workers a run
+#: uses and its peak memory stay as measured: `estimate-long-oov` keeps one
+#: worker and one 2 MiB workspace (a second raised its `peak_rss_mb` by 4%,
+#: against a 5% bound). Streaming the corpus (ROADMAP
+#: item 4) frees memory that would pay for a second workspace; the rule
+#: can be revisited then.
 SLABS_PER_WORKER = 2
 
 
@@ -170,17 +172,29 @@ def _scale_error(table: EmbeddingTable) -> DomainError:
     )
 
 
-class _Batch:
-    """The slabs of one batch and what their results add up to. Each slab's
-    result is folded in at its turn, and the turns follow stream order, so
-    the power rows are summed and the estimates kept in the order one
-    worker would take them."""
+class _Run:
+    """Every slab of a run, in stream order, and what their results add up
+    to. Each slab's result is folded in at its turn, and the turns follow
+    stream order, so the power rows are summed, the estimates kept and the
+    EMA updated in the order one worker would take them."""
 
-    def __init__(self, slabs: list[np.ndarray], stride: int, power_sum: np.ndarray,
-                 table: EmbeddingTable):
-        self.slabs, self.stride, self.power_sum, self.table = slabs, stride, power_sum, table
+    def __init__(self, ids: np.ndarray, batch_size: int, slab: int, stride: int, n_bins: int,
+                 table: EmbeddingTable, schedule: LearningRateSchedule,
+                 progress: Optional[TextIO]):
+        #: the slabs of each batch, cut batch by batch, and the indices of
+        #: the slabs that end a batch
+        self.slabs: list[np.ndarray] = []
+        self.batch_ends: set[int] = set()
+        for start in range(0, ids.shape[0], batch_size):
+            batch_ids = ids[start : start + batch_size]
+            self.slabs += [batch_ids[first : first + slab] for first in range(0, batch_ids.shape[0], slab)]
+            self.batch_ends.add(len(self.slabs) - 1)
+        self.stride, self.table, self.schedule, self.progress = stride, table, schedule, progress
+        self.power_sum = np.zeros((table.dim, n_bins))
+        #: the estimates of the batch being folded in
         self.estimates: list[np.ndarray] = []
-        self.n_constant = 0
+        self.n_estimated = self.n_constant = 0
+        self.state: Optional[EmaState] = None
         #: the first error in stream order; no later slab is folded in
         self.error: Optional[Exception] = None
         self._stopped = False
@@ -194,13 +208,16 @@ class _Batch:
 
     def fold(self, index: int, result) -> None:
         """Wait for slab `index`'s turn, fold in its result, which is an
-        error or what `_SlabWorker._fit` returns, and pass the turn on."""
+        error or what `_SlabWorker._fit` returns, and pass the turn on.
+        Once the run is no longer live, every turn is given at once."""
         with self._turns:
-            while self._turn != index and not self._stopped:
+            while self._turn != index and self.live:
                 self._turns.wait()
             try:
                 if self.live:
-                    self._add(result)
+                    self._add(index, result)
+            except Exception as exc:  # from the sink or the update: kept, not lost in a helper
+                self.error = exc
             finally:
                 self._turn += 1
                 self._turns.notify_all()
@@ -212,31 +229,45 @@ class _Batch:
             self._stopped = True
             self._turns.notify_all()
 
-    def _add(self, result) -> None:
+    def _add(self, index: int, result) -> None:
         if isinstance(result, Exception):
             self.error = result
             return
         constant, power, estimate = result
         self.n_constant += constant
-        if estimate is None:
-            return
-        self.estimates.append(estimate)  # fit_d's own array, not a view of the workspace
-        try:
-            with np.errstate(over="raise"):
-                for row in power:  # one row at a time: the sum adds rows in stream order
-                    self.power_sum += row
-        except FloatingPointError:
-            self.error = _scale_error(self.table)
+        if estimate is not None:
+            self.estimates.append(estimate)  # fit_d's own array, not a view of the workspace
+            try:
+                with np.errstate(over="raise"):
+                    for row in power:  # one row at a time: the sum adds rows in stream order
+                        self.power_sum += row
+            except FloatingPointError:
+                self.error = _scale_error(self.table)
+                return
+        if index in self.batch_ends and self.estimates:
+            self._update()
+
+    def _update(self) -> None:
+        """The EMA update of a batch's estimates, and its progress line."""
+        estimates = np.concatenate(self.estimates)
+        self.estimates = []
+        self.n_estimated += estimates.shape[0]
+        if self.state is None:
+            self.state = ema_init(self.table.dim)
+        step = self.state.step
+        self.state = ema_update(self.state, estimates, self.schedule)
+        if self.progress is not None:
+            self.progress.write(
+                f"batch={step} alpha={self.schedule.alpha(step):.6g} "
+                f"dbar_mean={float(self.state.d_hat.mean()):.6g}\n"
+            )
 
 
 class _SlabWorker:
-    """One slab workspace and the slab body that writes it. `run` runs the
-    worker's slabs of a batch in the calling thread; with `thread`, the
-    worker also has a thread of its own, which runs one batch per
-    `start` and tells `wait` when it is done."""
+    """One slab workspace and the slab body that writes it."""
 
     def __init__(self, table: EmbeddingTable, config: EstimatorConfig, policy: OovPolicy,
-                 m: int, slab: int, thread: bool):
+                 m: int, slab: int):
         p, length = table.dim, config.pad_length
         self.table, self.config, self.policy, self.m = table, config, policy, m
         # all a slab writes: its time-last series, later its power, and its
@@ -244,37 +275,15 @@ class _SlabWorker:
         # of the fitted bins
         self.series = np.empty((slab, p, length))
         self.spectrum = np.empty((slab, p, length // 2 + 1), dtype=np.complex128)
-        self._thread: Optional[threading.Thread] = None
-        if thread:
-            self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-            self._outbox: queue.SimpleQueue = queue.SimpleQueue()
-            self._thread = threading.Thread(target=self._serve_batches, name="longmem-slab", daemon=True)
-            self._thread.start()
 
-    def start(self, batch: _Batch, first: int) -> None:
-        """Have the thread run slabs `first`, `first + stride`, ... of a batch."""
-        self._inbox.put((batch, first))
-
-    def wait(self) -> None:
-        """Wait for the thread to finish its slabs of the batch it was given."""
-        self._outbox.get()
-
-    def close(self) -> None:
-        """End the thread, once it has finished any batch it was given."""
-        if self._thread is not None:
-            self._inbox.put(None)
-            self._thread.join()
-
-    def _serve_batches(self) -> None:
-        while (message := self._inbox.get()) is not None:
-            self.run(*message)
-            self._outbox.put(None)
-
-    def run(self, batch: _Batch, first: int) -> None:
-        """Run slabs `first`, `first + stride`, ... of a batch back to
-        back, each folded in at its turn, before the workspace is reused."""
-        for index in range(first, len(batch.slabs), batch.stride):
-            batch.fold(index, self._slab(batch.slabs[index]) if batch.live else None)
+    def run(self, run: _Run, first: int) -> None:
+        """Run slabs `first`, `first + stride`, ... of the run back to
+        back, each folded in at its turn before the workspace is reused,
+        until the run is no longer live."""
+        for index in range(first, len(run.slabs), run.stride):
+            if not run.live:
+                return
+            run.fold(index, self._slab(run.slabs[index]))
 
     def _slab(self, rows: np.ndarray):
         """Embed, transform and fit a slab; an error is returned, to be
@@ -334,15 +343,16 @@ def run_dataset(
 
     The slabs run on one worker per SLABS_PER_WORKER slabs of a full batch,
     at most one per usable CPU, each with a workspace of its own. Worker 0
-    is the calling thread; each other worker is a helper thread, handed
-    each batch in one message and answering in one when done. Worker w of
-    W runs slabs w, w + W, w + 2W, ... of the batch back to back, and after
-    each waits for that slab's turn, which comes in stream order: it then
-    adds the slab's power rows to the sum and counts its skipped rows, as
-    one worker would. Once every worker is done with the batch, the calling
-    thread makes the EMA update and writes the progress line. The result
-    is therefore the same, bit for bit, for any number of workers, and the
-    first slab error in stream order is raised in the calling thread.
+    is the calling thread; each other worker is a helper thread, started
+    once a run and joined once. Worker w of W runs slabs w, w + W, w + 2W,
+    ... of the whole run back to back, and after each waits for that
+    slab's turn, which comes in stream order: it then adds the slab's power
+    rows to the sum and counts its skipped rows, as one worker would, and
+    at the turn of a batch's last slab it makes the batch's EMA update and
+    writes its progress line. The result is therefore the same, bit for
+    bit, for any number of workers, and the first error in stream order,
+    a slab's or a fold's, is raised in the calling thread; no later slab
+    is run or folded in.
     """
     check_batch_size(batch_size)
     ids = np.asarray(ids)
@@ -351,52 +361,31 @@ def run_dataset(
     slab = min(batch_size, max(1, SLAB_BYTES // (8 * p * length)))
     batch_slabs = -(-min(batch_size, ids.shape[0]) // slab)
     n_workers = max(1, min(usable_cpus(), batch_slabs // SLABS_PER_WORKER))
-    state: Optional[EmaState] = None
-    n_estimated = n_constant = 0
-    power_sum = np.zeros((p, length // 2))
-    workers: list[_SlabWorker] = []
-    batch: Optional[_Batch] = None
+    run = _Run(ids, batch_size, slab, n_workers, length // 2, table, schedule, progress)
+    workers = [_SlabWorker(table, config, policy, m, slab) for _ in range(n_workers)]
+    helpers: list[threading.Thread] = []
     try:
-        for index in range(n_workers):
-            workers.append(_SlabWorker(table, config, policy, m, slab, thread=index > 0))
-        for start in range(0, ids.shape[0], batch_size):
-            batch_ids = ids[start : start + batch_size]
-            slabs = [batch_ids[first : first + slab] for first in range(0, batch_ids.shape[0], slab)]
-            batch = _Batch(slabs, n_workers, power_sum, table)
-            for first, helper in enumerate(workers[1:], 1):
-                helper.start(batch, first)
-            workers[0].run(batch, 0)
-            for helper in workers[1:]:
-                helper.wait()
-            # every slab of the batch is done: no worker runs from here to its next batch
-            if batch.error is not None:
-                raise batch.error
-            n_constant += batch.n_constant
-            if not batch.estimates:
-                continue
-            batch_estimates = np.concatenate(batch.estimates)
-            n_estimated += batch_estimates.shape[0]
-            if state is None:
-                state = ema_init(table.dim)
-            batch_index = state.step
-            state = ema_update(state, batch_estimates, schedule)
-            if progress is not None:
-                progress.write(
-                    f"batch={batch_index} alpha={schedule.alpha(batch_index):.6g} "
-                    f"dbar_mean={float(state.d_hat.mean()):.6g}\n"
-                )
+        for first, worker in enumerate(workers[1:], 1):
+            helper = threading.Thread(target=worker.run, args=(run, first), name="longmem-slab", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        workers[0].run(run, 0)
+    except BaseException:
+        run.stop()  # an interrupted caller lets a helper waiting on a turn through
+        raise
     finally:
-        if batch is not None:
-            batch.stop()
-        for worker in workers:
-            worker.close()
+        for helper in helpers:
+            helper.join()
+    if run.error is not None:
+        raise run.error
+    state, n_estimated = run.state, run.n_estimated
     if state is None:
         raise EmptyInputError("no sequence could be estimated")
-    mean_pg = Periodogram(length=length, power=power_sum / n_estimated)
+    mean_pg = Periodogram(length=length, power=run.power_sum / n_estimated)
     pooled = estimate_from_periodogram(mean_pg, config)
     n_skipped = ids.shape[0] - n_estimated
     return AggregateResult(
-        state, n_estimated, n_skipped, mean_pg, pooled, n_constant, n_skipped - n_constant,
+        state, n_estimated, n_skipped, mean_pg, pooled, run.n_constant, n_skipped - run.n_constant,
         n_workers,
     )
 

@@ -55,8 +55,6 @@ from .schedule import (
 from .spectral import write_periodogram_csv
 from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
 
-SCHEMA_VERSION = REPORT_SCHEMA_VERSION
-
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -123,7 +121,7 @@ def _write_manifest(
     """Write the run manifest beside `out_path`; `environment` adds to the
     environment object."""
     manifest = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
         "config": config,
         "inputs": {path: _sha256(path) for path in inputs},
@@ -379,6 +377,14 @@ def cmd_train_toy(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `longmem` parser, and each subcommand's own parser by name, which
+    holds its `cmd_*` as `handler`. A `cmd_*` is given its own parser, so a
+    usage error prints that subcommand's usage. The handler is kept on the
+    parser, not in the parsed arguments, which hold plain values alone."""
     parser = argparse.ArgumentParser(
         prog="longmem",
         description="Memory-coefficient estimation and schedule-sized recurrent models.",
@@ -387,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate memory coefficients for a token corpus")
+    est.handler = cmd_estimate
     est.add_argument("--corpus", required=True, help="whitespace-separated token text file")
     est.add_argument("--embeddings", required=True, help="embedding table text file")
     est.add_argument("--pad-length", type=int, required=True, help="power-of-two pad length L")
@@ -403,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--out", required=True, help="JSON report path")
 
     syn = sub.add_parser("synth", help="generate synthetic series with known d")
+    syn.handler = cmd_synth
     syn.add_argument("--model", choices=["fgn", "farima", "white"], required=True)
     syn.add_argument("--d", type=float, default=None)
     syn.add_argument("--hurst", type=float, default=None)
@@ -415,12 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", required=True)
 
     cost = sub.add_parser("schedule-cost", help="multiply-add cost of a cell schedule")
+    cost.handler = cmd_schedule_cost
     group = cost.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=sorted(PRESETS))
     group.add_argument("--file", help="JSON array of [length, hidden] pairs")
     cost.add_argument("--seq-len", type=int, default=None, help="validate against this length")
 
     toy = sub.add_parser("train-toy", help="train a toy model on the lag-recall task")
+    toy.handler = cmd_train_toy
     toy.add_argument("--schedule", default="powerlaw", help="constant|powerlaw|extrexp or a schedule JSON file")
     toy.add_argument("--vocab", type=int, default=64)
     toy.add_argument("--seq-len", type=int, default=64)
@@ -440,20 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--seed", type=int, default=0)
     toy.add_argument("--metrics-out", required=True, help="metrics CSV path")
     toy.add_argument("--checkpoint-out", default=None, help="JSON checkpoint path")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
-    commands = {
-        "estimate": cmd_estimate,
-        "synth": cmd_synth,
-        "schedule-cost": cmd_schedule_cost,
-        "train-toy": cmd_train_toy,
-    }
+    command = commands[args.command]
     try:
-        return commands[args.command](args, parser)
+        return command.handler(args, command)
     except (OSError, LongmemError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

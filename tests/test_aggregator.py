@@ -5,7 +5,6 @@ import json
 import math
 import re
 import subprocess
-import queue
 import sys
 import threading
 import types
@@ -516,43 +515,6 @@ def test_run_dataset_workers_are_capped_by_the_slabs_of_a_batch(monkeypatch):
         assert outcome["result"].workers == workers, batch_size
 
 
-def test_run_dataset_runs_no_slab_while_a_batch_is_folded_in(monkeypatch):
-    # each batch ends at a barrier: the EMA update and the progress line see
-    # no slab in flight
-    p, length = 3, 128
-    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
-    table, ids = _pool_case(p)
-    lock, running, seen = threading.Lock(), [0], []
-    fit = aggregator._SlabWorker._fit
-
-    def counted_fit(self, rows):
-        with lock:
-            running[0] += 1
-        try:
-            return fit(self, rows)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    def counted_update(state, batch, schedule):
-        seen.append(running[0])
-        return ema_update(state, batch, schedule)
-
-    class Sink(io.StringIO):
-        def write(self, text):
-            seen.append(running[0])
-            return super().write(text)
-
-    monkeypatch.setattr(aggregator._SlabWorker, "_fit", counted_fit)
-    monkeypatch.setattr(aggregator, "ema_update", counted_update)
-    config, schedule = EstimatorConfig(length), LearningRateSchedule()
-    outcome = _run_with_cpus(
-        monkeypatch, 2, ids, table, config, OovPolicy.ZERO, schedule, 6, progress=Sink()
-    )
-    assert outcome["result"].workers == 2
-    assert seen == [0] * 8  # 4 updates, 4 lines
-
-
 def _overflowing_table(scale, rows):
     # a table whose first column is about `scale`, and `rows` rows of 200
     # ids. Padded to 256, each row is demeaned, so its DC bin, which the
@@ -610,38 +572,55 @@ def test_run_dataset_raises_a_slab_error_in_the_caller_and_ends_its_threads(monk
 
 
 @pytest.mark.parametrize("slabs", [2, 32])
-def test_run_dataset_hands_each_helper_one_message_a_batch_and_takes_one_back(monkeypatch, slabs):
-    # the hand-offs do not grow with the slabs: per batch, a helper's inbox
-    # gets the batch and its outbox the reply; the inbox's last message,
-    # after the last batch, ends the thread
+def test_run_dataset_starts_each_helper_thread_once_a_run(monkeypatch, slabs):
+    # the threads do not grow with the slabs or the batches: a run of three
+    # batches starts one thread per helper, W - 1 in all
     p, length = 3, 128
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
     monkeypatch.setattr(aggregator, "SLABS_PER_WORKER", 1)
-    made = []
+    started = []
 
-    class CountedQueue(queue.SimpleQueue):
-        def __init__(self):
-            super().__init__()
-            self.puts = self.gets = 0
-            made.append(self)
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def put(self, item):
-            self.puts += 1
-            super().put(item)
-
-        def get(self):
-            self.gets += 1
-            return super().get()
-
-    monkeypatch.setattr(aggregator, "queue", types.SimpleNamespace(SimpleQueue=CountedQueue))
+    monkeypatch.setattr(
+        aggregator,
+        "threading",
+        types.SimpleNamespace(Thread=CountedThread, Condition=threading.Condition, Lock=threading.Lock),
+    )
     table, _ = _pool_case(p)
     ids = np.random.default_rng(9).integers(0, 16, (3 * slabs, 100))  # three batches
     config, schedule = EstimatorConfig(length), LearningRateSchedule()
     outcome = _run_with_cpus(monkeypatch, 3, ids, table, config, OovPolicy.ZERO, schedule, slabs)
     result = outcome["result"]
     assert (result.workers, result.state.step) == (min(3, slabs), 3)
-    helpers = result.workers - 1
-    assert sorted((q.puts, q.gets) for q in made) == [(3, 3)] * helpers + [(4, 4)] * helpers
+    assert len(started) == result.workers - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_dataset_raises_a_progress_sink_error_in_the_caller_and_ends_its_threads(monkeypatch, cpus):
+    # one row a slab and 6 rows a batch: batch 1 is all skipped, so the
+    # second line is batch 2's, written at the turn of slab 17, a helper's
+    # on 2 and on 3 workers
+    p, length = 3, 128
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
+    table, ids = _pool_case(p)
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            if self.getvalue():
+                raise OSError("sink closed")
+            return super().write(text)
+
+    config, schedule = EstimatorConfig(length), LearningRateSchedule()
+    before = threading.active_count()
+    sink = Sink()
+    outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 6, progress=sink)
+    assert isinstance(outcome["error"], OSError) and str(outcome["error"]) == "sink closed"
+    assert sink.getvalue().startswith("batch=0 ") and len(sink.getvalue().splitlines()) == 1
+    assert threading.active_count() == before
 
 
 def test_run_dataset_lets_its_helpers_go_when_its_caller_is_interrupted(monkeypatch):

@@ -317,6 +317,23 @@ def test_estimate_non_positive_chunk_len_is_arg_error(tmp_path, capsys, chunk_le
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--corpus", "c.txt", "--embeddings", "t.txt", "--chunk-len", "2000",
+         "--pad-length", "1024", "--out", "{out}"],
+        ["synth", "--model", "white", "--count", "0", "--out", "{out}"],
+        ["train-toy", "--max-hidden", "8", "--schedule", "f.json", "--metrics-out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_subcommand_usage_error_prints_the_subcommand_usage(tmp_path, capsys, argv):
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"usage: longmem {argv[0]} ")
+
+
+@pytest.mark.parametrize(
     "flag, value, extra",
     [
         ("--chunk-len", "2000", []),  # longer than the pad length of 1024
