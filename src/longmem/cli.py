@@ -7,8 +7,9 @@ cost table), `train-toy` (toy training with metrics CSV).
 Every command that writes files also writes a run manifest beside its
 primary output (resolved configuration, input digests, seed, version), and
 all files are written atomically (temp + rename). An output path whose
-directory does not exist is refused before any input is read. Exit codes:
-0 success, 1 runtime failure, 2 argument error.
+directory does not exist, or that is a directory, is refused before any
+input is read. Exit codes: 0 success, 1 runtime failure (a refused
+allocation among them), 2 argument error.
 """
 
 from __future__ import annotations
@@ -115,29 +116,34 @@ def _environment(started: float) -> dict:
 
 
 def _write_manifest(
-    out_path: str, command: str, config: dict, inputs: Iterable[str], seed, started: float,
+    out_path: str, args: argparse.Namespace, resolved: dict, inputs: Iterable[str], started: float,
     **environment,
 ) -> None:
-    """Write the run manifest beside `out_path`; `environment` adds to the
-    environment object."""
+    """Write the run manifest beside `out_path`: its config is every parsed
+    flag but `command` and `seed`, updated by the values `resolved` from them;
+    `environment` adds to the environment object."""
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "seed")}
     manifest = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, **resolved},
         "inputs": {path: _sha256(path) for path in inputs},
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "environment": {**_environment(started), **environment},
     }
     atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _require_output_dirs(*paths: Optional[str]) -> None:
-    """Refuse, before any input is read, an output path whose directory
-    does not exist, so a failed run leaves no partial set of files."""
-    for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+def _require_outputs(primary: str, *others: Optional[str]) -> None:
+    """Refuse, before any input is read, an output path (the manifest beside
+    `primary` among them) whose directory does not exist or that is a
+    directory, so a failed run leaves no partial set of files."""
+    for path in filter(None, (primary, primary + ".manifest.json", *others)):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise LongmemError(f"cannot write {path}: its directory does not exist")
+        if os.path.isdir(path):
+            raise LongmemError(f"cannot write {path}: it is a directory")
 
 
 def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
@@ -168,7 +174,7 @@ def _checked(parser: argparse.ArgumentParser, flag: str, check, *args):
 
 def cmd_estimate(args, parser) -> int:
     started = time.perf_counter()
-    _require_output_dirs(args.out, args.dump_spectrum)
+    _require_outputs(args.out, args.dump_spectrum)
     pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
     config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
     _checked(parser, "--cutoff", fitted_bins, pad_length // 2, config.cutoff)
@@ -200,25 +206,7 @@ def cmd_estimate(args, parser) -> int:
         write_periodogram_csv(result.mean_periodogram, buffer)
         atomic_write_text(args.dump_spectrum, buffer.getvalue())
     _write_manifest(
-        args.out,
-        "estimate",
-        {
-            "corpus": args.corpus,
-            "embeddings": args.embeddings,
-            "pad_length": pad_length,
-            "chunk_len": chunk_len,
-            "batch_size": args.batch_size,
-            "oov": args.oov,
-            "cutoff": args.cutoff,
-            "alpha0": args.alpha0,
-            "tau": args.tau,
-            "shuffle": bool(args.shuffle),
-            "out": args.out,
-            "dump_spectrum": args.dump_spectrum,
-        },
-        [args.corpus, args.embeddings],
-        args.seed,
-        started,
+        args.out, args, {"chunk_len": chunk_len}, [args.corpus, args.embeddings], started,
         workers=result.workers,
     )
     return 0
@@ -226,7 +214,7 @@ def cmd_estimate(args, parser) -> int:
 
 def cmd_synth(args, parser) -> int:
     started = time.perf_counter()
-    _require_output_dirs(args.out, args.emb_out)
+    _require_outputs(args.out, args.emb_out)
     if args.count < 1:
         parser.error(f"--count must be >= 1, got {args.count}")
     if args.emb_out and args.vocab is None:
@@ -250,23 +238,7 @@ def cmd_synth(args, parser) -> int:
         rows = [",".join(repr(float(v)) for v in row) for row in matrix]
         atomic_write_text(args.out, "\n".join([header, *rows]) + "\n")
     print(f"d = {d_true:g}")
-    _write_manifest(
-        args.out,
-        "synth",
-        {
-            "model": args.model,
-            "d": d_true,
-            "length": args.length,
-            "count": args.count,
-            "vocab": args.vocab,
-            "ma_truncation": args.ma_truncation,
-            "out": args.out,
-            "emb_out": args.emb_out,
-        },
-        [],
-        args.seed,
-        started,
-    )
+    _write_manifest(args.out, args, {"d": d_true}, [], started)
     return 0
 
 
@@ -292,7 +264,7 @@ def cmd_schedule_cost(args, parser) -> int:
 
 def cmd_train_toy(args, parser) -> int:
     started = time.perf_counter()
-    _require_output_dirs(args.metrics_out, args.checkpoint_out)
+    _require_outputs(args.metrics_out, args.checkpoint_out)
     if args.schedule in DESK_FLOORS:
         max_hidden = 128 if args.max_hidden is None else args.max_hidden
         schedule, inputs = desk_schedule(args.schedule, args.seq_len, max_hidden), []
@@ -350,28 +322,8 @@ def cmd_train_toy(args, parser) -> int:
     print(f"multiply_adds_per_forward = {result.history[-1].multiply_adds if result.history else 0}")
     print(f"total_multiply_adds = {total_multiplies}")
     _write_manifest(
-        args.metrics_out,
-        "train-toy",
-        {
-            "schedule": args.schedule,
-            "vocab": args.vocab,
-            "seq_len": args.seq_len,
-            "steps": args.steps,
-            "lr": args.lr,
-            "clip": args.clip,
-            "batch_size": args.batch_size,
-            "negatives": negatives,
-            "emb_dim": args.emb_dim,
-            "horizon": args.horizon,
-            "layers": args.layers,
-            "max_hidden": schedule.max_hidden,
-            "tail_exponent": args.tail_exponent,
-            "metrics_out": args.metrics_out,
-            "checkpoint_out": args.checkpoint_out,
-        },
-        inputs,
-        args.seed,
-        started,
+        args.metrics_out, args, {"negatives": negatives, "max_hidden": schedule.max_hidden},
+        inputs, started,
     )
     return 0
 
@@ -459,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     command = commands[args.command]
     try:
         return command.handler(args, command)
-    except (OSError, LongmemError, UnicodeDecodeError) as exc:
+    except (OSError, LongmemError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

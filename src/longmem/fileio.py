@@ -12,7 +12,10 @@ def atomic_write_text(path: str, text: str) -> None:
     On any failure the temp file is removed and `path` is left untouched.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as stream:
             stream.write(text)

@@ -92,7 +92,7 @@ def test_synth_prints_theoretical_d(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "d = 0.3"
-    rows = list(csv.reader(out_path.open()))
+    rows = list(csv.reader(out_path.read_text().splitlines()))
     assert rows[0] == ["series0", "series1"]
     assert len(rows) == 65
     values = np.array([[float(v) for v in row] for row in rows[1:]])
@@ -172,6 +172,50 @@ def test_synth_writes_manifest(tmp_path, capsys):
     assert manifest["config"]["model"] == "white"
 
 
+@pytest.mark.parametrize("command", ["estimate", "synth", "train-toy"])
+def test_manifest_config_is_every_parsed_flag_with_the_resolved_values(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    if command == "estimate":
+        corpus, table = _make_corpus(tmp_path, capsys, count="2")
+        argv = ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+                "--pad-length", "512", "--seed", "3", "--out", "r.json"]
+        primary = "r.json"
+        expected = {
+            "corpus": str(corpus), "embeddings": str(table), "pad_length": 512,
+            "chunk_len": 512,  # None resolves to the pad length
+            "batch_size": 256, "oov": "zero", "cutoff": "full", "alpha0": 1.0, "tau": 10.0,
+            "shuffle": False, "progress": False, "dump_spectrum": None, "out": "r.json",
+        }
+    elif command == "synth":
+        argv = ["synth", "--model", "fgn", "--hurst", "0.75", "--length", "32", "--seed", "3",
+                "--out", "x.csv"]
+        primary = "x.csv"
+        expected = {
+            "model": "fgn", "d": 0.25,  # resolved from --hurst
+            "hurst": 0.75, "length": 32, "count": 1, "ma_truncation": None, "vocab": None,
+            "emb_out": None, "out": "x.csv",
+        }
+    else:
+        argv = ["train-toy", "--schedule", "constant", "--vocab", "8", "--seq-len", "4",
+                "--emb-dim", "4", "--steps", "1", "--batch-size", "2", "--seed", "3",
+                "--metrics-out", "m.csv"]
+        primary = "m.csv"
+        expected = {
+            "schedule": "constant", "vocab": 8, "seq_len": 4,
+            "max_hidden": 128,  # the desk shape's default
+            "emb_dim": 4, "layers": 1, "horizon": 0, "tail_exponent": 2.0, "steps": 1,
+            "lr": 1.0, "clip": 1.0, "batch_size": 2,
+            "negatives": 7,  # 0 resolves to V-1
+            "metrics_out": "m.csv", "checkpoint_out": None,
+        }
+    assert run_cli(argv, capsys)[0] == 0
+    manifest = load_json(tmp_path / f"{primary}.manifest.json")
+    assert manifest["command"] == command and manifest["seed"] == 3
+    assert manifest["config"] == expected
+
+
 def test_every_manifest_records_its_environment(tmp_path, capsys):
     corpus, table = _make_corpus(tmp_path, capsys, count="2")
     report = tmp_path / "report.json"
@@ -219,7 +263,8 @@ def _make_corpus(tmp_path, capsys, d="0.3", count="40", length="512", vocab="16"
 
 def test_synth_quantized_corpus_and_table(tmp_path, capsys):
     corpus, table_path = _make_corpus(tmp_path, capsys)
-    table = load_table(table_path.open())
+    with table_path.open() as stream:
+        table = load_table(stream)
     assert table.vocab_size == 16
     assert table.dim == 1
     expected = normal_bucket_table(16)
@@ -458,6 +503,80 @@ def test_output_into_missing_directory_fails_before_any_work(tmp_path, capsys, m
     assert set(os.listdir(tmp_path)) == before  # nothing written, not even a temp file
 
 
+_EVERY_OUTPUT = [
+    ("estimate", "--out"), ("estimate", "--dump-spectrum"), ("estimate", "manifest"),
+    ("synth", "--out"), ("synth", "--emb-out"), ("synth", "manifest"),
+    ("train-toy", "--metrics-out"), ("train-toy", "--checkpoint-out"), ("train-toy", "manifest"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _EVERY_OUTPUT)
+def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    # the inputs are missing: opening one would end the run with another error
+    monkeypatch.chdir(tmp_path)
+    if command == "estimate":
+        argv = ["estimate", "--corpus", "missing.txt", "--embeddings", "missing-table.txt",
+                "--pad-length", "512", "--out", "o.json", "--dump-spectrum", "s.csv"]
+        primary = "o.json"
+    elif command == "synth":
+        argv = ["synth", "--model", "white", "--length", "32", "--vocab", "4",
+                "--out", "c.txt", "--emb-out", "t.txt"]
+        primary = "c.txt"
+    else:
+        argv = ["train-toy", "--schedule", "missing.json", "--vocab", "8", "--seq-len", "4",
+                "--emb-dim", "4", "--steps", "1", "--batch-size", "2",
+                "--metrics-out", "m.csv", "--checkpoint-out", "ck.json"]
+        primary = "m.csv"
+    directory = f"{primary}.manifest.json" if flag == "manifest" else argv[argv.index(flag) + 1]
+    os.mkdir(directory)
+    before = set(os.listdir(tmp_path))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err == f"error: cannot write {directory}: it is a directory\n"
+    assert set(os.listdir(tmp_path)) == before and os.listdir(directory) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 8 PiB of pad length, 233 TiB of input table, 7.1 PiB of series: each is
+        # beyond any address space, so it is refused before anything is allocated
+        ["estimate", "--pad-length", "1125899906842624", "--chunk-len", "1024"],
+        ["train-toy", "--vocab", "1000000000000", "--steps", "1", "--metrics-out", "m.csv"],
+        ["synth", "--model", "white", "--length", "1000000000000000", "--out", "x.csv"],
+    ],
+    ids=["estimate", "train-toy", "synth"],
+)
+def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "estimate":
+        corpus, table = _make_corpus(tmp_path, capsys, count="2", length="2048")
+        argv = argv + ["--corpus", str(corpus), "--embeddings", str(table), "--out", "r.json"]
+    before = set(os.listdir(tmp_path))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
+
+
+def test_an_output_whose_temp_file_cannot_be_made_is_named_in_the_error(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, dir, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", os.path.join(dir, ".tmp-x"))
+
+    monkeypatch.setattr("longmem.fileio.tempfile.mkstemp", refuse)
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(["synth", "--model", "white", "--length", "8", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 @pytest.mark.parametrize(
     "command", ["estimate-corpus", "estimate-embeddings", "schedule-cost", "train-toy"]
 )
@@ -499,7 +618,7 @@ def test_train_toy_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert "final_loss = " in out
     assert "multiply_adds_per_forward = 3072" in out  # 3 * 16 * 8^2
 
-    rows = list(csv.reader(metrics.open()))
+    rows = list(csv.reader(metrics.read_text().splitlines()))
     assert rows[0] == ["step", "loss", "multiply_adds", "wall_ms", "grad_norm", "clipped"]
     assert len(rows) == 6
     assert all(float(r[4]) > 0 and r[5] == str(int(float(r[4]) > 1.0)) for r in rows[1:])
@@ -520,8 +639,8 @@ def test_train_toy_metrics_deterministic_columns(tmp_path, capsys):
     m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     assert run_cli(argv_base + ["--metrics-out", str(m1)], capsys)[0] == 0
     assert run_cli(argv_base + ["--metrics-out", str(m2)], capsys)[0] == 0
-    r1 = [row[:3] + row[4:] for row in csv.reader(m1.open())]
-    r2 = [row[:3] + row[4:] for row in csv.reader(m2.open())]
+    r1 = [row[:3] + row[4:] for row in csv.reader(m1.read_text().splitlines())]
+    r2 = [row[:3] + row[4:] for row in csv.reader(m2.read_text().splitlines())]
     assert r1 == r2  # every column but wall_ms replays bit-identically
 
 
