@@ -28,17 +28,16 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, OovPolicy, embed_ids
+from .embeddings import EmbeddingTable, OovPolicy, check_ids, embed_block
 from .errors import DimensionMismatchError, DomainError, EmptyInputError
 from .estimator import (
     EstimatorConfig,
     LrdEstimate,
+    SlopeFit,
     d_stderr_asymptotic,
     estimate_from_periodogram,
-    fit_d,
-    fitted_bins,
 )
-from .spectral import Periodogram, periodograms
+from .spectral import Periodogram, check_length, power_block
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -127,13 +126,16 @@ class AggregateResult:
 
 #: Bytes of time-last float64 series per slab, the rows `run_dataset` embeds,
 #: transforms and fits at a time in its workspace, so a batch's arrays stay
-#: in cache and memory does not grow with the batch size. Measured as the
-#: median of 9 whole `estimate` jobs on the perfbench inputs, the sizes
-#: interleaved, on a 2-core box: `estimate-wide` (400 KiB rows) took 1.30 s
-#: at 1 row a slab, 1.25 s at 2, 1.35 s at 8 and 1.48 s at its whole 64-row
-#: batch; `estimate-long-oov` (128 KiB rows) took 0.133 s at 1 row, 0.121 s
-#: at 2, 0.114 s at 8 and 0.130 s at its whole 16-row batch. The host's
-#: speed drifts by about 10% between runs. 1 MiB gives them 2 and 8 rows.
+#: in cache and memory does not grow with the batch size. Measured as
+#: `run_dataset` alone on the perfbench inputs, on up to two workers, the
+#: sizes interleaved, in two sets of medians of 9 and 11 runs on a 2-core
+#: VM: `estimate-wide` (400 KiB rows) took 483 and 465 ms at 512 KiB (1 row
+#: a slab), 411 and 430 ms at 1 MiB (2 rows) and 355 and 418 ms at 2 MiB
+#: (4 rows), with quartiles 35-160 ms apart; `estimate-long-oov` (128 KiB
+#: rows) took 27 and 28 ms at 1 MiB and 29 and 31 ms at 2 MiB on one worker,
+#: and 22 and 23 ms at 512 KiB, where its 4 slabs a batch buy a second
+#: worker and workspace that `SLABS_PER_WORKER` keeps from it. 1 MiB gives
+#: them 2 and 8 rows.
 SLAB_BYTES = 1 << 20
 
 #: Slabs of a full batch per slab worker of `run_dataset`: a batch of fewer
@@ -236,11 +238,10 @@ class _Run:
         constant, power, estimate = result
         self.n_constant += constant
         if estimate is not None:
-            self.estimates.append(estimate)  # fit_d's own array, not a view of the workspace
-            try:
-                with np.errstate(over="raise"):
-                    for row in power:  # one row at a time: the sum adds rows in stream order
-                        self.power_sum += row
+            self.estimates.append(estimate)  # an array of its own, not a view of the workspace
+            try:  # under the worker's errstate, which raises on overflow
+                for row in power:  # one row at a time: the sum adds rows in stream order
+                    self.power_sum += row
             except FloatingPointError:
                 self.error = _scale_error(self.table)
                 return
@@ -266,53 +267,59 @@ class _Run:
 class _SlabWorker:
     """One slab workspace and the slab body that writes it."""
 
-    def __init__(self, table: EmbeddingTable, config: EstimatorConfig, policy: OovPolicy,
-                 m: int, slab: int):
-        p, length = table.dim, config.pad_length
-        self.table, self.config, self.policy, self.m = table, config, policy, m
+    def __init__(self, table: EmbeddingTable, fit: SlopeFit, policy: OovPolicy, length: int,
+                 slab: int):
+        p, n_bins = table.dim, length // 2
+        self.table, self.fit, self.policy = table, fit, policy
         # all a slab writes: its time-last series, later its power, and its
         # spectrum, which first holds the gathered block and last the logs
-        # of the fitted bins
+        # of the fitted bins; a slab of k rows uses the first k of each
         self.series = np.empty((slab, p, length))
-        self.spectrum = np.empty((slab, p, length // 2 + 1), dtype=np.complex128)
+        self.spectrum = np.empty((slab, p, n_bins + 1), dtype=np.complex128)
+        floats = self.spectrum.view(np.float64).reshape(-1)
+        self.gathered = floats[: slab * length * p].reshape(slab, length, p)
+        self.logs = floats[: slab * p * fit.m].reshape(slab, p, fit.m)
+        self.power = self.series.reshape(-1)[: slab * p * n_bins].reshape(slab, p, n_bins)
 
     def run(self, run: _Run, first: int) -> None:
         """Run slabs `first`, `first + stride`, ... of the run back to
         back, each folded in at its turn before the workspace is reused,
         until the run is no longer live."""
-        for index in range(first, len(run.slabs), run.stride):
-            if not run.live:
-                return
-            run.fold(index, self._slab(run.slabs[index]))
+        # errstate is per thread: a worker's is its own, not its caller's.
+        # It covers the worker's folds too, and so the power sum
+        with np.errstate(over="raise"):
+            for index in range(first, len(run.slabs), run.stride):
+                if not run.live:
+                    return
+                run.fold(index, self._slab(run.slabs[index]))
 
     def _slab(self, rows: np.ndarray):
         """Embed, transform and fit a slab; an error is returned, to be
         raised in the caller in stream order."""
         try:
-            # errstate is per thread: a worker's is its own, not its caller's
-            with np.errstate(over="raise"):
-                return self._fit(rows)
+            return self._fit(rows)
         except FloatingPointError:
             return _scale_error(self.table)
         except Exception as exc:
             return exc
 
     def _fit(self, rows: np.ndarray) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
-        k, p, length = rows.shape[0], self.table.dim, self.config.pad_length
-        n_bins = length // 2
-        floats = self.spectrum.view(np.float64).reshape(-1)
-        series = self.series[:k]
-        embed_ids(self.table, rows, self.policy, length, out=series, work=floats)
-        power = self.series.reshape(-1)[: k * p * n_bins].reshape(k, p, n_bins)
-        periodograms(series, spectrum=self.spectrum[:k], out=power)
-        keep = power[..., : self.m].min(axis=(1, 2)) > 0.0
+        """The slab's per-row work alone: what depends on the run only was
+        checked or worked out once, in `run_dataset` and `SlopeFit`."""
+        k = rows.shape[0]
+        series, power = self.series[:k], self.power[:k]
+        embed_block(self.table, rows, self.policy, series, self.gathered[:k])
+        power_block(series, self.spectrum[:k], power)
+        # the one positivity check of the fitted bins: a kept row's logs and
+        # slopes are finite, as its power is (an overflow raises)
+        keep = np.minimum.reduce(power[..., : self.fit.m], axis=(1, 2)) > 0.0
         n_constant = 0
         if not keep.all():
             n_constant = int(np.count_nonzero(~power[~keep].any(axis=(1, 2))))
             power = power[keep]
             if power.shape[0] == 0:
                 return n_constant, power, None
-        return n_constant, power, fit_d(power, self.config.cutoff, work=floats)
+        return n_constant, power, self.fit.d(power, self.logs[: power.shape[0]])
 
 
 def check_batch_size(batch_size: int) -> None:
@@ -355,14 +362,22 @@ def run_dataset(
     is run or folded in.
     """
     check_batch_size(batch_size)
-    ids = np.asarray(ids)
     p, length = table.dim, config.pad_length
-    m = fitted_bins(length // 2, config.cutoff)
+    ids = check_ids(ids, length)
+    check_length(length)
     slab = min(batch_size, max(1, SLAB_BYTES // (8 * p * length)))
     batch_slabs = -(-min(batch_size, ids.shape[0]) // slab)
     n_workers = max(1, min(usable_cpus(), batch_slabs // SLABS_PER_WORKER))
-    run = _Run(ids, batch_size, slab, n_workers, length // 2, table, schedule, progress)
-    workers = [_SlabWorker(table, config, policy, m, slab) for _ in range(n_workers)]
+    try:  # every array the pad length sizes: the abscissa, the power sum and the workspaces
+        fit = SlopeFit(length // 2, config.cutoff)
+        run = _Run(ids, batch_size, slab, n_workers, length // 2, table, schedule, progress)
+        workers = [_SlabWorker(table, fit, policy, length, slab) for _ in range(n_workers)]
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
+        asked = 8 * p * (length // 2) + n_workers * slab * p * (8 * length + 16 * (length // 2 + 1))
+        raise DomainError(
+            f"pad length {length} at p = {p} needs {asked} bytes ({asked / 2**30:.3g} GiB) for the "
+            "power sum and the slab workspaces, which could not be allocated; use a shorter pad length"
+        ) from None
     helpers: list[threading.Thread] = []
     try:
         for first, worker in enumerate(workers[1:], 1):

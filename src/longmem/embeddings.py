@@ -230,6 +230,20 @@ def check_fits(n: int, length: int) -> None:
         raise LengthExceededError(f"sequence length {n} exceeds pad length {length}; chunk first")
 
 
+def check_ids(ids: np.ndarray, length: int) -> np.ndarray:
+    """The checks of `embed_ids` that a B x n matrix of row ids passes or
+    fails whole, and every block of its rows with it: integer ids, two
+    dimensions and rows that a pad length of `length` holds. Returns the
+    ids as an array."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise DomainError(f"ids must be integers, got dtype {ids.dtype}")
+    if ids.ndim != 2:
+        raise DimensionMismatchError(f"ids must be a B x n matrix, got shape {ids.shape}")
+    check_fits(ids.shape[1], length)
+    return ids
+
+
 def embed_ids(
     table: EmbeddingTable,
     ids: np.ndarray,
@@ -240,26 +254,41 @@ def embed_ids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Embed and front zero-pad a B x n block of row ids, of any integer
     dtype, to a time-last B x p x length series, applying the OOV policy;
-    also returns each row's embedded symbol count.
-    The series is written into `out`, a C-contiguous B x p x length float64
-    array, and the rows are first gathered into `work`, a float64 array of
-    at least B * length * p entries, when these are given. Under `skip` the
-    kept symbols of a row are right-aligned, in order. A row that gets
-    padding is demeaned over its symbols first, else the pad adds a step
-    that reads as low-frequency power (Percival & Walden)."""
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise DomainError(f"ids must be integers, got dtype {ids.dtype}")
-    if ids.ndim != 2:
-        raise DimensionMismatchError(f"ids must be a B x n matrix, got shape {ids.shape}")
-    check_fits(ids.shape[1], length)
-    lowest = ids.min(initial=0)
-    if lowest < OOV_ID or ids.max(initial=0) >= table.vocab_size:
+    also returns each row's embedded symbol count: `embed_block` after
+    `check_ids`. The series is written into `out`, a C-contiguous
+    B x p x length float64 array, and the rows are first gathered into
+    `work`, a float64 array of at least B * length * p entries, when these
+    are given."""
+    ids = check_ids(ids, length)
+    rows, p = ids.shape[0], table.dim
+    if out is None:
+        out = np.empty((rows, p, length))
+    gathered = None if work is None else work.reshape(-1)[: rows * length * p].reshape(rows, length, p)
+    return out, embed_block(table, ids, policy, out, gathered)
+
+
+def embed_block(
+    table: EmbeddingTable,
+    ids: np.ndarray,
+    policy: OovPolicy,
+    out: np.ndarray,
+    gathered: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The kernel of `embed_ids`, for ids that `check_ids` passed: embed
+    them into `out`, B x p x L, and return each row's embedded symbol
+    count. That each id is a table row or OOV_ID is checked here, block by
+    block. The rows are gathered into `gathered`, a (B, L, p) float64
+    array, or into an array of their own. Under `skip` the kept symbols of
+    a row are right-aligned, in order. A row that gets padding is demeaned
+    over its symbols first, else the pad adds a step that reads as
+    low-frequency power (Percival & Walden)."""
+    rows, length = ids.shape[0], out.shape[-1]
+    lowest = np.minimum.reduce(ids, axis=None, initial=0)
+    if lowest < OOV_ID or np.maximum.reduce(ids, axis=None, initial=0) >= table.vocab_size:
         bad = (ids < OOV_ID) | (ids >= table.vocab_size)
         raise DomainError(
             f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
         )
-    rows = ids.shape[0]
     if policy is OovPolicy.SKIP:
         keep = ids != OOV_ID
         kept = np.count_nonzero(keep, axis=1)
@@ -274,22 +303,18 @@ def embed_ids(
         if ids.shape[1] < length:
             padded = np.zeros((rows, length), dtype=ids.dtype)
             padded[:, length - ids.shape[1] :] = ids
-    gathered = None
-    if work is not None:
-        gathered = work.reshape(-1)[: rows * length * table.dim].reshape(rows, length, table.dim)
     # the pad and OOV_ID (-1) gather row 0 here, without copying the table
     block = table.vectors.take(padded, axis=0, out=gathered, mode="clip")
     if lowest == OOV_ID and policy is not OovPolicy.SKIP:
         block[padded == OOV_ID] = table.mean_vector if policy is OovPolicy.MEAN else 0.0
-    if out is None:
-        out = np.empty((rows, table.dim, length))
     np.copyto(out, block.transpose(0, 2, 1))
-    for row in np.flatnonzero(kept < length):
-        n = kept[row]
-        out[row, :, : length - n] = 0.0
-        if n:
-            _demean(out[row, :, length - n :])
-    return out, kept
+    if padded is not ids:  # else no row is padded
+        for row in np.flatnonzero(kept < length):
+            n = kept[row]
+            out[row, :, : length - n] = 0.0
+            if n:
+                _demean(out[row, :, length - n :])
+    return kept
 
 
 def _demean(rows: np.ndarray) -> None:

@@ -150,6 +150,32 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
     return OlsFit(*(float(field[0]) for field in fields), fit.n_points)
 
 
+def _abscissa(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """What the OLS slopes of every row over the positive `x` share: log x,
+    its deviations xc from their mean and sxx, the sum of their squares."""
+    lx = np.log(x)
+    xc = lx - lx.mean()
+    sxx = float((xc**2).sum())
+    if sxx == 0.0:
+        raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
+    return lx, xc, sxx
+
+
+def _log_slopes(
+    y: np.ndarray, xc: np.ndarray, sxx: float, logs: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The OLS slopes of log y on the abscissa of `_abscissa`, one per row
+    of the last axis of `y`, and the K x n logs, unchecked: the fit's
+    kernel. The logs are taken into `logs`, an array of y's shape, and the
+    slopes formed over them in place; without it they get an array of
+    their own, which is left as it is."""
+    ly = np.log(y, out=np.empty(y.shape) if logs is None else logs).reshape(-1, xc.size)
+    # sum (ly - mean ly) xc = sum ly xc, as sum xc = 0; one contiguous row per
+    # fit, which numpy sums pairwise whatever K is
+    products = np.multiply(ly, xc, out=None if logs is None else ly)
+    return np.add.reduce(products, axis=1) / sxx, ly
+
+
 def _loglog_slopes(
     xs: Sequence[float], ys: np.ndarray, work: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], float]:
@@ -168,19 +194,12 @@ def _loglog_slopes(
     # fmin skips NaN as `y <= 0` does, and needs no K x n mask
     if np.any(x <= 0) or np.fmin.reduce(y, axis=None, initial=np.inf) <= 0:
         raise DomainError("all xs and ys must be strictly positive for log-log regression")
-    lx = np.log(x)
-    logs = np.empty(y.shape) if work is None else work.reshape(-1)[: y.size].reshape(y.shape)
-    ly = np.log(y, out=logs).reshape(-1, x.size)
-    xc = lx - lx.mean()
-    sxx = float((xc**2).sum())
-    if sxx == 0.0:
-        raise DegenerateInputError("log xs has zero variance; abscissa is degenerate")
-    # sum (ly - mean ly) xc = sum ly xc, as sum xc = 0; one contiguous row per
-    # fit, which numpy sums pairwise whatever K is. A NaN or inf y gives a
-    # NaN or inf slope, quietly here; positive finite ys never do
+    lx, xc, sxx = _abscissa(x)
+    logs = None if work is None else work.reshape(-1)[: y.size].reshape(y.shape)
+    # a NaN or inf y gives a NaN or inf slope, quietly here; positive finite
+    # ys never do
     with np.errstate(invalid="ignore"):
-        products = np.multiply(ly, xc, out=None if work is None else ly)
-        slope = products.sum(axis=1) / sxx
+        slope, ly = _log_slopes(y, xc, sxx, logs)
     if not np.isfinite(slope).all():
         raise DomainError("all ys must be finite for log-log regression")
     return slope, lx, None if work is not None else ly, sxx
@@ -213,12 +232,33 @@ def fitted_bins(n_bins: int, cutoff: Cutoff) -> int:
     return m
 
 
+class SlopeFit:
+    """The slope-only fit of `fit_d` for one cutoff of L/2 bins, with what
+    depends on those alone worked out once: m, and log k for k = 1..m
+    centred, with its sum of squares. `d` is `fit_d` without its checks,
+    over the same `_abscissa` and `_log_slopes`, for a run's slabs, whose
+    kept rows pass those checks by construction."""
+
+    def __init__(self, n_bins: int, cutoff: Cutoff):
+        self.m = fitted_bins(n_bins, cutoff)
+        _, self.xc, self.sxx = _abscissa(np.arange(1.0, self.m + 1.0))
+
+    def d(self, power: np.ndarray, logs: np.ndarray) -> np.ndarray:
+        """The d of each row of a time-last (..., p, L/2) block whose fitted
+        bins are all positive and finite, unchecked; shape (..., p). The
+        fitted bins are logged into `logs`, a float64 (..., p, m) array."""
+        slope = _log_slopes(power[..., : self.m], self.xc, self.sxx, logs)[0]
+        return (-slope / 2.0).reshape(power.shape[:-1])
+
+
 def fit_d(power: np.ndarray, cutoff: Cutoff, work: Optional[np.ndarray] = None) -> np.ndarray:
     """The memory coefficients alone of `estimate_from_periodogram`, bit for
     bit: one slope per dimension of a time-last (..., p, L/2) block, no
     inference; shape (..., p). The fitted bins are logged straight from
     `power` into `work`, a float64 array of at least m entries per
-    dimension fitted, or into an array of their own when it is not given."""
+    dimension fitted, or into an array of their own when it is not given.
+    A fitted bin that is not positive and finite raises; `SlopeFit.d` is
+    the same fit, over the same `_log_slopes`, unchecked."""
     m = fitted_bins(power.shape[-1], cutoff)
     slope = _loglog_slopes(np.arange(1.0, m + 1.0), power[..., :m], work)[0]
     return (-slope / 2.0).reshape(power.shape[:-1])

@@ -65,28 +65,43 @@ def dft_naive(signal: np.ndarray) -> np.ndarray:
     return kernel @ x
 
 
+def check_length(length: int) -> None:
+    """Refuse a series length the fast path cannot transform: one that is
+    not a power of two."""
+    if length < 1 or length & (length - 1):
+        raise SpectralLengthError(
+            f"series length {length} is not a power of two; pad the series first"
+        )
+
+
 def periodograms(
     block: np.ndarray, spectrum: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Power at k = 1..L/2 (DC removed) of every row of a time-last
     (..., p, L) block of series, by one real FFT along the last axis;
-    (..., p, L/2).
+    (..., p, L/2): `power_block` after the block's checks.
 
-    The transform is written into `spectrum`, a C-contiguous complex128
-    (..., p, L/2 + 1) array, and the power into `out`; either is allocated
-    when not given. `out` may share memory with `block`, which is dead
-    once transformed. The spectrum is left squared part by part."""
+    The spectrum is allocated when not given; see `power_block`."""
     values = np.asarray(block, dtype=np.float64)
     if values.ndim < 2:
         raise DimensionMismatchError(f"block must be (..., p, L), got shape {values.shape}")
     length = values.shape[-1]
-    if length < 1 or length & (length - 1):
-        raise SpectralLengthError(
-            f"series length {length} is not a power of two; pad the series first"
-        )
+    check_length(length)
     if spectrum is None:
         # C-contiguous, so it has a float view: rfft's own result need not
         spectrum = np.empty(values.shape[:-1] + (length // 2 + 1,), dtype=np.complex128)
+    return power_block(values, spectrum, out)
+
+
+def power_block(
+    values: np.ndarray, spectrum: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The kernel of `periodograms`, unchecked: the power of a float64
+    (..., p, L) block whose length `check_length` passed. The transform is
+    written into `spectrum`, a C-contiguous complex128 (..., p, L/2 + 1)
+    array, and the power into `out`, allocated when not given. `out` may
+    share memory with `values`, which is dead once transformed. The
+    spectrum is left squared part by part."""
     np.fft.rfft(values, axis=-1, out=spectrum)
     # re^2 + im^2 of bins 1..L/2. The parts are squared in place, DC too: an
     # in-place ufunc on the contiguous view runs ~4x faster than on [..., 2:]

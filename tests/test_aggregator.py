@@ -29,6 +29,7 @@ from longmem.embeddings import (
     EmbeddingTable,
     OovPolicy,
     SymbolSequence,
+    embed_ids,
     lookup_sequence,
     pad_to_length,
 )
@@ -301,17 +302,13 @@ def test_run_dataset_page_faults_do_not_grow_with_the_rows():
 
 def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
     buffers = []
+    worker_init = aggregator._SlabWorker.__init__
 
-    def recorded_periodograms(block, spectrum=None, out=None):
-        buffers.extend([block, spectrum, out])
-        return spectral.periodograms(block, spectrum=spectrum, out=out)
+    def recorded_init(self, *args):
+        worker_init(self, *args)
+        buffers.extend([self.series, self.spectrum])
 
-    def recorded_fit_d(power, cutoff, work=None):
-        buffers.append(work)
-        return estimator.fit_d(power, cutoff, work=work)
-
-    monkeypatch.setattr(aggregator, "periodograms", recorded_periodograms)
-    monkeypatch.setattr(aggregator, "fit_d", recorded_fit_d)
+    monkeypatch.setattr(aggregator._SlabWorker, "__init__", recorded_init)
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 2 * 8 * 3 * 128)  # two rows a slab
     rng = np.random.default_rng(6)
     table = EmbeddingTable(rng.standard_normal((16, 3)))
@@ -322,7 +319,7 @@ def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
         return run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=4)
 
     first = run()
-    assert len(buffers) == 4 * 5 and all(b is not None for b in buffers)  # 5 slabs
+    assert len(buffers) == 2  # one worker: 2 slabs a batch
     kept = first.mean_periodogram.power.copy(), first.state.d_hat.copy()
     for result in (first.mean_periodogram.power, first.state.d_hat):
         assert not any(np.shares_memory(result, b) for b in buffers)
@@ -332,6 +329,64 @@ def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
     assert np.array_equal(second.mean_periodogram.power, kept[0])
     assert np.array_equal(second.state.d_hat, kept[1])
     assert not np.shares_memory(first.mean_periodogram.power, second.mean_periodogram.power)
+
+
+@pytest.mark.parametrize("cutoff", [FullBand(), LowFrequency(11)], ids=["full", "m11"])
+def test_a_slab_fits_its_kept_rows_bit_for_bit_as_fit_d(cutoff):
+    # 6 rows in a workspace of 8: rows 1 (one repeated id) and 4 (all OOV,
+    # zero-filled) are constant, and row 3 has a flat dimension, so zero
+    # power in its fitted bins; the slab keeps rows 0, 2 and 5
+    p, length = 3, 128
+    rng = np.random.default_rng(12)
+    vectors = rng.standard_normal((16, p))
+    vectors[6, 0] = vectors[5, 0]
+    table = EmbeddingTable(vectors)
+    ids = rng.integers(0, 16, (6, length))
+    ids[1] = 2
+    ids[3] = rng.choice([5, 6], length)
+    ids[4] = OOV_ID
+    fit = estimator.SlopeFit(length // 2, cutoff)
+    worker = aggregator._SlabWorker(table, fit, OovPolicy.ZERO, length, 8)
+    n_constant, power, d = worker._fit(ids)
+    series, _ = embed_ids(table, ids, OovPolicy.ZERO, length)
+    kept = spectral.periodograms(series)[[0, 2, 5]]
+    assert n_constant == 2
+    assert np.array_equal(power, kept)
+    assert np.array_equal(d, estimator.fit_d(kept, cutoff))
+
+
+@pytest.mark.parametrize("refused", ["power sum", "series", "spectrum"])
+def test_run_dataset_names_the_pad_length_when_a_workspace_is_refused(monkeypatch, refused):
+    # an allocator that refuses one of the run's arrays, as it would an
+    # array too large for the host; nothing large is allocated
+    p, length = 3, 128
+    shapes = {"power sum": (p, length // 2), "series": (4, p, length), "spectrum": (4, p, length // 2 + 1)}
+
+    def refusing(allocate):
+        def allocator(shape, *args, **kwargs):
+            if shape == shapes[refused]:
+                raise MemoryError("refused")
+            return allocate(shape, *args, **kwargs)
+        return allocator
+
+    monkeypatch.setattr(np, "zeros", refusing(np.zeros))
+    monkeypatch.setattr(np, "empty", refusing(np.empty))
+    table = EmbeddingTable(np.random.default_rng(13).standard_normal((16, p)))
+    ids = np.random.default_rng(14).integers(0, 16, (8, 100))
+    with pytest.raises(DomainError) as raised:
+        run_dataset(ids, table, EstimatorConfig(length), OovPolicy.ZERO, LearningRateSchedule(), 4)
+    # one worker: the (3, 64) power sum, a (4, 3, 128) series, a (4, 3, 65) spectrum
+    asked = 8 * 3 * 64 + 4 * 3 * (8 * 128 + 16 * 65)
+    assert f"pad length 128 at p = 3 needs {asked} bytes" in str(raised.value)
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
+
+def test_run_dataset_names_the_pad_length_numpy_cannot_index():
+    # numpy refuses a (1, 2^61) power sum as too big before it allocates
+    table = EmbeddingTable(np.ones((4, 1)))
+    config = EstimatorConfig(1 << 62, LowFrequency(2))
+    with pytest.raises(DomainError, match=r"pad length 4611686018427387904 at p = 1 needs"):
+        run_dataset(np.zeros((2, 8), dtype=int), table, config, OovPolicy.ZERO, LearningRateSchedule(), 2)
 
 
 def test_run_dataset_validates_sizes():
@@ -457,6 +512,7 @@ def _run_with_cpus(monkeypatch, cpus, *args, **kwargs):
             outcome["result"] = run_dataset(*args, **kwargs)
         except Exception as exc:
             outcome["error"] = exc
+        outcome["over"] = np.geterr()["over"]
 
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
@@ -549,6 +605,31 @@ def test_run_dataset_names_the_table_scale_when_the_periodogram_overflows(monkey
     if rows == 48:  # row 19 alone, and the sum of the rows before it, are finite
         for part in (ids[19:20], ids[:19]):
             run_dataset(part, table, config, OovPolicy.ZERO, schedule, 6)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_dataset_traps_an_overflow_in_any_slab_a_worker_runs(monkeypatch, cpus):
+    # each worker enters its errstate once a run: the overflow of row 20,
+    # a late slab of worker 0 on 1 and 2 workers and of a helper on 3,
+    # still raises the scale error, after the progress lines of batches 0
+    # and 2, and the calling thread's errstate is as it was
+    p, length = 2, 256
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)  # one row a slab
+    rng = np.random.default_rng(15)
+    vectors = rng.standard_normal((8, p))
+    vectors[7, 0] = 1e200
+    table = EmbeddingTable(vectors)
+    ids = rng.integers(0, 7, (24, 200))
+    ids[6:12] = 0  # batch 1 is all skipped
+    ids[20, 100] = 7
+    config, schedule = EstimatorConfig(length), LearningRateSchedule()
+    before, sink = threading.active_count(), io.StringIO()
+    outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, 6, progress=sink)
+    assert outcome["over"] == "warn"  # numpy's default, in a new thread
+    assert isinstance(outcome["error"], DomainError)
+    assert "embedding table's scale (max |v| = 1e+200)" in str(outcome["error"])
+    assert [line.split()[0] for line in sink.getvalue().splitlines()] == ["batch=0", "batch=1"]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
