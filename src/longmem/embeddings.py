@@ -244,27 +244,14 @@ def check_ids(ids: np.ndarray, length: int) -> np.ndarray:
     return ids
 
 
-def embed_ids(
-    table: EmbeddingTable,
-    ids: np.ndarray,
-    policy: OovPolicy,
-    length: int,
-    out: Optional[np.ndarray] = None,
-    work: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def embed_ids(table: EmbeddingTable, ids: np.ndarray, policy: OovPolicy, length: int) -> np.ndarray:
     """Embed and front zero-pad a B x n block of row ids, of any integer
-    dtype, to a time-last B x p x length series, applying the OOV policy;
-    also returns each row's embedded symbol count: `embed_block` after
-    `check_ids`. The series is written into `out`, a C-contiguous
-    B x p x length float64 array, and the rows are first gathered into
-    `work`, a float64 array of at least B * length * p entries, when these
-    are given."""
+    dtype, to a time-last B x p x length series, applying the OOV policy:
+    `embed_block` after `check_ids`."""
     ids = check_ids(ids, length)
-    rows, p = ids.shape[0], table.dim
-    if out is None:
-        out = np.empty((rows, p, length))
-    gathered = None if work is None else work.reshape(-1)[: rows * length * p].reshape(rows, length, p)
-    return out, embed_block(table, ids, policy, out, gathered)
+    out = np.empty((ids.shape[0], table.dim, length))
+    embed_block(table, ids, policy, out)
+    return out
 
 
 def embed_block(
@@ -273,15 +260,14 @@ def embed_block(
     policy: OovPolicy,
     out: np.ndarray,
     gathered: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> None:
     """The kernel of `embed_ids`, for ids that `check_ids` passed: embed
-    them into `out`, B x p x L, and return each row's embedded symbol
-    count. That each id is a table row or OOV_ID is checked here, block by
-    block. The rows are gathered into `gathered`, a (B, L, p) float64
-    array, or into an array of their own. Under `skip` the kept symbols of
-    a row are right-aligned, in order. A row that gets padding is demeaned
-    over its symbols first, else the pad adds a step that reads as
-    low-frequency power (Percival & Walden)."""
+    them into `out`, B x p x L. That each id is a table row or OOV_ID is
+    checked here, block by block. The rows are gathered into `gathered`, a
+    (B, L, p) float64 array, or into an array of their own. Under `skip`
+    the kept symbols of a row are right-aligned, in order. A row that gets
+    padding is demeaned over its symbols first, else the pad adds a step
+    that reads as low-frequency power (Percival & Walden)."""
     rows, length = ids.shape[0], out.shape[-1]
     lowest = np.minimum.reduce(ids, axis=None, initial=0)
     if lowest < OOV_ID or np.maximum.reduce(ids, axis=None, initial=0) >= table.vocab_size:
@@ -289,6 +275,7 @@ def embed_block(
         raise DomainError(
             f"symbol id {ids[bad][0]} outside [0, {table.vocab_size}) and not the OOV marker"
         )
+    padded = ids  # every id is kept, unless the policy skips
     if policy is OovPolicy.SKIP:
         keep = ids != OOV_ID
         kept = np.count_nonzero(keep, axis=1)
@@ -297,24 +284,25 @@ def embed_block(
         for n, place in zip(kept.tolist(), padded):
             place[length - n :] = symbols[end : end + n]
             end += n
-    else:  # every id is kept
-        kept = np.full(rows, ids.shape[1])
-        padded = ids
-        if ids.shape[1] < length:
-            padded = np.zeros((rows, length), dtype=ids.dtype)
-            padded[:, length - ids.shape[1] :] = ids
+    elif ids.shape[1] < length:
+        padded = np.zeros((rows, length), dtype=ids.dtype)
+        padded[:, length - ids.shape[1] :] = ids
     # the pad and OOV_ID (-1) gather row 0 here, without copying the table
     block = table.vectors.take(padded, axis=0, out=gathered, mode="clip")
     if lowest == OOV_ID and policy is not OovPolicy.SKIP:
         block[padded == OOV_ID] = table.mean_vector if policy is OovPolicy.MEAN else 0.0
     np.copyto(out, block.transpose(0, 2, 1))
-    if padded is not ids:  # else no row is padded
+    if policy is OovPolicy.SKIP:
         for row in np.flatnonzero(kept < length):
             n = kept[row]
             out[row, :, : length - n] = 0.0
             if n:
                 _demean(out[row, :, length - n :])
-    return kept
+    elif padded is not ids:  # every row holds the same n symbols: one block
+        n = ids.shape[1]
+        out[..., : length - n] = 0.0
+        if n:
+            _demean(out[..., length - n :])
 
 
 def _demean(rows: np.ndarray) -> None:
@@ -334,10 +322,9 @@ def lookup_sequence(
     ids = row_ids(table, seq.ids)
     if policy is OovPolicy.SKIP:
         ids = ids[ids != OOV_ID]
-    series, kept = embed_ids(table, ids[None], policy, ids.size)
-    if kept[0] == 0:
-        raise EmptyInputError("all symbols were OOV under the skip policy")
-    return EmbeddedSeries(values=series[0].T)
+        if ids.size == 0:
+            raise EmptyInputError("all symbols were OOV under the skip policy")
+    return EmbeddedSeries(values=embed_ids(table, ids[None], policy, ids.size)[0].T)
 
 
 def pad_to_length(series: EmbeddedSeries, length: int) -> EmbeddedSeries:

@@ -4,10 +4,11 @@ For a series whose spectral density behaves like lambda^(-2d) near zero
 frequency, the log periodogram is affine in log frequency with slope -2d.
 Each embedding dimension is fitted independently by ordinary least squares
 over the rows of a time-last periodogram, and the returned coefficient is
--slope/2: `fit_d` gives the slopes alone for a block of periodograms, and
-`estimate_from_periodogram` the full fit with inference of one, the pooled
-fit of a run. Estimates are reported as-is: values outside (0, 1/2)
-indicate estimation failure and are not clamped.
+-slope/2. `estimate_from_periodogram` is the checked fit with inference of
+one periodogram: the reference, and the pooled fit of a run. `SlopeFit.d`
+is its d alone, bit for bit and unchecked, for the blocks of a run's slabs.
+Estimates are reported as-is: values outside (0, 1/2) indicate estimation
+failure and are not clamped.
 
 Also provides the Hurst conversion H = d + 1/2, Gaussian mutual information
 from covariance blocks, and the mutual-information decay-slope diagnostic
@@ -176,18 +177,13 @@ def _log_slopes(
     return np.add.reduce(products, axis=1) / sxx, ly
 
 
-def _loglog_slopes(
-    xs: Sequence[float], ys: np.ndarray, work: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], float]:
-    """The per-row OLS slopes of log ys on log xs for the K rows of a
-    (..., n) array `ys` and shared `xs`, so rows do not interact; returns
-    (slope, lx, ly, sxx) with ly the K x n logs. `ys` is left as it is; its
-    rows need not be contiguous. Given `work`, a float64 array of at least
-    K * n entries, the logs are taken there and the slopes formed over them
-    in place, and ly is None: the slopes alone, in no array of their own."""
+def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
+    """The log-log OLS with slope inference of each row of the K x n matrix
+    `ys` on the shared `xs`, so rows do not interact. `ys` is left as it
+    is; its rows need not be contiguous."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    if x.ndim != 1 or y.ndim < 2 or y.shape[-1] != x.size:
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
         raise DomainError(f"need n xs and a K x n ys, got {x.shape} vs {y.shape}")
     if x.size < 2:
         raise DomainError(f"need at least 2 points, got {x.size}")
@@ -195,20 +191,12 @@ def _loglog_slopes(
     if np.any(x <= 0) or np.fmin.reduce(y, axis=None, initial=np.inf) <= 0:
         raise DomainError("all xs and ys must be strictly positive for log-log regression")
     lx, xc, sxx = _abscissa(x)
-    logs = None if work is None else work.reshape(-1)[: y.size].reshape(y.shape)
     # a NaN or inf y gives a NaN or inf slope, quietly here; positive finite
     # ys never do
     with np.errstate(invalid="ignore"):
-        slope, ly = _log_slopes(y, xc, sxx, logs)
+        slope, ly = _log_slopes(y, xc, sxx)
     if not np.isfinite(slope).all():
         raise DomainError("all ys must be finite for log-log regression")
-    return slope, lx, None if work is not None else ly, sxx
-
-
-def ols_loglog_rows(xs: Sequence[float], ys: np.ndarray) -> OlsFit:
-    """The log-log OLS with slope inference of each row of the K x n matrix
-    `ys` on the shared `xs`: the slopes of `_loglog_slopes`, then the rest."""
-    slope, lx, ly, sxx = _loglog_slopes(xs, ys)
     n = lx.size
     intercept = ly.mean(axis=1) - slope * lx.mean()
     if n == 2:
@@ -233,11 +221,12 @@ def fitted_bins(n_bins: int, cutoff: Cutoff) -> int:
 
 
 class SlopeFit:
-    """The slope-only fit of `fit_d` for one cutoff of L/2 bins, with what
-    depends on those alone worked out once: m, and log k for k = 1..m
-    centred, with its sum of squares. `d` is `fit_d` without its checks,
-    over the same `_abscissa` and `_log_slopes`, for a run's slabs, whose
-    kept rows pass those checks by construction."""
+    """The one slope-only fit: the d of `estimate_from_periodogram` for one
+    cutoff of L/2 bins, bit for bit, over the same `_abscissa` and
+    `_log_slopes`, without inference or checks. What depends on the cutoff
+    alone is worked out once: m, and log k for k = 1..m centred, with its
+    sum of squares. `d` is for a run's slabs, whose kept rows have positive
+    finite fitted bins by construction."""
 
     def __init__(self, n_bins: int, cutoff: Cutoff):
         self.m = fitted_bins(n_bins, cutoff)
@@ -249,19 +238,6 @@ class SlopeFit:
         fitted bins are logged into `logs`, a float64 (..., p, m) array."""
         slope = _log_slopes(power[..., : self.m], self.xc, self.sxx, logs)[0]
         return (-slope / 2.0).reshape(power.shape[:-1])
-
-
-def fit_d(power: np.ndarray, cutoff: Cutoff, work: Optional[np.ndarray] = None) -> np.ndarray:
-    """The memory coefficients alone of `estimate_from_periodogram`, bit for
-    bit: one slope per dimension of a time-last (..., p, L/2) block, no
-    inference; shape (..., p). The fitted bins are logged straight from
-    `power` into `work`, a float64 array of at least m entries per
-    dimension fitted, or into an array of their own when it is not given.
-    A fitted bin that is not positive and finite raises; `SlopeFit.d` is
-    the same fit, over the same `_log_slopes`, unchecked."""
-    m = fitted_bins(power.shape[-1], cutoff)
-    slope = _loglog_slopes(np.arange(1.0, m + 1.0), power[..., :m], work)[0]
-    return (-slope / 2.0).reshape(power.shape[:-1])
 
 
 def estimate_from_periodogram(pg: Periodogram, config: EstimatorConfig) -> LrdEstimate:

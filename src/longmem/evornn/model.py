@@ -162,11 +162,19 @@ def zero_model(
     schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int, horizon: int
 ) -> ModelParams:
     """An all-zero model of the `model_shapes` structure: the twin that
-    gradients take and the frame a checkpoint is read into."""
-    zeros = {
-        name: np.zeros(shape)
-        for name, shape in model_shapes(schedules, vocab_size, emb_dim, decoder_dim).items()
-    }
+    gradients take and the frame a checkpoint is read into. A model too
+    large to allocate raises DomainError naming its sizes."""
+    shapes = model_shapes(schedules, vocab_size, emb_dim, decoder_dim)
+    try:
+        zeros = {name: np.zeros(shape) for name, shape in shapes.items()}
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
+        asked = 8 * sum(math.prod(shape) for shape in shapes.values())
+        hidden = max(max(s.hidden_sizes) for s in schedules)
+        raise DomainError(
+            f"a {len(schedules)}-layer model of vocab {vocab_size}, embedding dim {emb_dim}, "
+            f"decoder dim {decoder_dim} and hidden sizes up to {hidden} needs {asked} bytes "
+            f"({asked / 2**30:.3g} GiB), which could not be allocated"
+        ) from None
     layers = []
     for i, schedule in enumerate(schedules):
         cells = [

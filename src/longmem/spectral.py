@@ -74,23 +74,19 @@ def check_length(length: int) -> None:
         )
 
 
-def periodograms(
-    block: np.ndarray, spectrum: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def periodograms(block: np.ndarray) -> np.ndarray:
     """Power at k = 1..L/2 (DC removed) of every row of a time-last
     (..., p, L) block of series, by one real FFT along the last axis;
-    (..., p, L/2): `power_block` after the block's checks.
-
-    The spectrum is allocated when not given; see `power_block`."""
+    (..., p, L/2), C-contiguous: `power_block` after the block's checks.
+    The block is left as it is."""
     values = np.asarray(block, dtype=np.float64)
     if values.ndim < 2:
         raise DimensionMismatchError(f"block must be (..., p, L), got shape {values.shape}")
     length = values.shape[-1]
     check_length(length)
-    if spectrum is None:
-        # C-contiguous, so it has a float view: rfft's own result need not
-        spectrum = np.empty(values.shape[:-1] + (length // 2 + 1,), dtype=np.complex128)
-    return power_block(values, spectrum, out)
+    # C-contiguous, so it has a float view: rfft's own result need not
+    spectrum = np.empty(values.shape[:-1] + (length // 2 + 1,), dtype=np.complex128)
+    return power_block(values, spectrum)
 
 
 def power_block(

@@ -180,7 +180,8 @@ def generate_series(
 ) -> np.ndarray:
     """A (length, count) matrix of `model` series with memory coefficient d
     ("fgn", "farima" or "white", which ignores d); column i is drawn from
-    seed + i. `ma_truncation` is read by farima alone."""
+    seed + i. `ma_truncation` is read by farima alone. A matrix or a draw
+    too large to allocate raises DomainError naming the sizes."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
@@ -193,7 +194,19 @@ def generate_series(
             return generate_white(length, column_seed)
         raise DomainError(f"unknown model {model!r}")
 
-    return np.stack([draw(seed + i) for i in range(count)], axis=1)
+    try:
+        first = draw(seed)  # a bad model or length raises here, before the matrix is sized
+        matrix = np.empty((length, count))
+        matrix[:, 0] = first
+        for i in range(1, count):
+            matrix[:, i] = draw(seed + i)
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
+        asked = 8 * length * count
+        raise DomainError(
+            f"length {length} at count {count} needs {asked} bytes ({asked / 2**30:.3g} GiB) for the "
+            "series, which could not be allocated; use a shorter length or fewer series"
+        ) from None
+    return matrix
 
 
 def theoretical_d(model: str, hurst: float | None = None, d: float | None = None) -> float:

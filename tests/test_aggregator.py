@@ -332,7 +332,7 @@ def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
 
 
 @pytest.mark.parametrize("cutoff", [FullBand(), LowFrequency(11)], ids=["full", "m11"])
-def test_a_slab_fits_its_kept_rows_bit_for_bit_as_fit_d(cutoff):
+def test_a_slab_fits_its_kept_rows_bit_for_bit_as_estimate_from_periodogram(cutoff):
     # 6 rows in a workspace of 8: rows 1 (one repeated id) and 4 (all OOV,
     # zero-filled) are constant, and row 3 has a flat dimension, so zero
     # power in its fitted bins; the slab keeps rows 0, 2 and 5
@@ -348,11 +348,12 @@ def test_a_slab_fits_its_kept_rows_bit_for_bit_as_fit_d(cutoff):
     fit = estimator.SlopeFit(length // 2, cutoff)
     worker = aggregator._SlabWorker(table, fit, OovPolicy.ZERO, length, 8)
     n_constant, power, d = worker._fit(ids)
-    series, _ = embed_ids(table, ids, OovPolicy.ZERO, length)
-    kept = spectral.periodograms(series)[[0, 2, 5]]
+    kept = spectral.periodograms(embed_ids(table, ids, OovPolicy.ZERO, length))[[0, 2, 5]]
     assert n_constant == 2
     assert np.array_equal(power, kept)
-    assert np.array_equal(d, estimator.fit_d(kept, cutoff))
+    config = EstimatorConfig(length, cutoff)
+    single = [estimate_from_periodogram(spectral.Periodogram(length, row), config).d for row in kept]
+    assert np.array_equal(d, np.stack(single))
 
 
 @pytest.mark.parametrize("refused", ["power sum", "series", "spectrum"])

@@ -539,18 +539,28 @@ def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
         # 8 PiB of pad length, 233 TiB of input table, 7.1 PiB of series: each is
         # beyond any address space, so it is refused before anything is allocated
-        ["estimate", "--pad-length", "1125899906842624", "--chunk-len", "1024"],
-        ["train-toy", "--vocab", "1000000000000", "--steps", "1", "--metrics-out", "m.csv"],
-        ["synth", "--model", "white", "--length", "1000000000000000", "--out", "x.csv"],
+        (["estimate", "--pad-length", "1125899906842624", "--chunk-len", "1024"],
+         "pad length 1125899906842624 at p = 1 needs "),
+        (["train-toy", "--vocab", "1000000000000", "--steps", "1", "--metrics-out", "m.csv"],
+         "a 1-layer model of vocab 1000000000000, embedding dim 32, "),
+        (["synth", "--model", "white", "--length", "1000000000000000", "--out", "x.csv"],
+         "length 1000000000000000 at count 1 needs "),
+        # past numpy's index range, which numpy refuses as a ValueError
+        (["train-toy", "--vocab", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
+         "a 1-layer model of vocab 4611686018427387904, embedding dim 32, "),
+        (["synth", "--model", "white", "--length", "4611686018427387904", "--out", "x.csv"],
+         "length 4611686018427387904 at count 1 needs "),
+        (["synth", "--model", "white", "--length", "2", "--count", "4611686018427387904", "--out", "x.csv"],
+         "length 2 at count 4611686018427387904 needs "),
     ],
-    ids=["estimate", "train-toy", "synth"],
+    ids=["estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index"],
 )
 def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
-    tmp_path, capsys, monkeypatch, argv
+    tmp_path, capsys, monkeypatch, argv, named
 ):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "estimate":
@@ -559,9 +569,8 @@ def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
     before = set(os.listdir(tmp_path))
     code, out, err = run_cli(argv, capsys)
     assert code == 1
-    # estimate's workspaces are named by the pad length and p that size them
-    named = "error: pad length 1125899906842624 at p = 1 needs " if argv[0] == "estimate" else "error: Unable to allocate "
-    assert err.startswith(named) and err.count("\n") == 1
+    # each is named by the flags that size it
+    assert err.startswith("error: " + named) and err.count("\n") == 1
     assert "Traceback" not in err
     assert set(os.listdir(tmp_path)) == before
 

@@ -246,8 +246,13 @@ def test_embed_ids_matches_lookup_and_pad(rows, extra, policy):
     rows.append([OOV_ID] * len(rows[0]))  # always one all-OOV row
     ids = np.array(rows)
     length = ids.shape[1] + extra
-    block, kept = embed_ids(SMALL_TABLE, ids, policy, length)
+    block = embed_ids(SMALL_TABLE, ids, policy, length)
     assert block.shape == (len(rows), 2, length)  # time-last
+    # the int32 ids the corpus reader gives are indexed as they are
+    assert embed_ids(SMALL_TABLE, ids.astype(np.int32), policy, length).tobytes() == block.tobytes()
+    kept = np.full(len(rows), ids.shape[1])  # the symbols each row keeps
+    if policy is OovPolicy.SKIP:
+        kept = np.count_nonzero(ids != OOV_ID, axis=1)
     for b, row in enumerate(rows):
         try:
             series = lookup_sequence(SMALL_TABLE, SymbolSequence(row), policy)
@@ -274,27 +279,26 @@ def test_embed_ids_peak_allocation_does_not_grow_with_the_table(policy):
     table = EmbeddingTable(rng.standard_normal((200_000, 8)))
     ids = rng.integers(0, table.vocab_size, (4, 12))
     ids[0, 3] = ids[2, :] = OOV_ID
-    (block, _), peak = traced_peak(lambda: embed_ids(table, ids, policy, 16))
+    block, peak = traced_peak(lambda: embed_ids(table, ids, policy, 16))
     assert block.nbytes == 4096
     assert peak <= 8 * block.nbytes
 
 
-@pytest.mark.parametrize("length", [12, 16])
-@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
-def test_embed_ids_into_a_given_block_equals_the_allocating_call(policy, length):
-    rng = np.random.default_rng(1)
-    ids = rng.integers(OOV_ID, SMALL_TABLE.vocab_size, (5, 12))
-    ids[1] = OOV_ID
-    out, work = np.full((5, 2, length), np.nan), np.full(5 * length * 2 + 3, np.nan)
-    block, kept = embed_ids(SMALL_TABLE, ids, policy, length, out=out, work=work)
-    assert block is out
-    expected_block, expected_kept = embed_ids(SMALL_TABLE, ids, policy, length)
-    assert np.array_equal(block, expected_block)
-    assert np.array_equal(kept, expected_kept)
-    # the int32 ids the corpus reader gives are indexed as they are
-    narrow_block, narrow_kept = embed_ids(SMALL_TABLE, ids.astype(np.int32), policy, length)
-    assert narrow_block.tobytes() == expected_block.tobytes()
-    assert np.array_equal(narrow_kept, expected_kept)
+@pytest.mark.parametrize("policy", [OovPolicy.ZERO, OovPolicy.MEAN], ids=lambda policy: policy.value)
+def test_embed_ids_pads_a_block_as_lookup_and_pad_do_each_row(policy):
+    # every row of a padded zero/mean block holds n symbols, so the block is
+    # padded and demeaned at once; row by row it must give the same bytes,
+    # a constant row (one repeated id) and an all-OOV row included
+    rng = np.random.default_rng(2)
+    table = EmbeddingTable(rng.standard_normal((40, 3)) * [1.0, 1e3, 1e-3])
+    ids = rng.integers(OOV_ID, table.vocab_size, (6, 100))
+    ids[1] = 7
+    ids[4] = OOV_ID
+    block = embed_ids(table, ids, policy, 128)
+    for b, row in enumerate(ids.tolist()):
+        series = lookup_sequence(table, SymbolSequence(row), policy)
+        assert block[b].T.tobytes() == pad_to_length(series, 128).values.tobytes()
+    assert not block[[1, 4]].any()
 
 
 def test_embed_ids_rejects_long_rows_and_unknown_ids():

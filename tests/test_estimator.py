@@ -23,8 +23,8 @@ from longmem.estimator import (
     EstimatorConfig,
     FullBand,
     LowFrequency,
+    SlopeFit,
     estimate_from_periodogram,
-    fit_d,
     gaussian_mutual_info,
     hurst_from_d,
     mi_decay_slope,
@@ -173,13 +173,15 @@ def test_ols_loglog_rows_rejects_bad_input():
         ols_loglog_rows([1.0, 2.0], np.array([[1.0, -1.0]]))
     with pytest.raises(DomainError):
         ols_loglog_rows([1.0, 2.0, 3.0], np.ones((2, 2)))
+    with pytest.raises(DomainError):
+        ols_loglog_rows([1.0, 2.0, 3.0], np.ones((1, 2, 3)))
     with pytest.raises(DegenerateInputError):
         ols_loglog_rows([3.0, 3.0, 3.0], np.ones((1, 3)))
     # infinities whose products cancel; a NaN row beside a finite one
     with pytest.raises(DomainError):
         ols_loglog_rows([1.0, 2.0, 4.0], np.array([[np.inf, 1.0, np.inf], [1.0, 2.0, 3.0]]))
     with pytest.raises(DomainError):
-        fit_d(np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 2.0]]), FullBand())
+        ols_loglog_rows([1.0, 2.0, 3.0], np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 2.0]]))
 
 
 def test_slope_pvalues_of_a_nan_t_are_nan():
@@ -261,10 +263,11 @@ def test_lookup_pad_periodogram_fit_pipeline():
 @pytest.mark.parametrize(
     "cutoff", [FullBand(), LowFrequency(11), LowFrequency(2)], ids=["full", "m11", "m2"]
 )
-def test_fit_d_is_the_d_of_estimate_from_periodogram(cutoff):
+def test_slope_fit_d_is_the_d_of_estimate_from_periodogram(cutoff):
     power = periodograms(np.random.default_rng(8).standard_normal((6, 3, 64)))
     given_power = power.copy()
     config = EstimatorConfig(64, cutoff)
+    fit = SlopeFit(32, cutoff)
     single = np.stack([estimate_from_periodogram(Periodogram(64, row), config).d for row in power])
     views = (
         (power, single),
@@ -273,27 +276,20 @@ def test_fit_d_is_the_d_of_estimate_from_periodogram(cutoff):
         (np.ascontiguousarray(power.transpose(0, 2, 1)).transpose(0, 2, 1), single),
     )
     for block, want in views:
-        assert np.array_equal(fit_d(block, cutoff), want)
+        assert np.array_equal(fit.d(block, np.empty(block.shape[:-1] + (fit.m,))), want)
     assert np.array_equal(power, given_power)
 
 
-@pytest.mark.parametrize(
-    "cutoff", [FullBand(), LowFrequency(11), LowFrequency(2)], ids=["full", "m11", "m2"]
-)
-def test_fit_d_into_a_work_array_equals_the_allocating_fit(cutoff):
-    power = periodograms(np.random.default_rng(9).standard_normal((6, 3, 64)))
-    work = np.full(6 * 3 * 32 + 5, np.nan)  # larger than the fit needs
-    for block in (power, power[::2, ::-1], power[1]):
-        assert np.array_equal(fit_d(block, cutoff, work=work), fit_d(block, cutoff))
-
-
-def test_fit_d_logs_strided_fitted_bins_without_a_copy():
+def test_slope_fit_logs_strided_fitted_bins_without_a_copy():
     # 400 fits of 64 of 512 bins: a copy of the fitted bins would be 205 kB,
     # twice the bound, which leaves room for numpy's 64 kB iterator buffer
     power = periodograms(np.random.default_rng(10).standard_normal((8, 50, 1024)))
-    work = np.empty(power.size)
-    d, peak = traced_peak(lambda: fit_d(power, LowFrequency(64), work=work))
-    assert np.array_equal(d, fit_d(power, LowFrequency(64)))
+    config = EstimatorConfig(1024, LowFrequency(64))
+    fit, logs = SlopeFit(512, config.cutoff), np.empty((8, 50, 64))
+    d, peak = traced_peak(lambda: fit.d(power, logs))
+    assert np.array_equal(
+        d, np.stack([estimate_from_periodogram(Periodogram(1024, row), config).d for row in power])
+    )
     assert peak < 400 * 64 * 8 / 2
 
 

@@ -93,6 +93,18 @@ def test_build_model_projections_copy_the_overlapping_coordinates():
         assert np.array_equal(narrow, np.eye(2, 4))
 
 
+def test_a_model_numpy_cannot_index_names_its_sizes():
+    # numpy refuses the (2^62, 4) input table as too big before it allocates
+    schedule = CellSchedule(((2, 3), (2, 5)))
+    with pytest.raises(DomainError) as raised:
+        build_model(1 << 62, 4, schedule, 2, num_layers=2)
+    assert str(raised.value).startswith(
+        "a 2-layer model of vocab 4611686018427387904, embedding dim 4, decoder dim 2 and hidden "
+        "sizes up to 5 needs "
+    )
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
+
 def test_constant_schedule_equals_plain_unroll():
     rng = np.random.default_rng(4)
     layer = fresh_layer(constant_schedule(6, 4), 3, seed=4)

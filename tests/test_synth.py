@@ -275,6 +275,16 @@ def test_generate_series_draws_column_i_from_seed_plus_i():
             generate_series(model, 0.3, 50, count, 7)
 
 
+def test_generate_series_names_the_sizes_numpy_cannot_index():
+    # numpy refuses each of these as too big before it allocates
+    for model in ("fgn", "farima", "white"):
+        with pytest.raises(DomainError, match="^length 4611686018427387904 at count 1 needs ") as raised:
+            generate_series(model, 0.3, 1 << 62, 1, 7)
+        assert raised.value.__cause__ is None and raised.value.__suppress_context__
+    with pytest.raises(DomainError, match="^length 2 at count 4611686018427387904 needs "):
+        generate_series("white", 0.0, 2, 1 << 62, 7)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2**31), st.sampled_from([2, 4, 8, 32]))
 def test_quantize_is_monotone_in_input(seed, vocab):
