@@ -248,8 +248,6 @@ def test_embed_ids_matches_lookup_and_pad(rows, extra, policy):
     length = ids.shape[1] + extra
     block = embed_ids(SMALL_TABLE, ids, policy, length)
     assert block.shape == (len(rows), 2, length)  # time-last
-    # the int32 ids the corpus reader gives are indexed as they are
-    assert embed_ids(SMALL_TABLE, ids.astype(np.int32), policy, length).tobytes() == block.tobytes()
     kept = np.full(len(rows), ids.shape[1])  # the symbols each row keeps
     if policy is OovPolicy.SKIP:
         kept = np.count_nonzero(ids != OOV_ID, axis=1)
@@ -282,6 +280,17 @@ def test_embed_ids_peak_allocation_does_not_grow_with_the_table(policy):
     block, peak = traced_peak(lambda: embed_ids(table, ids, policy, 16))
     assert block.nbytes == 4096
     assert peak <= 8 * block.nbytes
+
+
+@pytest.mark.parametrize("length", [12, 16])
+@pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
+def test_embed_ids_indexes_int32_ids_as_intp_ids(policy, length):
+    # the int32 ids the corpus reader gives are indexed as they are
+    rng = np.random.default_rng(1)
+    ids = rng.integers(OOV_ID, SMALL_TABLE.vocab_size, (5, 12))
+    ids[1] = OOV_ID
+    block = embed_ids(SMALL_TABLE, ids, policy, length)
+    assert embed_ids(SMALL_TABLE, ids.astype(np.int32), policy, length).tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("policy", [OovPolicy.ZERO, OovPolicy.MEAN], ids=lambda policy: policy.value)

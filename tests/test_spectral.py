@@ -90,19 +90,22 @@ def test_periodograms_block_rows_equal_single_series():
         assert np.array_equal(power[b], periodogram(EmbeddedSeries(block[b])).power)
     # the mean over the leading axis adds the rows in order
     assert np.array_equal(power.mean(axis=0), sum(power) / 5)
-    # a contiguous, a transposed (as `periodogram` passes series.values.T) and
-    # a row-strided block are left as they are, and give C-contiguous power
-    layouts = (
-        (np.ascontiguousarray(block.transpose(0, 2, 1)), power),
-        (block[0].T, power[0]),
-        (block.transpose(0, 2, 1)[::2, ::-1], power[::2, ::-1]),
-    )
-    for given, want in layouts:
-        given_copy = given.copy()
-        got = periodograms(given)
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, want)
-        assert np.array_equal(given, given_copy)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "row-strided"])
+def test_periodograms_leave_each_layout_unchanged_and_give_c_contiguous_power(layout):
+    series = np.random.default_rng(6).standard_normal((4, 64, 3))
+    power = periodograms(np.ascontiguousarray(series.transpose(0, 2, 1)))
+    given, want = {
+        "contiguous": (np.ascontiguousarray(series.transpose(0, 2, 1)), power),
+        "transposed": (series[0].T, power[0]),  # as `periodogram` passes series.values.T
+        "row-strided": (series.transpose(0, 2, 1)[::2, ::-1], power[::2, ::-1]),
+    }[layout]
+    given_copy = given.copy()
+    got = periodograms(given)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(given, given_copy)
 
 
 def test_periodograms_rejects_a_single_column():
