@@ -149,44 +149,66 @@ def gru_backward_run(
     """Reverse `gru_forward_run`, given the gradient `dh` of its last state.
 
     `grad_outputs[t]` (None when no loss term touches it) joins the gradient
-    of step t's state. Only that gradient is recurrent: the loop computes
-    each step's gate pre-activation gradients and writes them over the gate
-    buffers once it has read them (update -> d_pre_z, reset -> r*h,
-    candidate -> d_pre_c; d_pre_r goes to one scratch block). Each weight
-    gradient, bias sum and the (T, B, m) input gradient `grad_x` is then
-    one GEMM or sum over the run's stacked rows; `grad_x` must be
-    C-contiguous. Accumulates into `grads` (order of tensors()) and returns
-    the gradient of the entering state.
+    of step t's state. Only that gradient is recurrent, so every factor that
+    does not depend on it is computed once for the run, in place over the
+    (T, B, n) blocks, before the step loop:
+
+    | block | forward wrote | before the loop | after the loop |
+    | --- | --- | --- | --- |
+    | `gates[0]` | z | 1-z | spent |
+    | `gates[1]` | r | r | r*h |
+    | `gates[2]` | c | z*(1-c^2) | d_pre_c |
+    | scratch | | (c-h)*z*(1-z) | d_pre_z |
+    | scratch | | h*r*(1-r) | d_pre_r |
+
+    Each step multiplies `dh` into those factors, overwriting them with the
+    gate pre-activation gradients, and carries `dh` back one step. Each
+    weight gradient, bias sum and the (T, B, m) input gradient `grad_x` is
+    then one GEMM or sum over the run's stacked rows; `grad_x` must be
+    C-contiguous. `x` and `states` are only read. Accumulates into `grads`
+    (order of tensors()) and returns the gradient of the entering state.
     """
     m = cell.input_dim
     w_update, w_reset, w_candidate = cell.w_update, cell.w_reset, cell.w_candidate
+    wh_update, wh_reset, wh_candidate = w_update[m:].T, w_reset[m:].T, w_candidate[m:].T
     update, reset, candidate = gates
-    d_pre_reset = np.empty_like(reset)
+    h = states[:-1]
+    d_pre_update = np.subtract(candidate, h)
+    d_pre_update *= update
+    np.multiply(candidate, candidate, out=candidate)
+    np.subtract(1.0, candidate, out=candidate)
+    candidate *= update
+    np.subtract(1.0, update, out=update)
+    d_pre_update *= update
+    d_pre_reset = np.subtract(1.0, reset)
+    d_pre_reset *= reset
+    d_pre_reset *= h
     for t in range(len(x) - 1, -1, -1):
         if grad_outputs[t] is not None:
             dh = dh + grad_outputs[t]
-        h, z, r, c = states[t], update[t], reset[t], candidate[t]
-        d_pre_c = dh * z * (1.0 - c * c)
-        d_pre_z = dh * (c - h) * z * (1.0 - z)
-        d_rh = d_pre_c @ w_candidate[m:].T
-        d_pre_reset[t] = d_pre_r = d_rh * h * r * (1.0 - r)
-        dh = dh * (1.0 - z) + d_rh * r + d_pre_r @ w_reset[m:].T + d_pre_z @ w_update[m:].T
-        reset[t] = r * h
-        update[t] = d_pre_z
-        candidate[t] = d_pre_c
+        d_pre_c = np.multiply(dh, candidate[t], out=candidate[t])
+        d_pre_z = np.multiply(dh, d_pre_update[t], out=d_pre_update[t])
+        d_rh = d_pre_c @ wh_candidate
+        d_pre_r = np.multiply(d_rh, d_pre_reset[t], out=d_pre_reset[t])
+        d_rh *= reset[t]
+        d_rh += np.multiply(dh, update[t], out=update[t])
+        d_rh += d_pre_r @ wh_reset
+        d_rh += d_pre_z @ wh_update
+        dh = d_rh
+    reset *= h
 
     def rows(block: np.ndarray) -> np.ndarray:
         return block.reshape(-1, block.shape[-1])
 
-    x_rows, h_rows = rows(x), rows(states[:-1])
-    pairs = ((update, h_rows), (d_pre_reset, h_rows), (candidate, rows(reset)))
+    x_rows, h_rows = rows(x), rows(h)
+    pairs = ((d_pre_update, h_rows), (d_pre_reset, h_rows), (candidate, rows(reset)))
     for k, (d_pre, state_rows) in enumerate(pairs):
         d_pre = rows(d_pre)
         grads[2 * k][:m] += x_rows.T @ d_pre
         grads[2 * k][m:] += state_rows.T @ d_pre
         grads[2 * k + 1] += d_pre.sum(axis=0)
     dx = rows(grad_x)
-    np.matmul(rows(update), w_update[:m].T, out=dx)
+    np.matmul(rows(d_pre_update), w_update[:m].T, out=dx)
     dx += rows(d_pre_reset) @ w_reset[:m].T
     dx += rows(candidate) @ w_candidate[:m].T
     return dh

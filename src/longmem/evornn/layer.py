@@ -9,9 +9,11 @@ counted at 3*n^2 per step (three gates) for cost instrumentation.
 The unroll walks segment runs (consecutive steps of one cell). Each run
 writes its states and gates into (T_run, B, n) buffers, and a layer above
 reads a run's states as its own input block, without a copy. The reverse
-loops over a run's steps only for the recurrent state gradient; the run's
-weight gradients, bias sums and input gradients are one GEMM or sum each
-over its stacked rows.
+computes a run's gate factors once, over its whole buffers, and loops over
+its steps only for the recurrent state gradient; the run's weight
+gradients, bias sums and input gradients are one GEMM or sum each over its
+stacked rows. The reverse spends a run's gate buffers and drops them, so a
+forward is reversed once.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class SegmentRun:
     (T_run, B, m) input block, a view of the layer's input. `states` is
     (T_run+1, B, n): the entering state, then each step's output. `gates`
     is (3, T_run, B, n): each step's update, reset and candidate gates,
-    which the backward pass overwrites.
+    which the backward pass overwrites and then drops (None).
     """
 
     segment: int
@@ -91,7 +93,7 @@ class SegmentRun:
     crossings: list[tuple[int, np.ndarray]]
     inputs: np.ndarray
     states: np.ndarray
-    gates: np.ndarray
+    gates: Optional[np.ndarray]
 
 
 @dataclass
@@ -181,9 +183,11 @@ def evo_backward_batch(
     output. Input gradients are written into `grad_inputs`, a C-contiguous
     (T, B, m) array, when one is given (every step must then read m
     inputs), else into a new block per run; the returned steps are views of
-    them. The runs' gate buffers are overwritten, so a forward is reversed
-    once.
+    them. Each run's gate buffers are spent and dropped, so a forward is
+    reversed once; reversing it again raises DomainError.
     """
+    if any(run.gates is None for run in forward.runs):
+        raise DomainError("this forward has already been reversed; its gate buffers are spent")
     blocks = []
     dh = np.zeros_like(forward.outputs[-1])
     for run in reversed(forward.runs):
@@ -201,6 +205,7 @@ def evo_backward_batch(
             grads.cells[run.segment].tensors(),
             block,
         )
+        run.gates = None
         blocks.append(block)
         for boundary, h_before in reversed(run.crossings):
             matrix = layer.projections.get(boundary)

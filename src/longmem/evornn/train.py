@@ -147,15 +147,16 @@ def gradients_from_forward(
     for offset in range(j):
         grad_top[prefix - 1 + offset] = grad_y[:, offset] @ model.decoder_w.T
     grad_outputs = grad_top
-    grad_embedded = np.empty((total_steps, b, model.emb_dim))
-    for layer_index in range(len(model.layers) - 1, -1, -1):
+    for layer_index in range(len(model.layers) - 1, 0, -1):
         grad_outputs = evo_backward_batch(
             model.layers[layer_index],
             forward.layer_forwards[layer_index],
             grad_outputs,
             grads.layers[layer_index],
-            grad_embedded if layer_index == 0 else None,
         )
+    # allocated once the layers above have dropped their gate buffers
+    grad_embedded = np.empty((total_steps, b, model.emb_dim))
+    evo_backward_batch(model.layers[0], forward.layer_forwards[0], grad_outputs, grads.layers[0], grad_embedded)
     grads.input_table += rows_by_id(
         forward.ids.T.ravel(), grad_embedded.reshape(-1, model.emb_dim), model.vocab_size
     )
@@ -231,6 +232,8 @@ def train_toy(
             grad /= positions
         grad_norm = clip_global_norm(grads, model, config.clip_norm)
         sgd_step(model, grads, config.learning_rate)
+        # the next step's forward and reverse run without this twin alive
+        del grads
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         result.history.append(
             StepMetrics(

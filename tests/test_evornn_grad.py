@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model
+from longmem.errors import DomainError
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.cell import gru_backward_batch, gru_forward_batch, zero_cell_grads
 from longmem.evornn.layer import evo_backward_batch, evo_forward_batch, segment_of_step
-from longmem.evornn.model import model_shapes, rows_by_id, zero_model
-from longmem.evornn.train import TrainConfig, clip_global_norm, zero_grads
+from longmem.evornn.model import forward_with_caches, model_shapes, rows_by_id, zero_model
+from longmem.evornn.train import (
+    TrainConfig,
+    batch_arrays,
+    clip_global_norm,
+    gradients_from_forward,
+    zero_grads,
+)
 from longmem.schedule import CellSchedule
 
 # relative-error floor of 1e-6 discounts finite-difference truncation noise
@@ -226,6 +233,58 @@ def _assert_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want), initial=0.0) <= rel * max(scale, 1e-300)
 
 
+def _check_run_kernels(layers, embedded, length, top_grads):
+    """The run kernels against the per-step oracle chain: forward outputs
+    bit for bit, every gradient within `_assert_close`, and each run's
+    `states` and `inputs` bit-unchanged by the reverse."""
+    schedules = [layer.schedule for layer in layers]
+    emb_dim = embedded.shape[-1]
+    forwards, inputs = [], embedded
+    for layer in layers:
+        inputs = evo_forward_batch(layer, inputs, length)
+        forwards.append(inputs)
+    oracle_steps, oracle_inputs = [], list(embedded)
+    for layer, forward in zip(layers, forwards):
+        outputs, steps = _oracle_layer(layer, oracle_inputs, length)
+        assert len(forward.outputs) == len(embedded)
+        for got, want in zip(forward.outputs, outputs):
+            assert np.array_equal(got, want)
+        oracle_steps.append(steps)
+        oracle_inputs = outputs
+
+    read_only = [(run, run.states.copy(), run.inputs.copy()) for f in forwards for run in f.runs]
+    grad_embedded = np.empty_like(embedded)
+    grad_outputs = oracle_grads_out = top_grads
+    for i in range(len(layers) - 1, -1, -1):
+        grads, oracle = (zero_model(schedules, 1, emb_dim, 1, 0).layers[i] for _ in range(2))
+        grad_outputs = evo_backward_batch(
+            layers[i], forwards[i], grad_outputs, grads, grad_embedded if i == 0 else None
+        )
+        oracle_grads_out = _oracle_layer_backward(layers[i], oracle_steps[i], oracle_grads_out, oracle)
+        for got, want in zip(grad_outputs, oracle_grads_out):
+            _assert_close(got, want)
+        for got, want in zip(grads.cells, oracle.cells):
+            for g, w in zip(got.tensors(), want.tensors()):
+                _assert_close(g, w)
+        assert grads.projections.keys() == oracle.projections.keys()
+        for boundary, matrix in oracle.projections.items():
+            _assert_close(grads.projections[boundary], matrix)
+        _assert_close(grads.init_state, oracle.init_state)
+    _assert_close(grad_embedded, np.stack(oracle_grads_out))
+    for run, states, run_inputs in read_only:
+        assert np.array_equal(run.states, states)
+        assert np.array_equal(run.inputs, run_inputs)
+
+
+def _top_grads(rng, schedule, length, total, batch):
+    """A random gradient for about 60% of the top layer's step outputs, None for the rest."""
+    return [
+        rng.standard_normal((batch, schedule.segments[segment_of_step(t, length, schedule)][1]))
+        if rng.random() < 0.6 else None
+        for t in range(total)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4),
@@ -257,43 +316,44 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
             matrix += rng.normal(scale=0.3, size=matrix.shape)
     total = length + unfold
     embedded = rng.standard_normal((total, batch, 3))
-    top_grads = [
-        rng.standard_normal((batch, schedules[-1].segments[segment_of_step(t, length, schedules[-1])][1]))
-        if rng.random() < 0.6 else None
-        for t in range(total)
-    ]
+    _check_run_kernels(layers, embedded, length, _top_grads(rng, schedules[-1], length, total, batch))
 
-    forwards, inputs = [], embedded
+
+@pytest.mark.parametrize(
+    "segments, num_layers, horizon, batch",
+    [
+        # the power-law schedule of `train-powerlaw`
+        (((32, 8), (16, 16), (8, 32), (4, 64), (4, 128)), 1, 0, 64),
+        # the constant (64, 128) layers of `train-constant-sampled`
+        (((64, 128),), 2, 3, 32),
+    ],
+)
+def test_run_kernels_match_the_per_step_oracles_at_workload_shapes(segments, num_layers, horizon, batch):
+    schedule = CellSchedule(segments)
+    layers = build_model(
+        vocab_size=1, emb_dim=32, schedule=schedule, decoder_dim=1, num_layers=num_layers, seed=3
+    ).layers
+    rng = np.random.default_rng(4)
     for layer in layers:
-        inputs = evo_forward_batch(layer, inputs, length)
-        forwards.append(inputs)
-    oracle_steps, oracle_inputs = [], list(embedded)
-    for layer, forward in zip(layers, forwards):
-        outputs, steps = _oracle_layer(layer, oracle_inputs, length)
-        assert len(forward.outputs) == total
-        for got, want in zip(forward.outputs, outputs):
-            assert np.array_equal(got, want)
-        oracle_steps.append(steps)
-        oracle_inputs = outputs
+        layer.init_state += rng.normal(scale=0.5, size=layer.init_state.shape)
+        for cell in layer.cells:
+            for bias in (cell.b_update, cell.b_reset, cell.b_candidate):
+                bias += rng.normal(scale=0.5, size=bias.shape)
+    length = schedule.total_length
+    total = length + horizon
+    embedded = rng.standard_normal((total, batch, 32))
+    _check_run_kernels(layers, embedded, length, _top_grads(rng, schedule, length, total, batch))
 
-    grad_embedded = np.empty_like(embedded)
-    grad_outputs = oracle_grads_out = top_grads
-    for i in range(num_layers - 1, -1, -1):
-        grads, oracle = (zero_model(schedules, 1, 3, 1, 0).layers[i] for _ in range(2))
-        grad_outputs = evo_backward_batch(
-            layers[i], forwards[i], grad_outputs, grads, grad_embedded if i == 0 else None
-        )
-        oracle_grads_out = _oracle_layer_backward(layers[i], oracle_steps[i], oracle_grads_out, oracle)
-        for got, want in zip(grad_outputs, oracle_grads_out):
-            _assert_close(got, want)
-        for got, want in zip(grads.cells, oracle.cells):
-            for g, w in zip(got.tensors(), want.tensors()):
-                _assert_close(g, w)
-        assert grads.projections.keys() == oracle.projections.keys()
-        for boundary, matrix in oracle.projections.items():
-            _assert_close(grads.projections[boundary], matrix)
-        _assert_close(grads.init_state, oracle.init_state)
-    _assert_close(grad_embedded, np.stack(oracle_grads_out))
+
+def test_a_forward_is_reversed_once():
+    model = build_model(
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))), decoder_dim=3, seed=5
+    )
+    ids, labels = batch_arrays(REFERENCE_BATCH, model.horizon)
+    forward = forward_with_caches(model, ids)
+    gradients_from_forward(model, forward, labels, None)
+    with pytest.raises(DomainError, match="already been reversed"):
+        gradients_from_forward(model, forward, labels, None)
 
 
 @settings(max_examples=60)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from longmem.errors import DomainError, TrainingDivergedError
 from longmem.evornn import (
     TrainConfig,
@@ -244,6 +245,31 @@ def test_step_metrics_report_the_norm_before_clipping():
     assert all(m.grad_norm > 0.05 and m.clipped for m in clipped)
     assert loose[0].grad_norm == clipped[0].grad_norm  # same model, same first batch
     assert not any(m.clipped for m in loose)
+
+
+@pytest.mark.parametrize(
+    "segments, vocab, num_layers, horizon, batch, negatives",
+    [
+        # `train-powerlaw` and `train-constant-sampled`
+        (((32, 8), (16, 16), (8, 32), (4, 64), (4, 128)), 64, 1, 0, 64, 63),
+        (((64, 128),), 1024, 2, 3, 32, 16),
+    ],
+)
+def test_a_step_runs_without_the_last_steps_gradients(segments, vocab, num_layers, horizon, batch, negatives):
+    schedule = CellSchedule(segments)
+
+    def peak(steps):
+        model = build_model(
+            vocab_size=vocab, emb_dim=32, schedule=schedule, decoder_dim=32,
+            horizon=horizon, num_layers=num_layers, seed=1,
+        )
+        task = task_lag_recall(
+            vocab_size=vocab, seq_len=schedule.total_length, tail_exponent=2.0, seed=2, horizon=horizon
+        )
+        config = TrainConfig(learning_rate=1.0, negatives=negatives, steps=steps, batch_size=batch, seed=1)
+        return traced_peak(lambda: train_toy(model, task, config))[1]
+
+    assert peak(3) <= 1.02 * peak(1)
 
 
 def test_task_lag_recall_lag_frequencies_follow_power_law():
