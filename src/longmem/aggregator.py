@@ -10,12 +10,13 @@ The update is evaluated in the residual form d_hat + alpha*(mean - d_hat),
 which is the same convex combination but keeps a constant stream an exact
 floating-point fixed point.
 
-`run_dataset` runs the slabs of a run on up to one worker per usable CPU
-(see SLABS_PER_WORKER for when it keeps to one): the calling thread and
-helper threads started once a run. Each worker folds a slab's result in at
-that slab's turn, in stream order, and the turn of a batch's last slab
-also makes the batch's EMA update, so the result is the same, bit for bit,
-for any number of workers.
+`run_dataset` cuts each batch into slabs and runs them on up to one worker
+per usable CPU, choosing the slab rows and the workers together (see
+`_slab_plan`): the calling thread and helper threads started once a run.
+Each worker folds a slab's result in at that slab's turn, in stream order,
+and the turn of a batch's last slab also makes the batch's EMA update, so
+the result is the same, bit for bit, for any slab size and number of
+workers.
 """
 
 from __future__ import annotations
@@ -122,37 +123,41 @@ class AggregateResult:
     n_skipped_zero_power: int
     #: slab workers the run used (see `run_dataset`)
     workers: int = 1
+    #: rows of the run's longest slab (see `_slab_plan`)
+    slab_rows: int = 1
 
 
-#: Bytes of time-last float64 series per slab, the rows `run_dataset` embeds,
-#: transforms and fits at a time in its workspace, so a batch's arrays stay
-#: in cache and memory does not grow with the batch size. Measured as
-#: `run_dataset` alone on the perfbench inputs, on up to two workers, the
-#: sizes interleaved, in two sets of medians of 9 and 11 runs on a 2-core
-#: VM: `estimate-wide` (400 KiB rows) took 483 and 465 ms at 512 KiB (1 row
-#: a slab), 411 and 430 ms at 1 MiB (2 rows) and 355 and 418 ms at 2 MiB
-#: (4 rows), with quartiles 35-160 ms apart; `estimate-long-oov` (128 KiB
-#: rows) took 27 and 28 ms at 1 MiB and 29 and 31 ms at 2 MiB on one worker,
-#: and 22 and 23 ms at 512 KiB, where its 4 slabs a batch buy a second
-#: worker and workspace that `SLABS_PER_WORKER` keeps from it. 1 MiB gives
-#: them 2 and 8 rows.
+#: Bytes of time-last float64 series a slab holds at most: the rows
+#: `run_dataset` embeds, transforms and fits at a time in a worker's
+#: workspace, so a batch's arrays stay in cache and memory does not grow
+#: with the batch size. A slab is cut down to half of this, or one row,
+#: where that feeds more workers (`_slab_plan`), and no smaller. Measured
+#: as `run_dataset` alone on the perfbench inputs, on up to two workers,
+#: the sizes interleaved, in two sets of medians of 9 and 11 runs on a
+#: 2-core VM: `estimate-wide` (400 KiB rows) took 483 and 465 ms at 512
+#: KiB (1 row a slab), 411 and 430 ms at 1 MiB (2 rows) and 355 and 418
+#: ms at 2 MiB (4 rows), with quartiles 35-160 ms apart. 1 MiB gives it 2
+#: rows a slab, and `estimate-long-oov` (128 KiB rows) 8, or 4 on two
+#: workers.
 SLAB_BYTES = 1 << 20
 
-#: Slabs of a full batch per slab worker of `run_dataset`: a batch of fewer
-#: than twice this many slabs runs on one worker, in the calling thread.
-#: Measured with a pool that woke each helper once a batch, as
-#: `run_dataset` alone on the perfbench inputs, two workers against one, in
-#: three runs of the medians of 11-21 interleaved runs on a 2-core VM whose
-#: speed drifted by up to 30% between runs: `estimate-wide` (2 rows a slab)
-#: ran 1.02-1.46x as fast at 2 slabs a batch, 1.20-1.48x at 4 and
-#: 1.50-1.58x at its 32; `estimate-long-oov` (8 rows a slab) ran
-#: 1.01-1.05x at its 2 slabs a batch, 1.11-1.18x at 4 and 1.10-1.14x at 12.
-#: Helpers started once a run keep the rule, so that the workers a run
-#: uses and its peak memory stay as measured: `estimate-long-oov` keeps one
-#: worker and one 2 MiB workspace (a second raised its `peak_rss_mb` by 4%,
-#: against a 5% bound). Streaming the corpus (ROADMAP
-#: item 4) frees memory that would pay for a second workspace; the rule
-#: can be revisited then.
+#: Slabs of a full batch each slab worker of `run_dataset` takes: a batch
+#: gets one worker per this many slabs of at least half of SLAB_BYTES, at
+#: most one per usable CPU, so a batch of fewer than twice this many such
+#: slabs runs on one worker, in the calling thread. Measured with a pool
+#: that woke each helper once a batch, as `run_dataset` alone on the
+#: perfbench inputs, two workers against one, in three runs of the medians
+#: of 11-21 interleaved runs on a 2-core VM whose speed drifted by up to
+#: 30% between runs: `estimate-wide` (2 rows a slab) ran 1.02-1.46x as
+#: fast at 2 slabs a batch, 1.20-1.48x at 4 and 1.50-1.58x at its 32;
+#: `estimate-long-oov` (8 rows a slab) ran 1.01-1.05x at its 2 slabs a
+#: batch, 1.11-1.18x at 4 and 1.10-1.14x at 12. With a slab body of its
+#: per-row work alone, `estimate-long-oov` cut into 4-row slabs pays for a
+#: second worker in the same 2 MiB of workspace: `run_dataset` alone on
+#: its input took 33.3 ms on one worker with 8-row slabs and 24.6 ms on
+#: two with 4-row slabs, both at a traced peak of 3.04 MiB; two workers
+#: with 8-row slabs took 25.9 ms but 6.01 MiB (medians of 15 interleaved
+#: rounds on a 2-core VM).
 SLABS_PER_WORKER = 2
 
 
@@ -162,6 +167,20 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _slab_plan(row_bytes: int, rows: int) -> tuple[int, int]:
+    """The workers and the slab rows of a run whose full batch is `rows`
+    rows of `row_bytes` bytes of series: as many workers, up to one per
+    usable CPU, as can each take SLABS_PER_WORKER slabs of at least half
+    of SLAB_BYTES (or one row), on slabs of at most SLAB_BYTES (or one
+    row) cut as small as feeds them."""
+    most = max(1, SLAB_BYTES // row_bytes)
+    least = min(most, max(1, -(-SLAB_BYTES // (2 * row_bytes))))
+    workers = max(1, min(usable_cpus(), rows // (SLABS_PER_WORKER * least)))
+    if workers == 1:
+        return 1, max(1, min(rows, most))
+    return workers, min(most, max(least, -(-rows // (SLABS_PER_WORKER * workers))))
 
 
 def _scale_error(table: EmbeddingTable) -> DomainError:
@@ -340,7 +359,7 @@ def run_dataset(
     """Estimate an N x n matrix of table row ids (OOV_ID for OOV symbols)
     `batch_size` rows at a time, and aggregate.
 
-    Each batch is embedded, transformed and fitted in slabs of about
+    Each batch is embedded, transformed and fitted in slabs of at most
     SLAB_BYTES of time-last series; its estimates then make one EMA update.
     A row's fit is its slopes alone: the inference is computed once, for
     the pooled fit of the mean periodogram. Rows with zero power in a
@@ -348,26 +367,26 @@ def run_dataset(
     skip policy, are skipped and counted: as constant when every bin is
     zero, else as zero power. A bad configuration raises.
 
-    The slabs run on one worker per SLABS_PER_WORKER slabs of a full batch,
-    at most one per usable CPU, each with a workspace of its own. Worker 0
+    The slab rows and the workers are chosen together, from the rows of a
+    full batch (`_slab_plan`): one worker per SLABS_PER_WORKER slabs of at
+    least half of SLAB_BYTES, at most one per usable CPU, and slabs cut as
+    small as feeds them, each worker with a workspace of its own. Worker 0
     is the calling thread; each other worker is a helper thread, started
     once a run and joined once. Worker w of W runs slabs w, w + W, w + 2W,
     ... of the whole run back to back, and after each waits for that
     slab's turn, which comes in stream order: it then adds the slab's power
     rows to the sum and counts its skipped rows, as one worker would, and
     at the turn of a batch's last slab it makes the batch's EMA update and
-    writes its progress line. The result is therefore the same, bit for
-    bit, for any number of workers, and the first error in stream order,
-    a slab's or a fold's, is raised in the calling thread; no later slab
-    is run or folded in.
+    writes its progress line. Each row is transformed and fitted alone, so
+    the result is the same, bit for bit, for any slab size and number of
+    workers, and the first error in stream order, a slab's or a fold's, is
+    raised in the calling thread; no later slab is run or folded in.
     """
     check_batch_size(batch_size)
     p, length = table.dim, config.pad_length
     ids = check_ids(ids, length)
     check_length(length)
-    slab = min(batch_size, max(1, SLAB_BYTES // (8 * p * length)))
-    batch_slabs = -(-min(batch_size, ids.shape[0]) // slab)
-    n_workers = max(1, min(usable_cpus(), batch_slabs // SLABS_PER_WORKER))
+    n_workers, slab = _slab_plan(8 * p * length, min(batch_size, ids.shape[0]))
     try:  # every array the pad length sizes: the abscissa, the power sum and the workspaces
         fit = SlopeFit(length // 2, config.cutoff)
         run = _Run(ids, batch_size, slab, n_workers, length // 2, table, schedule, progress)
@@ -401,7 +420,7 @@ def run_dataset(
     n_skipped = ids.shape[0] - n_estimated
     return AggregateResult(
         state, n_estimated, n_skipped, mean_pg, pooled, run.n_constant, n_skipped - run.n_constant,
-        n_workers,
+        n_workers, slab,
     )
 
 

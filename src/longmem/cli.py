@@ -207,7 +207,7 @@ def cmd_estimate(args, parser) -> int:
         atomic_write_text(args.dump_spectrum, buffer.getvalue())
     _write_manifest(
         args.out, args, {"chunk_len": chunk_len}, [args.corpus, args.embeddings], started,
-        workers=result.workers,
+        workers=result.workers, slab_rows=result.slab_rows,
     )
     return 0
 

@@ -310,6 +310,7 @@ def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
 
     monkeypatch.setattr(aggregator._SlabWorker, "__init__", recorded_init)
     monkeypatch.setattr(aggregator, "SLAB_BYTES", 2 * 8 * 3 * 128)  # two rows a slab
+    monkeypatch.setattr(aggregator, "usable_cpus", lambda: 1)  # one worker, on any host
     rng = np.random.default_rng(6)
     table = EmbeddingTable(rng.standard_normal((16, 3)))
     ids = rng.integers(0, 16, (9, 100))
@@ -319,7 +320,7 @@ def test_run_dataset_returns_no_view_of_its_workspace(monkeypatch):
         return run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=4)
 
     first = run()
-    assert len(buffers) == 2  # one worker: 2 slabs a batch
+    assert len(buffers) == 2  # one worker
     kept = first.mean_periodogram.power.copy(), first.state.d_hat.copy()
     for result in (first.mean_periodogram.power, first.state.d_hat):
         assert not any(np.shares_memory(result, b) for b in buffers)
@@ -522,44 +523,50 @@ def _run_with_cpus(monkeypatch, cpus, *args, **kwargs):
     return outcome
 
 
+# (rows a SLAB_BYTES slab holds, batch size, batches, slab rows on 1, 2
+# and 3 CPUs): one row a slab and 6 rows a batch, 3 workers on 3 CPUs,
+# more threads than this host may have cores, and a last batch of 5 rows;
+# then 4 rows a slab and 12 a batch, cut into slabs of 4, 3 and 2 rows
+_POOL_CUTS = ((1, 6, 4, [1, 1, 1]), (4, 12, 3, [4, 3, 2]))
+
+
 @pytest.mark.parametrize("cutoff", ["full", "sqrt"])
 @pytest.mark.parametrize("policy", list(OovPolicy), ids=lambda policy: policy.value)
 def test_run_dataset_is_bit_identical_on_1_2_and_3_workers(monkeypatch, policy, cutoff):
-    # one row a slab and 6 rows a batch: 3 workers on 3 CPUs, more threads
-    # than this host may have cores; the last batch holds 5 rows
     p, length = 3, 128
-    monkeypatch.setattr(aggregator, "SLAB_BYTES", 8 * p * length)
     table, ids = _pool_case(p)
     config = EstimatorConfig(length, FullBand() if cutoff == "full" else sqrt_cutoff(length))
     schedule = LearningRateSchedule(alpha0=0.9, tau=3.0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, to shake out an unordered sum
-    try:
-        runs = []
-        for cpus in (1, 2, 3):
-            sink = io.StringIO()
-            outcome = _run_with_cpus(
-                monkeypatch, cpus, ids, table, config, policy, schedule, 6, progress=sink
-            )
-            runs.append((outcome["result"], sink.getvalue()))
-    finally:
-        sys.setswitchinterval(interval)
-    (first, text), others = runs[0], runs[1:]
-    assert [result.workers for result, _ in runs] == [1, 2, 3]
-    assert first.n_skipped >= 7 and first.n_skipped_constant >= 7 and first.state.step == 4
-    assert len(text.splitlines()) == 4
-    for result, other_text in others:
-        assert other_text == text
-        assert np.array_equal(result.state.d_hat, first.state.d_hat)
-        assert result.state.step == first.state.step
-        assert np.array_equal(result.mean_periodogram.power, first.mean_periodogram.power)
-        for field in ("d", "intercept", "slope_stderr", "pvalue"):
-            assert np.array_equal(
-                getattr(result.pooled, field), getattr(first.pooled, field), equal_nan=True
-            ), field
-        counts = ("n_estimated", "n_skipped", "n_skipped_constant", "n_skipped_zero_power")
-        assert [getattr(result, c) for c in counts] == [getattr(first, c) for c in counts]
-        assert result.pooled.cutoff_used == first.pooled.cutoff_used
+    for slab_rows, batch_size, batches, cuts in _POOL_CUTS:
+        monkeypatch.setattr(aggregator, "SLAB_BYTES", slab_rows * 8 * p * length)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out an unordered sum
+        try:
+            runs = []
+            for cpus in (1, 2, 3):
+                sink = io.StringIO()
+                outcome = _run_with_cpus(
+                    monkeypatch, cpus, ids, table, config, policy, schedule, batch_size, progress=sink
+                )
+                runs.append((outcome["result"], sink.getvalue()))
+        finally:
+            sys.setswitchinterval(interval)
+        (first, text), others = runs[0], runs[1:]
+        assert [(result.workers, result.slab_rows) for result, _ in runs] == list(zip([1, 2, 3], cuts))
+        assert first.n_skipped >= 7 and first.n_skipped_constant >= 7 and first.state.step == batches
+        assert len(text.splitlines()) == batches
+        for result, other_text in others:
+            assert other_text == text
+            assert np.array_equal(result.state.d_hat, first.state.d_hat)
+            assert result.state.step == first.state.step
+            assert np.array_equal(result.mean_periodogram.power, first.mean_periodogram.power)
+            for field in ("d", "intercept", "slope_stderr", "pvalue"):
+                assert np.array_equal(
+                    getattr(result.pooled, field), getattr(first.pooled, field), equal_nan=True
+                ), field
+            counts = ("n_estimated", "n_skipped", "n_skipped_constant", "n_skipped_zero_power")
+            assert [getattr(result, c) for c in counts] == [getattr(first, c) for c in counts]
+            assert result.pooled.cutoff_used == first.pooled.cutoff_used
 
 
 def test_run_dataset_workers_are_capped_by_the_slabs_of_a_batch(monkeypatch):
@@ -570,6 +577,57 @@ def test_run_dataset_workers_are_capped_by_the_slabs_of_a_batch(monkeypatch):
     for batch_size, workers in ((1, 1), (3, 1), (4, 2), (6, 3), (29, 8), (64, 8)):
         outcome = _run_with_cpus(monkeypatch, 8, ids, table, config, OovPolicy.ZERO, schedule, batch_size)
         assert outcome["result"].workers == workers, batch_size
+
+
+# rows of p = 2, L = 128 (2 KiB of series) stand for the perfbench shapes,
+# with SLAB_BYTES scaled to keep each shape's rows a slab: (SLAB_BYTES,
+# batch size, rows, CPUs, (workers, slab rows))
+_ROW_BYTES = 8 * 2 * 128
+
+
+@pytest.mark.parametrize(
+    "slab_bytes, batch_size, n_rows, cpus, cut",
+    [
+        # estimate-long-oov: 128 KiB rows, 8 a 1 MiB slab and 16 a batch,
+        # take 2 workers of 4-row slabs on 2 CPUs, and no more on 4
+        (8 * _ROW_BYTES, 16, 96, 2, (2, 4)),
+        (8 * _ROW_BYTES, 16, 96, 4, (2, 4)),
+        (8 * _ROW_BYTES, 16, 96, 1, (1, 8)),
+        # a batch of 20 rows (here, all the rows) feeds 2 workers of 5-row
+        # slabs, and one of 48 three workers of full slabs
+        (8 * _ROW_BYTES, 64, 20, 2, (2, 5)),
+        (8 * _ROW_BYTES, 48, 96, 3, (3, 8)),
+        # estimate-wide: 400 KiB rows, 2 a 1 MiB slab and 64 a batch
+        (_ROW_BYTES * (1 << 20) // (400 << 10), 64, 128, 2, (2, 2)),
+        # rows far under half a slab: a batch of 64 is one slab, on one worker
+        (1 << 20, 64, 96, 2, (1, 64)),
+    ],
+    ids=["long-oov", "long-oov-4cpus", "long-oov-1cpu", "short-batch", "3-workers", "wide", "tiny-rows"],
+)
+def test_run_dataset_cuts_the_slabs_that_feed_the_workers_of_a_batch(
+    monkeypatch, slab_bytes, batch_size, n_rows, cpus, cut
+):
+    # as many workers as can each take 2 slabs of at least half SLAB_BYTES,
+    # on slabs of at most SLAB_BYTES cut as small as feeds them
+    workspaces = []
+    worker_init = aggregator._SlabWorker.__init__
+
+    def recorded_init(self, *args):
+        worker_init(self, *args)
+        workspaces.append(self.series.nbytes)
+
+    monkeypatch.setattr(aggregator._SlabWorker, "__init__", recorded_init)
+    monkeypatch.setattr(aggregator, "SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(12)
+    table = EmbeddingTable(rng.standard_normal((16, 2)))
+    ids = rng.integers(0, 16, (n_rows, 100))
+    config, schedule = EstimatorConfig(128), LearningRateSchedule()
+    outcome = _run_with_cpus(monkeypatch, cpus, ids, table, config, OovPolicy.ZERO, schedule, batch_size)
+    result = outcome["result"]
+    assert (result.workers, result.slab_rows) == cut
+    assert workspaces == [cut[1] * _ROW_BYTES] * cut[0]
+    assert max(workspaces) <= slab_bytes and sum(workspaces) <= cpus * slab_bytes
+    assert result.n_estimated == n_rows
 
 
 def _overflowing_table(scale, rows):

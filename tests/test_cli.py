@@ -236,8 +236,8 @@ def test_every_manifest_records_its_environment(tmp_path, capsys):
         environment = load_json(f"{primary}.manifest.json")["environment"]
         elapsed = environment.pop("elapsed_s")
         assert isinstance(elapsed, float) and 0.0 <= elapsed < 60.0
-        if primary == report:  # estimate also records its slab workers: 2 rows make one slab
-            assert environment.pop("workers") == 1
+        if primary == report:  # estimate also records how it cut its slabs: 2 rows make one
+            assert (environment.pop("workers"), environment.pop("slab_rows")) == (1, 2)
         # read from the OpenBLAS numpy loaded, or null where it cannot be read
         threads = environment.pop("blas_threads")
         assert threads is None or (type(threads) is int and threads >= 1)

@@ -87,8 +87,8 @@ def test_no_command_loads_scipy(tmp_path, argv, manifest):
 def test_estimate_loads_no_pool_or_logging_module(tmp_path, wide):
     # concurrent.futures imports logging: 6-8 ms of import (-X importtime,
     # 2-core Xeon VM) against an `estimate` start of about 0.25 s. The slab
-    # workers are plain threads. The wide table makes 2 rows a slab and 4
-    # slabs a batch of 8: two workers where the host has two CPUs
+    # workers are plain threads. The wide table makes 512 KiB rows, half a
+    # slab, so a batch of 8 feeds up to 4 workers: two where the host has two CPUs
     corpus, table = _estimate_inputs(tmp_path)
     argv = [a.format(tmp=tmp_path, corpus=corpus, table=table) for a in _ESTIMATE]
     if wide:
@@ -103,4 +103,4 @@ def test_estimate_loads_no_pool_or_logging_module(tmp_path, wide):
     report = tmp_path / "report.json"
     assert modules_after(*argv, "--out", str(report))["slow"] == []
     workers = load_json(f"{report}.manifest.json")["environment"]["workers"]
-    assert workers == (min(2, usable_cpus()) if wide else 1)
+    assert workers == (min(4, usable_cpus()) if wide else 1)
