@@ -6,15 +6,19 @@ cost table), `train-toy` (toy training with metrics CSV).
 
 Every command that writes files also writes a run manifest beside its
 primary output (resolved configuration, input digests, seed, version), and
-all files are written atomically (temp + rename). An output path whose
-directory does not exist, or that is a directory, is refused before any
-input is read. Exit codes: 0 success, 1 runtime failure (a refused
-allocation among them), 2 argument error.
+all files are written atomically (temp + rename). Each input is read once:
+its digest is the sha256 of the bytes the command read, taken as it read
+them, so an input on a pipe works and a file rewritten after it was read
+is recorded as read. An output path whose directory does not exist, or
+that is a directory, is refused before any input is read. Exit codes: 0
+success, 1 runtime failure (a refused allocation among them), 2 argument
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
@@ -24,7 +28,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,12 +61,42 @@ from .spectral import write_periodogram_csv
 from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for block in iter(lambda: stream.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+class _HashedFile(io.RawIOBase):
+    """A file opened for reading whose bytes feed a sha256 as they are read.
+
+    Every read of a `BufferedReader` over a `RawIOBase` goes through
+    `readinto`; a `FileIO` subclass would not do, for `FileIO.readall`
+    bypasses it.
+    """
+
+    def __init__(self, file: io.FileIO):
+        self._file = file
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> Optional[int]:
+        n = self._file.readinto(buffer)
+        if n:
+            self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+@contextlib.contextmanager
+def _read_text(path: str, digests: dict[str, str]) -> Iterator[io.TextIOWrapper]:
+    """Open `path` as `open(path, encoding="utf-8")` does; once the block
+    has read it to the end, record the sha256 of its bytes in `digests`.
+    One pass digests a pipe, and the digest is of the bytes the command
+    parsed, whatever the file holds later."""
+    raw = _HashedFile(io.FileIO(path))
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as stream:
+        yield stream
+    digests[path] = raw.sha256.hexdigest()
 
 
 #: Thread-count getters of the OpenBLAS builds numpy ships or links.
@@ -116,18 +150,19 @@ def _environment(started: float) -> dict:
 
 
 def _write_manifest(
-    out_path: str, args: argparse.Namespace, resolved: dict, inputs: Iterable[str], started: float,
+    out_path: str, args: argparse.Namespace, resolved: dict, inputs: dict[str, str], started: float,
     **environment,
 ) -> None:
     """Write the run manifest beside `out_path`: its config is every parsed
     flag but `command` and `seed`, updated by the values `resolved` from them;
-    `environment` adds to the environment object."""
+    `inputs` maps each input path to its sha256; `environment` adds to the
+    environment object."""
     config = {key: value for key, value in vars(args).items() if key not in ("command", "seed")}
     manifest = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": args.command,
         "config": {**config, **resolved},
-        "inputs": {path: _sha256(path) for path in inputs},
+        "inputs": inputs,
         "seed": args.seed,
         "version": __version__,
         "environment": {**_environment(started), **environment},
@@ -185,9 +220,10 @@ def cmd_estimate(args, parser) -> int:
     _checked(parser, "--batch-size", check_batch_size, args.batch_size)
     _checked(parser, "--alpha0", LearningRateSchedule, args.alpha0)  # alone, so its error names it
     schedule = _checked(parser, "--tau", LearningRateSchedule, args.alpha0, args.tau)
-    with open(args.embeddings, encoding="utf-8") as stream:
+    digests: dict[str, str] = {}
+    with _read_text(args.embeddings, digests) as stream:
         table = load_table(stream)
-    with open(args.corpus, encoding="utf-8") as stream:
+    with _read_text(args.corpus, digests) as stream:
         ids = read_corpus_ids(stream, table, chunk_len)
     if args.shuffle:
         ids = shuffle_rows(ids, args.seed)
@@ -206,7 +242,7 @@ def cmd_estimate(args, parser) -> int:
         write_periodogram_csv(result.mean_periodogram, buffer)
         atomic_write_text(args.dump_spectrum, buffer.getvalue())
     _write_manifest(
-        args.out, args, {"chunk_len": chunk_len}, [args.corpus, args.embeddings], started,
+        args.out, args, {"chunk_len": chunk_len}, digests, started,
         workers=result.workers, slab_rows=result.slab_rows,
     )
     return 0
@@ -238,17 +274,17 @@ def cmd_synth(args, parser) -> int:
         rows = [",".join(repr(float(v)) for v in row) for row in matrix]
         atomic_write_text(args.out, "\n".join([header, *rows]) + "\n")
     print(f"d = {d_true:g}")
-    _write_manifest(args.out, args, {"d": d_true}, [], started)
+    _write_manifest(args.out, args, {"d": d_true}, {}, started)
     return 0
 
 
-def _read_schedule(path: str) -> CellSchedule:
-    with open(path, encoding="utf-8") as stream:
+def _read_schedule(path: str, digests: dict[str, str]) -> CellSchedule:
+    with _read_text(path, digests) as stream:
         return schedule_from_json(stream.read())
 
 
 def cmd_schedule_cost(args, parser) -> int:
-    schedule = build_preset(args.preset) if args.preset else _read_schedule(args.file)
+    schedule = build_preset(args.preset) if args.preset else _read_schedule(args.file, {})
     total, costs = cost_multiply_adds(schedule), segment_costs(schedule)
     print("segment length hidden cost")
     for index, ((length, hidden), cost) in enumerate(zip(schedule.segments, costs)):
@@ -265,15 +301,16 @@ def cmd_schedule_cost(args, parser) -> int:
 def cmd_train_toy(args, parser) -> int:
     started = time.perf_counter()
     _require_outputs(args.metrics_out, args.checkpoint_out)
+    inputs: dict[str, str] = {}
     if args.schedule in DESK_FLOORS:
         max_hidden = 128 if args.max_hidden is None else args.max_hidden
-        schedule, inputs = desk_schedule(args.schedule, args.seq_len, max_hidden), []
+        schedule = desk_schedule(args.schedule, args.seq_len, max_hidden)
     elif args.max_hidden is not None:
         parser.error(
             "--max-hidden sizes a desk schedule shape; a schedule file sets its own hidden sizes"
         )
     else:
-        schedule, inputs = _read_schedule(args.schedule), [args.schedule]
+        schedule = _read_schedule(args.schedule, inputs)
     negatives = args.negatives if args.negatives else args.vocab - 1
     config = TrainConfig(
         learning_rate=args.lr,
@@ -283,6 +320,13 @@ def cmd_train_toy(args, parser) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    task = task_lag_recall(
+        vocab_size=args.vocab,
+        seq_len=args.seq_len,
+        tail_exponent=args.tail_exponent,
+        seed=args.seed + 1,
+        horizon=args.horizon,
+    )
     model = build_model(
         vocab_size=args.vocab,
         emb_dim=args.emb_dim,
@@ -291,13 +335,6 @@ def cmd_train_toy(args, parser) -> int:
         horizon=args.horizon,
         num_layers=args.layers,
         seed=args.seed,
-    )
-    task = task_lag_recall(
-        vocab_size=args.vocab,
-        seq_len=args.seq_len,
-        tail_exponent=args.tail_exponent,
-        seed=args.seed + 1,
-        horizon=args.horizon,
     )
     result = train_toy(model, task, config)
     buffer = io.StringIO()

@@ -122,10 +122,14 @@ class EmbeddedSeries:
         return self.values.shape[1]
 
 
-#: Lines whose value strings `load_table` holds for one float cast: enough
-#: to amortize the cast, few enough that the strings (~4.5 KB a line at
-#: p=50) add no table-size term to its peak memory.
-_CAST_LINES = 1024
+#: Values whose strings `load_table` holds for one float cast, at least one
+#: line's: 163 lines at p=50, 27 at p=300. Enough to amortize the cast, few
+#: enough that the strings (~75 bytes a value) stay near 0.6 MB whatever p
+#: is. Casts of 1024 lines instead peaked at 6.81 MiB traced at p=50 (1.91
+#: MiB of values) and 28.2 MiB at p=300 (4.58 MiB); this budget at 3.27 and
+#: 5.56 MiB, in 198 against 205 ms and 449 against 466 ms (medians of 15
+#: interleaved rounds, 2-core VM).
+_CAST_VALUES = 1 << 13
 
 
 def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
@@ -133,8 +137,8 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
 
     Each non-empty line is `token v1 ... vp` (whitespace separated). All
     lines must share the same p. Duplicate tokens keep the first occurrence,
-    but their values must parse too. The values are cast _CAST_LINES lines
-    at a time into one float64 buffer that grows by half, as
+    but their values must parse too. The values are cast _CAST_VALUES at a
+    time, in whole lines, into one float64 buffer that grows by half, as
     `read_corpus_ids` grows its ids.
     """
     token_ids: dict[str, int] = {}
@@ -144,6 +148,7 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
     line_numbers: list[int] = []
     duplicates: list[int] = []  # of `rows`
     dim: int | None = None
+    cast_lines = 0
     for line_number, line in enumerate(source, start=1):
         parts = line.split()
         if not parts:
@@ -154,6 +159,7 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
         if dim is None:
             dim = len(raw_values)
             values = np.empty((0, dim))
+            cast_lines = max(1, _CAST_VALUES // dim)
         elif len(raw_values) != dim:
             raise DimensionMismatchError(
                 f"line {line_number}: expected {dim} values, got {len(raw_values)}"
@@ -164,7 +170,7 @@ def load_table(source: Union[TextIO, Iterable[str]]) -> EmbeddingTable:
             token_ids[token] = len(token_ids)
         rows.append(raw_values)
         line_numbers.append(line_number)
-        if len(rows) == _CAST_LINES:
+        if len(rows) == cast_lines:
             n_values = _cast_rows(values, n_values, rows, line_numbers, duplicates)
             rows, line_numbers, duplicates = [], [], []
     if rows:

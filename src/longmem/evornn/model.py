@@ -98,7 +98,13 @@ def build_model(
     `output_table` are uniform in +-1/sqrt(d), d being the dim each maps
     from: `emb_dim`, the top hidden size and `decoder_dim`.
     """
-    model = zero_model([schedule] * num_layers, vocab_size, emb_dim, decoder_dim, horizon)
+    try:
+        schedules = [schedule] * num_layers
+    except MemoryError:  # Python refuses a list past its index range before allocating
+        raise DomainError(
+            f"a {num_layers}-layer model needs a list of {num_layers} layers, which could not be allocated"
+        ) from None
+    model = zero_model(schedules, vocab_size, emb_dim, decoder_dim, horizon)
     rng = np.random.default_rng(seed)
     for layer in model.layers:
         for cell in layer.cells:

@@ -24,7 +24,14 @@ def lag_distribution(seq_len: int, tail_exponent: float) -> np.ndarray:
     """
     if seq_len < 2:
         raise DomainError(f"sequence length must be >= 2, got {seq_len}")
-    taus = np.arange(1, seq_len, dtype=np.float64)
+    try:
+        taus = np.arange(1, seq_len, dtype=np.float64)
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
+        asked = 8 * (seq_len - 1)
+        raise DomainError(
+            f"sequence length {seq_len} needs {asked} bytes ({asked / 2**30:.3g} GiB) for its lag "
+            "distribution, which could not be allocated"
+        ) from None
     weights = taus ** (-tail_exponent)
     total = weights.sum()
     if not np.isfinite(total) or total <= 0:
@@ -42,7 +49,8 @@ def task_lag_recall(
     """Endless stream of (ids, labels) int arrays, deterministic per seed.
 
     Labels always appear in the input: label j is sequence position
-    L - tau_j with tau_j in [1, L-1].
+    L - tau_j with tau_j in [1, L-1]. Bad arguments, and sizes too large to
+    allocate, raise here, before the first draw.
     """
     if vocab_size < 2:
         raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
@@ -52,8 +60,22 @@ def task_lag_recall(
     # cumulative sum built once instead of on every call
     cdf = lag_distribution(seq_len, tail_exponent).cumsum()
     cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
+    try:
+        uniforms = np.empty(horizon + 1)
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
+        asked = 8 * (horizon + 1)
+        raise DomainError(
+            f"horizon {horizon} needs {asked} bytes ({asked / 2**30:.3g} GiB) for its lag draws, "
+            "which could not be allocated"
+        ) from None
+    return _lag_recall_draws(vocab_size, seq_len, cdf, uniforms, np.random.default_rng(seed))
+
+
+def _lag_recall_draws(
+    vocab_size: int, seq_len: int, cdf: np.ndarray, uniforms: np.ndarray, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The stream of `task_lag_recall`, from its checked arguments."""
     while True:
         ids = rng.integers(0, vocab_size, size=seq_len)
-        lags = 1 + cdf.searchsorted(rng.random(horizon + 1), side="right")
+        lags = 1 + cdf.searchsorted(rng.random(out=uniforms), side="right")
         yield ids, ids[seq_len - lags]

@@ -4,11 +4,14 @@ import csv
 import hashlib
 import os
 import platform
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from conftest import load_json
+from conftest import load_json, src_env
 from longmem.cli import main
 from longmem.embeddings import load_table
 from longmem.evornn import load_checkpoint
@@ -322,6 +325,47 @@ def test_manifest_keeps_a_digest_per_input_path(tmp_path, capsys):
     }
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_estimate_reads_a_corpus_on_a_pipe_once(tmp_path, capsys):
+    # a pipe can be read once: the manifest's digest is taken as the corpus
+    # is parsed, not by opening it again, which blocks with no writer left
+    corpus, table = _make_corpus(tmp_path, capsys, count="4")
+    written = corpus.read_bytes()
+    pipe = tmp_path / "corpus.pipe"
+    os.mkfifo(pipe)
+
+    def feed():
+        try:
+            with open(pipe, "wb") as stream:
+                stream.write(written)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    report_path = tmp_path / "report.json"
+    argv = ["estimate", "--corpus", str(pipe), "--embeddings", str(table),
+            "--pad-length", "512", "--out", str(report_path)]
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "longmem.cli", *argv],
+            env=src_env(), capture_output=True, text=True, timeout=60, check=False,
+        )
+    finally:
+        if writer.is_alive():  # the child never opened the pipe: free the writer
+            os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert child.returncode == 0, child.stderr
+    report = load_json(report_path)
+    assert report["n_estimated"] == 4 and report["n_skipped"] == 0
+    manifest = load_json(tmp_path / "report.json.manifest.json")
+    assert manifest["inputs"] == {
+        str(pipe): hashlib.sha256(written).hexdigest(),
+        str(table): hashlib.sha256(table.read_bytes()).hexdigest(),
+    }
+
+
 def test_estimate_shuffle_control_destroys_memory(tmp_path, capsys):
     corpus, table = _make_corpus(tmp_path, capsys)
     report_path = tmp_path / "shuffled.json"
@@ -556,8 +600,18 @@ def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
          "length 4611686018427387904 at count 1 needs "),
         (["synth", "--model", "white", "--length", "2", "--count", "4611686018427387904", "--out", "x.csv"],
          "length 2 at count 4611686018427387904 needs "),
+        (["train-toy", "--seq-len", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
+         "sequence length 4611686018427387904 needs "),
+        (["train-toy", "--horizon", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
+         "horizon 4611686018427387904 needs "),
+        # a list of 2^62 layers is past Python's index range, which it refuses as a MemoryError
+        (["train-toy", "--layers", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
+         "a 4611686018427387904-layer model needs "),
     ],
-    ids=["estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index"],
+    ids=[
+        "estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index",
+        "train-toy-seq-len-index", "train-toy-horizon-index", "train-toy-layers-index",
+    ],
 )
 def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
     tmp_path, capsys, monkeypatch, argv, named

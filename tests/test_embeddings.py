@@ -80,11 +80,15 @@ def test_load_table_rejects_non_finite():
         load_table(io.StringIO("a 1 inf\n"))
 
 
-@pytest.mark.parametrize("cast_lines", [1, 2, 1024])
-def test_load_table_blocks_of_lines_keep_the_error_contract(monkeypatch, cast_lines):
-    # values are cast a block of lines at a time; a duplicate and every
-    # error may sit in a later block and still name its own line
-    monkeypatch.setattr(embeddings, "_CAST_LINES", cast_lines)
+@pytest.mark.parametrize(
+    "cast_values", [2, 4, 2048, 1], ids=["1", "2", "1024", "1-under-a-line"]
+)
+def test_load_table_blocks_of_lines_keep_the_error_contract(monkeypatch, cast_values):
+    # values are cast a block of whole lines at a time, each id naming the
+    # lines a budget makes at p=2, and a budget under one line still casts
+    # one; a duplicate and every error may sit in a later block and still
+    # name its own line
+    monkeypatch.setattr(embeddings, "_CAST_VALUES", cast_values)
     text = "a 1 2\nb 3 4\n\nc 5 6\na 7 8\nd 9 10\n"
     table = load_table(io.StringIO(text))
     assert table.token_ids == {"a": 0, "b": 1, "c": 2, "d": 3}
@@ -97,28 +101,29 @@ def test_load_table_blocks_of_lines_keep_the_error_contract(monkeypatch, cast_li
         load_table(io.StringIO(text + "e 1 2 3\n"))
 
 
-def test_load_table_peak_allocation_is_the_values_and_half_again(monkeypatch):
+def test_load_table_peak_allocation_is_the_values_and_half_again():
     # the values are cast into one buffer that grows by half, not into a
-    # list of blocks joined at the end (twice the values); 16,640 rows is
-    # the worst case, one block past a growth step. 64-line blocks keep one
-    # block's value strings (~4.5 KB a line at p=50) under the 1 MiB slack
-    monkeypatch.setattr(embeddings, "_CAST_LINES", 64)
+    # list of blocks joined at the end (twice the values), and one cast's
+    # value strings (~75 bytes a value) stay under the 1 MiB slack at any
+    # p. 16,640 rows at p=50 is the worst case, one block past a growth
+    # step; at p=300, casts of 1024 lines peaked at 15.8 MiB on 1.4 MiB of values
     rng = np.random.default_rng(7)
-    vectors = rng.standard_normal((16640, 50))
-    lines = [f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(vectors.tolist())]
-    lines.insert(9, "w2" + " 0.5" * 50 + "\n")  # a duplicate token: its row is sliced off
-    stream = io.StringIO("".join(lines))
-    tracemalloc.start()
-    try:
-        table = load_table(stream)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(table.vectors, vectors)
-    assert table.token_ids["w9"] == 9
-    # the table also holds its token index; the bound is on the rest
-    values = table.vectors.nbytes
-    assert peak - (retained - values) <= 1.6 * values + (1 << 20), (peak, retained, values)
+    for rows, dim in ((16640, 50), (600, 300)):
+        vectors = rng.standard_normal((rows, dim))
+        lines = [f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(vectors.tolist())]
+        lines.insert(9, "w2" + " 0.5" * dim + "\n")  # a duplicate token: its row is sliced off
+        stream = io.StringIO("".join(lines))
+        tracemalloc.start()
+        try:
+            table = load_table(stream)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.vectors, vectors)
+        assert table.token_ids["w9"] == 9
+        # the table also holds its token index; the bound is on the rest
+        values = table.vectors.nbytes
+        assert peak - (retained - values) <= 1.6 * values + (1 << 20), (rows, dim, peak, retained, values)
 
 
 def test_lookup_by_token_and_id():

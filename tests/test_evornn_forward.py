@@ -105,6 +105,13 @@ def test_a_model_numpy_cannot_index_names_its_sizes():
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
+def test_a_layer_count_python_cannot_index_names_it():
+    # Python refuses a list of 2^62 layer schedules before it allocates
+    with pytest.raises(DomainError, match="^a 4611686018427387904-layer model needs ") as raised:
+        build_model(8, 4, CellSchedule(((2, 3),)), 2, num_layers=1 << 62)
+    assert raised.value.__suppress_context__
+
+
 def test_constant_schedule_equals_plain_unroll():
     rng = np.random.default_rng(4)
     layer = fresh_layer(constant_schedule(6, 4), 3, seed=4)

@@ -208,6 +208,18 @@ def test_task_lag_recall_horizon_yields_more_labels():
     assert all(l in seq for l in labels)
 
 
+def test_task_lag_recall_refuses_its_arguments_before_the_first_draw():
+    # no draw is made: each is raised by the call, not by the stream's first item.
+    # numpy refuses sizes past its index range before it allocates
+    for kwargs, message in (
+        ({"vocab_size": 1, "seq_len": 6}, "vocab size must be >= 2, got 1"),
+        ({"vocab_size": 8, "seq_len": 1 << 62}, "sequence length 4611686018427387904 needs "),
+        ({"vocab_size": 8, "seq_len": 6, "horizon": 1 << 62}, "horizon 4611686018427387904 needs "),
+    ):
+        with pytest.raises(DomainError, match="^" + message):
+            task_lag_recall(**kwargs)
+
+
 def test_task_lag_recall_deterministic():
     a = list(itertools.islice(task_lag_recall(8, 6, seed=4), 5))
     b = list(itertools.islice(task_lag_recall(8, 6, seed=4), 5))
