@@ -30,7 +30,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .embeddings import EmbeddingTable, OovPolicy, check_ids, embed_block
-from .errors import DimensionMismatchError, DomainError, EmptyInputError
+from .errors import DimensionMismatchError, DomainError, EmptyInputError, allocating
 from .estimator import (
     EstimatorConfig,
     LrdEstimate,
@@ -387,16 +387,14 @@ def run_dataset(
     ids = check_ids(ids, length)
     check_length(length)
     n_workers, slab = _slab_plan(8 * p * length, min(batch_size, ids.shape[0]))
-    try:  # every array the pad length sizes: the abscissa, the power sum and the workspaces
+    with allocating(  # every array the pad length sizes: the abscissa, the power sum and the workspaces
+        f"pad length {length} at p = {p}",
+        8 * p * (length // 2) + n_workers * slab * p * (8 * length + 16 * (length // 2 + 1)),
+        "the power sum and the slab workspaces", "use a shorter pad length",
+    ):
         fit = SlopeFit(length // 2, config.cutoff)
         run = _Run(ids, batch_size, slab, n_workers, length // 2, table, schedule, progress)
         workers = [_SlabWorker(table, fit, policy, length, slab) for _ in range(n_workers)]
-    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
-        asked = 8 * p * (length // 2) + n_workers * slab * p * (8 * length + 16 * (length // 2 + 1))
-        raise DomainError(
-            f"pad length {length} at p = {p} needs {asked} bytes ({asked / 2**30:.3g} GiB) for the "
-            "power sum and the slab workspaces, which could not be allocated; use a shorter pad length"
-        ) from None
     helpers: list[threading.Thread] = []
     try:
         for first, worker in enumerate(workers[1:], 1):

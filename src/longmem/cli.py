@@ -9,10 +9,10 @@ primary output (resolved configuration, input digests, seed, version), and
 all files are written atomically (temp + rename). Each input is read once:
 its digest is the sha256 of the bytes the command read, taken as it read
 them, so an input on a pipe works and a file rewritten after it was read
-is recorded as read. An output path whose directory does not exist, or
-that is a directory, is refused before any input is read. Exit codes: 0
-success, 1 runtime failure (a refused allocation among them), 2 argument
-error.
+is recorded as read. An output path whose directory does not exist, that
+is a directory, or that is the same file as another output or an input,
+is refused before any input is read. Exit codes: 0 success, 1 runtime
+failure (a refused allocation among them), 2 argument error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, aggregator
 from .aggregator import (
     REPORT_SCHEMA_VERSION,
     LearningRateSchedule,
@@ -40,7 +40,9 @@ from .aggregator import (
     dataset_report,
     run_dataset,
 )
-from .embeddings import OovPolicy, check_fits, format_table, load_table, read_corpus_ids, shuffle_rows
+from .embeddings import (
+    OovPolicy, check_chunk_len, check_fits, format_table, load_table, read_corpus_ids, shuffle_rows,
+)
 from .errors import LongmemError
 from .estimator import EstimatorConfig, FullBand, LowFrequency, fitted_bins, sqrt_cutoff
 from .evornn import build_model, save_checkpoint, task_lag_recall, train_toy
@@ -57,7 +59,7 @@ from .schedule import (
     schedule_from_json,
     segment_costs,
 )
-from .spectral import write_periodogram_csv
+from .spectral import check_length, write_periodogram_csv
 from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
 
 
@@ -138,12 +140,14 @@ def _blas_threads() -> Optional[int]:
 
 
 def _environment(started: float) -> dict:
-    """What a run's timings are to be compared across: versions, CPUs, BLAS
-    threads and the seconds since `started`."""
+    """What a run's timings are to be compared across: versions, CPUs (all
+    of the machine's, and those this process may use, on which `estimate`
+    plans its workers), BLAS threads and the seconds since `started`."""
     return {
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "usable_cpus": aggregator.usable_cpus(),
         "blas_threads": _blas_threads(),
         "elapsed_s": time.perf_counter() - started,
     }
@@ -170,15 +174,22 @@ def _write_manifest(
     atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _require_outputs(primary: str, *others: Optional[str]) -> None:
+def _require_outputs(primary: str, *others: Optional[str], inputs: tuple[str, ...] = ()) -> None:
     """Refuse, before any input is read, an output path (the manifest beside
-    `primary` among them) whose directory does not exist or that is a
-    directory, so a failed run leaves no partial set of files."""
+    `primary` among them) whose directory does not exist, that is a
+    directory, or that is the same file as another output or one of the
+    `inputs`, so a failed run leaves no partial set of files and no output
+    overwrites another file of the run."""
+    taken = {os.path.realpath(path): f"the input {path}" for path in inputs}
     for path in filter(None, (primary, primary + ".manifest.json", *others)):
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise LongmemError(f"cannot write {path}: its directory does not exist")
         if os.path.isdir(path):
             raise LongmemError(f"cannot write {path}: it is a directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise LongmemError(f"cannot write {path}: it is the same file as {taken[real]}")
+        taken[real] = f"the output {path}"
 
 
 def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
@@ -193,12 +204,6 @@ def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
     return LowFrequency(m)
 
 
-def _require_power_of_two(value: int, parser: argparse.ArgumentParser, flag: str) -> int:
-    if value < 2 or value & (value - 1):
-        parser.error(f"{flag} must be a power of two >= 2, got {value}")
-    return value
-
-
 def _checked(parser: argparse.ArgumentParser, flag: str, check, *args):
     """`check(*args)`, whose library error becomes a usage error naming `flag`."""
     try:
@@ -209,13 +214,13 @@ def _checked(parser: argparse.ArgumentParser, flag: str, check, *args):
 
 def cmd_estimate(args, parser) -> int:
     started = time.perf_counter()
-    _require_outputs(args.out, args.dump_spectrum)
-    pad_length = _require_power_of_two(args.pad_length, parser, "--pad-length")
+    _require_outputs(args.out, args.dump_spectrum, inputs=(args.embeddings, args.corpus))
+    pad_length = args.pad_length
+    _checked(parser, "--pad-length", check_length, pad_length)
     config = EstimatorConfig(pad_length, _parse_cutoff(args.cutoff, pad_length, parser))
     _checked(parser, "--cutoff", fitted_bins, pad_length // 2, config.cutoff)
     chunk_len = pad_length if args.chunk_len is None else args.chunk_len
-    if chunk_len < 1:
-        parser.error(f"--chunk-len must be >= 1, got {chunk_len}")
+    _checked(parser, "--chunk-len", check_chunk_len, chunk_len)
     _checked(parser, "--chunk-len", check_fits, chunk_len, pad_length)
     _checked(parser, "--batch-size", check_batch_size, args.batch_size)
     _checked(parser, "--alpha0", LearningRateSchedule, args.alpha0)  # alone, so its error names it
@@ -300,7 +305,8 @@ def cmd_schedule_cost(args, parser) -> int:
 
 def cmd_train_toy(args, parser) -> int:
     started = time.perf_counter()
-    _require_outputs(args.metrics_out, args.checkpoint_out)
+    schedule_file = () if args.schedule in DESK_FLOORS else (args.schedule,)
+    _require_outputs(args.metrics_out, args.checkpoint_out, inputs=schedule_file)
     inputs: dict[str, str] = {}
     if args.schedule in DESK_FLOORS:
         max_hidden = 128 if args.max_hidden is None else args.max_hidden

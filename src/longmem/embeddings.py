@@ -22,6 +22,7 @@ from .errors import (
     EmbeddingParseError,
     EmptyInputError,
     LengthExceededError,
+    allocating,
 )
 
 #: Marker for an out-of-vocabulary position in an id sequence.
@@ -236,6 +237,12 @@ def check_fits(n: int, length: int) -> None:
         raise LengthExceededError(f"sequence length {n} exceeds pad length {length}; chunk first")
 
 
+def check_chunk_len(chunk_len: int) -> None:
+    """Refuse a chunk length that makes no row."""
+    if chunk_len < 1:
+        raise DomainError(f"chunk length must be positive, got {chunk_len}")
+
+
 def check_ids(ids: np.ndarray, length: int) -> np.ndarray:
     """The checks of `embed_ids` that a B x n matrix of row ids passes or
     fails whole, and every block of its rows with it: integer ids, two
@@ -351,8 +358,7 @@ def chunk_corpus(tokens: Iterable[Token], chunk_len: int) -> list[SymbolSequence
 
     A final partial chunk is dropped.
     """
-    if chunk_len < 1:
-        raise DomainError(f"chunk length must be positive, got {chunk_len}")
+    check_chunk_len(chunk_len)
     tokens = list(tokens)
     ends = range(chunk_len, len(tokens) + 1, chunk_len)
     return [SymbolSequence(tokens[end - chunk_len : end]) for end in ends]
@@ -486,10 +492,12 @@ def read_corpus_ids(stream: TextIO, table: EmbeddingTable, chunk_len: int) -> np
     Tokens are what `str.split()` gives. The text is read BLOCK_CHARS
     characters at a time, each block tokenized as UTF-8 bytes: tokens of
     1-7 bytes are looked up as packed keys in a `TokenIndex`, longer ones
-    in `token_ids`. The ids fill one buffer that grows by half.
+    in `token_ids`. The ids fill one buffer that grows by half. A row
+    wider than numpy can index is refused before the stream is read.
     """
-    if chunk_len < 1:
-        raise DomainError(f"chunk length must be positive, got {chunk_len}")
+    check_chunk_len(chunk_len)
+    with allocating(f"chunk length {chunk_len}", 4 * chunk_len, "a row of ids", "use a shorter chunk length"):
+        np.empty((0, chunk_len), dtype=np.int32)  # the shape of a stream shorter than one row
     index = TokenIndex(table.token_ids)
     ids = np.empty(BLOCK_CHARS, dtype=np.int32)
     n, carry = 0, b""

@@ -4,6 +4,8 @@ Every error raised on a contract violation derives from LongmemError so
 callers (and the CLI) can distinguish toolkit failures from bugs.
 """
 
+import contextlib
+
 
 class LongmemError(Exception):
     """Base class for all toolkit errors."""
@@ -35,6 +37,24 @@ class SpectralLengthError(LongmemError):
 
 class DomainError(LongmemError):
     """A numeric argument lies outside the operation's domain."""
+
+
+@contextlib.contextmanager
+def allocating(what, nbytes, purpose="", advice=""):
+    """Refuse an allocation sized by an argument as a DomainError naming the
+    size: the MemoryError Python raises, or the ValueError numpy raises for a
+    size past its index range, in the block becomes "{what} needs {nbytes}
+    bytes (... GiB)[ for {purpose}], which could not be allocated[; {advice}]".
+    `what` and `nbytes` may each be a function of no arguments, called on
+    refusal alone, where working them out would cost a hot path."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        what, nbytes = (value() if callable(value) else value for value in (what, nbytes))
+        raise DomainError(
+            f"{what} needs {nbytes} bytes ({nbytes / 2**30:.3g} GiB){purpose and ' for ' + purpose}, "
+            f"which could not be allocated{advice and '; ' + advice}"
+        ) from None
 
 
 class DegenerateInputError(LongmemError):

@@ -20,7 +20,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import CheckpointError, DimensionMismatchError, DomainError, LongmemError, ScheduleError
+from ..errors import (
+    CheckpointError, DimensionMismatchError, DomainError, LongmemError, ScheduleError, allocating,
+)
 from ..fileio import atomic_write_text
 from ..schedule import CellSchedule, schedule_from_pairs
 from .cell import TENSOR_NAMES, GruCellParams
@@ -98,12 +100,8 @@ def build_model(
     `output_table` are uniform in +-1/sqrt(d), d being the dim each maps
     from: `emb_dim`, the top hidden size and `decoder_dim`.
     """
-    try:
+    with allocating(f"a {num_layers}-layer model", 8 * num_layers, f"a list of {num_layers} layers"):
         schedules = [schedule] * num_layers
-    except MemoryError:  # Python refuses a list past its index range before allocating
-        raise DomainError(
-            f"a {num_layers}-layer model needs a list of {num_layers} layers, which could not be allocated"
-        ) from None
     model = zero_model(schedules, vocab_size, emb_dim, decoder_dim, horizon)
     rng = np.random.default_rng(seed)
     for layer in model.layers:
@@ -171,16 +169,12 @@ def zero_model(
     gradients take and the frame a checkpoint is read into. A model too
     large to allocate raises DomainError naming its sizes."""
     shapes = model_shapes(schedules, vocab_size, emb_dim, decoder_dim)
-    try:
+    with allocating(  # worked out on refusal alone, for the gradient twin is made every step
+        lambda: f"a {len(schedules)}-layer model of vocab {vocab_size}, embedding dim {emb_dim}, decoder "
+        f"dim {decoder_dim} and hidden sizes up to {max(max(s.hidden_sizes) for s in schedules)}",
+        lambda: 8 * sum(math.prod(shape) for shape in shapes.values()),
+    ):
         zeros = {name: np.zeros(shape) for name, shape in shapes.items()}
-    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
-        asked = 8 * sum(math.prod(shape) for shape in shapes.values())
-        hidden = max(max(s.hidden_sizes) for s in schedules)
-        raise DomainError(
-            f"a {len(schedules)}-layer model of vocab {vocab_size}, embedding dim {emb_dim}, "
-            f"decoder dim {decoder_dim} and hidden sizes up to {hidden} needs {asked} bytes "
-            f"({asked / 2**30:.3g} GiB), which could not be allocated"
-        ) from None
     layers = []
     for i, schedule in enumerate(schedules):
         cells = [

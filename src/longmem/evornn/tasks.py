@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, allocating
 
 
 def lag_distribution(seq_len: int, tail_exponent: float) -> np.ndarray:
@@ -24,14 +24,8 @@ def lag_distribution(seq_len: int, tail_exponent: float) -> np.ndarray:
     """
     if seq_len < 2:
         raise DomainError(f"sequence length must be >= 2, got {seq_len}")
-    try:
+    with allocating(f"sequence length {seq_len}", 8 * (seq_len - 1), "its lag distribution"):
         taus = np.arange(1, seq_len, dtype=np.float64)
-    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
-        asked = 8 * (seq_len - 1)
-        raise DomainError(
-            f"sequence length {seq_len} needs {asked} bytes ({asked / 2**30:.3g} GiB) for its lag "
-            "distribution, which could not be allocated"
-        ) from None
     weights = taus ** (-tail_exponent)
     total = weights.sum()
     if not np.isfinite(total) or total <= 0:
@@ -60,14 +54,8 @@ def task_lag_recall(
     # cumulative sum built once instead of on every call
     cdf = lag_distribution(seq_len, tail_exponent).cumsum()
     cdf /= cdf[-1]
-    try:
+    with allocating(f"horizon {horizon}", 8 * (horizon + 1), "its lag draws"):
         uniforms = np.empty(horizon + 1)
-    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
-        asked = 8 * (horizon + 1)
-        raise DomainError(
-            f"horizon {horizon} needs {asked} bytes ({asked / 2**30:.3g} GiB) for its lag draws, "
-            "which could not be allocated"
-        ) from None
     return _lag_recall_draws(vocab_size, seq_len, cdf, uniforms, np.random.default_rng(seed))
 
 

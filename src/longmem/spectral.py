@@ -66,11 +66,11 @@ def dft_naive(signal: np.ndarray) -> np.ndarray:
 
 
 def check_length(length: int) -> None:
-    """Refuse a series length the fast path cannot transform: one that is
-    not a power of two."""
-    if length < 1 or length & (length - 1):
+    """Refuse a series length the fast path cannot transform into one
+    periodogram bin or more: one that is not a power of two >= 2."""
+    if length < 2 or length & (length - 1):
         raise SpectralLengthError(
-            f"series length {length} is not a power of two; pad the series first"
+            f"series length {length} is not a power of two >= 2; pad the series first"
         )
 
 

@@ -14,7 +14,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .embeddings import EmbeddedSeries, EmbeddingTable, SymbolSequence
-from .errors import DomainError
+from .errors import DomainError, allocating
 from .estimator import hurst_from_d
 
 #: Relative tolerance for clipping tiny negative circulant eigenvalues.
@@ -170,7 +170,8 @@ def quantize_to_symbols(series: np.ndarray, vocab_size: int) -> SymbolSequence:
         raise DomainError("series must be a non-empty 1-d real vector")
     if vocab_size < 2:
         raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
-    edges = _normal_quantiles(np.arange(1, vocab_size) / vocab_size)
+    with allocating(f"vocab size {vocab_size}", 8 * (vocab_size - 1), "its bucket edges"):
+        edges = _normal_quantiles(np.arange(1, vocab_size) / vocab_size)
     ids = np.searchsorted(edges, x, side="right")
     return SymbolSequence(ids=[int(i) for i in ids])
 
@@ -194,18 +195,15 @@ def generate_series(
             return generate_white(length, column_seed)
         raise DomainError(f"unknown model {model!r}")
 
-    try:
+    with allocating(
+        f"length {length} at count {count}", 8 * length * count, "the series",
+        "use a shorter length or fewer series",
+    ):
         first = draw(seed)  # a bad model or length raises here, before the matrix is sized
         matrix = np.empty((length, count))
         matrix[:, 0] = first
         for i in range(1, count):
             matrix[:, i] = draw(seed + i)
-    except (MemoryError, ValueError):  # numpy refuses a size past its index range as a ValueError
-        asked = 8 * length * count
-        raise DomainError(
-            f"length {length} at count {count} needs {asked} bytes ({asked / 2**30:.3g} GiB) for the "
-            "series, which could not be allocated; use a shorter length or fewer series"
-        ) from None
     return matrix
 
 

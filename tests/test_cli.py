@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import load_json, src_env
+from longmem import aggregator
 from longmem.cli import main
 from longmem.embeddings import load_table
 from longmem.evornn import load_checkpoint
@@ -248,7 +249,30 @@ def test_every_manifest_records_its_environment(tmp_path, capsys):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "usable_cpus": aggregator.usable_cpus(),
         }
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_manifest_records_the_cpus_estimate_plans_its_workers_on(tmp_path, capsys, monkeypatch, cpus):
+    # 64-wide rows of 1024 points are half a slab, so a batch of 8 feeds up to 4 workers
+    monkeypatch.setattr(aggregator, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(4)
+    table = tmp_path / "table.txt"
+    rows = rng.standard_normal((8, 64)).tolist()
+    table.write_text("".join(f"t{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(rows)))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(" ".join(f"t{i}" for i in rng.integers(0, 8, 16 * 1024)) + "\n")
+    report = tmp_path / "r.json"
+    code, _, _ = run_cli(
+        ["estimate", "--corpus", str(corpus), "--embeddings", str(table), "--pad-length", "1024",
+         "--batch-size", "8", "--out", str(report)],
+        capsys,
+    )
+    assert code == 0
+    environment = load_json(f"{report}.manifest.json")["environment"]
+    assert (environment["cpu_count"], environment["usable_cpus"]) == (os.cpu_count(), cpus)
+    assert environment["workers"] == cpus
 
 
 def _make_corpus(tmp_path, capsys, d="0.3", count="40", length="512", vocab="16", seed="5"):
@@ -389,6 +413,18 @@ def test_estimate_rejects_non_power_of_two_pad(tmp_path, capsys):
     )
     assert code == 2
     assert "power of two" in err
+
+
+@pytest.mark.parametrize("pad_length", ["0", "1"])
+def test_estimate_pad_length_with_no_periodogram_bin_is_arg_error(tmp_path, capsys, pad_length):
+    corpus, table = _make_corpus(tmp_path, capsys, count="2")
+    code, _, err = run_cli(
+        ["estimate", "--corpus", str(corpus), "--embeddings", str(table),
+         "--pad-length", pad_length, "--out", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 2
+    assert f"--pad-length: series length {pad_length} is not a power of two >= 2" in err
 
 
 @pytest.mark.parametrize("chunk_len", ["0", "-3"])
@@ -582,6 +618,71 @@ def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
     assert set(os.listdir(tmp_path)) == before and os.listdir(directory) == []
 
 
+_ESTIMATE_INPUTS = ["--corpus", "corpus.txt", "--embeddings", "table.txt", "--pad-length", "512"]
+_TOY_SIZES = ["--vocab", "8", "--seq-len", "4", "--emb-dim", "4", "--steps", "1", "--batch-size", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, clash",
+    [
+        (["estimate", *_ESTIMATE_INPUTS, "--out", "r.json", "--dump-spectrum", "r.json"],
+         "r.json: it is the same file as the output r.json"),
+        (["estimate", *_ESTIMATE_INPUTS, "--out", "corpus.txt"],
+         "corpus.txt: it is the same file as the input corpus.txt"),
+        (["estimate", *_ESTIMATE_INPUTS, "--out", "table.txt"],
+         "table.txt: it is the same file as the input table.txt"),
+        (["estimate", *_ESTIMATE_INPUTS, "--out", "r.json", "--dump-spectrum", "sub/../corpus.txt"],
+         "sub/../corpus.txt: it is the same file as the input corpus.txt"),
+        (["estimate", *_ESTIMATE_INPUTS, "--out", "r.json", "--dump-spectrum", "./table.txt"],
+         "./table.txt: it is the same file as the input table.txt"),
+        (["estimate", *_ESTIMATE_INPUTS, "--out", "r.json", "--dump-spectrum", "r.json.manifest.json"],
+         "r.json.manifest.json: it is the same file as the output r.json.manifest.json"),
+        (["estimate", "--corpus", "c.manifest.json", "--embeddings", "table.txt", "--pad-length", "512",
+          "--out", "c"], "c.manifest.json: it is the same file as the input c.manifest.json"),
+        (["estimate", "--corpus", "corpus.txt", "--embeddings", "t.manifest.json", "--pad-length", "512",
+          "--out", "t"], "t.manifest.json: it is the same file as the input t.manifest.json"),
+        (["synth", "--model", "white", "--length", "32", "--vocab", "4", "--out", "c.txt",
+          "--emb-out", "c.txt"], "c.txt: it is the same file as the output c.txt"),
+        (["synth", "--model", "white", "--length", "32", "--vocab", "4", "--out", "c.txt",
+          "--emb-out", "c.txt.manifest.json"], "c.txt.manifest.json: it is the same file as the output "),
+        (["train-toy", "--schedule", "sched.json", *_TOY_SIZES, "--metrics-out", "m.csv",
+          "--checkpoint-out", "m.csv"], "m.csv: it is the same file as the output m.csv"),
+        (["train-toy", "--schedule", "sched.json", *_TOY_SIZES, "--metrics-out", "m.csv",
+          "--checkpoint-out", "m.csv.manifest.json"],
+         "m.csv.manifest.json: it is the same file as the output "),
+        (["train-toy", "--schedule", "sched.json", *_TOY_SIZES, "--metrics-out", "sched.json"],
+         "sched.json: it is the same file as the input sched.json"),
+        (["train-toy", "--schedule", "sched.json", *_TOY_SIZES, "--metrics-out", "m.csv",
+          "--checkpoint-out", "sched.json"], "sched.json: it is the same file as the input sched.json"),
+        (["train-toy", "--schedule", "s.manifest.json", *_TOY_SIZES, "--metrics-out", "s"],
+         "s.manifest.json: it is the same file as the input s.manifest.json"),
+    ],
+    ids=[
+        "estimate-out-spectrum", "estimate-out-corpus", "estimate-out-table", "estimate-spectrum-corpus",
+        "estimate-spectrum-table", "estimate-spectrum-manifest", "estimate-manifest-corpus",
+        "estimate-manifest-table", "synth-out-emb", "synth-emb-manifest", "train-toy-metrics-checkpoint",
+        "train-toy-checkpoint-manifest", "train-toy-metrics-schedule", "train-toy-checkpoint-schedule",
+        "train-toy-manifest-schedule",
+    ],
+)
+def test_an_output_that_is_another_output_or_an_input_fails_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, argv, clash
+):
+    monkeypatch.chdir(tmp_path)
+    _make_corpus(tmp_path, capsys, count="2")
+    os.mkdir("sub")
+    (tmp_path / "sched.json").write_text("[[4, 8]]")
+    (tmp_path / "c.manifest.json").write_bytes((tmp_path / "corpus.txt").read_bytes())
+    (tmp_path / "t.manifest.json").write_bytes((tmp_path / "table.txt").read_bytes())
+    (tmp_path / "s.manifest.json").write_text("[[4, 8]]")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err.startswith(f"error: cannot write {clash}") and err.count("\n") == 1
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -607,10 +708,16 @@ def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
         # a list of 2^62 layers is past Python's index range, which it refuses as a MemoryError
         (["train-toy", "--layers", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
          "a 4611686018427387904-layer model needs "),
+        # a row of 2^62 ids (the chunk length defaults to the pad length), refused before the corpus is read
+        (["estimate", "--pad-length", "4611686018427387904"],
+         "chunk length 4611686018427387904 needs 18446744073709551616 bytes "),
+        (["synth", "--model", "white", "--length", "8", "--vocab", "4611686018427387904", "--out", "s.txt"],
+         "vocab size 4611686018427387904 needs 36893488147419103224 bytes "),
     ],
     ids=[
         "estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index",
         "train-toy-seq-len-index", "train-toy-horizon-index", "train-toy-layers-index",
+        "estimate-chunk-index", "synth-vocab-index",
     ],
 )
 def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(

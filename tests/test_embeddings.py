@@ -393,6 +393,20 @@ def test_read_corpus_ids_accepts_lines_without_breaks_and_rejects_bad_chunks(mon
     for chunk_len in (0, -1):
         with pytest.raises(DomainError):
             read_corpus_ids(io.StringIO("a"), CORPUS_TABLE, chunk_len)
+        with pytest.raises(DomainError):
+            chunk_corpus(["a"], chunk_len)
+
+
+class _Unreadable(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("the stream was read")
+
+
+def test_read_corpus_ids_refuses_a_row_numpy_cannot_index_before_reading():
+    # numpy refuses a (0, 2^62) int32 matrix as too big, without allocating
+    refused = "^chunk length 4611686018427387904 needs 18446744073709551616 bytes "
+    with pytest.raises(DomainError, match=refused):
+        read_corpus_ids(_Unreadable(), CORPUS_TABLE, 1 << 62)
 
 
 def test_blank_sets_are_exactly_what_str_split_splits_on():

@@ -36,7 +36,7 @@ def test_rfft_matches_naive_small():
 
 
 def test_rfft_rejects_non_power_of_two():
-    for length in (3, 6, 12, 100):
+    for length in (1, 3, 6, 12, 100):  # length 1 has no bin
         with pytest.raises(SpectralLengthError):
             periodograms(np.zeros((1, length)))
 

@@ -285,6 +285,13 @@ def test_generate_series_names_the_sizes_numpy_cannot_index():
         generate_series("white", 0.0, 2, 1 << 62, 7)
 
 
+def test_quantize_names_a_vocab_numpy_cannot_index():
+    # numpy refuses 2^62 - 1 bucket edges as too big before it allocates
+    refused = "^vocab size 4611686018427387904 needs 36893488147419103224 bytes "
+    with pytest.raises(DomainError, match=refused):
+        quantize_to_symbols(np.zeros(8), 1 << 62)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2**31), st.sampled_from([2, 4, 8, 32]))
 def test_quantize_is_monotone_in_input(seed, vocab):
