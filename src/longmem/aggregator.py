@@ -183,6 +183,37 @@ def _slab_plan(row_bytes: int, rows: int) -> tuple[int, int]:
     return workers, min(most, max(least, -(-rows // (SLABS_PER_WORKER * workers))))
 
 
+def _workspace_plan(p: int, length: int, rows: int) -> tuple[int, int, int]:
+    """The workers and slab rows `_slab_plan` gives a run of p-dimensional
+    series at pad length `length` whose full batch is `rows` rows, and the
+    bytes of that run's power sum and slab workspaces."""
+    workers, slab = _slab_plan(8 * p * length, rows)
+    return workers, slab, 8 * p * (length // 2) + workers * slab * p * (8 * length + 16 * (length // 2 + 1))
+
+
+def _allocating_workspaces(p: int, length: int, nbytes: int):
+    """`allocating` for a run's power sum and slab workspaces, of `nbytes`
+    in all: a refusal names the pad length."""
+    return allocating(
+        f"pad length {length} at p = {p}", nbytes, "the power sum and the slab workspaces",
+        "use a shorter pad length",
+    )
+
+
+def check_workspaces(table: EmbeddingTable, config: EstimatorConfig, batch_size: int) -> None:
+    """Refuse, before a corpus is read, a pad length whose power sum and
+    slab workspaces cannot be allocated, with the error `run_dataset`
+    would raise once it has the corpus. They are sized on a full batch of
+    `batch_size` rows and allocated as one block, let go at once: never
+    written, so never paged in. On one or two CPUs no corpus is cut into
+    more slab rows than a full batch; on more, one shorter than a batch
+    can be cut into a few more, which `run_dataset` checks again."""
+    p, length = table.dim, config.pad_length
+    nbytes = _workspace_plan(p, length, batch_size)[2]
+    with _allocating_workspaces(p, length, nbytes):
+        np.empty(nbytes, dtype=np.uint8)
+
+
 def _scale_error(table: EmbeddingTable) -> DomainError:
     """The error for a table whose values overflow the periodograms or
     their sum."""
@@ -386,12 +417,9 @@ def run_dataset(
     p, length = table.dim, config.pad_length
     ids = check_ids(ids, length)
     check_length(length)
-    n_workers, slab = _slab_plan(8 * p * length, min(batch_size, ids.shape[0]))
-    with allocating(  # every array the pad length sizes: the abscissa, the power sum and the workspaces
-        f"pad length {length} at p = {p}",
-        8 * p * (length // 2) + n_workers * slab * p * (8 * length + 16 * (length // 2 + 1)),
-        "the power sum and the slab workspaces", "use a shorter pad length",
-    ):
+    n_workers, slab, nbytes = _workspace_plan(p, length, min(batch_size, ids.shape[0]))
+    # every array the pad length sizes: the abscissa, the power sum and the workspaces
+    with _allocating_workspaces(p, length, nbytes):
         fit = SlopeFit(length // 2, config.cutoff)
         run = _Run(ids, batch_size, slab, n_workers, length // 2, table, schedule, progress)
         workers = [_SlabWorker(table, fit, policy, length, slab) for _ in range(n_workers)]

@@ -44,7 +44,8 @@ class EmbeddingTable:
     """Immutable mapping from symbol ids to vectors in R^p.
 
     `vectors` has one row per symbol; `mean_vector` caches the row mean.
-    `token_ids` maps the original string tokens to row indices.
+    `token_ids` maps the original string tokens to row indices, each in
+    [0, V): the corpus reader holds them in the narrowest type V allows.
     """
 
     vectors: np.ndarray
@@ -58,6 +59,9 @@ class EmbeddingTable:
             )
         if not np.all(np.isfinite(v)):
             raise DomainError("embedding vectors must be finite")
+        rows = self.token_ids.values()
+        if rows and not 0 <= min(rows) <= max(rows) < v.shape[0]:
+            raise DomainError(f"token rows must lie in [0, {v.shape[0]}), got {min(rows)}..{max(rows)}")
         with np.errstate(over="ignore"):
             mean = v.mean(axis=0)
         # the sum behind the mean of large finite values can overflow; the mean
@@ -243,6 +247,15 @@ def check_chunk_len(chunk_len: int) -> None:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
 
 
+def check_row_width(chunk_len: int) -> None:
+    """Refuse a row of `chunk_len` ids wider than numpy can index, as a
+    DomainError naming the chunk length. The row is probed at int32 width,
+    whatever the type of the ids: numpy takes a (0, 2^62) int8 shape, so a
+    narrower probe would let such a row through the read of a corpus."""
+    with allocating(f"chunk length {chunk_len}", 4 * chunk_len, "a row of ids", "use a shorter chunk length"):
+        np.empty((0, chunk_len), dtype=np.int32)  # the shape of a stream shorter than one row
+
+
 def check_ids(ids: np.ndarray, length: int) -> np.ndarray:
     """The checks of `embed_ids` that a B x n matrix of row ids passes or
     fails whole, and every block of its rows with it: integer ids, two
@@ -407,21 +420,29 @@ def _pack_keys(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarr
     return words.take(starts) & _KEY_MASK.take(lengths) | _KEY_LENGTH.take(lengths)
 
 
+def _id_dtype(vocab_size: int) -> np.dtype:
+    """The narrowest of int8, int16 and int32 that holds both V - 1 and
+    OOV_ID for a table of `vocab_size` rows: int8 up to V = 128, int16 up
+    to V = 32768, else int32."""
+    return np.dtype(np.int8 if vocab_size <= 1 << 7 else np.int16 if vocab_size <= 1 << 15 else np.int32)
+
+
 class TokenIndex:
     """The table's tokens of 1-7 UTF-8 bytes, as packed keys in an open-
-    addressing hash table with linear probing, mapped to their rows.
+    addressing hash table with linear probing, mapped to their rows, which
+    it holds and returns in `dtype`.
 
     Probes run forward without wrapping: slots past the last home hold the
     overflow, and the table ends in an empty slot, which ends every probe.
     """
 
-    def __init__(self, token_ids: dict[str, int]):
+    def __init__(self, token_ids: dict[str, int], dtype: np.dtype):
         encoded = list(map(_encode, token_ids))
         lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
         starts = np.cumsum(lengths) - lengths
         short = (lengths >= 1) & (lengths <= 7)
         keys = _pack_keys(b"".join(encoded) + _PAD, starts[short], lengths[short])
-        rows = np.fromiter(token_ids.values(), dtype=np.int32, count=len(encoded))[short]
+        rows = np.fromiter(token_ids.values(), dtype=dtype, count=len(encoded))[short]
         self._shift = 64 - max(1, 2 * keys.size - 1).bit_length()  # load at most 1/2
         homes = self._homes(keys)
         order = np.argsort(homes, kind="stable")
@@ -432,8 +453,12 @@ class TokenIndex:
         size = max(1 << (64 - self._shift), int(slots.max(initial=0)) + 2)
         self._keys = np.zeros(size, dtype=np.uint64)  # no token packs to key 0
         self._keys[slots] = keys[order]
-        self._rows = np.full(size, OOV_ID, dtype=np.int32)
+        self._rows = np.full(size, OOV_ID, dtype=dtype)
         self._rows[slots] = rows[order]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._rows.dtype
 
     def _homes(self, keys: np.ndarray) -> np.ndarray:
         homes = keys * _HASH_MULTIPLIER
@@ -441,7 +466,7 @@ class TokenIndex:
         return homes.view(np.int64)  # below 2^63 after the shift
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The int32 rows of packed keys, OOV_ID for keys not in the table."""
+        """The rows of packed keys, OOV_ID for keys not in the table."""
         slots = self._homes(keys)
         rows = self._rows.take(slots)  # an empty slot holds OOV_ID
         stored = self._keys.take(slots)
@@ -461,8 +486,9 @@ class TokenIndex:
 def _block_ids(
     data: bytes, index: TokenIndex, token_ids: dict[str, int]
 ) -> tuple[np.ndarray, bytes]:
-    """The int32 row ids of the whole tokens in `data`, a blank, a block's
-    bytes and _PAD; and the bytes of a last token the next block may go on."""
+    """The row ids, in the index's dtype, of the whole tokens in `data`, a
+    blank, a block's bytes and _PAD; and the bytes of a last token the next
+    block may go on."""
     word = np.frombuffer(data.translate(_WORD_BYTES), dtype=bool)
     edges = np.flatnonzero(word[1:] != word[:-1])
     edges += 1
@@ -475,7 +501,7 @@ def _block_ids(
     short = lengths <= 7
     if short.all():
         return index.lookup(_pack_keys(data, starts, lengths)), carry
-    ids = np.empty(starts.size, dtype=np.int32)
+    ids = np.empty(starts.size, dtype=index.dtype)
     ids[short] = index.lookup(_pack_keys(data, starts[short], lengths[short]))
     long = np.flatnonzero(~short)
     spans = zip(starts[long].tolist(), ends[long].tolist())
@@ -485,21 +511,23 @@ def _block_ids(
 
 
 def read_corpus_ids(stream: TextIO, table: EmbeddingTable, chunk_len: int) -> np.ndarray:
-    """Read a text stream as an N x chunk_len int32 matrix of table row
-    ids, one row per consecutive chunk of its tokens; a final partial chunk
-    is dropped.
+    """Read a text stream as an N x chunk_len matrix of table row ids, one
+    row per consecutive chunk of its tokens; a final partial chunk is
+    dropped.
 
-    Tokens are what `str.split()` gives. The text is read BLOCK_CHARS
-    characters at a time, each block tokenized as UTF-8 bytes: tokens of
-    1-7 bytes are looked up as packed keys in a `TokenIndex`, longer ones
-    in `token_ids`. The ids fill one buffer that grows by half. A row
-    wider than numpy can index is refused before the stream is read.
+    The ids are of the narrowest integer type that holds the table's rows
+    and OOV_ID: 1, 2 or 4 bytes a token for a table of at most 128, at most
+    32768 or more rows. Tokens are what `str.split()` gives. The text is
+    read BLOCK_CHARS characters at a time, each block tokenized as UTF-8
+    bytes: tokens of 1-7 bytes are looked up as packed keys in a
+    `TokenIndex`, longer ones in `token_ids`. The ids fill one buffer that
+    grows by half. A row wider than numpy can index is refused before the
+    stream is read.
     """
     check_chunk_len(chunk_len)
-    with allocating(f"chunk length {chunk_len}", 4 * chunk_len, "a row of ids", "use a shorter chunk length"):
-        np.empty((0, chunk_len), dtype=np.int32)  # the shape of a stream shorter than one row
-    index = TokenIndex(table.token_ids)
-    ids = np.empty(BLOCK_CHARS, dtype=np.int32)
+    check_row_width(chunk_len)
+    index = TokenIndex(table.token_ids, _id_dtype(table.vocab_size))
+    ids = np.empty(BLOCK_CHARS, dtype=index.dtype)
     n, carry = 0, b""
     # a last line break ends a last token that no blank ends
     for text in chain(iter(lambda: stream.read(BLOCK_CHARS), ""), ["\n"]):

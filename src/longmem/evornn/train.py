@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, TrainingDivergedError
+from ..errors import DomainError, TrainingDivergedError, allocating
 from .layer import evo_backward_batch
 from .model import ModelForward, ModelParams, forward_with_caches, rows_by_id, score_batch, zero_model
 
@@ -39,6 +39,19 @@ class TrainConfig:
             raise DomainError(f"negative count must be >= 1, got {self.negatives}")
         if self.steps < 0 or self.batch_size < 1:
             raise DomainError("steps must be >= 0 and batch size >= 1")
+
+
+def check_step_ids(batch_size: int, seq_len: int, horizon: int) -> None:
+    """Refuse, as a DomainError naming the batch size, a batch whose one
+    step's (batch_size, seq_len + horizon) id matrix cannot be allocated.
+    `train_toy` draws a batch's examples into a list before it sizes any
+    array, so run before the first draw, this keeps a batch too large from
+    drawing until memory runs out."""
+    with allocating(
+        f"batch size {batch_size} at sequence length {seq_len} and horizon {horizon}",
+        8 * batch_size * (seq_len + horizon), "one step's ids", "use a smaller batch size",
+    ):
+        np.empty((batch_size, seq_len + horizon), dtype=np.int64)
 
 
 def zero_grads(model: ModelParams) -> ModelParams:

@@ -383,6 +383,38 @@ def test_run_dataset_names_the_pad_length_when_a_workspace_is_refused(monkeypatc
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_check_workspaces_refuses_what_run_dataset_refuses_for_a_full_batch(monkeypatch, cpus):
+    # on one or two CPUs no corpus is cut into more slab rows than a full
+    # batch, so the bytes asked before the read bound those asked after it
+    monkeypatch.setattr(aggregator, "usable_cpus", lambda: cpus)
+    p, length, batch = 3, 1 << 14, 24
+    table = EmbeddingTable(np.random.default_rng(15).standard_normal((16, p)))
+    config = EstimatorConfig(length)
+    ids = np.zeros((100, 8), dtype=np.int8)
+
+    def refusals(run):
+        def refuse(*args, **kwargs):
+            raise MemoryError("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", refuse)
+            patch.setattr(np, "zeros", refuse)
+            with pytest.raises(DomainError) as raised:
+                run()
+        return str(raised.value)
+
+    before = refusals(lambda: aggregator.check_workspaces(table, config, batch))
+    full = refusals(lambda: run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch))
+    assert before == full and before.startswith(f"pad length {length} at p = {p} needs ")
+    asked = lambda message: int(re.search(r"needs (\d+) bytes", message).group(1))
+    for rows in range(1, batch):
+        short = refusals(
+            lambda: run_dataset(ids[:rows], table, config, OovPolicy.ZERO, LearningRateSchedule(), batch)
+        )
+        assert asked(short) <= asked(before)
+
+
 def test_run_dataset_names_the_pad_length_numpy_cannot_index():
     # numpy refuses a (1, 2^61) power sum as too big before it allocates
     table = EmbeddingTable(np.ones((4, 1)))

@@ -713,16 +713,30 @@ def test_an_output_that_is_another_output_or_an_input_fails_before_any_input_is_
          "chunk length 4611686018427387904 needs 18446744073709551616 bytes "),
         (["synth", "--model", "white", "--length", "8", "--vocab", "4611686018427387904", "--out", "s.txt"],
          "vocab size 4611686018427387904 needs 36893488147419103224 bytes "),
+        # workspaces of 2^62-point rows, refused once the table is read and before the corpus is
+        (["estimate", "--pad-length", "4611686018427387904", "--chunk-len", "8"],
+         "pad length 4611686018427387904 at p = 1 needs "),
+        # a step's (2^62, 64) ids, refused before the first example is drawn
+        (["train-toy", "--batch-size", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
+         "batch size 4611686018427387904 at sequence length 64 and horizon 0 needs "),
     ],
     ids=[
         "estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index",
         "train-toy-seq-len-index", "train-toy-horizon-index", "train-toy-layers-index",
-        "estimate-chunk-index", "synth-vocab-index",
+        "estimate-chunk-index", "synth-vocab-index", "estimate-workspace-index",
+        "train-toy-batch-size-index",
     ],
 )
 def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
     tmp_path, capsys, monkeypatch, argv, named
 ):
+    # every refusal comes before the corpus is read or the first example drawn,
+    # so a missing one fails here instead of allocating
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refusal came too late")
+
+    monkeypatch.setattr("longmem.cli.read_corpus_ids", unreachable)
+    monkeypatch.setattr("longmem.cli.train_toy", unreachable)
     monkeypatch.chdir(tmp_path)
     if argv[0] == "estimate":
         corpus, table = _make_corpus(tmp_path, capsys, count="2", length="2048")

@@ -75,6 +75,13 @@ def test_load_table_empty():
         load_table(io.StringIO("\n\n"))
 
 
+def test_table_rejects_token_rows_outside_the_table():
+    # a row the table lacks cannot be held in the ids' type, which V sets
+    for rows in ({"a": 0, "b": 128}, {"a": -1}, {"a": 1 << 40}):
+        with pytest.raises(DomainError, match=r"token rows must lie in \[0, 128\)"):
+            EmbeddingTable(vectors=np.zeros((128, 1)), token_ids=rows)
+
+
 def test_load_table_rejects_non_finite():
     with pytest.raises(EmbeddingParseError):
         load_table(io.StringIO("a 1 inf\n"))
@@ -369,7 +376,8 @@ def test_read_corpus_ids_matches_chunked_lookup(lines, chunk_len, block_chars):
     flat = row_ids(CORPUS_TABLE, iter_corpus_tokens(io.StringIO(text)))
     assert flat.size == sum(len(t.split()) for _, words in lines for t, _ in words)
     rows = flat.size // chunk_len
-    assert ids.shape == (rows, chunk_len) and ids.dtype == np.int32
+    # the table's 3016 rows and OOV_ID fit in int16
+    assert ids.shape == (rows, chunk_len) and ids.dtype == np.int16
     assert np.array_equal(ids.reshape(-1), flat[: rows * chunk_len])
 
 
@@ -378,7 +386,7 @@ def test_read_corpus_ids_finds_every_token_through_probe_chains():
     words = [t for t in CORPUS_TABLE.token_ids if t.split() == [t]]
     ids = read_corpus_ids(io.StringIO("  ".join(words)), CORPUS_TABLE, 1)
     assert ids.reshape(-1).tolist() == [CORPUS_TABLE.token_ids[t] for t in words]
-    index = embeddings.TokenIndex(CORPUS_TABLE.token_ids)
+    index = embeddings.TokenIndex(CORPUS_TABLE.token_ids, np.int16)
     stored = np.flatnonzero(index._keys)
     assert np.count_nonzero(index._homes(index._keys[stored]) != stored) > 100
 
@@ -417,16 +425,52 @@ def test_blank_sets_are_exactly_what_str_split_splits_on():
 
 
 def test_read_corpus_ids_peak_allocation_per_token():
-    # the int32 ids take 4 bytes a token and the buffer grows by half, so
-    # its peak is at most 6; block temporaries add a constant, also when
-    # the whole corpus is one line
+    # the table's 3016 rows take int16 ids, 2 bytes a token, and the buffer
+    # grows by half, so its peak is at most 3; block temporaries add a
+    # constant, also when the whole corpus is one line
     tokens = 1_200_000
     line = "a bb 17 zz seven77 " * 200
     for text in ((line + "\n") * (tokens // 1000), line * (tokens // 1000)):
         stream = io.StringIO(text)
         ids, peak = traced_peak(lambda: read_corpus_ids(stream, CORPUS_TABLE, 1000))
         assert ids.size == tokens
-        assert peak <= 7 * tokens + (1 << 20)
+        assert peak <= 3 * tokens + (1 << 20)
+
+
+def _numbered_table(vocab: int) -> EmbeddingTable:
+    """A 1-dim table of `vocab` rows whose tokens alternate between packed
+    keys ("7") and dict lookups ("long-token-8"), so both paths return ids."""
+    tokens = [str(i) if i % 2 else f"long-token-{i}" for i in range(vocab)]
+    return EmbeddingTable(vectors=np.zeros((vocab, 1)), token_ids={t: i for i, t in enumerate(tokens)})
+
+
+@pytest.mark.parametrize(
+    "vocab, dtype",
+    [(2, np.int8), (128, np.int8), (129, np.int16), (32768, np.int16), (32769, np.int32)],
+)
+def test_read_corpus_ids_holds_ids_in_the_narrowest_type_that_fits_the_table(vocab, dtype):
+    # V - 1 and OOV_ID fit in int8 up to V = 128, in int16 up to V = 32768
+    table = _numbered_table(vocab)
+    tokens = list(table.token_ids)
+    picks = np.random.default_rng(vocab).integers(0, vocab, 500).tolist()
+    words = [tokens[0], tokens[-1], *(tokens[i] for i in picks), "oov", "long-token-oov", str(vocab)]
+    ids = read_corpus_ids(io.StringIO(" ".join(words) + "\n"), table, 1)
+    assert ids.dtype == dtype
+    assert ids.reshape(-1).tolist() == [table.token_ids.get(w, OOV_ID) for w in words]
+    assert ids.max() == vocab - 1 and ids.min() == OOV_ID
+
+
+def test_read_corpus_ids_peak_allocation_for_a_small_table_is_a_byte_and_a_half_a_token():
+    # int8 ids in a buffer that grows by half; block temporaries add a
+    # constant, also when the whole corpus is one line
+    table = _numbered_table(128)
+    tokens = 1_200_000
+    line = "1 long-token-2 127 oov long-token-126 " * 200
+    for text in ((line + "\n") * (tokens // 1000), line * (tokens // 1000)):
+        stream = io.StringIO(text)
+        ids, peak = traced_peak(lambda: read_corpus_ids(stream, table, 1000))
+        assert ids.size == tokens and ids.dtype == np.int8
+        assert peak <= 1.5 * tokens + (1 << 20)
 
 
 def test_shuffle_rows_draws_one_permutation_per_row():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal, special
 
+from longmem import synth
+from longmem.cli import main
 from longmem.embeddings import EmbeddedSeries
 from longmem.errors import DomainError
 from longmem.estimator import EstimatorConfig, LowFrequency, estimate_from_periodogram
@@ -290,6 +292,33 @@ def test_quantize_names_a_vocab_numpy_cannot_index():
     refused = "^vocab size 4611686018427387904 needs 36893488147419103224 bytes "
     with pytest.raises(DomainError, match=refused):
         quantize_to_symbols(np.zeros(8), 1 << 62)
+
+
+def test_synth_works_out_the_bucket_edges_once_per_vocab(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(q):
+        calls.append(q.size)
+        return _normal_quantiles(q)
+
+    monkeypatch.setattr(synth, "_normal_quantiles", counted)
+    synth._bucket_edges.cache_clear()
+    out = tmp_path / "corpus.txt"
+    argv = ["synth", "--model", "fgn", "--d", "0.3", "--length", "64", "--count", "5",
+            "--seed", "2", "--vocab", "50", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [49]
+    # each series cut at edges of its own, as one call of the quantizer would
+    edges = _normal_quantiles(np.arange(1, 50) / 50)
+    matrix = generate_series("fgn", 0.3, 64, 5, 2)
+    want = "".join(
+        " ".join(map(str, np.searchsorted(edges, column, side="right").tolist())) + "\n"
+        for column in matrix.T
+    )
+    assert out.read_text() == want
+    with pytest.raises(ValueError):  # the shared edges cannot be written through
+        synth._bucket_edges(50)[0] = 0.0
 
 
 @settings(max_examples=25)
