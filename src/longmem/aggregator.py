@@ -200,16 +200,15 @@ def _allocating_workspaces(p: int, length: int, nbytes: int):
     )
 
 
-def check_workspaces(table: EmbeddingTable, config: EstimatorConfig, batch_size: int) -> None:
+def check_workspaces(table: EmbeddingTable, config: EstimatorConfig) -> None:
     """Refuse, before a corpus is read, a pad length whose power sum and
     slab workspaces cannot be allocated, with the error `run_dataset`
-    would raise once it has the corpus. They are sized on a full batch of
-    `batch_size` rows and allocated as one block, let go at once: never
-    written, so never paged in. On one or two CPUs no corpus is cut into
-    more slab rows than a full batch; on more, one shorter than a batch
-    can be cut into a few more, which `run_dataset` checks again."""
+    would raise once it has the corpus. They are sized on one row, the
+    least any corpus is cut into, and allocated as one block, let go at
+    once: never written, so never paged in. A run the corpus makes longer
+    is checked again by `run_dataset`."""
     p, length = table.dim, config.pad_length
-    nbytes = _workspace_plan(p, length, batch_size)[2]
+    nbytes = _workspace_plan(p, length, 1)[2]
     with _allocating_workspaces(p, length, nbytes):
         np.empty(nbytes, dtype=np.uint8)
 

@@ -42,8 +42,7 @@ from .aggregator import (
     run_dataset,
 )
 from .embeddings import (
-    OovPolicy, check_chunk_len, check_fits, check_row_width, format_table, load_table, read_corpus_ids,
-    shuffle_rows,
+    OovPolicy, check_chunk_len, check_fits, format_table, load_table, read_corpus_ids, shuffle_rows,
 )
 from .errors import LongmemError
 from .estimator import EstimatorConfig, FullBand, LowFrequency, fitted_bins, sqrt_cutoff
@@ -227,13 +226,10 @@ def cmd_estimate(args, parser) -> int:
     _checked(parser, "--batch-size", check_batch_size, args.batch_size)
     _checked(parser, "--alpha0", LearningRateSchedule, args.alpha0)  # alone, so its error names it
     schedule = _checked(parser, "--tau", LearningRateSchedule, args.alpha0, args.tau)
-    # what the flags size is refused before the corpus is read: a row of
-    # ids before any input, the workspaces, which p sizes too, after the table
-    check_row_width(chunk_len)
     digests: dict[str, str] = {}
     with _read_text(args.embeddings, digests) as stream:
         table = load_table(stream)
-    check_workspaces(table, config, args.batch_size)
+    check_workspaces(table, config)  # p sizes them too, so once the table is read
     with _read_text(args.corpus, digests) as stream:
         ids = read_corpus_ids(stream, table, chunk_len)
     if args.shuffle:

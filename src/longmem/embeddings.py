@@ -247,15 +247,6 @@ def check_chunk_len(chunk_len: int) -> None:
         raise DomainError(f"chunk length must be positive, got {chunk_len}")
 
 
-def check_row_width(chunk_len: int) -> None:
-    """Refuse a row of `chunk_len` ids wider than numpy can index, as a
-    DomainError naming the chunk length. The row is probed at int32 width,
-    whatever the type of the ids: numpy takes a (0, 2^62) int8 shape, so a
-    narrower probe would let such a row through the read of a corpus."""
-    with allocating(f"chunk length {chunk_len}", 4 * chunk_len, "a row of ids", "use a shorter chunk length"):
-        np.empty((0, chunk_len), dtype=np.int32)  # the shape of a stream shorter than one row
-
-
 def check_ids(ids: np.ndarray, length: int) -> np.ndarray:
     """The checks of `embed_ids` that a B x n matrix of row ids passes or
     fails whole, and every block of its rows with it: integer ids, two
@@ -525,7 +516,9 @@ def read_corpus_ids(stream: TextIO, table: EmbeddingTable, chunk_len: int) -> np
     stream is read.
     """
     check_chunk_len(chunk_len)
-    check_row_width(chunk_len)
+    # probed at int32 width whatever the ids' type: numpy takes a (0, 2^62) int8 shape
+    with allocating(f"chunk length {chunk_len}", 4 * chunk_len, "a row of ids", "use a shorter chunk length"):
+        np.empty((0, chunk_len), dtype=np.int32)  # the shape of a stream shorter than one row
     index = TokenIndex(table.token_ids, _id_dtype(table.vocab_size))
     ids = np.empty(BLOCK_CHARS, dtype=index.dtype)
     n, carry = 0, b""

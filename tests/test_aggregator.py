@@ -383,10 +383,11 @@ def test_run_dataset_names_the_pad_length_when_a_workspace_is_refused(monkeypatc
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_check_workspaces_refuses_what_run_dataset_refuses_for_a_full_batch(monkeypatch, cpus):
-    # on one or two CPUs no corpus is cut into more slab rows than a full
-    # batch, so the bytes asked before the read bound those asked after it
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_check_workspaces_asks_no_more_than_run_dataset_for_any_corpus(monkeypatch, cpus):
+    # sized on one row, the bytes asked before the read are at most those
+    # asked after it, for a corpus of any length on any number of CPUs, so
+    # no run that run_dataset would accept is refused before the read
     monkeypatch.setattr(aggregator, "usable_cpus", lambda: cpus)
     p, length, batch = 3, 1 << 14, 24
     table = EmbeddingTable(np.random.default_rng(15).standard_normal((16, p)))
@@ -404,15 +405,17 @@ def test_check_workspaces_refuses_what_run_dataset_refuses_for_a_full_batch(monk
                 run()
         return str(raised.value)
 
-    before = refusals(lambda: aggregator.check_workspaces(table, config, batch))
-    full = refusals(lambda: run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch))
-    assert before == full and before.startswith(f"pad length {length} at p = {p} needs ")
     asked = lambda message: int(re.search(r"needs (\d+) bytes", message).group(1))
-    for rows in range(1, batch):
-        short = refusals(
+    before = refusals(lambda: aggregator.check_workspaces(table, config))
+    assert before.startswith(f"pad length {length} at p = {p} needs ")
+    for rows in range(1, ids.shape[0] + 1):
+        after = refusals(
             lambda: run_dataset(ids[:rows], table, config, OovPolicy.ZERO, LearningRateSchedule(), batch)
         )
-        assert asked(short) <= asked(before)
+        assert after.startswith(f"pad length {length} at p = {p} needs ")
+        assert asked(before) <= asked(after)
+    one_row = refusals(lambda: run_dataset(ids[:1], table, config, OovPolicy.ZERO, LearningRateSchedule(), batch))
+    assert before == one_row
 
 
 def test_run_dataset_names_the_pad_length_numpy_cannot_index():

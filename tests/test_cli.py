@@ -708,9 +708,10 @@ def test_an_output_that_is_another_output_or_an_input_fails_before_any_input_is_
         # a list of 2^62 layers is past Python's index range, which it refuses as a MemoryError
         (["train-toy", "--layers", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
          "a 4611686018427387904-layer model needs "),
-        # a row of 2^62 ids (the chunk length defaults to the pad length), refused before the corpus is read
+        # a row of 2^62 ids (the chunk length defaults to the pad length): the
+        # workspaces of one such row are refused first, naming the pad length given
         (["estimate", "--pad-length", "4611686018427387904"],
-         "chunk length 4611686018427387904 needs 18446744073709551616 bytes "),
+         "pad length 4611686018427387904 at p = 1 needs "),
         (["synth", "--model", "white", "--length", "8", "--vocab", "4611686018427387904", "--out", "s.txt"],
          "vocab size 4611686018427387904 needs 36893488147419103224 bytes "),
         # workspaces of 2^62-point rows, refused once the table is read and before the corpus is

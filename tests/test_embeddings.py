@@ -417,6 +417,15 @@ def test_read_corpus_ids_refuses_a_row_numpy_cannot_index_before_reading():
         read_corpus_ids(_Unreadable(), CORPUS_TABLE, 1 << 62)
 
 
+def test_read_corpus_ids_probes_a_row_of_int8_ids_at_int32_width():
+    # numpy takes a (0, 2^62) int8 shape, so a probe in the ids' own type
+    # would let such a row through to the read
+    np.empty((0, 1 << 62), dtype=np.int8)
+    refused = "^chunk length 4611686018427387904 needs 18446744073709551616 bytes "
+    with pytest.raises(DomainError, match=refused):
+        read_corpus_ids(_Unreadable(), SMALL_TABLE, 1 << 62)
+
+
 def test_blank_sets_are_exactly_what_str_split_splits_on():
     non_ascii = {chr(c) for c in range(0x80, 0x110000) if chr(c).isspace()}
     assert set(embeddings._NON_ASCII_BLANKS) == non_ascii
