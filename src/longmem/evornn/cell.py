@@ -5,9 +5,11 @@ state. The candidate consumes [x; r*h] (reset applied to the state half
 only). All math is in float64 so finite-difference checks are meaningful.
 
 `gru_forward_run` and `gru_backward_run` unroll and reverse the cell over a
-run of steps in preallocated (T, B, .) buffers. `gru_forward_batch` and
-`gru_backward_batch` are one step each, kept as the oracles they are tested
-against.
+run of steps in preallocated (T, B, .) buffers. A forward step writes its
+gates and state into those buffers and allocates no array memory; the
+reverse multiplies by C-contiguous copies of the three recurrent weight
+blocks, made once a run. `gru_forward_batch` and `gru_backward_batch` are
+one step each, kept as the oracles they are tested against.
 """
 
 from __future__ import annotations
@@ -54,8 +56,13 @@ def zero_cell_grads(cell: GruCellParams) -> list[np.ndarray]:
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # sigma(x) = (1 + tanh(x/2)) / 2: tanh is bounded by 1, so no step can overflow
-    return np.add(0.5, 0.5 * np.tanh(0.5 * x), out=out)
+    # sigma(x) = (1 + tanh(x/2)) / 2: tanh is bounded by 1, so no step can
+    # overflow. All four steps run in `out` (a new array when None; may be x)
+    out = np.multiply(0.5, x, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def gru_forward_batch(
@@ -123,17 +130,35 @@ def gru_forward_run(
     `states` is (T+1, B, n) with the entering state in row 0; step t writes
     its new state to row t+1 and its update, reset and candidate gates to
     `gates[0, t]`, `gates[1, t]` and `gates[2, t]` of the (3, T, B, n) buffer.
-    Each step is `gru_forward_batch`'s arithmetic, so the states equal a
-    chain of it bit for bit.
+    A run allocates [x|h], [x|r*h] and (1-z)*h once, as (B, m+n), (B, m+n)
+    and (B, n) buffers; a step refills them, and each GEMM, bias add and
+    activation writes into its gate row, so a step allocates no array memory.
+    Each step is `gru_forward_batch`'s arithmetic in its order, so the
+    states equal a chain of it bit for bit.
     """
+    m = cell.input_dim
+    u = np.empty((states.shape[1], m + cell.hidden_dim))
+    v = np.empty_like(u)
+    keep = np.empty_like(states[0])
     for t, x_t in enumerate(x):
         h = states[t]
-        u = np.concatenate([x_t, h], axis=1)
-        z = _sigmoid(u @ cell.w_update + cell.b_update, out=gates[0, t])
-        r = _sigmoid(u @ cell.w_reset + cell.b_reset, out=gates[1, t])
-        v = np.concatenate([x_t, r * h], axis=1)
-        c = np.tanh(v @ cell.w_candidate + cell.b_candidate, out=gates[2, t])
-        np.add((1.0 - z) * h, z * c, out=states[t + 1])
+        u[:, :m] = x_t
+        u[:, m:] = h
+        z = np.matmul(u, cell.w_update, out=gates[0, t])
+        z += cell.b_update
+        _sigmoid(z, out=z)
+        r = np.matmul(u, cell.w_reset, out=gates[1, t])
+        r += cell.b_reset
+        _sigmoid(r, out=r)
+        v[:, :m] = x_t
+        np.multiply(r, h, out=v[:, m:])
+        c = np.matmul(v, cell.w_candidate, out=gates[2, t])
+        c += cell.b_candidate
+        np.tanh(c, out=c)
+        np.subtract(1.0, z, out=keep)
+        keep *= h
+        h_new = np.multiply(z, c, out=states[t + 1])
+        np.add(keep, h_new, out=h_new)
 
 
 def gru_backward_run(
@@ -162,15 +187,19 @@ def gru_backward_run(
     | scratch | | h*r*(1-r) | d_pre_r |
 
     Each step multiplies `dh` into those factors, overwriting them with the
-    gate pre-activation gradients, and carries `dh` back one step. Each
-    weight gradient, bias sum and the (T, B, m) input gradient `grad_x` is
-    then one GEMM or sum over the run's stacked rows; `grad_x` must be
-    C-contiguous. `x` and `states` are only read. Accumulates into `grads`
+    gate pre-activation gradients, and carries `dh` back one step through
+    C-contiguous (n, n) copies of the recurrent weight blocks, made once a
+    run. Each weight gradient, bias sum and the (T, B, m) input gradient
+    `grad_x` is then one GEMM or sum over the run's stacked rows; `grad_x`
+    must be C-contiguous. `x` and `states` are only read. Accumulates into `grads`
     (order of tensors()) and returns the gradient of the entering state.
     """
     m = cell.input_dim
     w_update, w_reset, w_candidate = cell.w_update, cell.w_reset, cell.w_candidate
-    wh_update, wh_reset, wh_candidate = w_update[m:].T, w_reset[m:].T, w_candidate[m:].T
+    # C-contiguous copies: a GEMM against a transposed view is the slower BLAS path
+    wh_update, wh_reset, wh_candidate = (
+        np.ascontiguousarray(w[m:].T) for w in (w_update, w_reset, w_candidate)
+    )
     update, reset, candidate = gates
     h = states[:-1]
     d_pre_update = np.subtract(candidate, h)

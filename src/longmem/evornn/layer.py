@@ -181,13 +181,28 @@ def evo_backward_batch(
 
     `grad_outputs[t]` may be None when no loss term touches the step's
     output. Input gradients are written into `grad_inputs`, a C-contiguous
-    (T, B, m) array, when one is given (every step must then read m
+    float64 (T, B, m) array, when one is given (every step must then read m
     inputs), else into a new block per run; the returned steps are views of
-    them. Each run's gate buffers are spent and dropped, so a forward is
-    reversed once; reversing it again raises DomainError.
+    them. Any other `grad_inputs` raises DimensionMismatchError before a
+    run is reversed. Each run's gate buffers are spent and dropped, so a
+    forward is reversed once; reversing it again raises DomainError.
     """
     if any(run.gates is None for run in forward.runs):
         raise DomainError("this forward has already been reversed; its gate buffers are spent")
+    if grad_inputs is not None:
+        # a block whose step rows are not one (T*B, m) view would be written as a copy
+        shape = (len(forward.outputs),) + forward.runs[0].inputs.shape[1:]
+        if (
+            grad_inputs.shape != shape
+            or any(run.inputs.shape[1:] != shape[1:] for run in forward.runs)
+            or grad_inputs.dtype != np.float64
+            or not grad_inputs.flags.c_contiguous
+        ):
+            layout = "C-contiguous" if grad_inputs.flags.c_contiguous else "non-C-contiguous"
+            raise DimensionMismatchError(
+                f"input gradients need a C-contiguous float64 {shape} array, "
+                f"got a {layout} {grad_inputs.dtype} {grad_inputs.shape} one"
+            )
     blocks = []
     dh = np.zeros_like(forward.outputs[-1])
     for run in reversed(forward.runs):

@@ -60,11 +60,16 @@ def test_gru_batch_matches_single_steps():
         assert np.allclose(batched[i], single[0], atol=1e-14)
 
 
-def test_sigmoid_matches_the_logistic_function():
+@pytest.mark.parametrize("in_place", [False, True])
+def test_sigmoid_matches_the_logistic_function(in_place):
     x = np.linspace(-40.0, 40.0, 200001)
+    arg = x.copy() if in_place else x
+    got = _sigmoid(arg, out=arg if in_place else None)
+    assert (got is arg) == in_place
+    assert np.array_equal(x, np.linspace(-40.0, 40.0, 200001))
     # absolute bound: the gates mix states convexly, and relative error of
     # the tanh form grows in the negative tail where the gate is ~0
-    assert np.max(np.abs(_sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 2.3e-16
+    assert np.max(np.abs(got - 1.0 / (1.0 + np.exp(-x)))) <= 2.3e-16
 
 
 def test_sigmoid_saturates_without_floating_point_errors():

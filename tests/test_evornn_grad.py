@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model
-from longmem.errors import DomainError
+from longmem.errors import DimensionMismatchError, DomainError
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
-from longmem.evornn.cell import gru_backward_batch, gru_forward_batch, zero_cell_grads
+from longmem.evornn.cell import (
+    gru_backward_batch,
+    gru_backward_run,
+    gru_forward_batch,
+    gru_forward_run,
+    zero_cell_grads,
+)
 from longmem.evornn.layer import evo_backward_batch, evo_forward_batch, segment_of_step
 from longmem.evornn.model import forward_with_caches, model_shapes, rows_by_id, zero_model
 from longmem.evornn.train import (
@@ -319,7 +325,7 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
     _check_run_kernels(layers, embedded, length, _top_grads(rng, schedules[-1], length, total, batch))
 
 
-@pytest.mark.parametrize(
+WORKLOAD_SHAPES = pytest.mark.parametrize(
     "segments, num_layers, horizon, batch",
     [
         # the power-law schedule of `train-powerlaw`
@@ -328,21 +334,90 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
         (((64, 128),), 2, 3, 32),
     ],
 )
-def test_run_kernels_match_the_per_step_oracles_at_workload_shapes(segments, num_layers, horizon, batch):
-    schedule = CellSchedule(segments)
+
+
+def _workload_layers(segments, num_layers, rng):
+    """The layers of a 32-dim embedding model with random biases and initial states."""
     layers = build_model(
-        vocab_size=1, emb_dim=32, schedule=schedule, decoder_dim=1, num_layers=num_layers, seed=3
+        vocab_size=1, emb_dim=32, schedule=CellSchedule(segments), decoder_dim=1,
+        num_layers=num_layers, seed=3,
     ).layers
-    rng = np.random.default_rng(4)
     for layer in layers:
         layer.init_state += rng.normal(scale=0.5, size=layer.init_state.shape)
         for cell in layer.cells:
             for bias in (cell.b_update, cell.b_reset, cell.b_candidate):
                 bias += rng.normal(scale=0.5, size=bias.shape)
+    return layers
+
+
+@WORKLOAD_SHAPES
+def test_run_kernels_match_the_per_step_oracles_at_workload_shapes(segments, num_layers, horizon, batch):
+    schedule = CellSchedule(segments)
+    rng = np.random.default_rng(4)
+    layers = _workload_layers(segments, num_layers, rng)
     length = schedule.total_length
     total = length + horizon
     embedded = rng.standard_normal((total, batch, 32))
     _check_run_kernels(layers, embedded, length, _top_grads(rng, schedule, length, total, batch))
+
+
+@WORKLOAD_SHAPES
+def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_layers, horizon, batch):
+    rng = np.random.default_rng(6)
+    for layer in _workload_layers(segments, num_layers, rng):
+        for cell, (steps, n) in zip(layer.cells, layer.schedule.segments):
+            steps += horizon
+            x = rng.standard_normal((steps, batch, cell.input_dim))
+            states = np.empty((steps + 1, batch, n))
+            states[0] = rng.standard_normal((batch, n))
+            gates = np.empty((3, steps, batch, n))
+            tensors = [t.copy() for t in cell.tensors()]
+            x_before = x.copy()
+            gru_forward_run(cell, x, states, gates)
+            assert np.array_equal(x, x_before)
+            states_before = states.copy()
+            grad_outputs = [rng.standard_normal((batch, n)) if t % 2 else None for t in range(steps)]
+            gru_backward_run(
+                cell, x, states, gates, grad_outputs, rng.standard_normal((batch, n)),
+                zero_cell_grads(cell), np.empty_like(x),
+            )
+            assert np.array_equal(x, x_before)
+            assert np.array_equal(states, states_before)
+            for got, want in zip(cell.tensors(), tensors):
+                assert np.array_equal(got, want)
+
+
+def _small_forward():
+    """A two-run forward of a (4, 2, 3) input block and a gradient for every step."""
+    layer = build_model(
+        vocab_size=8, emb_dim=3, schedule=CellSchedule(((3, 2), (1, 4))), decoder_dim=3, seed=5
+    ).layers[0]
+    forward = evo_forward_batch(layer, np.random.default_rng(7).standard_normal((4, 2, 3)), 4)
+    return layer, forward, [np.ones_like(output) for output in forward.outputs]
+
+
+@pytest.mark.parametrize(
+    "make_buffer",
+    [
+        lambda: np.full((4, 2, 3), 7.0, order="F"),
+        lambda: np.full((4, 2, 6), 7.0)[:, :, ::2],
+        lambda: np.full((4, 2, 3), 7.0, dtype=np.float32),
+        lambda: np.full((5, 2, 3), 7.0),
+        lambda: np.full((4, 2, 4), 7.0),
+    ],
+    ids=["fortran-order", "strided", "float32", "too-many-steps", "wrong-input-dim"],
+)
+def test_reverse_refuses_an_input_gradient_buffer_it_cannot_write_in_place(make_buffer):
+    layer, forward, grad_outputs = _small_forward()
+    grads = zero_model([layer.schedule], 1, 3, 1, 0).layers[0]
+    with pytest.raises(DimensionMismatchError, match=r"C-contiguous float64 \(4, 2, 3\)"):
+        evo_backward_batch(layer, forward, grad_outputs, grads, make_buffer())
+    # refused before any run was reversed: the forward can still be reversed
+    grad_inputs = np.full((4, 2, 3), 7.0)
+    evo_backward_batch(layer, forward, grad_outputs, grads, grad_inputs)
+    layer, forward, grad_outputs = _small_forward()
+    grads = zero_model([layer.schedule], 1, 3, 1, 0).layers[0]
+    assert np.array_equal(np.stack(evo_backward_batch(layer, forward, grad_outputs, grads)), grad_inputs)
 
 
 def test_a_forward_is_reversed_once():
