@@ -205,6 +205,13 @@ def _parse_cutoff(raw: str, pad_length: int, parser: argparse.ArgumentParser):
     return LowFrequency(m)
 
 
+def _seed(raw: str) -> int:
+    """A `--seed` value: numpy's generators take non-negative integers alone."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"needs a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _checked(parser: argparse.ArgumentParser, flag: str, check, *args):
     """`check(*args)`, whose library error becomes a usage error naming `flag`."""
     try:
@@ -335,7 +342,7 @@ def cmd_train_toy(args, parser) -> int:
         seed=args.seed + 1,
         horizon=args.horizon,
     )
-    check_step_ids(args.batch_size, args.seq_len, args.horizon)
+    check_step_ids(args.batch_size, args.seq_len, args.horizon, args.emb_dim)
     model = build_model(
         vocab_size=args.vocab,
         emb_dim=args.emb_dim,
@@ -402,7 +409,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     est.add_argument("--alpha0", type=float, default=1.0)
     est.add_argument("--tau", type=float, default=10.0)
     est.add_argument("--shuffle", action="store_true", help="shuffle tokens within each sequence")
-    est.add_argument("--seed", type=int, default=0, help="seed for --shuffle")
+    est.add_argument("--seed", type=_seed, default=0, help="seed for --shuffle")
     est.add_argument("--progress", action="store_true", help="progress lines on stderr")
     est.add_argument("--dump-spectrum", default=None, help="write averaged periodogram CSV here")
     est.add_argument("--out", required=True, help="JSON report path")
@@ -414,7 +421,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     syn.add_argument("--hurst", type=float, default=None)
     syn.add_argument("--length", type=int, default=2048)
     syn.add_argument("--count", type=int, default=1)
-    syn.add_argument("--seed", type=int, default=0)
+    syn.add_argument("--seed", type=_seed, default=0)
     syn.add_argument("--ma-truncation", type=int, default=None)
     syn.add_argument("--vocab", type=int, default=None, help="quantize to V tokens instead of CSV")
     syn.add_argument("--emb-out", default=None, help="write the matching bucket embedding table")
@@ -445,7 +452,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     toy.add_argument("--clip", type=float, default=1.0)
     toy.add_argument("--batch-size", type=int, default=64)
     toy.add_argument("--negatives", type=int, default=0, help="0 means full softmax (V-1)")
-    toy.add_argument("--seed", type=int, default=0)
+    toy.add_argument("--seed", type=_seed, default=0)
     toy.add_argument("--metrics-out", required=True, help="metrics CSV path")
     toy.add_argument("--checkpoint-out", default=None, help="JSON checkpoint path")
     return parser, sub.choices

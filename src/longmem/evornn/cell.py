@@ -5,9 +5,9 @@ state. The candidate consumes [x; r*h] (reset applied to the state half
 only). All math is in float64 so finite-difference checks are meaningful.
 
 `gru_forward_run` and `gru_backward_run` unroll and reverse the cell over a
-run of steps in preallocated (T, B, .) buffers. A forward step writes its
-gates and state into those buffers and allocates no array memory; the
-reverse multiplies by C-contiguous copies of the three recurrent weight
+run of steps, allocating and returning every run buffer they write. A
+forward step allocates no array memory; the reverse spends the forward's
+gates and multiplies by C-contiguous copies of the three recurrent weight
 blocks, made once a run. `gru_forward_batch` and `gru_backward_batch` are
 one step each, kept as the oracles they are tested against.
 """
@@ -123,21 +123,25 @@ def gru_backward_batch(
 
 
 def gru_forward_run(
-    cell: GruCellParams, x: np.ndarray, states: np.ndarray, gates: np.ndarray
-) -> None:
-    """Unroll the cell over a (T, B, m) input block, writing into run buffers.
+    cell: GruCellParams, x: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unroll the cell over a (T, B, m) input block from the (B, n) state `h`.
 
-    `states` is (T+1, B, n) with the entering state in row 0; step t writes
-    its new state to row t+1 and its update, reset and candidate gates to
-    `gates[0, t]`, `gates[1, t]` and `gates[2, t]` of the (3, T, B, n) buffer.
-    A run allocates [x|h], [x|r*h] and (1-z)*h once, as (B, m+n), (B, m+n)
-    and (B, n) buffers; a step refills them, and each GEMM, bias add and
-    activation writes into its gate row, so a step allocates no array memory.
-    Each step is `gru_forward_batch`'s arithmetic in its order, so the
-    states equal a chain of it bit for bit.
+    Returns the run's new (T+1, B, n) `states`, the entering state in row 0
+    and step t's new state in row t+1, and its new (3, T, B, n) `gates`,
+    step t's update, reset and candidate gates in `gates[0, t]`,
+    `gates[1, t]` and `gates[2, t]`. A run also allocates [x|h], [x|r*h]
+    and (1-z)*h once, as (B, m+n), (B, m+n) and (B, n) buffers; a step
+    refills them, and each GEMM, bias add and activation writes into its
+    gate row, so a step allocates no array memory. Each step is
+    `gru_forward_batch`'s arithmetic in its order, so the states equal a
+    chain of it bit for bit.
     """
     m = cell.input_dim
-    u = np.empty((states.shape[1], m + cell.hidden_dim))
+    states = np.empty((len(x) + 1, *h.shape))
+    states[0] = h
+    gates = np.empty((3, *states[1:].shape))
+    u = np.empty((len(h), m + cell.hidden_dim))
     v = np.empty_like(u)
     keep = np.empty_like(states[0])
     for t, x_t in enumerate(x):
@@ -159,6 +163,7 @@ def gru_forward_run(
         keep *= h
         h_new = np.multiply(z, c, out=states[t + 1])
         np.add(keep, h_new, out=h_new)
+    return states, gates
 
 
 def gru_backward_run(
@@ -169,8 +174,7 @@ def gru_backward_run(
     grad_outputs: list,
     dh: np.ndarray,
     grads: list[np.ndarray],
-    grad_x: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reverse `gru_forward_run`, given the gradient `dh` of its last state.
 
     `grad_outputs[t]` (None when no loss term touches it) joins the gradient
@@ -189,10 +193,11 @@ def gru_backward_run(
     Each step multiplies `dh` into those factors, overwriting them with the
     gate pre-activation gradients, and carries `dh` back one step through
     C-contiguous (n, n) copies of the recurrent weight blocks, made once a
-    run. Each weight gradient, bias sum and the (T, B, m) input gradient
-    `grad_x` is then one GEMM or sum over the run's stacked rows; `grad_x`
-    must be C-contiguous. `x` and `states` are only read. Accumulates into `grads`
-    (order of tensors()) and returns the gradient of the entering state.
+    run. Each weight gradient, bias sum and the input gradient is then one
+    GEMM or sum over the run's stacked rows. `x` and `states` are only read,
+    and `gates` is spent. Accumulates into `grads` (order of tensors()) and
+    returns (grad_x, grad_h): a new C-contiguous (T, B, m) input gradient
+    and the gradient of the entering state.
     """
     m = cell.input_dim
     w_update, w_reset, w_candidate = cell.w_update, cell.w_reset, cell.w_candidate
@@ -236,8 +241,7 @@ def gru_backward_run(
         grads[2 * k][:m] += x_rows.T @ d_pre
         grads[2 * k][m:] += state_rows.T @ d_pre
         grads[2 * k + 1] += d_pre.sum(axis=0)
-    dx = rows(grad_x)
-    np.matmul(rows(d_pre_update), w_update[:m].T, out=dx)
+    dx = rows(d_pre_update) @ w_update[:m].T
     dx += rows(d_pre_reset) @ w_reset[:m].T
     dx += rows(candidate) @ w_candidate[:m].T
-    return dh
+    return dx.reshape(x.shape), dh

@@ -6,14 +6,15 @@ matrix before the new segment's cell consumes it; boundaries with equal
 sizes carry the state through unchanged. Hidden-to-hidden multiplies are
 counted at 3*n^2 per step (three gates) for cost instrumentation.
 
-The unroll walks segment runs (consecutive steps of one cell). Each run
-writes its states and gates into (T_run, B, n) buffers, and a layer above
-reads a run's states as its own input block, without a copy. The reverse
-computes a run's gate factors once, over its whole buffers, and loops over
-its steps only for the recurrent state gradient; the run's weight
-gradients, bias sums and input gradients are one GEMM or sum each over its
-stacked rows. The reverse spends a run's gate buffers and drops them, so a
-forward is reversed once.
+The unroll walks segment runs (consecutive steps of one cell). The run
+kernels of `cell` allocate each run's (T_run, B, n) state and gate buffers
+and return them, and a layer above reads a run's states as its own input
+block, without a copy. The reverse computes a run's gate factors once,
+over its whole buffers, and loops over its steps only for the recurrent
+state gradient; the run's weight gradients, bias sums and input gradient
+block are one GEMM or sum each over its stacked rows. The reverse spends a
+run's gate buffers and drops them, so a forward is reversed once, and
+returns each run's input gradient block.
 """
 
 from __future__ import annotations
@@ -157,10 +158,7 @@ def evo_forward_batch(
             raise DimensionMismatchError(
                 f"segment {segment} needs ({batch}, {cell.input_dim}) inputs, got {x.shape[1:]}"
             )
-        states = np.empty((stop - start + 1, batch, cell.hidden_dim))
-        states[0] = h
-        gates = np.empty((3, stop - start, batch, cell.hidden_dim))
-        gru_forward_run(cell, x, states, gates)
+        states, gates = gru_forward_run(cell, x, h)
         outputs.extend(states[1:])
         runs.append(SegmentRun(segment, start, stop, crossings, x, states, gates))
         multiply_adds += 3 * cell.hidden_dim * cell.hidden_dim * (stop - start)
@@ -174,43 +172,21 @@ def evo_backward_batch(
     forward: LayerForward,
     grad_outputs: list[Optional[np.ndarray]],
     grads: EvoRnnLayer,
-    grad_inputs: Optional[np.ndarray] = None,
 ) -> list[np.ndarray]:
     """Reverse the unroll run by run; accumulates parameter grads into
-    `grads` (a zeroed twin of `layer`) and returns per-step input gradients.
+    `grads` (a zeroed twin of `layer`) and returns each run's (T_run, B, m)
+    input gradient block, earliest run first.
 
     `grad_outputs[t]` may be None when no loss term touches the step's
-    output. Input gradients are written into `grad_inputs`, a C-contiguous
-    float64 (T, B, m) array, when one is given (every step must then read m
-    inputs), else into a new block per run; the returned steps are views of
-    them. Any other `grad_inputs` raises DimensionMismatchError before a
-    run is reversed. Each run's gate buffers are spent and dropped, so a
-    forward is reversed once; reversing it again raises DomainError.
+    output. Each run's gate buffers are spent and dropped, so a forward is
+    reversed once; reversing it again raises DomainError.
     """
     if any(run.gates is None for run in forward.runs):
         raise DomainError("this forward has already been reversed; its gate buffers are spent")
-    if grad_inputs is not None:
-        # a block whose step rows are not one (T*B, m) view would be written as a copy
-        shape = (len(forward.outputs),) + forward.runs[0].inputs.shape[1:]
-        if (
-            grad_inputs.shape != shape
-            or any(run.inputs.shape[1:] != shape[1:] for run in forward.runs)
-            or grad_inputs.dtype != np.float64
-            or not grad_inputs.flags.c_contiguous
-        ):
-            layout = "C-contiguous" if grad_inputs.flags.c_contiguous else "non-C-contiguous"
-            raise DimensionMismatchError(
-                f"input gradients need a C-contiguous float64 {shape} array, "
-                f"got a {layout} {grad_inputs.dtype} {grad_inputs.shape} one"
-            )
     blocks = []
     dh = np.zeros_like(forward.outputs[-1])
     for run in reversed(forward.runs):
-        block = (
-            np.empty(run.inputs.shape) if grad_inputs is None
-            else grad_inputs[run.start : run.stop]
-        )
-        dh = gru_backward_run(
+        block, dh = gru_backward_run(
             layer.cells[run.segment],
             run.inputs,
             run.states,
@@ -218,7 +194,6 @@ def evo_backward_batch(
             grad_outputs[run.start : run.stop],
             dh,
             grads.cells[run.segment].tensors(),
-            block,
         )
         run.gates = None
         blocks.append(block)
@@ -228,4 +203,4 @@ def evo_backward_batch(
                 grads.projections[boundary] += dh.T @ h_before
                 dh = dh @ matrix
     grads.init_state += dh.sum(axis=0)
-    return [step for block in reversed(blocks) for step in block]
+    return blocks[::-1]

@@ -98,11 +98,13 @@ def build_model(
     biases and initial states are zero, and each projection copies the
     overlapping coordinates. Then `input_table`, `decoder_w` and
     `output_table` are uniform in +-1/sqrt(d), d being the dim each maps
-    from: `emb_dim`, the top hidden size and `decoder_dim`.
+    from: `emb_dim`, the top hidden size and `decoder_dim`. Layers too
+    large to allocate raise DomainError before any shape is worked out.
     """
-    with allocating(f"a {num_layers}-layer model", 8 * num_layers, f"a list of {num_layers} layers"):
-        schedules = [schedule] * num_layers
-    model = zero_model(schedules, vocab_size, emb_dim, decoder_dim, horizon)
+    nbytes = layer_nbytes(schedule, emb_dim, num_layers)
+    with allocating(f"a {num_layers}-layer model", nbytes, "the tensors of its layers", "use fewer layers"):
+        np.empty(max(nbytes, 0), dtype=np.uint8)
+    model = zero_model([schedule] * num_layers, vocab_size, emb_dim, decoder_dim, horizon)
     rng = np.random.default_rng(seed)
     for layer in model.layers:
         for cell in layer.cells:
@@ -117,6 +119,18 @@ def build_model(
     ):
         matrix[...] = rng.uniform(-1, 1, matrix.shape) / np.sqrt(width)
     return model
+
+
+def layer_nbytes(schedule: CellSchedule, emb_dim: int, num_layers: int) -> int:
+    """Bytes of the layer tensors of a `build_model` model, in closed form:
+    the `model_shapes` of 10^8 layers alone would fill memory."""
+    sizes = schedule.hidden_sizes
+    carried = sum(old * new for old, new in zip(sizes, sizes[1:]) if old != new) + sizes[0]
+    first, upper = (
+        carried + sum(3 * (m + n + 1) * n for m, n in zip(inputs, sizes))
+        for inputs in ([emb_dim] * len(sizes), sizes)
+    )
+    return 8 * (first + max(num_layers - 1, 0) * upper)
 
 
 def model_shapes(

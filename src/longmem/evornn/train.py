@@ -41,17 +41,24 @@ class TrainConfig:
             raise DomainError("steps must be >= 0 and batch size >= 1")
 
 
-def check_step_ids(batch_size: int, seq_len: int, horizon: int) -> None:
-    """Refuse, as a DomainError naming the batch size, a batch whose one
-    step's (batch_size, seq_len + horizon) id matrix cannot be allocated.
-    `train_toy` draws a batch's examples into a list before it sizes any
-    array, so run before the first draw, this keeps a batch too large from
-    drawing until memory runs out."""
+def check_step_ids(batch_size: int, seq_len: int, horizon: int, emb_dim: int) -> None:
+    """Refuse, as a DomainError naming the batch size or the embedding dim,
+    a batch whose one step's (batch_size, seq_len + horizon) ids or
+    (seq_len + horizon, batch_size, emb_dim) embedded inputs cannot be
+    allocated. `train_toy` draws a batch's examples into a list before it
+    sizes any array, so run before the first draw, this keeps a batch too
+    large from drawing until memory runs out."""
+    steps = seq_len + horizon
     with allocating(
         f"batch size {batch_size} at sequence length {seq_len} and horizon {horizon}",
-        8 * batch_size * (seq_len + horizon), "one step's ids", "use a smaller batch size",
+        8 * batch_size * steps, "one step's ids", "use a smaller batch size",
     ):
-        np.empty((batch_size, seq_len + horizon), dtype=np.int64)
+        np.empty((batch_size, steps), dtype=np.int64)
+    with allocating(
+        f"embedding dim {emb_dim} at batch size {batch_size} and {steps} steps",
+        8 * steps * batch_size * emb_dim, "one step's embedded inputs", "use a smaller embedding dim",
+    ):
+        np.empty((steps, batch_size, max(emb_dim, 0)))
 
 
 def zero_grads(model: ModelParams) -> ModelParams:
@@ -154,25 +161,16 @@ def gradients_from_forward(
     b, j, _ = grad_y.shape
     grads.decoder_w += forward.decoded_states.reshape(b * j, -1).T @ grad_y.reshape(b * j, -1)
     grads.decoder_b += grad_y.sum(axis=(0, 1))
-    total_steps = forward.ids.shape[1]
-    prefix = forward.prefix_length
-    grad_top: list[Optional[np.ndarray]] = [None] * total_steps
+    grad_outputs: list[Optional[np.ndarray]] = [None] * forward.ids.shape[1]
     for offset in range(j):
-        grad_top[prefix - 1 + offset] = grad_y[:, offset] @ model.decoder_w.T
-    grad_outputs = grad_top
-    for layer_index in range(len(model.layers) - 1, 0, -1):
-        grad_outputs = evo_backward_batch(
-            model.layers[layer_index],
-            forward.layer_forwards[layer_index],
-            grad_outputs,
-            grads.layers[layer_index],
-        )
-    # allocated once the layers above have dropped their gate buffers
-    grad_embedded = np.empty((total_steps, b, model.emb_dim))
-    evo_backward_batch(model.layers[0], forward.layer_forwards[0], grad_outputs, grads.layers[0], grad_embedded)
-    grads.input_table += rows_by_id(
-        forward.ids.T.ravel(), grad_embedded.reshape(-1, model.emb_dim), model.vocab_size
-    )
+        grad_outputs[forward.prefix_length - 1 + offset] = grad_y[:, offset] @ model.decoder_w.T
+    for layer, layer_forward, layer_grads in reversed(
+        list(zip(model.layers, forward.layer_forwards, grads.layers))
+    ):
+        blocks = evo_backward_batch(layer, layer_forward, grad_outputs, layer_grads)
+        grad_outputs = [step for block in blocks for step in block]
+    grad_embedded = np.concatenate(blocks).reshape(-1, model.emb_dim)
+    grads.input_table += rows_by_id(forward.ids.T.ravel(), grad_embedded, model.vocab_size)
     return -score, grads
 
 

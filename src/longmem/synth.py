@@ -191,8 +191,8 @@ def generate_series(
 ) -> np.ndarray:
     """A (length, count) matrix of `model` series with memory coefficient d
     ("fgn", "farima" or "white", which ignores d); column i is drawn from
-    seed + i. `ma_truncation` is read by farima alone. A matrix or a draw
-    too large to allocate raises DomainError naming the sizes."""
+    seed + i. `ma_truncation` is read by farima alone. A matrix too large
+    to allocate raises DomainError naming the sizes, before any draw."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
@@ -209,11 +209,9 @@ def generate_series(
         f"length {length} at count {count}", 8 * length * count, "the series",
         "use a shorter length or fewer series",
     ):
-        first = draw(seed)  # a bad model or length raises here, before the matrix is sized
-        matrix = np.empty((length, count))
-        matrix[:, 0] = first
-        for i in range(1, count):
-            matrix[:, i] = draw(seed + i)
+        matrix = np.empty((max(length, 0), count))  # the first draw refuses a bad length
+    for i in range(count):
+        matrix[:, i] = draw(seed + i)
     return matrix
 
 

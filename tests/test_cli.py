@@ -720,12 +720,15 @@ def test_an_output_that_is_another_output_or_an_input_fails_before_any_input_is_
         # a step's (2^62, 64) ids, refused before the first example is drawn
         (["train-toy", "--batch-size", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
          "batch size 4611686018427387904 at sequence length 64 and horizon 0 needs "),
+        # 30 PB of one step's embedded inputs, refused before the first example is drawn
+        (["train-toy", "--emb-dim", "1000000000000", "--steps", "1", "--metrics-out", "m.csv"],
+         "embedding dim 1000000000000 at batch size 64 and 64 steps needs "),
     ],
     ids=[
         "estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index",
         "train-toy-seq-len-index", "train-toy-horizon-index", "train-toy-layers-index",
         "estimate-chunk-index", "synth-vocab-index", "estimate-workspace-index",
-        "train-toy-batch-size-index",
+        "train-toy-batch-size-index", "train-toy-emb-dim",
     ],
 )
 def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
@@ -749,6 +752,41 @@ def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
     assert err.startswith("error: " + named) and err.count("\n") == 1
     assert "Traceback" not in err
     assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--corpus", "missing.txt", "--embeddings", "missing-table.txt",
+         "--pad-length", "64", "--shuffle", "--seed", "-1", "--out", "r.json"],
+        ["synth", "--model", "fgn", "--hurst", "0.7", "--length", "64", "--seed", "-3", "--out", "s.csv"],
+        ["train-toy", "--seed", "-1", "--steps", "1", "--metrics-out", "m.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_seed_is_a_usage_error_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv):
+    # neither estimate input exists: an error of any input read would exit 1
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and "argument --seed: needs a non-negative integer" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_train_toy_refuses_too_many_layers_before_working_out_their_shapes(tmp_path, capsys, monkeypatch):
+    # the shapes of 10^8 layers alone would fill memory, so they are never worked out
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refusal came too late")
+
+    monkeypatch.setattr("longmem.evornn.model.model_shapes", unreachable)
+    monkeypatch.setattr("longmem.cli.train_toy", unreachable)
+    monkeypatch.chdir(tmp_path)
+    argv = ["train-toy", "--layers", "100000000", "--steps", "1", "--metrics-out", "m.csv"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    # about 1 MiB of tensors a layer at the default powerlaw shape
+    assert out == "" and err.startswith("error: a 100000000-layer model needs 114060799666688 bytes ")
+    assert err.count("\n") == 1 and os.listdir(tmp_path) == []
 
 
 def test_an_output_whose_temp_file_cannot_be_made_is_named_in_the_error(

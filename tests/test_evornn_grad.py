@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model
-from longmem.errors import DimensionMismatchError, DomainError
+from longmem.errors import DomainError
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.cell import (
     gru_backward_batch,
@@ -16,7 +16,7 @@ from longmem.evornn.cell import (
     zero_cell_grads,
 )
 from longmem.evornn.layer import evo_backward_batch, evo_forward_batch, segment_of_step
-from longmem.evornn.model import forward_with_caches, model_shapes, rows_by_id, zero_model
+from longmem.evornn.model import forward_with_caches, layer_nbytes, model_shapes, rows_by_id, zero_model
 from longmem.evornn.train import (
     TrainConfig,
     batch_arrays,
@@ -108,6 +108,9 @@ def test_zero_grads_pair_every_tensor_with_a_zero_twin():
     # the shapes a checkpoint is checked against name the same tensors in the same order
     shapes = model_shapes([layer.schedule for layer in model.layers], 8, 4, 3)
     assert [(name, param.shape) for name, param, _ in pairs] == list(shapes.items())
+    # the closed form that sizes the layers before their shapes are worked out
+    layer_bytes = sum(param.nbytes for name, param, _ in pairs if name.startswith("layer"))
+    assert layer_nbytes(model.layers[0].schedule, 4, 2) == layer_bytes
     for name, param, grad in pairs:
         assert grad is not param, name
         assert grad.shape == param.shape, name
@@ -241,8 +244,9 @@ def _assert_close(got, want, rel=1e-12):
 
 def _check_run_kernels(layers, embedded, length, top_grads):
     """The run kernels against the per-step oracle chain: forward outputs
-    bit for bit, every gradient within `_assert_close`, and each run's
-    `states` and `inputs` bit-unchanged by the reverse."""
+    bit for bit, every gradient within `_assert_close` (one input gradient
+    block per run), and each run's `states` and `inputs` bit-unchanged by
+    the reverse."""
     schedules = [layer.schedule for layer in layers]
     emb_dim = embedded.shape[-1]
     forwards, inputs = [], embedded
@@ -259,13 +263,12 @@ def _check_run_kernels(layers, embedded, length, top_grads):
         oracle_inputs = outputs
 
     read_only = [(run, run.states.copy(), run.inputs.copy()) for f in forwards for run in f.runs]
-    grad_embedded = np.empty_like(embedded)
     grad_outputs = oracle_grads_out = top_grads
     for i in range(len(layers) - 1, -1, -1):
         grads, oracle = (zero_model(schedules, 1, emb_dim, 1, 0).layers[i] for _ in range(2))
-        grad_outputs = evo_backward_batch(
-            layers[i], forwards[i], grad_outputs, grads, grad_embedded if i == 0 else None
-        )
+        blocks = evo_backward_batch(layers[i], forwards[i], grad_outputs, grads)
+        assert [len(block) for block in blocks] == [run.stop - run.start for run in forwards[i].runs]
+        grad_outputs = [step for block in blocks for step in block]
         oracle_grads_out = _oracle_layer_backward(layers[i], oracle_steps[i], oracle_grads_out, oracle)
         for got, want in zip(grad_outputs, oracle_grads_out):
             _assert_close(got, want)
@@ -276,7 +279,6 @@ def _check_run_kernels(layers, embedded, length, top_grads):
         for boundary, matrix in oracle.projections.items():
             _assert_close(grads.projections[boundary], matrix)
         _assert_close(grads.init_state, oracle.init_state)
-    _assert_close(grad_embedded, np.stack(oracle_grads_out))
     for run, states, run_inputs in read_only:
         assert np.array_equal(run.states, states)
         assert np.array_equal(run.inputs, run_inputs)
@@ -368,56 +370,26 @@ def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_lay
         for cell, (steps, n) in zip(layer.cells, layer.schedule.segments):
             steps += horizon
             x = rng.standard_normal((steps, batch, cell.input_dim))
-            states = np.empty((steps + 1, batch, n))
-            states[0] = rng.standard_normal((batch, n))
-            gates = np.empty((3, steps, batch, n))
+            h = rng.standard_normal((batch, n))
             tensors = [t.copy() for t in cell.tensors()]
-            x_before = x.copy()
-            gru_forward_run(cell, x, states, gates)
-            assert np.array_equal(x, x_before)
+            x_before, h_before = x.copy(), h.copy()
+            states, gates = gru_forward_run(cell, x, h)
+            assert np.array_equal(x, x_before) and np.array_equal(h, h_before)
+            assert states.shape == (steps + 1, batch, n) and gates.shape == (3, steps, batch, n)
+            assert np.array_equal(states[0], h)
             states_before = states.copy()
             grad_outputs = [rng.standard_normal((batch, n)) if t % 2 else None for t in range(steps)]
-            gru_backward_run(
+            grad_x, _ = gru_backward_run(
                 cell, x, states, gates, grad_outputs, rng.standard_normal((batch, n)),
-                zero_cell_grads(cell), np.empty_like(x),
+                zero_cell_grads(cell),
             )
+            assert grad_x.shape == x.shape and grad_x.dtype == np.float64
+            assert grad_x.flags.c_contiguous
+            assert not any(np.shares_memory(grad_x, other) for other in (x, states, gates))
             assert np.array_equal(x, x_before)
             assert np.array_equal(states, states_before)
             for got, want in zip(cell.tensors(), tensors):
                 assert np.array_equal(got, want)
-
-
-def _small_forward():
-    """A two-run forward of a (4, 2, 3) input block and a gradient for every step."""
-    layer = build_model(
-        vocab_size=8, emb_dim=3, schedule=CellSchedule(((3, 2), (1, 4))), decoder_dim=3, seed=5
-    ).layers[0]
-    forward = evo_forward_batch(layer, np.random.default_rng(7).standard_normal((4, 2, 3)), 4)
-    return layer, forward, [np.ones_like(output) for output in forward.outputs]
-
-
-@pytest.mark.parametrize(
-    "make_buffer",
-    [
-        lambda: np.full((4, 2, 3), 7.0, order="F"),
-        lambda: np.full((4, 2, 6), 7.0)[:, :, ::2],
-        lambda: np.full((4, 2, 3), 7.0, dtype=np.float32),
-        lambda: np.full((5, 2, 3), 7.0),
-        lambda: np.full((4, 2, 4), 7.0),
-    ],
-    ids=["fortran-order", "strided", "float32", "too-many-steps", "wrong-input-dim"],
-)
-def test_reverse_refuses_an_input_gradient_buffer_it_cannot_write_in_place(make_buffer):
-    layer, forward, grad_outputs = _small_forward()
-    grads = zero_model([layer.schedule], 1, 3, 1, 0).layers[0]
-    with pytest.raises(DimensionMismatchError, match=r"C-contiguous float64 \(4, 2, 3\)"):
-        evo_backward_batch(layer, forward, grad_outputs, grads, make_buffer())
-    # refused before any run was reversed: the forward can still be reversed
-    grad_inputs = np.full((4, 2, 3), 7.0)
-    evo_backward_batch(layer, forward, grad_outputs, grads, grad_inputs)
-    layer, forward, grad_outputs = _small_forward()
-    grads = zero_model([layer.schedule], 1, 3, 1, 0).layers[0]
-    assert np.array_equal(np.stack(evo_backward_batch(layer, forward, grad_outputs, grads)), grad_inputs)
 
 
 def test_a_forward_is_reversed_once():

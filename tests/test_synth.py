@@ -287,6 +287,14 @@ def test_generate_series_names_the_sizes_numpy_cannot_index():
         generate_series("white", 0.0, 2, 1 << 62, 7)
 
 
+def test_generate_series_reports_a_failed_draw_as_itself():
+    # only the matrix is sized under the allocation refusal: numpy's own
+    # ValueError for a negative seed is not passed off as a refused allocation
+    for model in ("fgn", "farima", "white"):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_series(model, 0.2, 64, 1, -3)
+
+
 def test_quantize_names_a_vocab_numpy_cannot_index():
     # numpy refuses 2^62 - 1 bucket edges as too big before it allocates
     refused = "^vocab size 4611686018427387904 needs 36893488147419103224 bytes "
