@@ -375,7 +375,8 @@ def cmd_train_toy(args, parser) -> int:
     print(f"multiply_adds_per_forward = {result.history[-1].multiply_adds if result.history else 0}")
     print(f"total_multiply_adds = {total_multiplies}")
     _write_manifest(
-        args.metrics_out, args, {"negatives": negatives, "max_hidden": schedule.max_hidden},
+        args.metrics_out, args,
+        {"negatives": negatives, "max_hidden": schedule.max_hidden, "dtype": model.dtype.name},
         inputs, started,
     )
     return 0

@@ -2,7 +2,9 @@
 
 Gates consume the concatenation u = [x; h] of the input and the carried
 state. The candidate consumes [x; r*h] (reset applied to the state half
-only). All math is in float64 so finite-difference checks are meaningful.
+only). Every array a kernel allocates takes the dtype of the state it is
+given, so a model's cells run in the model's dtype: float32 for training,
+float64 where finite-difference checks need the precision.
 
 `gru_forward_run` and `gru_backward_run` unroll and reverse the cell over a
 run of steps, allocating and returning every run buffer they write. A
@@ -138,10 +140,10 @@ def gru_forward_run(
     chain of it bit for bit.
     """
     m = cell.input_dim
-    states = np.empty((len(x) + 1, *h.shape))
+    states = np.empty((len(x) + 1, *h.shape), dtype=h.dtype)
     states[0] = h
-    gates = np.empty((3, *states[1:].shape))
-    u = np.empty((len(h), m + cell.hidden_dim))
+    gates = np.empty((3, *states[1:].shape), dtype=h.dtype)
+    u = np.empty((len(h), m + cell.hidden_dim), dtype=h.dtype)
     v = np.empty_like(u)
     keep = np.empty_like(states[0])
     for t, x_t in enumerate(x):

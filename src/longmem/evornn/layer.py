@@ -114,19 +114,19 @@ def evo_forward_batch(
 ) -> LayerForward:
     """Unroll the layer over a batch, one segment run at a time.
 
-    `inputs` is the (T, B, m) input of a bottom layer (a list of per-step
-    (B, m) arrays is stacked into one), or the `LayerForward` of the layer
-    below, whose run outputs are read in place as this layer's input blocks;
-    both layers must then have the same runs. Steps past `length - 1` are
-    unfold steps handled by the last segment. The carried state crosses
-    each boundary through its projection; when the sequence is shorter than
-    the schedule's span, the initial state crosses every boundary before
-    the starting segment.
+    `inputs` is the (T, B, m) input of a bottom layer, taken in the layer's
+    dtype (a list of per-step (B, m) arrays is stacked into one), or the
+    `LayerForward` of the layer below, whose run outputs are read in place
+    as this layer's input blocks; both layers must then have the same runs.
+    Steps past `length - 1` are unfold steps handled by the last segment.
+    The carried state crosses each boundary through its projection; when
+    the sequence is shorter than the schedule's span, the initial state
+    crosses every boundary before the starting segment.
     """
     if isinstance(inputs, LayerForward):
         below, steps = inputs, inputs.outputs
     else:
-        below, steps = None, np.asarray(inputs, dtype=np.float64)
+        below, steps = None, np.asarray(inputs, dtype=layer.init_state.dtype)
     total_steps = len(steps)
     if total_steps < 1 or length < 1:
         raise DomainError(f"need at least one input step and length >= 1, got length {length}")

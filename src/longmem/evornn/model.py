@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -31,6 +30,10 @@ from .layer import EvoRnnLayer, LayerForward, evo_forward_batch
 CHECKPOINT_FORMAT = "evornn-checkpoint"
 CHECKPOINT_VERSION = 2
 
+#: The dtypes a model's tensors may have, all of them the same one. Training
+#: builds float32 models; gradient checks build float64 ones.
+MODEL_DTYPES = ("float32", "float64")
+
 
 @dataclass
 class ModelParams:
@@ -38,7 +41,9 @@ class ModelParams:
 
     The embedding tables are raw (V, dim) matrices: rows are updated in
     place during training. Every tensor must have its `model_shapes` shape,
-    with the dims read from `input_table` and `decoder_b`.
+    with the dims read from `input_table` and `decoder_b`, and the dtype of
+    `input_table`, one of `MODEL_DTYPES`: a training step allocates every
+    array in the model's dtype.
     """
 
     input_table: np.ndarray
@@ -55,6 +60,15 @@ class ModelParams:
             [layer.schedule for layer in self.layers],
             {name: np.shape(tensor) for name, tensor in self.named_tensors()},
         )
+        if self.dtype.name not in MODEL_DTYPES:
+            raise DomainError(f"a model's tensors must be float32 or float64, got {self.dtype}")
+        wrong = [name for name, tensor in self.named_tensors() if tensor.dtype != self.dtype]
+        if wrong:
+            raise DomainError(f"tensors of another dtype than the input table's {self.dtype}: {wrong[:4]}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.input_table.dtype
 
     @property
     def vocab_size(self) -> int:
@@ -91,8 +105,10 @@ def build_model(
     horizon: int = 0,
     num_layers: int = 1,
     seed: int = 0,
+    dtype=np.float32,
 ) -> ModelParams:
-    """Fresh model with one GRU per (layer, segment) and tied boundaries.
+    """Fresh model with one GRU per (layer, segment) and tied boundaries,
+    every tensor in `dtype` (float32 or float64).
 
     Gate matrices are uniform in +-1/sqrt(m+n), drawn per layer and per cell;
     biases and initial states are zero, and each projection copies the
@@ -101,10 +117,10 @@ def build_model(
     from: `emb_dim`, the top hidden size and `decoder_dim`. Layers too
     large to allocate raise DomainError before any shape is worked out.
     """
-    nbytes = layer_nbytes(schedule, emb_dim, num_layers)
+    nbytes = layer_nbytes(schedule, emb_dim, num_layers, dtype)
     with allocating(f"a {num_layers}-layer model", nbytes, "the tensors of its layers", "use fewer layers"):
         np.empty(max(nbytes, 0), dtype=np.uint8)
-    model = zero_model([schedule] * num_layers, vocab_size, emb_dim, decoder_dim, horizon)
+    model = zero_model([schedule] * num_layers, vocab_size, emb_dim, decoder_dim, horizon, dtype)
     rng = np.random.default_rng(seed)
     for layer in model.layers:
         for cell in layer.cells:
@@ -121,16 +137,16 @@ def build_model(
     return model
 
 
-def layer_nbytes(schedule: CellSchedule, emb_dim: int, num_layers: int) -> int:
-    """Bytes of the layer tensors of a `build_model` model, in closed form:
-    the `model_shapes` of 10^8 layers alone would fill memory."""
+def layer_nbytes(schedule: CellSchedule, emb_dim: int, num_layers: int, dtype) -> int:
+    """Bytes of the layer tensors of a `build_model` model in `dtype`, in
+    closed form: the `model_shapes` of 10^8 layers alone would fill memory."""
     sizes = schedule.hidden_sizes
     carried = sum(old * new for old, new in zip(sizes, sizes[1:]) if old != new) + sizes[0]
     first, upper = (
         carried + sum(3 * (m + n + 1) * n for m, n in zip(inputs, sizes))
         for inputs in ([emb_dim] * len(sizes), sizes)
     )
-    return 8 * (first + max(num_layers - 1, 0) * upper)
+    return np.dtype(dtype).itemsize * (first + max(num_layers - 1, 0) * upper)
 
 
 def model_shapes(
@@ -177,18 +193,19 @@ def check_shapes(schedules: Sequence[CellSchedule], shapes: dict[str, tuple[int,
 
 
 def zero_model(
-    schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int, horizon: int
+    schedules: Sequence[CellSchedule], vocab_size: int, emb_dim: int, decoder_dim: int, horizon: int,
+    dtype,
 ) -> ModelParams:
-    """An all-zero model of the `model_shapes` structure: the twin that
-    gradients take and the frame a checkpoint is read into. A model too
-    large to allocate raises DomainError naming its sizes."""
+    """An all-zero model of the `model_shapes` structure in `dtype`: the
+    twin that gradients take and the frame a checkpoint is read into. A
+    model too large to allocate raises DomainError naming its sizes."""
     shapes = model_shapes(schedules, vocab_size, emb_dim, decoder_dim)
     with allocating(  # worked out on refusal alone, for the gradient twin is made every step
         lambda: f"a {len(schedules)}-layer model of vocab {vocab_size}, embedding dim {emb_dim}, decoder "
         f"dim {decoder_dim} and hidden sizes up to {max(max(s.hidden_sizes) for s in schedules)}",
-        lambda: 8 * sum(math.prod(shape) for shape in shapes.values()),
+        lambda: np.dtype(dtype).itemsize * sum(math.prod(shape) for shape in shapes.values()),
     ):
-        zeros = {name: np.zeros(shape) for name, shape in shapes.items()}
+        zeros = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
     layers = []
     for i, schedule in enumerate(schedules):
         cells = [
@@ -320,22 +337,26 @@ def score_batch(
 
 
 def rows_by_id(ids: np.ndarray, rows: np.ndarray, vocab: int) -> np.ndarray:
-    """(vocab, d) sums of the (N, d) `rows` grouped by their `ids`.
+    """(vocab, d) sums of the (N, d) `rows` grouped by their `ids`, in the
+    rows' dtype.
 
-    One `np.bincount` per column adds each id's rows in row order, so the
-    result equals a row-by-row scatter-add into zeros bit for bit.
+    One `np.bincount` per column adds each id's rows in row order in
+    float64, so the result equals a row-by-row scatter-add into float64
+    zeros bit for bit, rounded once to the rows' dtype.
     """
-    out = np.empty((vocab, rows.shape[1]))
+    out = np.empty((vocab, rows.shape[1]), dtype=rows.dtype)
     for j in range(rows.shape[1]):
         out[:, j] = np.bincount(ids, weights=rows[:, j], minlength=vocab)
     return out
 
 
 def save_checkpoint(model: ModelParams, path: str) -> None:
-    """Write a versioned JSON checkpoint: the layer schedules and every named tensor."""
+    """Write a versioned JSON checkpoint: the layer schedules, the tensors'
+    dtype and every named tensor."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
+        "dtype": model.dtype.name,
         "horizon": model.horizon,
         "schedules": [[list(segment) for segment in layer.schedule.segments] for layer in model.layers],
         "tensors": {
@@ -351,8 +372,10 @@ def load_checkpoint(path: str) -> ModelParams:
 
     Every tensor's data length is checked against its declared shape, and
     the declared shapes against the schedules (`check_shapes`), before
-    anything is allocated. The zero model is then built and each tensor
-    copied in after a finiteness check.
+    anything is allocated. The zero model is then built in the file's
+    `dtype` (float64 when the field is absent) and each tensor copied in,
+    its values cast to that dtype and then checked finite, so a value
+    beyond the dtype's range is refused, not read as infinite.
     """
     with open(path, encoding="utf-8") as stream:
         try:
@@ -366,6 +389,9 @@ def load_checkpoint(path: str) -> ModelParams:
     entries, schedules, horizon = (payload.get(key) for key in ("tensors", "schedules", "horizon"))
     if not (isinstance(entries, dict) and isinstance(schedules, list) and type(horizon) is int):
         raise CheckpointError("checkpoint needs 'tensors', a 'schedules' list and an integer 'horizon'")
+    dtype = payload.get("dtype", "float64")
+    if dtype not in MODEL_DTYPES:
+        raise CheckpointError(f"unsupported tensor dtype {dtype!r}; expected one of {MODEL_DTYPES}")
     shapes = {}
     for name, entry in entries.items():
         shape = entry.get("shape") if isinstance(entry, dict) else None
@@ -380,13 +406,19 @@ def load_checkpoint(path: str) -> ModelParams:
     try:
         schedules = [schedule_from_pairs(pairs) for pairs in schedules]
         check_shapes(schedules, shapes)
-        model = zero_model(schedules, *shapes["input_table"], *shapes["decoder_b"], horizon)
+        model = zero_model(schedules, *shapes["input_table"], *shapes["decoder_b"], horizon, dtype)
     except LongmemError as exc:
         raise CheckpointError(f"checkpoint describes no valid model: {exc}") from None
     for name, tensor in model.named_tensors():
         data = entries[name]["data"]
-        # rejects NaN, infinities and integers beyond the float range alike
-        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in data):
+        values = None
+        if all(type(v) in (int, float) for v in data):
+            try:  # NaN, infinities and values beyond the dtype's range all read as non-finite
+                with np.errstate(over="ignore"):
+                    values = np.array(data, dtype=dtype)
+            except OverflowError:  # an integer beyond even float64's range
+                pass
+        if values is None or not np.isfinite(values).all():
             raise CheckpointError(f"tensor {name!r} must hold finite numbers")
-        tensor[...] = np.array(data, dtype=np.float64).reshape(tensor.shape)
+        tensor[...] = values.reshape(tensor.shape)
     return model

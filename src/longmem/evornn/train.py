@@ -45,7 +45,8 @@ def check_step_ids(batch_size: int, seq_len: int, horizon: int, emb_dim: int) ->
     """Refuse, as a DomainError naming the batch size or the embedding dim,
     a batch whose one step's (batch_size, seq_len + horizon) ids or
     (seq_len + horizon, batch_size, emb_dim) embedded inputs cannot be
-    allocated. `train_toy` draws a batch's examples into a list before it
+    allocated, the inputs in float32, the dtype `build_model` builds in by
+    default. `train_toy` draws a batch's examples into a list before it
     sizes any array, so run before the first draw, this keeps a batch too
     large from drawing until memory runs out."""
     steps = seq_len + horizon
@@ -56,15 +57,17 @@ def check_step_ids(batch_size: int, seq_len: int, horizon: int, emb_dim: int) ->
         np.empty((batch_size, steps), dtype=np.int64)
     with allocating(
         f"embedding dim {emb_dim} at batch size {batch_size} and {steps} steps",
-        8 * steps * batch_size * emb_dim, "one step's embedded inputs", "use a smaller embedding dim",
+        4 * steps * batch_size * emb_dim, "one step's embedded inputs", "use a smaller embedding dim",
     ):
-        np.empty((steps, batch_size, max(emb_dim, 0)))
+        np.empty((steps, batch_size, max(emb_dim, 0)), np.float32)
 
 
 def zero_grads(model: ModelParams) -> ModelParams:
-    """A zeroed twin of `model`: gradients share the parameters' structure."""
+    """A zeroed twin of `model`: gradients share the parameters' structure and dtype."""
     schedules = [layer.schedule for layer in model.layers]
-    return zero_model(schedules, model.vocab_size, model.emb_dim, model.decoder_dim, model.horizon)
+    return zero_model(
+        schedules, model.vocab_size, model.emb_dim, model.decoder_dim, model.horizon, model.dtype
+    )
 
 
 def parameter_pairs(
@@ -179,7 +182,8 @@ def clip_global_norm(grads: ModelParams, model: ModelParams, clip_norm: float) -
     total = 0.0
     for _, _, grad in parameter_pairs(model, grads):
         total += float((grad * grad).sum())
-    norm = np.sqrt(total)
+    # a Python float: a NumPy float64 scale would run each float32 `grad *=` in float64
+    norm = math.sqrt(total)
     if norm > clip_norm:
         scale = clip_norm / norm
         for _, _, grad in parameter_pairs(model, grads):

@@ -49,22 +49,22 @@ def traced_peak(fn):
 
 
 def fresh_layer(schedule: CellSchedule, input_dim: int, seed: int = 0, index: int = 0):
-    """Layer `index` of a fresh `build_model` whose bottom cells read
+    """Layer `index` of a fresh float64 `build_model` whose bottom cells read
     `input_dim` inputs; each upper layer reads the hidden sizes below it."""
     model = build_model(
         vocab_size=1, emb_dim=input_dim, schedule=schedule, decoder_dim=1,
-        num_layers=index + 1, seed=seed,
+        num_layers=index + 1, seed=seed, dtype=np.float64,
     )
     return model.layers[index]
 
 
 def fresh_cell(input_dim: int, hidden_dim: int, seed: int = 0):
-    """A fresh GRU cell reading `input_dim` inputs into `hidden_dim` states."""
+    """A fresh float64 GRU cell reading `input_dim` inputs into `hidden_dim` states."""
     return fresh_layer(constant_schedule(1, hidden_dim), input_dim, seed).cells[0]
 
 
 def perturbed_reference_model():
-    """Small two-segment model with non-zero biases and initial state.
+    """Small float64 two-segment model with non-zero biases and initial state.
 
     Perturbing the zero-initialized parameters keeps every gate away from
     its symmetric point so finite differences probe generic curvature.
@@ -76,6 +76,7 @@ def perturbed_reference_model():
         decoder_dim=3,
         horizon=0,
         seed=7,
+        dtype=np.float64,
     )
     rng = np.random.default_rng(11)
     for layer in model.layers:

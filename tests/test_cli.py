@@ -212,6 +212,7 @@ def test_manifest_config_is_every_parsed_flag_with_the_resolved_values(
             "emb_dim": 4, "layers": 1, "horizon": 0, "tail_exponent": 2.0, "steps": 1,
             "lr": 1.0, "clip": 1.0, "batch_size": 2,
             "negatives": 7,  # 0 resolves to V-1
+            "dtype": "float32",  # the model's, which every array of a step takes
             "metrics_out": "m.csv", "checkpoint_out": None,
         }
     assert run_cli(argv, capsys)[0] == 0
@@ -690,8 +691,10 @@ def test_an_output_that_is_another_output_or_an_input_fails_before_any_input_is_
         # beyond any address space, so it is refused before anything is allocated
         (["estimate", "--pad-length", "1125899906842624", "--chunk-len", "1024"],
          "pad length 1125899906842624 at p = 1 needs "),
+        # two (10^12, 32) float32 tables and the layer tensors
         (["train-toy", "--vocab", "1000000000000", "--steps", "1", "--metrics-out", "m.csv"],
-         "a 1-layer model of vocab 1000000000000, embedding dim 32, "),
+         "a 1-layer model of vocab 1000000000000, embedding dim 32, decoder dim 32 and hidden sizes "
+         "up to 128 needs 256000000420160 bytes "),
         (["synth", "--model", "white", "--length", "1000000000000000", "--out", "x.csv"],
          "length 1000000000000000 at count 1 needs "),
         # past numpy's index range, which numpy refuses as a ValueError
@@ -720,9 +723,9 @@ def test_an_output_that_is_another_output_or_an_input_fails_before_any_input_is_
         # a step's (2^62, 64) ids, refused before the first example is drawn
         (["train-toy", "--batch-size", "4611686018427387904", "--steps", "1", "--metrics-out", "m.csv"],
          "batch size 4611686018427387904 at sequence length 64 and horizon 0 needs "),
-        # 30 PB of one step's embedded inputs, refused before the first example is drawn
+        # 16 PB of one step's float32 embedded inputs, refused before the first example is drawn
         (["train-toy", "--emb-dim", "1000000000000", "--steps", "1", "--metrics-out", "m.csv"],
-         "embedding dim 1000000000000 at batch size 64 and 64 steps needs "),
+         "embedding dim 1000000000000 at batch size 64 and 64 steps needs 16384000000000000 bytes "),
     ],
     ids=[
         "estimate", "train-toy", "synth", "train-toy-index", "synth-index", "synth-count-index",
@@ -784,8 +787,8 @@ def test_train_toy_refuses_too_many_layers_before_working_out_their_shapes(tmp_p
     argv = ["train-toy", "--layers", "100000000", "--steps", "1", "--metrics-out", "m.csv"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
-    # about 1 MiB of tensors a layer at the default powerlaw shape
-    assert out == "" and err.startswith("error: a 100000000-layer model needs 114060799666688 bytes ")
+    # about 0.5 MiB of float32 tensors a layer at the default powerlaw shape
+    assert out == "" and err.startswith("error: a 100000000-layer model needs 57030399833344 bytes ")
     assert err.count("\n") == 1 and os.listdir(tmp_path) == []
 
 
@@ -850,9 +853,13 @@ def test_train_toy_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
     assert all(float(r[1]) > 0 for r in rows[1:])
 
-    assert load_json(checkpoint)["tensors"]["input_table"]["shape"] == [16, 4]
+    payload = load_json(checkpoint)
+    assert payload["tensors"]["input_table"]["shape"] == [16, 4]
+    # the model trains in float32, and its checkpoint and manifest say so
+    assert payload["dtype"] == load_json(f"{metrics}.manifest.json")["config"]["dtype"] == "float32"
     model = load_checkpoint(str(checkpoint))
     assert model.input_table.shape == (16, 4)
+    assert all(tensor.dtype == np.float32 for _, tensor in model.named_tensors())
 
 
 def test_train_toy_metrics_deterministic_columns(tmp_path, capsys):

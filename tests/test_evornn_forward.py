@@ -307,22 +307,24 @@ def test_full_vocab_softmax_normalizes():
     assert np.isclose(lp, log_probs[0, 5], atol=1e-10)
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_roundtrip_bit_exact(tmp_path, dtype):
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
-        decoder_dim=5, horizon=2, num_layers=2, seed=13,
+        decoder_dim=5, horizon=2, num_layers=2, seed=13, dtype=dtype,
     )
     path = tmp_path / "model.json"
     save_checkpoint(model, str(path))
     payload = json.loads(path.read_text())
     assert payload["version"] == 2
+    assert payload["dtype"] == np.dtype(dtype).name
     assert payload["schedules"] == [[[3, 2], [2, 4]]] * 2
     assert list(payload["tensors"]) == [name for name, _ in model.named_tensors()]
     loaded = load_checkpoint(str(path))
     assert loaded.horizon == 2
     assert [layer.schedule for layer in loaded.layers] == [layer.schedule for layer in model.layers]
     for (name, a), (_, b) in zip(loaded.named_tensors(), model.named_tensors(), strict=True):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.dtype == dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     # forward passes agree exactly
     ids = np.array([[1, 2, 3, 4, 5, 6, 7]])
     assert np.array_equal(
@@ -357,12 +359,16 @@ def _shortened(name):
         ),
         (lambda model: model.layers.clear(), "layer count"),
         *((_shortened(name), f"layer0.cell0.{name}") for name in TENSOR_NAMES),
+        (
+            lambda model: setattr(model.layers[1].cells[0], "b_reset", np.zeros(2)),
+            r"another dtype than the input table's float32: \['layer1.cell0.b_reset'\]",
+        ),
     ],
     ids=[
         "other-vocab-output-table", "wrong-width-upper-cell", "missing-projection",
         "projection-on-equal-boundary", "projection-past-the-last-boundary", "one-cell-too-few",
         "wrong-init-state", "wrong-decoder-w", "unshared-boundaries", "no-layers",
-        *(f"short-{name}" for name in TENSOR_NAMES),
+        *(f"short-{name}" for name in TENSOR_NAMES), "float64-tensor-in-a-float32-model",
     ],
 )
 def test_model_params_rejects_a_malformed_structure(edit, message):
@@ -373,6 +379,12 @@ def test_model_params_rejects_a_malformed_structure(edit, message):
     edit(model)
     with pytest.raises(LongmemError, match=message):
         replace(model)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64])
+def test_a_model_is_built_in_float32_or_float64_alone(dtype):
+    with pytest.raises(DomainError, match="must be float32 or float64"):
+        build_model(vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2),)), decoder_dim=5, dtype=dtype)
 
 
 def test_a_layer_without_projections_on_equal_boundaries_runs_as_built():
@@ -386,10 +398,10 @@ def test_a_layer_without_projections_on_equal_boundaries_runs_as_built():
     assert np.array_equal(forward_with_caches(replace(model), ids).decoded, expected)
 
 
-def _saved_payload(tmp_path, schedule=((3, 2), (2, 4)), num_layers=1):
+def _saved_payload(tmp_path, schedule=((3, 2), (2, 4)), num_layers=1, dtype=np.float32):
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(schedule),
-        decoder_dim=5, horizon=1, num_layers=num_layers, seed=0,
+        decoder_dim=5, horizon=1, num_layers=num_layers, seed=0, dtype=dtype,
     )
     path = tmp_path / "model.json"
     save_checkpoint(model, str(path))
@@ -481,6 +493,39 @@ def test_checkpoint_non_finite_tensor_is_checkpoint_error(tmp_path, name, value)
     payload["tensors"][name]["data"][-1] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match=f"{name}.*finite"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "value", [1e300, -1e300, 3.5e38, 10**39], ids=["1e300", "-1e300", "3.5e38", "int-1e39"]
+)
+def test_a_float32_checkpoint_value_beyond_float32_is_refused(tmp_path, value):
+    # finite as float64, and infinite once cast to the checkpoint's float32
+    path, payload = _saved_payload(tmp_path)
+    payload["tensors"]["decoder_w"]["data"][-1] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="decoder_w.*finite"):
+        load_checkpoint(str(path))
+    payload["dtype"] = "float64"
+    path.write_text(json.dumps(payload))
+    assert load_checkpoint(str(path)).decoder_w.ravel()[-1] == value
+
+
+def test_a_checkpoint_without_a_dtype_loads_as_float64(tmp_path):
+    # files written before checkpoints kept their dtype were float64
+    path, payload = _saved_payload(tmp_path, dtype=np.float64)
+    del payload["dtype"]
+    path.write_text(json.dumps(payload))
+    model = load_checkpoint(str(path))
+    assert all(tensor.dtype == np.float64 for _, tensor in model.named_tensors())
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int64", "f4", None, 32, ["float32"]])
+def test_a_checkpoint_of_another_dtype_is_checkpoint_error(tmp_path, dtype):
+    path, payload = _saved_payload(tmp_path)
+    payload["dtype"] = dtype
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="unsupported tensor dtype"):
         load_checkpoint(str(path))
 
 

@@ -30,6 +30,10 @@ from longmem.schedule import CellSchedule
 # on gradient entries that are themselves ~1e-9
 NOISY = dict(denom_floor=1e-6)
 
+# the two dtypes a model is built in: the run kernels and their oracles run
+# in either, and the finite-difference checks run in float64
+DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32])
+
 
 def test_gru_cell_backward_matches_finite_differences():
     rng = np.random.default_rng(0)
@@ -94,10 +98,11 @@ def test_unused_vocabulary_rows_get_zero_gradient():
     assert np.any(sampled.output_table[3] != 0.0)  # the label row
 
 
-def test_zero_grads_pair_every_tensor_with_a_zero_twin():
+@DTYPES
+def test_zero_grads_pair_every_tensor_with_a_zero_twin(dtype):
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4), (2, 4))),
-        decoder_dim=3, horizon=1, num_layers=2, seed=7,
+        decoder_dim=3, horizon=1, num_layers=2, seed=7, dtype=dtype,
     )
     pairs = list(parameter_pairs(model, zero_grads(model)))
     names = [name for name, _, _ in pairs]
@@ -110,10 +115,11 @@ def test_zero_grads_pair_every_tensor_with_a_zero_twin():
     assert [(name, param.shape) for name, param, _ in pairs] == list(shapes.items())
     # the closed form that sizes the layers before their shapes are worked out
     layer_bytes = sum(param.nbytes for name, param, _ in pairs if name.startswith("layer"))
-    assert layer_nbytes(model.layers[0].schedule, 4, 2) == layer_bytes
+    assert layer_nbytes(model.layers[0].schedule, 4, 2, dtype) == layer_bytes
     for name, param, grad in pairs:
         assert grad is not param, name
         assert grad.shape == param.shape, name
+        assert grad.dtype == param.dtype == dtype, name
         assert not grad.any(), name
 
 
@@ -140,7 +146,7 @@ def test_clip_global_norm_contract():
 def test_gradients_with_teacher_forced_horizon():
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
-        decoder_dim=3, horizon=2, seed=7,
+        decoder_dim=3, horizon=2, seed=7, dtype=np.float64,
     )
     rng = np.random.default_rng(11)
     for layer in model.layers:
@@ -158,7 +164,7 @@ def test_gradients_with_teacher_forced_horizon():
 def test_gradients_with_two_layers():
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
-        decoder_dim=3, horizon=0, num_layers=2, seed=7,
+        decoder_dim=3, horizon=0, num_layers=2, seed=7, dtype=np.float64,
     )
     rng = np.random.default_rng(11)
     for layer in model.layers:
@@ -174,7 +180,7 @@ def test_gradients_with_two_layers():
 def test_gradients_through_initial_projection_chain():
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((2, 2), (2, 3), (2, 4))),
-        decoder_dim=3, horizon=0, seed=7,
+        decoder_dim=3, horizon=0, seed=7, dtype=np.float64,
     )
     rng = np.random.default_rng(11)
     for layer in model.layers:
@@ -192,7 +198,7 @@ def test_gradients_through_initial_projection_chain():
 def test_gradients_with_equal_size_segments():
     model = build_model(
         vocab_size=8, emb_dim=4, schedule=CellSchedule(((2, 4), (3, 4))),
-        decoder_dim=3, horizon=0, seed=7,
+        decoder_dim=3, horizon=0, seed=7, dtype=np.float64,
     )
     rng = np.random.default_rng(11)
     for layer in model.layers:
@@ -238,15 +244,19 @@ def _oracle_layer_backward(layer, steps, grad_outputs, grads):
 
 
 def _assert_close(got, want, rel=1e-12):
+    # `rel` is in units of float64's rounding unit: a float32 array is held
+    # to the same multiple of its own (1e-12 becomes about 5.4e-4)
+    assert got.dtype == want.dtype
+    rel *= np.finfo(got.dtype).eps / np.finfo(np.float64).eps
     scale = np.max(np.abs(want), initial=0.0)
     assert np.max(np.abs(got - want), initial=0.0) <= rel * max(scale, 1e-300)
 
 
 def _check_run_kernels(layers, embedded, length, top_grads):
-    """The run kernels against the per-step oracle chain: forward outputs
-    bit for bit, every gradient within `_assert_close` (one input gradient
-    block per run), and each run's `states` and `inputs` bit-unchanged by
-    the reverse."""
+    """The run kernels against the per-step oracle chain, all in the dtype of
+    `embedded`: forward outputs bit for bit, every gradient within
+    `_assert_close` (one input gradient block per run), and each run's
+    `states` and `inputs` bit-unchanged by the reverse."""
     schedules = [layer.schedule for layer in layers]
     emb_dim = embedded.shape[-1]
     forwards, inputs = [], embedded
@@ -258,14 +268,14 @@ def _check_run_kernels(layers, embedded, length, top_grads):
         outputs, steps = _oracle_layer(layer, oracle_inputs, length)
         assert len(forward.outputs) == len(embedded)
         for got, want in zip(forward.outputs, outputs):
-            assert np.array_equal(got, want)
+            assert got.dtype == embedded.dtype and np.array_equal(got, want)
         oracle_steps.append(steps)
         oracle_inputs = outputs
 
     read_only = [(run, run.states.copy(), run.inputs.copy()) for f in forwards for run in f.runs]
     grad_outputs = oracle_grads_out = top_grads
     for i in range(len(layers) - 1, -1, -1):
-        grads, oracle = (zero_model(schedules, 1, emb_dim, 1, 0).layers[i] for _ in range(2))
+        grads, oracle = (zero_model(schedules, 1, emb_dim, 1, 0, embedded.dtype).layers[i] for _ in range(2))
         blocks = evo_backward_batch(layers[i], forwards[i], grad_outputs, grads)
         assert [len(block) for block in blocks] == [run.stop - run.start for run in forwards[i].runs]
         grad_outputs = [step for block in blocks for step in block]
@@ -280,19 +290,21 @@ def _check_run_kernels(layers, embedded, length, top_grads):
             _assert_close(grads.projections[boundary], matrix)
         _assert_close(grads.init_state, oracle.init_state)
     for run, states, run_inputs in read_only:
+        assert run.inputs.dtype == run.states.dtype == embedded.dtype
         assert np.array_equal(run.states, states)
         assert np.array_equal(run.inputs, run_inputs)
 
 
-def _top_grads(rng, schedule, length, total, batch):
-    """A random gradient for about 60% of the top layer's step outputs, None for the rest."""
+def _top_grads(rng, schedule, length, total, batch, dtype):
+    """A random `dtype` gradient for about 60% of the top layer's step outputs, None for the rest."""
     return [
-        rng.standard_normal((batch, schedule.segments[segment_of_step(t, length, schedule)][1]))
+        rng.standard_normal((batch, schedule.segments[segment_of_step(t, length, schedule)][1]), dtype)
         if rng.random() < 0.6 else None
         for t in range(total)
     ]
 
 
+@DTYPES
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4),
@@ -302,7 +314,7 @@ def _top_grads(rng, schedule, length, total, batch):
     st.integers(1, 3),
     st.integers(0, 2**31),
 )
-def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_layers, batch, seed):
+def test_run_kernels_match_the_per_step_oracles(dtype, segments, data, unfold, num_layers, batch, seed):
     # lengths below the span start mid-schedule, above it in the open-ended
     # first segment; `unfold` steps run past the end in the last segment;
     # equal adjacent sizes give identity boundaries, unequal ones projections
@@ -313,7 +325,7 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
         schedules.append(CellSchedule(tuple((l, n) for (l, _), n in zip(segments, sizes))))
     span = schedules[0].total_length
     length = data.draw(st.integers(1, span + 2))
-    layers = zero_model(schedules, 1, 3, 1, 0).layers
+    layers = zero_model(schedules, 1, 3, 1, 0, dtype).layers
     for layer in layers:
         layer.init_state += rng.normal(size=layer.init_state.shape)
         for cell in layer.cells:
@@ -323,8 +335,8 @@ def test_run_kernels_match_the_per_step_oracles(segments, data, unfold, num_laye
             np.fill_diagonal(matrix, 1.0)
             matrix += rng.normal(scale=0.3, size=matrix.shape)
     total = length + unfold
-    embedded = rng.standard_normal((total, batch, 3))
-    _check_run_kernels(layers, embedded, length, _top_grads(rng, schedules[-1], length, total, batch))
+    embedded = rng.standard_normal((total, batch, 3), dtype)
+    _check_run_kernels(layers, embedded, length, _top_grads(rng, schedules[-1], length, total, batch, dtype))
 
 
 WORKLOAD_SHAPES = pytest.mark.parametrize(
@@ -338,11 +350,11 @@ WORKLOAD_SHAPES = pytest.mark.parametrize(
 )
 
 
-def _workload_layers(segments, num_layers, rng):
-    """The layers of a 32-dim embedding model with random biases and initial states."""
+def _workload_layers(segments, num_layers, rng, dtype):
+    """The layers of a 32-dim embedding `dtype` model with random biases and initial states."""
     layers = build_model(
         vocab_size=1, emb_dim=32, schedule=CellSchedule(segments), decoder_dim=1,
-        num_layers=num_layers, seed=3,
+        num_layers=num_layers, seed=3, dtype=dtype,
     ).layers
     for layer in layers:
         layer.init_state += rng.normal(scale=0.5, size=layer.init_state.shape)
@@ -352,38 +364,41 @@ def _workload_layers(segments, num_layers, rng):
     return layers
 
 
+@DTYPES
 @WORKLOAD_SHAPES
-def test_run_kernels_match_the_per_step_oracles_at_workload_shapes(segments, num_layers, horizon, batch):
+def test_run_kernels_match_the_per_step_oracles_at_workload_shapes(segments, num_layers, horizon, batch, dtype):
     schedule = CellSchedule(segments)
     rng = np.random.default_rng(4)
-    layers = _workload_layers(segments, num_layers, rng)
+    layers = _workload_layers(segments, num_layers, rng, dtype)
     length = schedule.total_length
     total = length + horizon
-    embedded = rng.standard_normal((total, batch, 32))
-    _check_run_kernels(layers, embedded, length, _top_grads(rng, schedule, length, total, batch))
+    embedded = rng.standard_normal((total, batch, 32), dtype)
+    _check_run_kernels(layers, embedded, length, _top_grads(rng, schedule, length, total, batch, dtype))
 
 
+@DTYPES
 @WORKLOAD_SHAPES
-def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_layers, horizon, batch):
+def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_layers, horizon, batch, dtype):
     rng = np.random.default_rng(6)
-    for layer in _workload_layers(segments, num_layers, rng):
+    for layer in _workload_layers(segments, num_layers, rng, dtype):
         for cell, (steps, n) in zip(layer.cells, layer.schedule.segments):
             steps += horizon
-            x = rng.standard_normal((steps, batch, cell.input_dim))
-            h = rng.standard_normal((batch, n))
+            x = rng.standard_normal((steps, batch, cell.input_dim), dtype)
+            h = rng.standard_normal((batch, n), dtype)
             tensors = [t.copy() for t in cell.tensors()]
             x_before, h_before = x.copy(), h.copy()
             states, gates = gru_forward_run(cell, x, h)
             assert np.array_equal(x, x_before) and np.array_equal(h, h_before)
             assert states.shape == (steps + 1, batch, n) and gates.shape == (3, steps, batch, n)
+            assert states.dtype == gates.dtype == dtype
             assert np.array_equal(states[0], h)
             states_before = states.copy()
-            grad_outputs = [rng.standard_normal((batch, n)) if t % 2 else None for t in range(steps)]
-            grad_x, _ = gru_backward_run(
-                cell, x, states, gates, grad_outputs, rng.standard_normal((batch, n)),
+            grad_outputs = [rng.standard_normal((batch, n), dtype) if t % 2 else None for t in range(steps)]
+            grad_x, grad_h = gru_backward_run(
+                cell, x, states, gates, grad_outputs, rng.standard_normal((batch, n), dtype),
                 zero_cell_grads(cell),
             )
-            assert grad_x.shape == x.shape and grad_x.dtype == np.float64
+            assert grad_x.shape == x.shape and grad_x.dtype == grad_h.dtype == dtype
             assert grad_x.flags.c_contiguous
             assert not any(np.shares_memory(grad_x, other) for other in (x, states, gates))
             assert np.array_equal(x, x_before)
@@ -403,12 +418,14 @@ def test_a_forward_is_reversed_once():
         gradients_from_forward(model, forward, labels, None)
 
 
+@DTYPES
 @settings(max_examples=60)
 @given(st.integers(1, 12), st.integers(0, 40), st.integers(1, 5), st.integers(0, 2**31))
-def test_rows_by_id_equals_a_row_by_row_scatter(vocab, n, d, seed):
+def test_rows_by_id_equals_a_row_by_row_scatter(dtype, vocab, n, d, seed):
+    # the scatter adds in float64 and is rounded once to the rows' dtype
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, vocab, size=n)
-    rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    rows = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))).astype(dtype)
     expected = np.zeros((vocab, d))
     np.add.at(expected, ids, rows)
-    assert rows_by_id(ids, rows, vocab).tobytes() == expected.tobytes()
+    assert rows_by_id(ids, rows, vocab).tobytes() == expected.astype(dtype).tobytes()

@@ -284,6 +284,24 @@ def test_a_step_runs_without_the_last_steps_gradients(segments, vocab, num_layer
     assert peak(3) <= 1.02 * peak(1)
 
 
+def test_a_float32_step_peaks_at_most_six_tenths_of_a_float64_step():
+    # `train-constant-sampled`'s shape: every array a float32 step allocates
+    # is float32, so its peak is about half; a float64 array left in the
+    # step (a gradient twin, a run buffer, a score) would show here
+    schedule = CellSchedule(((64, 128),))
+
+    def peak(dtype):
+        model = build_model(
+            vocab_size=1024, emb_dim=32, schedule=schedule, decoder_dim=32,
+            horizon=3, num_layers=2, seed=1, dtype=dtype,
+        )
+        task = task_lag_recall(vocab_size=1024, seq_len=64, tail_exponent=2.0, seed=2, horizon=3)
+        config = TrainConfig(learning_rate=1.0, negatives=16, steps=1, batch_size=32, seed=1)
+        return traced_peak(lambda: train_toy(model, task, config))[1]
+
+    assert peak(np.float32) <= 0.6 * peak(np.float64)
+
+
 def test_task_lag_recall_lag_frequencies_follow_power_law():
     stream = task_lag_recall(vocab_size=64, seq_len=4, tail_exponent=2.0, seed=9)
     # with L=4 the lag support is {1,2,3} with probs proportional to 1, 1/4, 1/9
