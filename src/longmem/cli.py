@@ -326,6 +326,14 @@ def cmd_train_toy(args, parser) -> int:
         )
     else:
         schedule = _read_schedule(args.schedule, inputs)
+    # the task checks the vocabulary, which sets the default negative count
+    task = task_lag_recall(
+        vocab_size=args.vocab,
+        seq_len=args.seq_len,
+        tail_exponent=args.tail_exponent,
+        seed=args.seed + 1,
+        horizon=args.horizon,
+    )
     negatives = args.negatives if args.negatives else args.vocab - 1
     config = TrainConfig(
         learning_rate=args.lr,
@@ -334,13 +342,6 @@ def cmd_train_toy(args, parser) -> int:
         steps=args.steps,
         batch_size=args.batch_size,
         seed=args.seed,
-    )
-    task = task_lag_recall(
-        vocab_size=args.vocab,
-        seq_len=args.seq_len,
-        tail_exponent=args.tail_exponent,
-        seed=args.seed + 1,
-        horizon=args.horizon,
     )
     check_step_ids(args.batch_size, args.seq_len, args.horizon, args.emb_dim)
     model = build_model(

@@ -1,17 +1,21 @@
 """GRU cell: parameters, the run kernels, and the per-step oracles.
 
-Gates consume the concatenation u = [x; h] of the input and the carried
-state. The candidate consumes [x; r*h] (reset applied to the state half
-only). Every array a kernel allocates takes the dtype of the state it is
-given, so a model's cells run in the model's dtype: float32 for training,
-float64 where finite-difference checks need the precision.
+Each gate's (m+n, n) matrix W is split into an input block W[:m] and a
+recurrent block W[m:], and a gate's pre-activation is summed as
+(x @ W[:m] + b) + h @ W[m:]. The candidate's recurrent block multiplies
+r*h (reset applied to the state only). Every array a kernel allocates
+takes the dtype of the state it is given, so a model's cells run in the
+model's dtype: float32 for training, float64 where finite-difference
+checks need the precision.
 
 `gru_forward_run` and `gru_backward_run` unroll and reverse the cell over a
-run of steps, allocating and returning every run buffer they write. A
-forward step allocates no array memory; the reverse spends the forward's
-gates and multiplies by C-contiguous copies of the three recurrent weight
-blocks, made once a run. `gru_forward_batch` and `gru_backward_batch` are
-one step each, kept as the oracles they are tested against.
+run of steps, allocating and returning every run buffer they write. The
+forward projects the whole run's inputs before its step loop, so a step
+multiplies only the carried state, and it allocates no array memory; the
+reverse spends the forward's gates and multiplies by C-contiguous copies
+of the three recurrent weight blocks, made once a run.
+`gru_forward_batch` and `gru_backward_batch` are one step each, kept as
+the oracles they are tested against.
 """
 
 from __future__ import annotations
@@ -57,20 +61,30 @@ def zero_cell_grads(cell: GruCellParams) -> list[np.ndarray]:
     return [np.zeros_like(t) for t in cell.tensors()]
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None, half: float | np.ndarray = 0.5
+) -> np.ndarray:
     # sigma(x) = (1 + tanh(x/2)) / 2: tanh is bounded by 1, so no step can
-    # overflow. All four steps run in `out` (a new array when None; may be x)
-    out = np.multiply(0.5, x, out=out)
+    # overflow. All four steps run in `out` (a new array when None; may be x).
+    # The run kernel passes `half` as a 0-d array of x's dtype: numpy converts
+    # a Python float operand on every call, which at small n costs more than
+    # the arithmetic
+    out = np.multiply(half, x, out=out)
     np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
+    out *= half
+    out += half
     return out
 
 
 def gru_forward_batch(
     cell: GruCellParams, x: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    """One GRU step on a (B, m) input and (B, n) state; returns state + cache."""
+    """One GRU step on a (B, m) input and (B, n) state; returns state + cache.
+
+    Each gate sums its input product and bias before its recurrent product,
+    (x @ W[:m] + b) + h @ W[m:], the order of `gru_forward_run`. The cache
+    holds u = [x|h] and v = [x|r*h] for `gru_backward_batch`.
+    """
     if x.ndim != 2 or x.shape[1] != cell.input_dim:
         raise DimensionMismatchError(
             f"input must be (B, {cell.input_dim}), got {x.shape}"
@@ -79,12 +93,14 @@ def gru_forward_batch(
         raise DimensionMismatchError(
             f"state must be (B, {cell.hidden_dim}), got {h.shape}"
         )
-    u = np.concatenate([x, h], axis=1)
-    z = _sigmoid(u @ cell.w_update + cell.b_update)
-    r = _sigmoid(u @ cell.w_reset + cell.b_reset)
-    v = np.concatenate([x, r * h], axis=1)
-    c = np.tanh(v @ cell.w_candidate + cell.b_candidate)
+    m = cell.input_dim
+    z = _sigmoid((x @ cell.w_update[:m] + cell.b_update) + h @ cell.w_update[m:])
+    r = _sigmoid((x @ cell.w_reset[:m] + cell.b_reset) + h @ cell.w_reset[m:])
+    rh = r * h
+    c = np.tanh((x @ cell.w_candidate[:m] + cell.b_candidate) + rh @ cell.w_candidate[m:])
     h_new = (1.0 - z) * h + z * c
+    u = np.concatenate([x, h], axis=1)
+    v = np.concatenate([x, rh], axis=1)
     return h_new, (h, u, z, r, v, c)
 
 
@@ -132,36 +148,42 @@ def gru_forward_run(
     Returns the run's new (T+1, B, n) `states`, the entering state in row 0
     and step t's new state in row t+1, and its new (3, T, B, n) `gates`,
     step t's update, reset and candidate gates in `gates[0, t]`,
-    `gates[1, t]` and `gates[2, t]`. A run also allocates [x|h], [x|r*h]
-    and (1-z)*h once, as (B, m+n), (B, m+n) and (B, n) buffers; a step
-    refills them, and each GEMM, bias add and activation writes into its
-    gate row, so a step allocates no array memory. Each step is
-    `gru_forward_batch`'s arithmetic in its order, so the states equal a
+    `gates[1, t]` and `gates[2, t]`. Before the step loop, each gate block
+    is filled with the run's input product x @ W[:m], one stacked matmul
+    (a B-row GEMM per step, as the oracle's), plus the gate's bias. A step
+    then adds only its recurrent products, h @ W[m:] and (r*h) @ W[m:],
+    through three (B, n) buffers made once a run: the product, r*h and
+    (1-z)*h. Each product, activation and state update writes into a gate
+    row or one of those buffers, so a step allocates no array memory. Each
+    gate is summed in `gru_forward_batch`'s order, so the states equal a
     chain of it bit for bit.
     """
     m = cell.input_dim
     states = np.empty((len(x) + 1, *h.shape), dtype=h.dtype)
     states[0] = h
     gates = np.empty((3, *states[1:].shape), dtype=h.dtype)
-    u = np.empty((len(h), m + cell.hidden_dim), dtype=h.dtype)
-    v = np.empty_like(u)
-    keep = np.empty_like(states[0])
-    for t, x_t in enumerate(x):
+    weights = (cell.w_update, cell.w_reset, cell.w_candidate)
+    for gate, w, b in zip(gates, weights, (cell.b_update, cell.b_reset, cell.b_candidate)):
+        np.matmul(x, w[:m], out=gate)
+        gate += b
+    wh_update, wh_reset, wh_candidate = (w[m:] for w in weights)
+    product = np.empty_like(states[0])
+    rh = np.empty_like(product)
+    keep = np.empty_like(product)
+    half, one = (np.array(k, dtype=h.dtype) for k in (0.5, 1.0))  # see `_sigmoid`
+    for t in range(len(x)):
         h = states[t]
-        u[:, :m] = x_t
-        u[:, m:] = h
-        z = np.matmul(u, cell.w_update, out=gates[0, t])
-        z += cell.b_update
-        _sigmoid(z, out=z)
-        r = np.matmul(u, cell.w_reset, out=gates[1, t])
-        r += cell.b_reset
-        _sigmoid(r, out=r)
-        v[:, :m] = x_t
-        np.multiply(r, h, out=v[:, m:])
-        c = np.matmul(v, cell.w_candidate, out=gates[2, t])
-        c += cell.b_candidate
+        z = gates[0, t]
+        z += np.matmul(h, wh_update, out=product)
+        _sigmoid(z, out=z, half=half)
+        r = gates[1, t]
+        r += np.matmul(h, wh_reset, out=product)
+        _sigmoid(r, out=r, half=half)
+        np.multiply(r, h, out=rh)
+        c = gates[2, t]
+        c += np.matmul(rh, wh_candidate, out=product)
         np.tanh(c, out=c)
-        np.subtract(1.0, z, out=keep)
+        np.subtract(one, z, out=keep)
         keep *= h
         h_new = np.multiply(z, c, out=states[t + 1])
         np.add(keep, h_new, out=h_new)

@@ -26,7 +26,9 @@ def lag_distribution(seq_len: int, tail_exponent: float) -> np.ndarray:
         raise DomainError(f"sequence length must be >= 2, got {seq_len}")
     with allocating(f"sequence length {seq_len}", 8 * (seq_len - 1), "its lag distribution"):
         taus = np.arange(1, seq_len, dtype=np.float64)
-    weights = taus ** (-tail_exponent)
+    # an overflowing power is refused by the finite-sum check below
+    with np.errstate(over="ignore"):
+        weights = taus ** (-tail_exponent)
     total = weights.sum()
     if not np.isfinite(total) or total <= 0:
         raise DomainError(f"tail exponent {tail_exponent} gives no valid distribution")

@@ -876,6 +876,30 @@ def test_train_toy_metrics_deterministic_columns(tmp_path, capsys):
     assert r1 == r2  # every column but wall_ms replays bit-identically
 
 
+def test_train_toy_overflowing_tail_exponent_is_one_error_line(tmp_path):
+    # in a child interpreter, so that numpy's warnings reach stderr as a user sees them
+    metrics = tmp_path / "m.csv"
+    child = subprocess.run(
+        [sys.executable, "-m", "longmem.cli", "train-toy", "--seq-len", "8",
+         "--tail-exponent", "-1000", "--metrics-out", str(metrics)],
+        env=src_env(), capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr == "error: tail exponent -1000.0 gives no valid distribution\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_toy_vocab_below_two_names_the_vocabulary(tmp_path, capsys):
+    # the default negative count is V-1 = 0; the vocabulary is what was wrong
+    metrics = tmp_path / "m.csv"
+    argv = ["train-toy", "--vocab", "1", "--seq-len", "8", "--metrics-out", str(metrics)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and err == "error: vocab size must be >= 2, got 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_toy_more_negatives_than_non_label_ids_is_runtime_error(tmp_path, capsys):
     # at the default V=64 there are 63 non-label ids; 100 cannot be drawn
     metrics = tmp_path / "m.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model
+from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model, traced_peak
 from longmem.errors import DomainError
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.cell import (
@@ -24,7 +24,7 @@ from longmem.evornn.train import (
     gradients_from_forward,
     zero_grads,
 )
-from longmem.schedule import CellSchedule
+from longmem.schedule import CellSchedule, constant_schedule
 
 # relative-error floor of 1e-6 discounts finite-difference truncation noise
 # on gradient entries that are themselves ~1e-9
@@ -405,6 +405,37 @@ def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_lay
             assert np.array_equal(states, states_before)
             for got, want in zip(cell.tensors(), tensors):
                 assert np.array_equal(got, want)
+
+
+@DTYPES
+@pytest.mark.parametrize(
+    "m, n, batch",
+    # the first cell of `train-powerlaw`, and an upper cell of `train-constant-sampled`
+    [(32, 8, 64), (128, 128, 32)],
+)
+def test_a_forward_step_allocates_nothing(m, n, batch, dtype):
+    # beyond the `states` and `gates` it returns, a run holds three (B, n)
+    # buffers and, before its step loop, the bias add's iterator buffer of
+    # at most 8192 values; neither grows with the run's length. A length's
+    # peak is the least of three calls, for Python's free lists move a
+    # call's peak by a few dozen bytes of objects
+    cell = build_model(
+        vocab_size=1, emb_dim=m, schedule=constant_schedule(1, n), decoder_dim=1, seed=0, dtype=dtype,
+    ).layers[0].cells[0]
+    rng = np.random.default_rng(8)
+    itemsize = np.dtype(dtype).itemsize
+    peaks = []
+    for steps in (16, 256):
+        x = rng.standard_normal((steps, batch, m), dtype)
+        h = rng.standard_normal((batch, n), dtype)
+        states_nbytes = (steps + 1) * batch * n * itemsize
+        gates_nbytes = 3 * steps * batch * n * itemsize
+        peaks.append(
+            min(traced_peak(lambda: gru_forward_run(cell, x, h))[1] for _ in range(3))
+            - states_nbytes - gates_nbytes
+        )
+    assert peaks[0] == peaks[1]
+    assert peaks[0] <= max(3 * batch * n, 8192) * itemsize + 4096
 
 
 def test_a_forward_is_reversed_once():

@@ -192,6 +192,13 @@ def test_lag_distribution_zero_exponent_is_uniform():
     assert np.allclose(probs, 0.25)
 
 
+def test_lag_distribution_overflowing_exponent_is_a_domain_error():
+    # 7^1000 overflows float64: refused by the sum check, with no numpy
+    # overflow warning on the way (the suite turns RuntimeWarning into errors)
+    with pytest.raises(DomainError, match="^tail exponent -1000.0 gives no valid distribution$"):
+        lag_distribution(8, -1000.0)
+
+
 def test_task_lag_recall_labels_come_from_sequence():
     stream = task_lag_recall(vocab_size=16, seq_len=12, tail_exponent=2.0, seed=3)
     for seq, labels in itertools.islice(stream, 50):
