@@ -395,7 +395,8 @@ def run_dataset(
     the pooled fit of the mean periodogram. Rows with zero power in a
     fitted bin, which includes constant rows and all-OOV rows under the
     skip policy, are skipped and counted: as constant when every bin is
-    zero, else as zero power. A bad configuration raises.
+    zero, else as zero power. A bad configuration raises, as does a run
+    that estimates no row, saying whether it had no rows or skipped all.
 
     The slab rows and the workers are chosen together, from the rows of a
     full batch (`_slab_plan`): one worker per SLABS_PER_WORKER slabs of at
@@ -439,7 +440,12 @@ def run_dataset(
         raise run.error
     state, n_estimated = run.state, run.n_estimated
     if state is None:
-        raise EmptyInputError("no sequence could be estimated")
+        n_rows = ids.shape[0]
+        raise EmptyInputError("no sequence could be estimated: " + (
+            f"all {n_rows} rows were skipped, {run.n_constant} as constant or all-OOV and "
+            f"{n_rows - run.n_constant} for zero power in a fitted bin"
+            if n_rows else f"the corpus holds no full chunk of {ids.shape[1]} tokens"
+        ))
     mean_pg = Periodogram(length=length, power=run.power_sum / n_estimated)
     pooled = estimate_from_periodogram(mean_pg, config)
     n_skipped = ids.shape[0] - n_estimated

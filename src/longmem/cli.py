@@ -61,7 +61,7 @@ from .schedule import (
     segment_costs,
 )
 from .spectral import check_length, write_periodogram_csv
-from .synth import generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
+from .synth import bucket_edges, generate_series, normal_bucket_table, quantize_to_symbols, theoretical_d
 
 
 class _HashedFile(io.RawIOBase):
@@ -275,6 +275,8 @@ def cmd_synth(args, parser) -> int:
         d_true = theoretical_d(args.model, hurst=args.hurst, d=args.d)
     except LongmemError as exc:
         parser.error(str(exc))
+    if args.vocab is not None:
+        bucket_edges(args.vocab)  # refuses a bad --vocab before the first draw; quantizing reuses them
     matrix = generate_series(
         args.model, d_true, args.length, args.count, args.seed, args.ma_truncation
     )

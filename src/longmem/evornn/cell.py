@@ -195,16 +195,16 @@ def gru_backward_run(
     x: np.ndarray,
     states: np.ndarray,
     gates: np.ndarray,
-    grad_outputs: list,
+    grad_states: np.ndarray | None,
     dh: np.ndarray,
     grads: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse `gru_forward_run`, given the gradient `dh` of its last state.
 
-    `grad_outputs[t]` (None when no loss term touches it) joins the gradient
-    of step t's state. Only that gradient is recurrent, so every factor that
-    does not depend on it is computed once for the run, in place over the
-    (T, B, n) blocks, before the step loop:
+    `grad_states`, None or a (k, B, n) block with k <= T, holds the gradient
+    of the run's last k states. Only that gradient is recurrent, so every
+    factor that does not depend on it is computed once for the run, in
+    place over the (T, B, n) blocks, before the step loop:
 
     | block | forward wrote | before the loop | after the loop |
     | --- | --- | --- | --- |
@@ -241,9 +241,10 @@ def gru_backward_run(
     d_pre_reset = np.subtract(1.0, reset)
     d_pre_reset *= reset
     d_pre_reset *= h
+    skip = len(x) - (0 if grad_states is None else len(grad_states))
     for t in range(len(x) - 1, -1, -1):
-        if grad_outputs[t] is not None:
-            dh = dh + grad_outputs[t]
+        if t >= skip:
+            dh = dh + grad_states[t - skip]
         d_pre_c = np.multiply(dh, candidate[t], out=candidate[t])
         d_pre_z = np.multiply(dh, d_pre_update[t], out=d_pre_update[t])
         d_rh = d_pre_c @ wh_candidate

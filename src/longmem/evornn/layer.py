@@ -6,15 +6,15 @@ matrix before the new segment's cell consumes it; boundaries with equal
 sizes carry the state through unchanged. Hidden-to-hidden multiplies are
 counted at 3*n^2 per step (three gates) for cost instrumentation.
 
-The unroll walks segment runs (consecutive steps of one cell). The run
-kernels of `cell` allocate each run's (T_run, B, n) state and gate buffers
-and return them, and a layer above reads a run's states as its own input
-block, without a copy. The reverse computes a run's gate factors once,
-over its whole buffers, and loops over its steps only for the recurrent
-state gradient; the run's weight gradients, bias sums and input gradient
-block are one GEMM or sum each over its stacked rows. The reverse spends a
-run's gate buffers and drops them, so a forward is reversed once, and
-returns each run's input gradient block.
+The unroll walks segment runs (consecutive steps of one cell), and layers
+pass each other run blocks alone. The run kernels of `cell` allocate each
+run's state and gate blocks and return them; a layer above reads a run's
+states as its input block, without a copy. The reverse computes a run's
+gate factors once, over its whole blocks, and loops over its steps only
+for the recurrent state gradient; the run's weight gradients, bias sums
+and input gradient block, which the layer below takes as is, are one GEMM
+or sum each over its stacked rows. It spends a run's gate blocks and drops
+them, so a forward is reversed once.
 """
 
 from __future__ import annotations
@@ -99,12 +99,9 @@ class SegmentRun:
 
 @dataclass
 class LayerForward:
-    """Everything the backward pass needs from one layer's unroll.
+    """Everything the backward pass needs from one layer's unroll: its
+    runs, earliest first, whose `states[1:]` are the layer's outputs."""
 
-    `outputs[t]` is step t's (B, n_t) output, a view of its run's `states`.
-    """
-
-    outputs: list[np.ndarray]
     runs: list[SegmentRun]
     multiply_adds: int
 
@@ -116,18 +113,17 @@ def evo_forward_batch(
 
     `inputs` is the (T, B, m) input of a bottom layer, taken in the layer's
     dtype (a list of per-step (B, m) arrays is stacked into one), or the
-    `LayerForward` of the layer below, whose run outputs are read in place
-    as this layer's input blocks; both layers must then have the same runs.
+    `LayerForward` of the layer below, whose runs give T, B and, read in
+    place, this layer's input blocks; both layers must have the same runs.
     Steps past `length - 1` are unfold steps handled by the last segment.
     The carried state crosses each boundary through its projection; when
     the sequence is shorter than the schedule's span, the initial state
     crosses every boundary before the starting segment.
     """
-    if isinstance(inputs, LayerForward):
-        below, steps = inputs, inputs.outputs
-    else:
-        below, steps = None, np.asarray(inputs, dtype=layer.init_state.dtype)
-    total_steps = len(steps)
+    below = inputs if isinstance(inputs, LayerForward) else None
+    if below is None:
+        inputs = np.asarray(inputs, dtype=layer.init_state.dtype)
+    total_steps = len(inputs) if below is None else below.runs[-1].stop
     if total_steps < 1 or length < 1:
         raise DomainError(f"need at least one input step and length >= 1, got length {length}")
     if total_steps < length:
@@ -139,9 +135,8 @@ def evo_forward_batch(
         (start, stop) for _, start, stop in spans
     ]:
         raise DimensionMismatchError("stacked layers must share their segment runs")
-    batch = steps[0].shape[0]
+    batch = (inputs[0] if below is None else below.runs[0].states[0]).shape[0]
     h = np.broadcast_to(layer.init_state, (batch, layer.init_state.size)).copy()
-    outputs: list[np.ndarray] = []
     runs: list[SegmentRun] = []
     multiply_adds = 0
     previous_segment = 0
@@ -153,45 +148,43 @@ def evo_forward_batch(
             if matrix is not None:
                 h = h @ matrix.T
         cell = layer.cells[segment]
-        x = steps[start:stop] if below is None else below.runs[k].states[1:]
+        x = inputs[start:stop] if below is None else below.runs[k].states[1:]
         if x.ndim != 3 or x.shape[1:] != (batch, cell.input_dim):
             raise DimensionMismatchError(
                 f"segment {segment} needs ({batch}, {cell.input_dim}) inputs, got {x.shape[1:]}"
             )
         states, gates = gru_forward_run(cell, x, h)
-        outputs.extend(states[1:])
         runs.append(SegmentRun(segment, start, stop, crossings, x, states, gates))
         multiply_adds += 3 * cell.hidden_dim * cell.hidden_dim * (stop - start)
         h = states[-1]
         previous_segment = segment
-    return LayerForward(outputs=outputs, runs=runs, multiply_adds=multiply_adds)
+    return LayerForward(runs=runs, multiply_adds=multiply_adds)
 
 
 def evo_backward_batch(
     layer: EvoRnnLayer,
     forward: LayerForward,
-    grad_outputs: list[Optional[np.ndarray]],
+    grad_blocks: list[Optional[np.ndarray]],
     grads: EvoRnnLayer,
 ) -> list[np.ndarray]:
-    """Reverse the unroll run by run; accumulates parameter grads into
-    `grads` (a zeroed twin of `layer`) and returns each run's (T_run, B, m)
-    input gradient block, earliest run first.
-
-    `grad_outputs[t]` may be None when no loss term touches the step's
-    output. Each run's gate buffers are spent and dropped, so a forward is
-    reversed once; reversing it again raises DomainError.
+    """Reverse the unroll run by run, given each run's `grad_states`
+    (`gru_backward_run`) in `grad_blocks`, earliest run first; accumulates
+    parameter grads into `grads` (a zeroed twin of `layer`) and returns
+    each run's (T_run, B, m) input gradient block, the `grad_blocks` of the
+    layer below. Each run's gate blocks are spent and dropped, so a forward
+    is reversed once; reversing it again raises DomainError.
     """
     if any(run.gates is None for run in forward.runs):
         raise DomainError("this forward has already been reversed; its gate buffers are spent")
     blocks = []
-    dh = np.zeros_like(forward.outputs[-1])
-    for run in reversed(forward.runs):
+    dh = np.zeros_like(forward.runs[-1].states[-1])
+    for run, grad_states in zip(reversed(forward.runs), reversed(grad_blocks), strict=True):
         block, dh = gru_backward_run(
             layer.cells[run.segment],
             run.inputs,
             run.states,
             run.gates,
-            grad_outputs[run.start : run.stop],
+            grad_states,
             dh,
             grads.cells[run.segment].tensors(),
         )

@@ -228,7 +228,6 @@ class ModelForward:
     """Forward artifacts kept for the backward pass."""
 
     ids: np.ndarray
-    prefix_length: int
     decoded: np.ndarray
     decoded_states: np.ndarray
     layer_forwards: list[LayerForward]
@@ -251,7 +250,8 @@ def forward_with_caches(model: ModelParams, ids: np.ndarray) -> ModelForward:
 
     The scheduled prefix length is L = T - horizon; the final H steps are
     the teacher-forced unfold. Decoded outputs correspond to steps
-    L-1 .. L+H-1 of the top layer.
+    L-1 .. L+H-1 of the top layer: the last H+1 states of its last run,
+    which starts at or before step L-1.
     """
     ids = _check_ids(ids, model.vocab_size)
     horizon = model.horizon
@@ -268,14 +268,10 @@ def forward_with_caches(model: ModelParams, ids: np.ndarray) -> ModelForward:
         inputs = evo_forward_batch(layer, inputs, prefix_length)
         layer_forwards.append(inputs)
         multiply_adds += inputs.multiply_adds
-    top_outputs = layer_forwards[-1].outputs
-    decoded_states = np.stack(
-        [top_outputs[t] for t in range(prefix_length - 1, total_steps)], axis=1
-    )
+    decoded_states = np.ascontiguousarray(layer_forwards[-1].runs[-1].states[-(horizon + 1) :].swapaxes(0, 1))
     decoded = decoded_states @ model.decoder_w + model.decoder_b
     return ModelForward(
         ids=ids,
-        prefix_length=prefix_length,
         decoded=decoded,
         decoded_states=decoded_states,
         layer_forwards=layer_forwards,

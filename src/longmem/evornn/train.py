@@ -164,15 +164,13 @@ def gradients_from_forward(
     b, j, _ = grad_y.shape
     grads.decoder_w += forward.decoded_states.reshape(b * j, -1).T @ grad_y.reshape(b * j, -1)
     grads.decoder_b += grad_y.sum(axis=(0, 1))
-    grad_outputs: list[Optional[np.ndarray]] = [None] * forward.ids.shape[1]
-    for offset in range(j):
-        grad_outputs[forward.prefix_length - 1 + offset] = grad_y[:, offset] @ model.decoder_w.T
+    top_runs = len(forward.layer_forwards[-1].runs)
+    grad_blocks = [None] * (top_runs - 1) + [grad_y.swapaxes(0, 1) @ model.decoder_w.T]
     for layer, layer_forward, layer_grads in reversed(
         list(zip(model.layers, forward.layer_forwards, grads.layers))
     ):
-        blocks = evo_backward_batch(layer, layer_forward, grad_outputs, layer_grads)
-        grad_outputs = [step for block in blocks for step in block]
-    grad_embedded = np.concatenate(blocks).reshape(-1, model.emb_dim)
+        grad_blocks = evo_backward_batch(layer, layer_forward, grad_blocks, layer_grads)
+    grad_embedded = np.concatenate(grad_blocks).reshape(-1, model.emb_dim)
     grads.input_table += rows_by_id(forward.ids.T.ravel(), grad_embedded, model.vocab_size)
     return -score, grads
 

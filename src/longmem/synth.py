@@ -169,17 +169,17 @@ def quantize_to_symbols(series: np.ndarray, vocab_size: int) -> SymbolSequence:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("series must be a non-empty 1-d real vector")
-    if vocab_size < 2:
-        raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
-    ids = np.searchsorted(_bucket_edges(vocab_size), x, side="right")
+    ids = np.searchsorted(bucket_edges(vocab_size), x, side="right")
     return SymbolSequence(ids=[int(i) for i in ids])
 
 
 @functools.lru_cache(maxsize=1)
-def _bucket_edges(vocab_size: int) -> np.ndarray:
+def bucket_edges(vocab_size: int) -> np.ndarray:
     """The V - 1 bucket edges of `quantize_to_symbols`, read-only, worked
     out once for the last V asked: a corpus quantizes every series at one
     V, and at V = 100,000 the edges cost nearly all of a short series."""
+    if vocab_size < 2:
+        raise DomainError(f"vocab size must be >= 2, got {vocab_size}")
     with allocating(f"vocab size {vocab_size}", 8 * (vocab_size - 1), "its bucket edges"):
         edges = _normal_quantiles(np.arange(1, vocab_size) / vocab_size)
     edges.flags.writeable = False

@@ -58,6 +58,12 @@ def fresh_layer(schedule: CellSchedule, input_dim: int, seed: int = 0, index: in
     return model.layers[index]
 
 
+def step_outputs(forward) -> list:
+    """Each step's (B, n) output of a `LayerForward`, earliest first: the
+    rows after the entering state of each run's states block."""
+    return [state for run in forward.runs for state in run.states[1:]]
+
+
 def fresh_cell(input_dim: int, hidden_dim: int, seed: int = 0):
     """A fresh float64 GRU cell reading `input_dim` inputs into `hidden_dim` states."""
     return fresh_layer(constant_schedule(1, hidden_dim), input_dim, seed).cells[0]

@@ -155,14 +155,24 @@ def test_run_dataset_skips_degenerate_sequences():
     assert result.n_skipped == 1
 
 
-def test_run_dataset_empty_yield_raises():
+@pytest.mark.parametrize(
+    "ids, reason",
+    [
+        # a corpus shorter than one chunk
+        (np.empty((0, 48), dtype=np.int32), "the corpus holds no full chunk of 48 tokens$"),
+        # two all-OOV rows embed as zeros, and a row with zero power in a fitted bin
+        (
+            np.vstack([np.full((2, 64), OOV_ID), np.tile([1, 1, 6, 6], 16)]),
+            "all 3 rows were skipped, 2 as constant or all-OOV and 1 for zero power in a fitted bin$",
+        ),
+    ],
+    ids=["no-chunk", "all-skipped"],
+)
+def test_run_dataset_empty_yield_raises(ids, reason):
     table = normal_bucket_table(8)
-    broken = np.full((3, 64), OOV_ID)
     config = EstimatorConfig(pad_length=64)
-    with pytest.raises(EmptyInputError):
-        run_dataset(
-            broken, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=2
-        )
+    with pytest.raises(EmptyInputError, match="^no sequence could be estimated: " + reason):
+        run_dataset(ids, table, config, OovPolicy.ZERO, LearningRateSchedule(), batch_size=2)
 
 
 def test_run_dataset_progress_line_format():

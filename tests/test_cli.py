@@ -28,6 +28,10 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the refusal came too late")
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(["--version"], capsys)
     assert code == 0
@@ -126,7 +130,9 @@ def test_synth_zero_count_is_arg_error(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("vocab", ["0", "1"])
-def test_synth_vocab_below_two_is_runtime_error(tmp_path, capsys, vocab):
+def test_synth_vocab_below_two_is_runtime_error(tmp_path, capsys, monkeypatch, vocab):
+    # refused before the first series is drawn
+    monkeypatch.setattr("longmem.cli.generate_series", _unreachable)
     out = tmp_path / "v.txt"
     code, _, err = run_cli(
         ["synth", "--model", "white", "--length", "8", "--vocab", vocab, "--out", str(out)],
@@ -738,16 +744,16 @@ def test_a_flag_sized_allocation_that_is_refused_is_clean_runtime_error(
     tmp_path, capsys, monkeypatch, argv, named
 ):
     # every refusal comes before the corpus is read or the first example drawn,
-    # so a missing one fails here instead of allocating
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the refusal came too late")
-
-    monkeypatch.setattr("longmem.cli.read_corpus_ids", unreachable)
-    monkeypatch.setattr("longmem.cli.train_toy", unreachable)
+    # and a vocab's before the first series is drawn, so a missing one fails
+    # here instead of allocating
+    monkeypatch.setattr("longmem.cli.read_corpus_ids", _unreachable)
+    monkeypatch.setattr("longmem.cli.train_toy", _unreachable)
     monkeypatch.chdir(tmp_path)
     if argv[0] == "estimate":
         corpus, table = _make_corpus(tmp_path, capsys, count="2", length="2048")
         argv = argv + ["--corpus", str(corpus), "--embeddings", str(table), "--out", "r.json"]
+    if "--vocab" in argv and argv[0] == "synth":
+        monkeypatch.setattr("longmem.cli.generate_series", _unreachable)
     before = set(os.listdir(tmp_path))
     code, out, err = run_cli(argv, capsys)
     assert code == 1

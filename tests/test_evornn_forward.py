@@ -15,7 +15,7 @@ from longmem.errors import (
     DomainError,
     LongmemError,
 )
-from conftest import fresh_cell, fresh_layer, traced_peak
+from conftest import fresh_cell, fresh_layer, step_outputs, traced_peak
 from longmem.evornn import build_model, load_checkpoint, save_checkpoint
 from longmem.evornn.cell import TENSOR_NAMES, _sigmoid, gru_forward_batch
 from longmem.evornn.layer import evo_forward_batch, segment_of_step, segment_runs
@@ -121,13 +121,13 @@ def test_constant_schedule_equals_plain_unroll():
     rng = np.random.default_rng(4)
     layer = fresh_layer(constant_schedule(6, 4), 3, seed=4)
     inputs = [rng.standard_normal((1, 3)) for _ in range(6)]
-    result = evo_forward_batch(layer, inputs, 6)
+    outputs = step_outputs(evo_forward_batch(layer, inputs, 6))
 
     state = layer.init_state[None, :]
     for t in range(6):
         state, _ = gru_forward_batch(layer.cells[0], inputs[t], state)
-        assert np.array_equal(result.outputs[t], state)
-    assert np.array_equal(result.outputs[-1], state)
+        assert np.array_equal(outputs[t], state)
+    assert np.array_equal(outputs[-1], state)
 
 
 def test_appendix_dims_along_sequence():
@@ -135,18 +135,18 @@ def test_appendix_dims_along_sequence():
     rng = np.random.default_rng(5)
     layer = fresh_layer(schedule, 3, seed=5)
     inputs = [rng.standard_normal((1, 3)) for _ in range(20)]
-    result = evo_forward_batch(layer, inputs, 20)
-    dims = [out.shape[1] for out in result.outputs]
+    outputs = step_outputs(evo_forward_batch(layer, inputs, 20))
+    dims = [out.shape[1] for out in outputs]
     assert dims == [2] * 6 + [4] * 8 + [8] * 4 + [16] * 2
-    assert result.outputs[-1].shape == (1, 16)
+    assert outputs[-1].shape == (1, 16)
 
 
 def test_equal_adjacent_sizes_have_identity_boundary():
     schedule = CellSchedule(((2, 4), (3, 4)))
     layer = fresh_layer(schedule, 2, seed=6)
     assert layer.projections == {}
-    result = evo_forward_batch(layer, [np.zeros((1, 2))] * 5, 5)
-    assert all(out.shape == (1, 4) for out in result.outputs)
+    outputs = step_outputs(evo_forward_batch(layer, [np.zeros((1, 2))] * 5, 5))
+    assert all(out.shape == (1, 4) for out in outputs)
 
 
 def test_short_sequence_starts_in_later_segment():
@@ -154,7 +154,7 @@ def test_short_sequence_starts_in_later_segment():
     rng = np.random.default_rng(7)
     layer = fresh_layer(schedule, 3, seed=7)
     inputs = [rng.standard_normal((1, 3)) for _ in range(2)]
-    outputs = evo_forward_batch(layer, inputs, 2).outputs
+    outputs = step_outputs(evo_forward_batch(layer, inputs, 2))
     # both steps are within distance 2 of the end, so only the large cell runs,
     # and the initial state passes through the boundary projection first
     assert [o.shape[1] for o in outputs] == [4, 4]
@@ -186,8 +186,8 @@ def test_multiply_add_counter_is_three_n_squared_per_step():
     for t in range(1, 5):
         state, _ = gru_forward_batch(layer.cells[2], inputs[t], state)
         expected.append(state)
-    assert len(result.outputs) == 5
-    for got, want in zip(result.outputs, expected):
+    assert len(step_outputs(result)) == 5
+    for got, want in zip(step_outputs(result), expected, strict=True):
         assert np.array_equal(got, want)
     assert result.multiply_adds == 3 * (1 * 9 + 4 * 16)
 
@@ -600,7 +600,7 @@ def test_output_dims_follow_active_segment(segments, seed):
     layer = fresh_layer(schedule, 2, seed=seed)
     length = schedule.total_length
     inputs = [rng.standard_normal((1, 2)) for _ in range(length)]
-    outputs = evo_forward_batch(layer, inputs, length).outputs
+    outputs = step_outputs(evo_forward_batch(layer, inputs, length))
     for t, out in enumerate(outputs):
         seg = segment_of_step(t, length, schedule)
         assert out.shape == (1, schedule.segments[seg][1])

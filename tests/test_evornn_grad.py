@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model, traced_peak
+from conftest import (
+    REFERENCE_BATCH, finite_difference_worst_rel, fresh_cell, perturbed_reference_model, step_outputs, traced_peak,
+)
 from longmem.errors import DomainError
 from longmem.evornn import build_model, compute_gradients, parameter_pairs
 from longmem.evornn.cell import (
@@ -15,7 +17,7 @@ from longmem.evornn.cell import (
     gru_forward_run,
     zero_cell_grads,
 )
-from longmem.evornn.layer import evo_backward_batch, evo_forward_batch, segment_of_step
+from longmem.evornn.layer import evo_backward_batch, evo_forward_batch, segment_of_step, segment_runs
 from longmem.evornn.model import forward_with_caches, layer_nbytes, model_shapes, rows_by_id, zero_model
 from longmem.evornn.train import (
     TrainConfig,
@@ -161,19 +163,25 @@ def test_gradients_with_teacher_forced_horizon():
     assert worst < 1e-4, f"worst rel = {worst:.3e}"
 
 
-def test_gradients_with_two_layers():
+@pytest.mark.parametrize("horizon", [0, 2])
+def test_gradients_with_two_layers(horizon):
+    # the last segment is one step long, so the decoded H+1 states fill the
+    # whole of the top layer's last run, whose input gradient block the
+    # lower layer takes as its last run's gradient block. Many reset-gate
+    # entries are ~1e-7 here, where central differences at eps 1e-5 are
+    # roundoff-limited (the worst error falls tenfold as eps grows to 1e-4,
+    # which a wrong gradient's would not), so the step is 1e-4
     model = build_model(
-        vocab_size=8, emb_dim=4, schedule=CellSchedule(((3, 2), (2, 4))),
-        decoder_dim=3, horizon=0, num_layers=2, seed=7, dtype=np.float64,
+        vocab_size=8, emb_dim=4, schedule=CellSchedule(((2, 2), (2, 3), (1, 4))),
+        decoder_dim=3, horizon=horizon, num_layers=2, seed=7, dtype=np.float64,
     )
     rng = np.random.default_rng(11)
     for layer in model.layers:
         layer.init_state += rng.normal(scale=0.1, size=layer.init_state.shape)
         for cell in layer.cells:
             cell.b_reset += rng.normal(scale=0.1, size=cell.b_reset.shape)
-    worst = finite_difference_worst_rel(
-        model, REFERENCE_BATCH, TrainConfig(negatives=7), **NOISY
-    )
+    batch = [(ids, [label, 6, 1][: horizon + 1]) for ids, (label,) in REFERENCE_BATCH]
+    worst = finite_difference_worst_rel(model, batch, TrainConfig(negatives=7), eps=1e-4, **NOISY)
     assert worst < 1e-4, f"worst rel = {worst:.3e}"
 
 
@@ -226,7 +234,8 @@ def _oracle_layer(layer, inputs, length):
 
 
 def _oracle_layer_backward(layer, steps, grad_outputs, grads):
-    """Reverse `_oracle_layer` with `gru_backward_batch`; returns per-step input gradients."""
+    """Reverse `_oracle_layer` with `gru_backward_batch`, given each step's
+    output gradient (None when it has none); returns per-step input gradients."""
     dh = np.zeros_like(steps[-1][2][0])
     grad_inputs = [None] * len(steps)
     for t in range(len(steps) - 1, -1, -1):
@@ -266,21 +275,20 @@ def _check_run_kernels(layers, embedded, length, top_grads):
     oracle_steps, oracle_inputs = [], list(embedded)
     for layer, forward in zip(layers, forwards):
         outputs, steps = _oracle_layer(layer, oracle_inputs, length)
-        assert len(forward.outputs) == len(embedded)
-        for got, want in zip(forward.outputs, outputs):
+        assert len(step_outputs(forward)) == len(embedded)
+        for got, want in zip(step_outputs(forward), outputs, strict=True):
             assert got.dtype == embedded.dtype and np.array_equal(got, want)
         oracle_steps.append(steps)
         oracle_inputs = outputs
 
     read_only = [(run, run.states.copy(), run.inputs.copy()) for f in forwards for run in f.runs]
-    grad_outputs = oracle_grads_out = top_grads
+    grad_blocks, oracle_grads_out = top_grads, _per_step(top_grads, forwards[-1].runs)
     for i in range(len(layers) - 1, -1, -1):
         grads, oracle = (zero_model(schedules, 1, emb_dim, 1, 0, embedded.dtype).layers[i] for _ in range(2))
-        blocks = evo_backward_batch(layers[i], forwards[i], grad_outputs, grads)
-        assert [len(block) for block in blocks] == [run.stop - run.start for run in forwards[i].runs]
-        grad_outputs = [step for block in blocks for step in block]
+        grad_blocks = evo_backward_batch(layers[i], forwards[i], grad_blocks, grads)
+        assert [len(block) for block in grad_blocks] == [run.stop - run.start for run in forwards[i].runs]
         oracle_grads_out = _oracle_layer_backward(layers[i], oracle_steps[i], oracle_grads_out, oracle)
-        for got, want in zip(grad_outputs, oracle_grads_out):
+        for got, want in zip(_per_step(grad_blocks, forwards[i].runs), oracle_grads_out, strict=True):
             _assert_close(got, want)
         for got, want in zip(grads.cells, oracle.cells):
             for g, w in zip(got.tensors(), want.tensors()):
@@ -296,12 +304,24 @@ def _check_run_kernels(layers, embedded, length, top_grads):
 
 
 def _top_grads(rng, schedule, length, total, batch, dtype):
-    """A random `dtype` gradient for about 60% of the top layer's step outputs, None for the rest."""
-    return [
-        rng.standard_normal((batch, schedule.segments[segment_of_step(t, length, schedule)][1]), dtype)
-        if rng.random() < 0.6 else None
-        for t in range(total)
-    ]
+    """One random `dtype` gradient block per run of the top layer, earliest
+    first, for a suffix of the run's outputs of random length: None, part
+    of the run or the whole of it."""
+    blocks = []
+    for segment, start, stop in segment_runs(length, total, schedule):
+        k = rng.integers(0, stop - start + 1)
+        blocks.append(rng.standard_normal((k, batch, schedule.segments[segment][1]), dtype) if k else None)
+    return blocks
+
+
+def _per_step(blocks, runs):
+    """Run gradient blocks placed per step: each run's block fills its last
+    steps, and the steps before it get None."""
+    steps = []
+    for block, run in zip(blocks, runs, strict=True):
+        filled = 0 if block is None else len(block)
+        steps += [None] * (run.stop - run.start - filled) + ([] if block is None else list(block))
+    return steps
 
 
 @DTYPES
@@ -393,9 +413,10 @@ def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_lay
             assert states.dtype == gates.dtype == dtype
             assert np.array_equal(states[0], h)
             states_before = states.copy()
-            grad_outputs = [rng.standard_normal((batch, n), dtype) if t % 2 else None for t in range(steps)]
+            grad_states = rng.standard_normal((steps // 2 + 1, batch, n), dtype)
+            grad_states_before = grad_states.copy()
             grad_x, grad_h = gru_backward_run(
-                cell, x, states, gates, grad_outputs, rng.standard_normal((batch, n), dtype),
+                cell, x, states, gates, grad_states, rng.standard_normal((batch, n), dtype),
                 zero_cell_grads(cell),
             )
             assert grad_x.shape == x.shape and grad_x.dtype == grad_h.dtype == dtype
@@ -403,8 +424,32 @@ def test_run_kernels_leave_their_inputs_and_the_cell_unchanged(segments, num_lay
             assert not any(np.shares_memory(grad_x, other) for other in (x, states, gates))
             assert np.array_equal(x, x_before)
             assert np.array_equal(states, states_before)
+            assert np.array_equal(grad_states, grad_states_before)
             for got, want in zip(cell.tensors(), tensors):
                 assert np.array_equal(got, want)
+
+
+@DTYPES
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_a_suffix_gradient_block_equals_a_zero_padded_full_block(k, dtype):
+    # the gradient of a run's last k states, or None for k = 0, reverses the
+    # run exactly as a full block whose first 7-k rows are zero
+    rng = np.random.default_rng(12)
+    cell = fresh_cell(5, 6, seed=12)
+    for tensor in cell.tensors():
+        tensor += rng.normal(scale=0.3, size=tensor.shape)
+    cell = type(cell)(*(t.astype(dtype) for t in cell.tensors()))
+    x = rng.standard_normal((7, 3, 5), dtype)
+    h = rng.standard_normal((3, 6), dtype)
+    dh = rng.standard_normal((3, 6), dtype)
+    suffix = rng.standard_normal((k, 3, 6), dtype)
+    full = np.concatenate([np.zeros((7 - k, 3, 6), dtype), suffix])
+    results = []
+    for grad_states in (suffix if k else None, full):
+        grads = zero_cell_grads(cell)
+        results.append((*gru_backward_run(cell, x, *gru_forward_run(cell, x, h), grad_states, dh, grads), *grads))
+    for got, want in zip(*results, strict=True):
+        assert got.dtype == dtype and np.array_equal(got, want)
 
 
 @DTYPES

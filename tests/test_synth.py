@@ -310,7 +310,7 @@ def test_synth_works_out_the_bucket_edges_once_per_vocab(tmp_path, monkeypatch, 
         return _normal_quantiles(q)
 
     monkeypatch.setattr(synth, "_normal_quantiles", counted)
-    synth._bucket_edges.cache_clear()
+    synth.bucket_edges.cache_clear()
     out = tmp_path / "corpus.txt"
     argv = ["synth", "--model", "fgn", "--d", "0.3", "--length", "64", "--count", "5",
             "--seed", "2", "--vocab", "50", "--out", str(out)]
@@ -326,7 +326,7 @@ def test_synth_works_out_the_bucket_edges_once_per_vocab(tmp_path, monkeypatch, 
     )
     assert out.read_text() == want
     with pytest.raises(ValueError):  # the shared edges cannot be written through
-        synth._bucket_edges(50)[0] = 0.0
+        synth.bucket_edges(50)[0] = 0.0
 
 
 @settings(max_examples=25)
